@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
-// substrates: the simplex LP solver, the branch & bound ILP (placement-sized
-// instances), the min-max migration LP, and the engine tick.
+// substrates: the placement solver (placement-sized instances and a
+// planet-scale sweep), one fig-scale decision epoch, the min-max migration
+// planner, and the engine tick.
 //
 // These are not paper figures; they document that the control-plane
 // optimizations are cheap enough to run inside a 1 Hz simulation loop (and,
@@ -17,8 +18,6 @@
 #include "engine/engine.h"
 #include "exec/thread_pool.h"
 #include "microengine/micro_engine.h"
-#include "ilp/branch_and_bound.h"
-#include "lp/simplex.h"
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
@@ -31,38 +30,6 @@
 namespace {
 
 using namespace wasp;
-
-lp::Problem make_dense_lp(int n) {
-  Rng rng(42);
-  lp::Problem p(lp::Sense::kMinimize);
-  for (int i = 0; i < n; ++i) p.add_variable(rng.uniform(-1.0, 1.0), 0.0, 10.0);
-  for (int r = 0; r < n; ++r) {
-    std::vector<double> coeffs(n);
-    for (auto& c : coeffs) c = rng.uniform(-1.0, 1.0);
-    p.add_dense_constraint(coeffs, lp::RowType::kLe, rng.uniform(1.0, 5.0));
-  }
-  return p;
-}
-
-void BM_SimplexDense(benchmark::State& state) {
-  const lp::Problem p = make_dense_lp(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lp::solve(p));
-  }
-}
-BENCHMARK(BM_SimplexDense)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_SimplexDenseReference(benchmark::State& state) {
-  // The pre-optimization pricing rule: reduced costs recomputed from the
-  // basis on every pivot (O(m·n) per column selection).
-  const lp::Problem p = make_dense_lp(static_cast<int>(state.range(0)));
-  lp::SimplexOptions opts;
-  opts.pricing = lp::SimplexOptions::Pricing::kRescan;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lp::solve(p, opts));
-  }
-}
-BENCHMARK(BM_SimplexDenseReference)->Arg(8)->Arg(16)->Arg(32);
 
 class RandomView final : public physical::NetworkView {
  public:
@@ -105,10 +72,9 @@ physical::StageContext make_placement_ctx(std::size_t m, Rng& rng) {
 }
 
 void BM_PlacementIlp(benchmark::State& state) {
-  // A placement-shaped ILP: m sites, Eq. 1-5 structure, probed repeatedly
-  // within one decision epoch -- the adaptation policy's access pattern
-  // (p-sweeps and candidate plans re-probe identical stage contexts). The
-  // optimized stack serves repeats from the per-epoch placement cache.
+  // A placement-shaped instance: m sites, Eq. 1-5 structure, probed
+  // repeatedly -- the adaptation policy's access pattern (p-sweeps and
+  // candidate plans re-probe identical stage contexts).
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   const RandomView view(m, rng);
@@ -120,143 +86,29 @@ void BM_PlacementIlp(benchmark::State& state) {
 }
 BENCHMARK(BM_PlacementIlp)->Arg(8)->Arg(16);
 
-void BM_PlacementIlpCold(benchmark::State& state) {
-  // Same ILP with a fresh epoch per iteration: every probe misses the cache,
-  // so this is the raw optimized solver stack (maintained-row simplex +
-  // copy-free B&B) plus the cache-key overhead.
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  const RandomView view(m, rng);
-  const physical::StageContext ctx = make_placement_ctx(m, rng);
-  physical::Scheduler scheduler;
-  for (auto _ : state) {
-    scheduler.begin_epoch();
-    benchmark::DoNotOptimize(scheduler.place_stage(ctx, view));
-  }
-}
-BENCHMARK(BM_PlacementIlpCold)->Arg(8)->Arg(16);
-
-void BM_PlacementIlpReference(benchmark::State& state) {
-  // Same ILP through the pre-optimization stack: rescan pricing and
-  // copy-per-node branch & bound (the seed implementation, kept behind
-  // Scheduler::Config::use_reference_solvers).
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  const RandomView view(m, rng);
-  const physical::StageContext ctx = make_placement_ctx(m, rng);
-  physical::Scheduler scheduler(
-      physical::Scheduler::Config{.use_reference_solvers = true});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.place_stage(ctx, view));
-  }
-}
-BENCHMARK(BM_PlacementIlpReference)->Arg(8)->Arg(16);
-
 // ---------------------------------------------------------------------------
-// Planet-scale placement suite (DESIGN.md §14): how the solver stack scales
-// from the paper's 16-site testbed to hundreds of edge sites, and what the
-// warm-started re-plan path buys on localized changes.
+// Planet-scale placement suite (DESIGN.md §14): how the placement solver
+// scales from the paper's 16-site testbed to hundreds of edge sites.
 // ---------------------------------------------------------------------------
-
-// Bandwidth-perturbing wrapper: scales every link of the base view by a
-// per-epoch factor. Changes the placement-cache key (endpoint bandwidths are
-// part of it) without touching the ILP's structure, which is exactly the
-// re-plan-after-network-drift access pattern the warm-basis path serves.
-class ScaledView final : public physical::NetworkView {
- public:
-  explicit ScaledView(const physical::NetworkView& base) : base_(base) {}
-  void set_bw_scale(double s) { scale_ = s; }
-  std::size_t num_sites() const override { return base_.num_sites(); }
-  double available_mbps(SiteId f, SiteId t) const override {
-    return base_.available_mbps(f, t) * scale_;
-  }
-  double latency_ms(SiteId f, SiteId t) const override {
-    return base_.latency_ms(f, t);
-  }
-  int available_slots(SiteId s) const override {
-    return base_.available_slots(s);
-  }
-
- private:
-  const physical::NetworkView& base_;
-  double scale_ = 1.0;
-};
 
 void BM_PlacementScale(benchmark::State& state) {
-  // Cold single-stage placement as the site count grows 16 -> 64 -> 256.
-  // Below Scheduler::Config::direct_solve_min_sites this is the legacy exact
-  // B&B; above it the folded ILP's exact greedy direct solve. The CI perf
-  // gate asserts the 16 -> 256 growth stays sub-quadratic.
+  // Single-stage placement as the site count grows 16 -> 64 -> 256. The CI
+  // perf gate asserts the 16 -> 256 growth stays sub-quadratic.
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   const RandomView view(m, rng);
   const physical::StageContext ctx = make_placement_ctx(m, rng);
   physical::Scheduler scheduler;
   for (auto _ : state) {
-    scheduler.begin_epoch();
-    scheduler.begin_epoch();  // two rotations: defeat the cross-epoch cache
     benchmark::DoNotOptimize(scheduler.place_stage(ctx, view));
   }
 }
 BENCHMARK(BM_PlacementScale)->Arg(16)->Arg(64)->Arg(256);
 
-// Warm-vs-cold re-plan pair at 256 sites: an 8-stage plan re-placed every
-// epoch after a *localized* change (one stage's upstream rate moved, the
-// other seven untouched) -- the planet-scale re-plan access pattern that
-// region decomposition produces. The warm variant runs the scale stack as
-// shipped: untouched stages are served by the cross-epoch placement cache
-// and the changed stage re-enters the budgeted branch & bound from the
-// previous epoch's captured root basis. The cold variant disables both and
-// re-solves all eight stages from scratch each epoch. Both force the
-// branch & bound path (the folded ILP's direct greedy solve would bypass
-// the solver whose warm start is being measured). BENCH_solvers.json pairs
-// them into the warm-speedup gate (>= 5x, DESIGN.md §14).
-void run_placement_replan(benchmark::State& state, bool warm) {
-  const std::size_t m = 256;
-  constexpr int kStages = 8;
-  Rng rng(7);
-  const RandomView view(m, rng);
-  std::vector<physical::StageContext> stages;
-  for (int k = 0; k < kStages; ++k) stages.push_back(make_placement_ctx(m, rng));
-  const double base_rate = stages[0].upstream[0].events_per_sec;
-  physical::Scheduler::Config config;
-  config.force_branch_and_bound = true;
-  config.warm_start = warm;
-  config.cross_epoch_cache = warm;
-  physical::Scheduler scheduler(config);
-  int epoch = 0;
-  for (auto _ : state) {
-    scheduler.begin_epoch();
-    // Alternate the perturbed stage's rate so its cache key always differs
-    // from the previous epoch's (the two-generation cache holds exactly one
-    // prior epoch): the changed stage must genuinely re-solve.
-    stages[0].upstream[0].events_per_sec =
-        base_rate * (epoch++ % 2 == 0 ? 1.0 : 1.01);
-    double total = 0.0;
-    for (const physical::StageContext& ctx : stages) {
-      const auto placed = scheduler.place_stage(ctx, view);
-      if (placed.has_value()) total += placed->objective;
-    }
-    benchmark::DoNotOptimize(total);
-  }
-}
-
-void BM_PlacementReplanWarm(benchmark::State& state) {
-  run_placement_replan(state, /*warm=*/true);
-}
-BENCHMARK(BM_PlacementReplanWarm)->Arg(256);
-
-void BM_PlacementReplanCold(benchmark::State& state) {
-  run_placement_replan(state, /*warm=*/false);
-}
-BENCHMARK(BM_PlacementReplanCold)->Arg(256);
-
 // ---------------------------------------------------------------------------
 // Fig-scale decision-epoch suite: the §8.2 16-site testbed, all four
 // benchmark queries, each placed end-to-end at parallelism sweeps 1..3 with
-// scale-out fallback -- the work one adaptation epoch does. The fast variant
-// runs the optimized solvers plus the per-epoch placement cache (p-sweep and
-// per-candidate-plan dedup); the reference variant is the seed stack.
+// scale-out fallback -- the work one adaptation epoch does.
 // ---------------------------------------------------------------------------
 
 class TopologyView final : public physical::NetworkView {
@@ -314,12 +166,9 @@ struct FigScaleSuite {
   // One decision epoch, mirroring the adaptation policy's probe pattern:
   // (a) a p-sweep placing every query at uniform parallelism 1..3, then
   // (b) per-operator scale-out candidates, each re-placing the plan with a
-  // single operator's parallelism bumped. Candidates repeat every stage
-  // probe outside the bumped operator's downstream cone, so the per-epoch
-  // placement cache dedups them; the reference stack re-solves each one.
+  // single operator's parallelism bumped.
   double run_epoch(const physical::Scheduler& scheduler,
                    const physical::NetworkView& view) const {
-    scheduler.begin_epoch();
     double total = 0.0;
     for (const Case& c : cases) {
       std::unordered_map<OperatorId, int> parallelism;
@@ -345,8 +194,7 @@ struct FigScaleSuite {
         parallelism[op] = 1;
       }
       // Re-plan pricing (try_replan): every planner-enumerated candidate
-      // plan is placed against the same view. Candidates share operator
-      // sub-plans, so their stage ILPs repeat across candidates.
+      // plan is placed against the same view.
       for (const query::LogicalPlan& cand : planner.enumerate(c.spec.plan)) {
         std::unordered_map<OperatorId, double> src;
         for (OperatorId s : cand.sources()) src[s] = c.eps_per_source;
@@ -379,17 +227,6 @@ void BM_FigScaleEpoch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FigScaleEpoch);
-
-void BM_FigScaleEpochReference(benchmark::State& state) {
-  const FigScaleSuite suite;
-  const TopologyView view(suite.topo);
-  const physical::Scheduler scheduler(
-      physical::Scheduler::Config{.use_reference_solvers = true});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(suite.run_epoch(scheduler, view));
-  }
-}
-BENCHMARK(BM_FigScaleEpochReference);
 
 void BM_MigrationMinMaxLp(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -565,8 +402,7 @@ BENCHMARK(BM_MicroEngineRecords);
 
 // ---------------------------------------------------------------------------
 // JSON emission: `--bench-json=PATH` writes BENCH_solvers.json (schema
-// documented in DESIGN.md) -- per-benchmark ns/op plus fast-vs-reference
-// speedups, paired by stripping the "Reference" suffix from benchmark names.
+// documented in DESIGN.md) -- per-benchmark ns/op.
 // ---------------------------------------------------------------------------
 
 class CollectingReporter final : public benchmark::ConsoleReporter {
@@ -595,21 +431,6 @@ void write_bench_json(const std::string& path,
   for (const auto& [name, ns] : ns_per_op) {
     out << (first ? "" : ",\n") << "    {\"name\": \"" << name
         << "\", \"ns_per_op\": " << ns << "}";
-    first = false;
-  }
-  out << "\n  ],\n  \"speedups\": [\n";
-  first = true;
-  for (const auto& [name, ref_ns] : ns_per_op) {
-    const auto pos = name.find("Reference");
-    if (pos == std::string::npos) continue;
-    std::string fast = name;
-    fast.erase(pos, std::string("Reference").size());
-    const auto it = ns_per_op.find(fast);
-    if (it == ns_per_op.end() || it->second <= 0.0) continue;
-    out << (first ? "" : ",\n") << "    {\"name\": \"" << fast
-        << "\", \"fast_ns_per_op\": " << it->second
-        << ", \"reference_ns_per_op\": " << ref_ns
-        << ", \"speedup\": " << ref_ns / it->second << "}";
     first = false;
   }
   out << "\n  ]\n}\n";

@@ -272,11 +272,6 @@ std::vector<AdaptationAction> AdaptationPolicy::decide_all(
   std::vector<AdaptationAction> actions;
   if (!monitor.has_data() || max_actions == 0) return actions;
 
-  // New decision epoch: placement ILP outcomes memoized from here on are
-  // reused across the p-sweeps and candidate-plan pricing below, and dropped
-  // at the next round (the WAN estimates will have moved by then).
-  scheduler_.begin_epoch();
-
   std::vector<OpDiagnosis> diags;
   {
     obs::TraceEmitter::SpanScope diagnose_span(trace_, "diagnose");
@@ -673,8 +668,8 @@ AdaptationAction AdaptationPolicy::handle_network_bottleneck(
       // preferred below, so only accept the relaxed placement here if it
       // is the only option).
       if (!config_.allow_scale || p >= config_.p_max) {
-        physical::Scheduler relaxed(physical::Scheduler::Config{
-            .alpha = std::min(0.95, scheduler_.config().alpha + 0.15)});
+        const physical::Scheduler relaxed = scheduler_.with_alpha(
+            std::min(0.95, scheduler_.config().alpha + 0.15));
         outcome = relaxed.place_stage(ctx, self_view, current.per_site);
       }
     }
@@ -843,7 +838,6 @@ std::vector<AdaptationAction> AdaptationPolicy::plan_recovery(
     const std::vector<SiteId>& dead_sites) {
   std::vector<AdaptationAction> actions;
   if (dead_sites.empty()) return actions;
-  scheduler_.begin_epoch();
 
   const query::LogicalPlan& logical = engine.logical();
   std::vector<bool> dead(view.num_sites(), false);
@@ -1028,8 +1022,6 @@ AdaptationAction AdaptationPolicy::consider_replan(
     const engine::Engine& engine, const GlobalMetricMonitor& monitor,
     const physical::NetworkView& view, const std::string& why) {
   if (!config_.allow_replan || !monitor.has_data()) return {};
-  // Background re-evaluation runs outside decide_all's epoch.
-  scheduler_.begin_epoch();
   return try_replan(engine, monitor, view, why);
 }
 

@@ -53,7 +53,7 @@ enum class Phase : int {
   kControl,           // control plane, inclusive (detector/transitions)
   kPolicyDecide,      //   adaptation policy decide_all
   kSolverPlacement,   //   placement ILP solve
-  kSolverMigration,   //   migration min-max LP solve
+  kSolverMigration,   //   migration min-max solve
   kStandbySync,       //   hot-standby delta sync pump
   kRecord,            // recorder + SLO watchdog fold
   kMicroBatch,        // microengine event-loop batches (bench/validation)

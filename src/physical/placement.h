@@ -63,24 +63,10 @@ struct StagePlacement {
       default;
 };
 
-// A solved placement together with its Eq. 1 objective value. Produced by
-// the scheduler; defined here so the placement cache can store it without
-// depending on the scheduler headers.
+// A solved placement together with its Eq. 1 objective value.
 struct PlacementOutcome {
-  // How the scheduler produced the placement (DESIGN.md §14):
-  //   kExact   -- branch & bound ran to completion (the only method at paper
-  //               scale; traces omit the field for it).
-  //   kDirect  -- the structured direct solve: the folded placement ILP is a
-  //               box-constrained single-equality program, solved exactly by
-  //               greedy fill (default at scale).
-  //   kRounded -- LP-rounding fallback after a tripped B&B node budget;
-  //               feasible but possibly suboptimal (trace field
-  //               `rounded=true`).
-  enum class Method { kExact, kDirect, kRounded };
-
   StagePlacement placement;
   double objective = 0.0;  // traffic-weighted delay (ms-weighted tasks)
-  Method method = Method::kExact;
 };
 
 // Sites to drain (S - S') and to populate (S' - S) when moving from

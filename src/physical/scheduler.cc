@@ -3,34 +3,29 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 #include "common/units.h"
-#include "ilp/branch_and_bound.h"
-#include "lp/problem.h"
 
 namespace wasp::physical {
 namespace {
 
-// The Eq. 1-5 placement program, built once and handed to whichever solve
-// path (exact B&B, direct greedy, budgeted B&B, LP rounding) the scheduler
-// picks. `vars[s]` is the problem variable for site s.
-struct BuiltIlp {
-  lp::Problem problem;
-  std::vector<std::size_t> vars;
+// One site of the folded Eq. 1-5 program: the traffic-weighted delay a task
+// placed there adds (Eq. 1) and the integer bounds Eq. 2-4 leave on p[s].
+struct SiteTerm {
+  double cost = 0.0;
+  int lo = 0;
+  int hi = 0;
 };
 
-// Builds the Eq. 1-5 ILP: one integer variable per site, bandwidth caps
-// folded into variable upper bounds, one total-parallelism equality row.
-// Returns nullopt when the bounds alone are unsatisfiable.
-std::optional<BuiltIlp> build_placement_ilp(
+// Builds the per-site cost and folds constraints (2)-(4) into bounds
+// lo[s] <= p[s] <= hi[s]. Returns nullopt when some site's floor exceeds
+// what its slots or links allow, which makes the whole program infeasible.
+std::optional<std::vector<SiteTerm>> fold_sites(
     const StageContext& ctx, const NetworkView& view, double alpha,
     const std::vector<int>& extra_slots) {
   const std::size_t m = view.num_sites();
   const double p = static_cast<double>(ctx.parallelism);
   assert(ctx.parallelism >= 1);
-
-  lp::Problem problem(lp::Sense::kMinimize);
 
   // Objective: Σ_s p[s] · (Σ_u w_u ℓ_su + Σ_d w_d ℓ_ds), with endpoint
   // weights proportional to the traffic they exchange with the stage
@@ -39,18 +34,19 @@ std::optional<BuiltIlp> build_placement_ilp(
   for (const auto& u : ctx.upstream) total_up += u.events_per_sec;
   for (const auto& d : ctx.downstream) total_down += d.events_per_sec;
 
-  std::vector<std::size_t> vars;
+  std::vector<SiteTerm> sites(m);
   for (std::size_t s = 0; s < m; ++s) {
     const SiteId site(static_cast<std::int64_t>(s));
-    double cost = 0.0;
+    SiteTerm& term = sites[s];
     for (const auto& u : ctx.upstream) {
       const double w = total_up > 0.0 ? u.events_per_sec / total_up : 1.0;
-      cost += w * view.latency_ms(u.site, site);
+      term.cost += w * view.latency_ms(u.site, site);
     }
     for (const auto& d : ctx.downstream) {
       const double w = total_down > 0.0 ? d.events_per_sec / total_down : 1.0;
-      cost += w * view.latency_ms(site, d.site);
+      term.cost += w * view.latency_ms(site, d.site);
     }
+
     int slots = view.available_slots(site);
     if (s < extra_slots.size()) slots += extra_slots[s];
     // Anti-affinity: an excluded site contributes zero capacity (Eq. 4 with
@@ -66,32 +62,16 @@ std::optional<BuiltIlp> build_placement_ilp(
     if (s < ctx.max_per_site.size() && ctx.max_per_site[s] >= 0) {
       slots = std::min(slots, ctx.max_per_site[s]);
     }
-    const int lo = s < ctx.min_per_site.size() ? ctx.min_per_site[s] : 0;
     // Constraint (4): lo <= p[s] <= A[s].
-    if (lo > slots) return std::nullopt;  // pinned floor exceeds capacity
-    vars.push_back(problem.add_variable(cost, lo, std::max(0, slots)));
-  }
+    term.lo = s < ctx.min_per_site.size() ? ctx.min_per_site[s] : 0;
+    if (term.lo > slots) return std::nullopt;  // floor exceeds capacity
+    term.hi = std::max(0, slots);
 
-  // Constraint (5): Σ p[s] = p.
-  {
-    lp::Constraint total;
-    total.type = lp::RowType::kEq;
-    total.rhs = p;
-    for (std::size_t s = 0; s < m; ++s) {
-      total.vars.push_back(vars[s]);
-      total.coeffs.push_back(1.0);
-    }
-    problem.add_constraint(std::move(total));
-  }
-
-  // Constraints (2) and (3): per (site, neighbor-site) bandwidth caps. Each
-  // becomes an upper bound on p[s]:
-  //   p[s]/p · traffic(u) < α · B(u -> s)   =>   p[s] < p·α·B / traffic.
-  // We fold all caps for a site into the tightest one and tighten the
-  // variable's upper bound, which keeps the ILP small.
-  for (std::size_t s = 0; s < m; ++s) {
-    const SiteId site(static_cast<std::int64_t>(s));
-    double cap = static_cast<double>(ctx.parallelism);
+    // Constraints (2) and (3): per (site, neighbor-site) bandwidth caps.
+    // Each bounds p[s] alone:
+    //   p[s]/p · traffic(u) < α · B(u -> s)   =>   p[s] < p·α·B / traffic,
+    // so the tightest one becomes the site's upper bound.
+    double cap = p;
     auto apply = [&](double traffic_eps, double event_bytes, double bw_mbps) {
       const double demand = stream_mbps(traffic_eps, event_bytes);
       if (demand <= 0.0) return;
@@ -112,184 +92,56 @@ std::optional<BuiltIlp> build_placement_ilp(
       apply(d.events_per_sec, d.event_bytes,
             view.available_mbps(site, d.site));
     }
-    if (cap < static_cast<double>(ctx.parallelism)) {
-      const double hi = std::max(0.0, std::floor(cap));
-      const double existing_lo = problem.lower_bounds()[vars[s]];
-      const double existing_hi = problem.upper_bounds()[vars[s]];
-      const double new_hi = std::min(existing_hi, hi);
-      if (new_hi < existing_lo) return std::nullopt;  // floor unsatisfiable
-      problem.set_bounds(vars[s], existing_lo, new_hi);
+    if (cap < p) {
+      term.hi = std::min(term.hi,
+                         static_cast<int>(std::max(0.0, std::floor(cap))));
+      if (term.hi < term.lo) return std::nullopt;  // floor unsatisfiable
     }
   }
-
-  return BuiltIlp{std::move(problem), std::move(vars)};
+  return sites;
 }
 
-// Builds and solves the Eq. 1-5 ILP via branch & bound. When `stats` is
-// non-null it receives the raw solver result (trace cost attribution and
-// budget-trip detection); early infeasibility leaves it default-initialized.
-std::optional<PlacementOutcome> solve_ilp(const StageContext& ctx,
-                                          const NetworkView& view,
-                                          double alpha,
-                                          const std::vector<int>& extra_slots,
-                                          const ilp::IlpOptions& ilp_options,
-                                          ilp::IlpResult* stats = nullptr) {
-  const auto built = build_placement_ilp(ctx, view, alpha, extra_slots);
-  if (!built.has_value()) return std::nullopt;
-  const std::size_t m = view.num_sites();
-
-  const ilp::IlpResult result =
-      ilp::solve(built->problem, built->vars, ilp_options);
-  if (stats != nullptr) *stats = result;
-  if (!result.optimal()) return std::nullopt;
-
+// Exact solve of min Σ cost[s]·p[s] s.t. Σ p[s] = p, lo[s] <= p[s] <= hi[s],
+// p[s] integer: start every site at its floor, then hand the remaining
+// tasks to sites in ascending (cost, index) order. Any other feasible point
+// can be turned into this one by moving tasks from a costlier site to a
+// cheaper one with headroom, which never raises the objective; integral
+// bounds keep the fill integral, so no branching is needed.
+std::optional<PlacementOutcome> greedy_fill(const std::vector<SiteTerm>& sites,
+                                            int parallelism) {
+  const std::size_t m = sites.size();
   PlacementOutcome outcome;
-  outcome.placement.per_site.resize(m, 0);
-  for (std::size_t s = 0; s < m; ++s) {
-    outcome.placement.per_site[s] =
-        static_cast<int>(std::lround(result.values[built->vars[s]]));
-  }
-  outcome.objective = result.objective;
-  return outcome;
-}
-
-// Exact direct solve for the folded program's structure (DESIGN.md §14).
-// After bandwidth caps fold into variable bounds, the ILP is
-//   min Σ cost[s]·x[s]  s.t.  Σ x[s] = p,  lo[s] <= x[s] <= hi[s], integer,
-// whose optimum is the greedy fill: start every site at its floor, then
-// hand remaining tasks to sites in ascending (cost, index) order. Integral
-// bounds make the greedy solution integral, so no branching is needed.
-std::optional<PlacementOutcome> solve_direct(const BuiltIlp& built,
-                                             int parallelism) {
-  const std::vector<double>& cost = built.problem.objective();
-  const std::vector<double>& lo = built.problem.lower_bounds();
-  const std::vector<double>& hi = built.problem.upper_bounds();
-  const std::size_t m = built.vars.size();
-
-  PlacementOutcome outcome;
-  outcome.method = PlacementOutcome::Method::kDirect;
-  outcome.placement.per_site.resize(m, 0);
+  std::vector<int>& per_site = outcome.placement.per_site;
+  per_site.resize(m, 0);
   long long remaining = parallelism;
   for (std::size_t s = 0; s < m; ++s) {
-    const int floor_s = static_cast<int>(std::lround(lo[built.vars[s]]));
-    outcome.placement.per_site[s] = floor_s;
-    remaining -= floor_s;
+    per_site[s] = sites[s].lo;
+    remaining -= sites[s].lo;
   }
   if (remaining < 0) return std::nullopt;  // floors alone exceed p
 
   std::vector<std::size_t> order(m);
   for (std::size_t s = 0; s < m; ++s) order[s] = s;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double ca = cost[built.vars[a]];
-    const double cb = cost[built.vars[b]];
+    const double ca = sites[a].cost;
+    const double cb = sites[b].cost;
     return ca != cb ? ca < cb : a < b;
   });
   for (std::size_t s : order) {
     if (remaining == 0) break;
-    const long long headroom =
-        static_cast<long long>(std::lround(hi[built.vars[s]])) -
-        outcome.placement.per_site[s];
-    const long long take = std::min(remaining, headroom);
+    const long long take =
+        std::min<long long>(remaining, sites[s].hi - per_site[s]);
     if (take > 0) {
-      outcome.placement.per_site[s] += static_cast<int>(take);
+      per_site[s] += static_cast<int>(take);
       remaining -= take;
     }
   }
   if (remaining > 0) return std::nullopt;  // Σ hi < p: infeasible
 
   for (std::size_t s = 0; s < m; ++s) {
-    outcome.objective += cost[built.vars[s]] * outcome.placement.per_site[s];
+    outcome.objective += sites[s].cost * per_site[s];
   }
   return outcome;
-}
-
-// LP-rounding fallback for a tripped node budget (DESIGN.md §14): solve the
-// relaxation, floor the per-site counts, then hand the deficit to sites by
-// (largest fractional part, lowest cost, lowest index) within their upper
-// bounds. LP feasibility implies Σ hi >= p, so the rounding always lands on
-// a feasible integral point; it may be suboptimal, which the `rounded`
-// trace field and PlacementOutcome::Method::kRounded record.
-std::optional<PlacementOutcome> solve_rounded(
-    const BuiltIlp& built, int parallelism,
-    const lp::SimplexOptions& lp_options) {
-  const lp::Solution relax = lp::solve(built.problem, lp_options);
-  if (!relax.optimal()) return std::nullopt;
-
-  const std::vector<double>& cost = built.problem.objective();
-  const std::vector<double>& hi = built.problem.upper_bounds();
-  const std::size_t m = built.vars.size();
-
-  PlacementOutcome outcome;
-  outcome.method = PlacementOutcome::Method::kRounded;
-  outcome.placement.per_site.resize(m, 0);
-  long long remaining = parallelism;
-  std::vector<double> frac(m, 0.0);
-  for (std::size_t s = 0; s < m; ++s) {
-    const double v = relax.values[built.vars[s]];
-    const int floor_s = static_cast<int>(std::floor(v + 1e-9));
-    outcome.placement.per_site[s] = floor_s;
-    frac[s] = v - floor_s;
-    remaining -= floor_s;
-  }
-  std::vector<std::size_t> order(m);
-  for (std::size_t s = 0; s < m; ++s) order[s] = s;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (frac[a] != frac[b]) return frac[a] > frac[b];
-    const double ca = cost[built.vars[a]];
-    const double cb = cost[built.vars[b]];
-    return ca != cb ? ca < cb : a < b;
-  });
-  // First pass hands units to fractional sites (rounding up); if the floors
-  // left a deeper deficit, later passes spill into any site with headroom.
-  while (remaining > 0) {
-    bool progressed = false;
-    for (std::size_t s : order) {
-      if (remaining == 0) break;
-      if (outcome.placement.per_site[s] <
-          static_cast<int>(std::lround(hi[built.vars[s]]))) {
-        ++outcome.placement.per_site[s];
-        --remaining;
-        progressed = true;
-      }
-    }
-    if (!progressed) return std::nullopt;  // Σ hi < p (LP was near-infeasible)
-  }
-  for (std::size_t s = 0; s < m; ++s) {
-    outcome.objective += cost[built.vars[s]] * outcome.placement.per_site[s];
-  }
-  return outcome;
-}
-
-void append_sig_int(std::string& out, std::int64_t v) {
-  char buf[sizeof(std::int64_t)];
-  std::memcpy(buf, &v, sizeof(std::int64_t));
-  out.append(buf, sizeof(std::int64_t));
-}
-
-// Warm-basis signature: everything that determines the tableau *structure*
-// (and cost geometry) of the placement LP, but none of the network values --
-// a basis from last epoch's slightly different network still installs, which
-// is the entire point of warm-starting.
-void warm_signature(std::string& sig, const StageContext& ctx,
-                    std::size_t num_sites) {
-  sig.clear();
-  append_sig_int(sig, static_cast<std::int64_t>(num_sites));
-  append_sig_int(sig, ctx.parallelism);
-  append_sig_int(sig, static_cast<std::int64_t>(ctx.upstream.size()));
-  for (const TrafficEndpoint& u : ctx.upstream) append_sig_int(sig, u.site.value());
-  append_sig_int(sig, static_cast<std::int64_t>(ctx.downstream.size()));
-  for (const TrafficEndpoint& d : ctx.downstream) append_sig_int(sig, d.site.value());
-  append_sig_int(sig, static_cast<std::int64_t>(ctx.excluded_sites.size()));
-  for (SiteId ex : ctx.excluded_sites) append_sig_int(sig, ex.value());
-}
-
-// ILP options for the reference (pre-optimization) solver stack: rescan
-// pricing in the simplex and the copy-per-node branch & bound.
-ilp::IlpOptions reference_ilp_options() {
-  ilp::IlpOptions opts;
-  opts.algorithm = ilp::IlpOptions::Algorithm::kReference;
-  opts.lp_options.pricing = lp::SimplexOptions::Pricing::kRescan;
-  return opts;
 }
 
 }  // namespace
@@ -312,120 +164,17 @@ std::optional<PlacementOutcome> Scheduler::place_stage(
   obs::TraceEmitter::SpanScope span(tracing ? trace_ : nullptr,
                                     "placement_ilp");
   if (tracing) span.num("parallelism", context.parallelism);
-  auto record = [&](const std::optional<PlacementOutcome>& outcome,
-                    bool cache_hit, const ilp::IlpResult& stats) {
-    if (!tracing) return;
-    span.flag("cache_hit", cache_hit)
-        .flag("feasible", outcome.has_value())
-        .num("bb_nodes", static_cast<double>(stats.nodes_explored))
-        .num("lp_iterations", static_cast<double>(stats.lp_iterations));
-    if (outcome.has_value()) {
-      span.num("objective", outcome->objective);
-      // Non-default solve paths announce themselves; the exact B&B path
-      // (every placement at paper scale) emits no extra fields, so existing
-      // golden traces are unchanged.
-      if (outcome->method == PlacementOutcome::Method::kDirect) {
-        span.str("method", "direct");
-      } else if (outcome->method == PlacementOutcome::Method::kRounded) {
-        span.str("method", "rounded").flag("rounded", true);
-      }
-    }
-  };
-  if (config_.use_reference_solvers) {
-    ilp::IlpResult stats;
-    auto outcome = solve_ilp(context, view, config_.alpha, extra_slots,
-                             reference_ilp_options(),
-                             tracing ? &stats : nullptr);
-    record(outcome, /*cache_hit=*/false, stats);
-    return outcome;
-  }
-  const std::size_t m = view.num_sites();
-  const bool at_scale = m >= config_.direct_solve_min_sites;
-  placement_cache_key(key_scratch_, context, view, config_.alpha, extra_slots);
-  const auto [slot, hit] = cache_.find_or_reserve(
-      key_scratch_, /*allow_prev=*/at_scale && config_.cross_epoch_cache);
-  if (hit) {
-    record(*slot, /*cache_hit=*/true, ilp::IlpResult{});
-    return *slot;
-  }
-  ilp::IlpResult stats;
-  if (!at_scale) {
-    // Paper-testbed scale: the legacy exact branch & bound, bit-identical to
-    // the pre-scale-pipeline scheduler.
-    *slot = solve_ilp(context, view, config_.alpha, extra_slots,
-                      ilp::IlpOptions{}, tracing ? &stats : nullptr);
-  } else if (!config_.force_branch_and_bound) {
-    // At scale the folded program is box + one equality row: the greedy
-    // direct solve is exact and O(m log m) (DESIGN.md §14).
-    const auto built =
-        build_placement_ilp(context, view, config_.alpha, extra_slots);
-    *slot = built.has_value() ? solve_direct(*built, context.parallelism)
-                              : std::nullopt;
-  } else {
-    *slot = solve_budgeted(context, view, extra_slots, &stats);
-  }
-  record(*slot, /*cache_hit=*/false, stats);
-  return *slot;
-}
 
-std::optional<PlacementOutcome> Scheduler::solve_budgeted(
-    const StageContext& context, const NetworkView& view,
-    const std::vector<int>& extra_slots, ilp::IlpResult* stats) const {
-  const auto built =
-      build_placement_ilp(context, view, config_.alpha, extra_slots);
-  if (!built.has_value()) return std::nullopt;
-
-  ilp::IlpOptions opts;
-  opts.max_nodes = budget_.limit();
-  opts.lp_options.max_iterations = config_.lp_pivot_limit;
-  const std::vector<std::size_t>* hint = nullptr;
-  if (config_.warm_start) {
-    warm_signature(sig_scratch_, context, view.num_sites());
-    const auto it = warm_bases_.find(sig_scratch_);
-    if (it != warm_bases_.end()) hint = &it->second;
-    opts.root_warm_basis = hint;
-    opts.capture_root_basis = true;
+  std::optional<PlacementOutcome> outcome;
+  if (const auto sites =
+          fold_sites(context, view, config_.alpha, extra_slots)) {
+    outcome = greedy_fill(*sites, context.parallelism);
   }
-
-  ilp::IlpResult result = ilp::solve(built->problem, built->vars, opts);
-  if (stats != nullptr) *stats = result;
-  if (config_.warm_start && !result.root_basis.empty()) {
-    warm_bases_[sig_scratch_] = std::move(result.root_basis);
+  if (tracing) {
+    span.flag("feasible", outcome.has_value());
+    if (outcome.has_value()) span.num("objective", outcome->objective);
   }
-
-  // Budget accounting (AdaptiveNodeBudget; CaDiCaL Limit/Delay dynamics):
-  // a trip means either the search loop hit the node cap or subtrees were
-  // dropped by per-LP limits without yielding a proven result.
-  const bool tripped = result.status == lp::SolveStatus::kIterationLimit ||
-                       result.nodes_explored >= opts.max_nodes;
-  if (tripped) {
-    budget_.bump();
-  } else {
-    budget_.reduce();
-  }
-
-  if (result.optimal()) {
-    const std::size_t m = view.num_sites();
-    PlacementOutcome outcome;
-    outcome.placement.per_site.resize(m, 0);
-    for (std::size_t s = 0; s < m; ++s) {
-      outcome.placement.per_site[s] =
-          static_cast<int>(std::lround(result.values[built->vars[s]]));
-    }
-    outcome.objective = result.objective;
-    return outcome;
-  }
-  if (result.status != lp::SolveStatus::kIterationLimit) {
-    return std::nullopt;  // proven infeasible (or unbounded): no fallback
-  }
-  // Budget tripped without an incumbent: LP-round the relaxation so the
-  // control plane still gets a feasible placement this epoch. The fallback's
-  // one relaxation runs uncapped -- the pivot limit protects the B&B tree,
-  // and an unsolved relaxation here would leave the epoch with no placement.
-  lp::SimplexOptions lp_opts = opts.lp_options;
-  lp_opts.max_iterations = 0;
-  lp_opts.warm_basis = hint;
-  return solve_rounded(*built, context.parallelism, lp_opts);
+  return outcome;
 }
 
 std::optional<PlacementOutcome> Scheduler::place_with_min_parallelism(

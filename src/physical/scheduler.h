@@ -16,25 +16,21 @@
 // rather than the whole λ̂_I, which is what balanced partitioning actually
 // puts on the link u -> s. With a single upstream site the two coincide.
 //
-// The ILP is solved exactly with the in-repo branch & bound (src/ilp),
-// standing in for Gurobi.
+// Every cap in (2)-(4) involves a single p[s], so the scheduler folds them
+// into integer bounds lo[s] <= p[s] <= hi[s]. What is left is one equality
+// row (5) over box bounds, whose optimum is a greedy fill in ascending cost
+// order -- exact at any site count, with no LP (DESIGN.md §7). The B&B oracle
+// in tests/oracle/ checks this against the unfolded program, standing in for
+// the paper's Gurobi.
 #pragma once
 
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "physical/placement.h"
-#include "physical/placement_cache.h"
-#include "physical/solver_budget.h"
-
-namespace wasp::ilp {
-struct IlpResult;
-}  // namespace wasp::ilp
 
 namespace wasp::physical {
 
@@ -71,71 +67,32 @@ struct StageContext {
   std::vector<SiteId> excluded_sites;
 };
 
-// PlacementOutcome lives in physical/placement.h (shared with the cache).
-
 class Scheduler {
  public:
   struct Config {
     double alpha = 0.8;  // bandwidth utilization threshold (§4.1)
-    // Use the original (rescan-pricing simplex, copy-per-node B&B) solver
-    // stack and bypass the placement cache. Kept so tests can assert the
-    // optimized stack returns identical placements and objectives.
-    bool use_reference_solvers = false;
-
-    // --- Scale pipeline (DESIGN.md §14) ---------------------------------
-    // Below this site count the legacy exact branch & bound runs unchanged
-    // (bit-identical placements, the paper-testbed contract). At or above
-    // it, the folded ILP's structure (box bounds + one equality row) lets a
-    // greedy direct solve produce the exact optimum in O(m log m).
-    std::size_t direct_solve_min_sites = 33;
-    // Route at-scale instances through the budgeted branch & bound +
-    // LP-rounding pipeline instead of the direct solve. The general-
-    // structure fallback; tests force it to exercise budgets/rounding.
-    bool force_branch_and_bound = false;
-    // Base node budget for budgeted B&B (AdaptiveNodeBudget bump/reduce
-    // dynamics; only consulted on the force_branch_and_bound path).
-    std::size_t bb_node_budget_base = 512;
-    // Per-relaxation simplex pivot cap on the budgeted path (0 = unlimited).
-    // A pathological relaxation trips it, its subtree is dropped, and the
-    // solve falls through to LP rounding -- whose single fallback relaxation
-    // always runs uncapped (the budget guards the tree, not one LP).
-    std::size_t lp_pivot_limit = 0;
-    // Warm-start the root relaxation from the previous solve's basis for
-    // the same stage signature (at-scale B&B path only).
-    bool warm_start = true;
-    // Keep one previous epoch of the placement cache and consult it for
-    // at-scale stages: a steady-state re-plan whose inputs did not change
-    // byte-for-byte reuses last epoch's outcome instead of re-solving.
-    // Sub-scale stages never read the previous generation, so paper-
-    // testbed cache_hit trace flags are unchanged.
-    bool cross_epoch_cache = true;
   };
 
   Scheduler() = default;
-  explicit Scheduler(Config config)
-      : config_(config), budget_(config.bb_node_budget_base) {}
+  explicit Scheduler(Config config) : config_(config) {}
 
   [[nodiscard]] const Config& config() const { return config_; }
 
+  // A copy of this scheduler, hooks included, planning at a different α.
+  [[nodiscard]] Scheduler with_alpha(double alpha) const {
+    Scheduler copy = *this;
+    copy.config_.alpha = alpha;
+    return copy;
+  }
+
   // Observability: when set, every non-pinned place_stage call emits a
-  // "placement_ilp" span (cache hit/miss, B&B nodes, LP iterations, wall
-  // time) nested under the caller's ambient span. Null disables.
+  // "placement_ilp" span (feasibility, objective, wall time) nested under
+  // the caller's ambient span. Null disables.
   void set_trace(obs::TraceEmitter* trace) { trace_ = trace; }
 
   // Tick-phase profiler hook (DESIGN.md §13): place_stage runs under the
   // control.solver.placement phase. Null (the default) disables.
   void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
-
-  // Starts a new decision epoch: rotates the placement memo cache (the
-  // current generation becomes the previous one). Within-epoch hits are
-  // guaranteed bit-identical to a fresh solve (exact-byte keying, see
-  // placement_cache.h); previous-generation hits -- consulted only for
-  // at-scale stages under Config::cross_epoch_cache -- carry the same
-  // guarantee because the key covers every byte the solver reads.
-  void begin_epoch() const { cache_.begin_epoch(); }
-  [[nodiscard]] const PlacementCache::Stats& cache_stats() const {
-    return cache_.stats();
-  }
 
   // Solves Eq. 1-5 for one stage. Returns nullopt when no feasible placement
   // exists with the given parallelism (the trigger for operator scaling,
@@ -158,32 +115,9 @@ class Scheduler {
       const std::vector<int>& extra_slots = {}) const;
 
  private:
-  // The at-scale general-structure pipeline (Config::force_branch_and_bound):
-  // warm-started branch & bound under the adaptive node budget, LP-rounding
-  // fallback when the budget trips without an incumbent.
-  [[nodiscard]] std::optional<PlacementOutcome> solve_budgeted(
-      const StageContext& context, const NetworkView& view,
-      const std::vector<int>& extra_slots, ilp::IlpResult* stats) const;
-
   Config config_{};
   obs::TraceEmitter* trace_ = nullptr;  // non-owning; see set_trace
   obs::Profiler* profiler_ = nullptr;   // non-owning; see set_profiler
-  // Per-epoch memo of ILP outcomes; mutable so the const placement API can
-  // populate it (it is invisible in results, only in latency).
-  mutable PlacementCache cache_;
-  // Reused key buffer: probes rebuild the key in place instead of allocating
-  // a fresh string each time.
-  mutable std::string key_scratch_;
-  // --- Scale-pipeline state (at-scale B&B path only; see Config) --------
-  // Adaptive node budget shared by every budgeted solve this scheduler runs.
-  mutable AdaptiveNodeBudget budget_;
-  // Root-relaxation bases keyed by stage signature (parallelism + endpoint/
-  // exclusion sites -- the structure a basis transfers across). Persists
-  // across epochs; an unusable basis falls back to a cold solve inside the
-  // simplex, so stale entries cost nothing but the failed install.
-  mutable std::unordered_map<std::string, std::vector<std::size_t>>
-      warm_bases_;
-  mutable std::string sig_scratch_;  // reused signature buffer
 };
 
 }  // namespace wasp::physical

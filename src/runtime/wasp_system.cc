@@ -214,10 +214,6 @@ void WaspSystem::deploy(workload::QuerySpec spec) {
   // Initial WAN measurement so the scheduler has bandwidth estimates.
   wan_monitor_.probe_now(0.0);
   const MonitorView view(*this);
-  // One decision epoch for the joint plan/placement pricing: candidate
-  // logical plans share many identical stage ILPs, which the scheduler's
-  // placement cache dedupes within the epoch.
-  scheduler_.begin_epoch();
 
   // Source rates at t = 0 drive the deployment-time cost model.
   auto source_rates_for = [&](const query::LogicalPlan& plan) {

@@ -8,23 +8,15 @@
 #include <unordered_map>
 
 #include "common/units.h"
-#include "lp/simplex.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace wasp::state {
 namespace {
 
-// Source x destination pair count at which plan_network_aware switches from
-// the dense makespan LP to the bottleneck binary-search + max-flow path. The
-// LP is byte-identical below the threshold (existing plans and goldens);
-// above it the LP's superlinear pivot cost is the BM_MigrationMinMaxLp
-// blow-up this path fixes. 48 keeps the paper testbed's migrations (a
-// handful of drained/filled sites) on the LP.
-constexpr std::size_t kBottleneckPairThreshold = 48;
-
 // Dinic max flow over doubles, sized for the tiny tripartite graphs the
-// bottleneck path probes (super-source -> sources -> destinations -> sink).
+// network-aware planner probes (super-source -> sources -> destinations ->
+// sink).
 class DinicMaxFlow {
  public:
   static constexpr double kInf = 1e300;
@@ -126,7 +118,7 @@ double MigrationPlanner::estimate_makespan(const std::vector<Move>& moves,
                                            const physical::NetworkView& view) {
   // Same-link volumes serialize; distinct links run in parallel. Volumes are
   // accumulated per link in move order (one map pass instead of the old
-  // O(moves^2) rescan, which dominated large bottleneck-flow plans), so the
+  // O(moves^2) rescan, which dominated large network-aware plans), so the
   // per-link sums -- and therefore the result -- are bit-identical to the
   // quadratic version.
   std::unordered_map<std::uint64_t, double> link_mb;
@@ -182,10 +174,9 @@ MigrationPlan MigrationPlanner::plan(
         .num("sources", static_cast<double>(srcs.size()))
         .num("destinations", static_cast<double>(dsts.size()));
   }
-  std::size_t lp_iterations = 0;
   switch (strategy_) {
     case MigrationStrategy::kNetworkAware:
-      out = plan_network_aware(srcs, dsts, view, &lp_iterations);
+      out = plan_network_aware(srcs, dsts, view);
       break;
     case MigrationStrategy::kRandom:
       out = plan_greedy(srcs, dsts, view, /*prefer_slow_links=*/false);
@@ -200,8 +191,7 @@ MigrationPlan MigrationPlanner::plan(
   if (tracing) {
     double total_mb = 0.0;
     for (const Move& m : out.moves) total_mb += m.size_mb;
-    span.num("lp_iterations", static_cast<double>(lp_iterations))
-        .num("num_moves", static_cast<double>(out.moves.size()))
+    span.num("num_moves", static_cast<double>(out.moves.size()))
         .num("total_mb", total_mb)
         .num("estimated_transition_sec", out.estimated_transition_sec);
     // Flat summary event kept for older consumers; nests inside the span.
@@ -217,94 +207,6 @@ MigrationPlan MigrationPlanner::plan(
 MigrationPlan MigrationPlanner::plan_network_aware(
     const std::vector<StateSource>& sources,
     const std::vector<StateDestination>& destinations,
-    const physical::NetworkView& view, std::size_t* lp_iterations) const {
-  const std::size_t ns = sources.size();
-  const std::size_t nd = destinations.size();
-  if (ns * nd >= kBottleneckPairThreshold) {
-    // Large instance: the dense LP's pivot count blows up superlinearly in
-    // pairs; the bottleneck-flow path computes the same minimal makespan in
-    // near-linear time (DESIGN.md §14). `lp_iterations` stays untouched
-    // (there is no simplex on this path).
-    return plan_bottleneck_flow(sources, destinations, view);
-  }
-
-  // LP: minimize T subject to flow balance and x_ij <= T * r_ij, where r_ij
-  // is the link's estimated rate in MB/s. Links with no capacity get x = 0.
-  lp::Problem problem(lp::Sense::kMinimize);
-  // Variables: x_ij (objective 0), then T (objective 1).
-  std::vector<std::size_t> x(ns * nd);
-  for (std::size_t i = 0; i < ns; ++i) {
-    for (std::size_t j = 0; j < nd; ++j) {
-      x[i * nd + j] = problem.add_variable(0.0);
-    }
-  }
-  const std::size_t t_var = problem.add_variable(1.0);
-
-  for (std::size_t i = 0; i < ns; ++i) {
-    lp::Constraint row;
-    row.type = lp::RowType::kEq;
-    row.rhs = sources[i].state_mb;
-    for (std::size_t j = 0; j < nd; ++j) {
-      row.vars.push_back(x[i * nd + j]);
-      row.coeffs.push_back(1.0);
-    }
-    problem.add_constraint(std::move(row));
-  }
-  for (std::size_t j = 0; j < nd; ++j) {
-    lp::Constraint row;
-    row.type = lp::RowType::kEq;
-    row.rhs = destinations[j].share_mb;
-    for (std::size_t i = 0; i < ns; ++i) {
-      row.vars.push_back(x[i * nd + j]);
-      row.coeffs.push_back(1.0);
-    }
-    problem.add_constraint(std::move(row));
-  }
-  for (std::size_t i = 0; i < ns; ++i) {
-    for (std::size_t j = 0; j < nd; ++j) {
-      const double rate_mb_per_sec = mbps_to_mb_per_sec(
-          view.available_mbps(sources[i].site, destinations[j].site));
-      if (rate_mb_per_sec <= 1e-9) {
-        // Dead link: forbid it (unless src == dst, which is free).
-        if (sources[i].site != destinations[j].site) {
-          problem.set_bounds(x[i * nd + j], 0.0, 0.0);
-        }
-        continue;
-      }
-      if (sources[i].site == destinations[j].site) continue;  // local: free
-      lp::Constraint row;  // x_ij - T * r_ij <= 0
-      row.type = lp::RowType::kLe;
-      row.rhs = 0.0;
-      row.vars = {x[i * nd + j], t_var};
-      row.coeffs = {1.0, -rate_mb_per_sec};
-      problem.add_constraint(std::move(row));
-    }
-  }
-
-  const lp::Solution sol = lp::solve(problem);
-  if (lp_iterations != nullptr) *lp_iterations = sol.iterations;
-  MigrationPlan out;
-  if (!sol.optimal()) {
-    // No feasible routing (e.g. all links dead): fall back to a greedy plan
-    // so the caller still gets a (slow) assignment to execute.
-    MigrationPlanner greedy(MigrationStrategy::kRandom, Rng(1));
-    return greedy.plan(sources, destinations, view);
-  }
-  for (std::size_t i = 0; i < ns; ++i) {
-    for (std::size_t j = 0; j < nd; ++j) {
-      const double mb = sol.values[x[i * nd + j]];
-      if (mb > 1e-6 && sources[i].site != destinations[j].site) {
-        out.moves.push_back(Move{sources[i].site, destinations[j].site, mb});
-      }
-    }
-  }
-  out.estimated_transition_sec = estimate_makespan(out.moves, view);
-  return out;
-}
-
-MigrationPlan MigrationPlanner::plan_bottleneck_flow(
-    const std::vector<StateSource>& sources,
-    const std::vector<StateDestination>& destinations,
     const physical::NetworkView& view) const {
   const std::size_t ns = sources.size();
   const std::size_t nd = destinations.size();
@@ -317,11 +219,12 @@ MigrationPlan MigrationPlanner::plan_bottleneck_flow(
 
   double total_mb = 0.0;
   for (const StateSource& s : sources) total_mb += s.state_mb;
-  const double feas_tol = 1e-9 * std::max(1.0, total_mb);
+  // A probe is feasible when it routes all the state up to rounding; the
+  // slack also bounds how much state the final plan may leave unmoved.
+  const double feas_tol = 1e-12 * std::max(1.0, total_mb);
 
   // Link rates in MB/s; local (src == dst) transfers cost nothing and get
-  // infinite capacity, dead links get no edge at all -- both matching the LP
-  // formulation's free/forbidden variables.
+  // infinite capacity, dead links get no edge at all (x_ij forced to 0).
   std::vector<double> rate(ns * nd, 0.0);
   for (std::size_t i = 0; i < ns; ++i) {
     for (std::size_t j = 0; j < nd; ++j) {
@@ -380,8 +283,8 @@ MigrationPlan MigrationPlanner::plan_bottleneck_flow(
     }
   }
   if (lo >= DinicMaxFlow::kInf) {
-    // Some endpoint has no usable links at any makespan: same fallback as
-    // the LP path's infeasible case.
+    // Some endpoint has no usable links at any makespan: no routing exists,
+    // so the caller gets a (slow) greedy assignment to execute instead.
     MigrationPlanner greedy(MigrationStrategy::kRandom, Rng(1));
     return greedy.plan(sources, destinations, view);
   }
@@ -396,9 +299,9 @@ MigrationPlan MigrationPlanner::plan_bottleneck_flow(
     return greedy.plan(sources, destinations, view);
   }
 
-  // Bisect to the minimal feasible T. ~55 halvings reach double precision;
-  // the relative cutoff usually stops far earlier.
-  for (int iter = 0; iter < 55 && hi - lo > 1e-9 * std::max(1.0, hi); ++iter) {
+  // Bisect to the minimal feasible T, to 1e-12 relative (about 40 halvings
+  // from the bracket); the cap only matters when T* is 0 (all state local).
+  for (int iter = 0; iter < 55 && hi - lo > 1e-12 * hi; ++iter) {
     const double mid = 0.5 * (lo + hi);
     if (feasible(mid)) {
       hi = mid;

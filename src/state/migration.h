@@ -8,21 +8,18 @@
 //
 //   minmax ( |state_s1| / B_{s1 -> s2} )
 //
-// We solve the fluid generalization exactly as a linear program with the
-// in-repo simplex: variables x_ij (MB moved from drain site i to fill site
-// j) and T (the makespan), minimizing T subject to
+// We solve the fluid generalization exactly: with x_ij the MB moved from
+// drain site i to fill site j and r_ij the link's rate, the minimal makespan
+// T is the smallest value for which
 //   Σ_j x_ij = S_i      (all of i's state leaves)
 //   Σ_i x_ij = D_j      (j receives its balanced share)
 //   x_ij <= T · r_ij    (a transfer of x MB over r MB/s takes <= T seconds)
-// Transfers on distinct links run in parallel; same-link volume serializes.
-//
-// The dense LP's simplex cost grows superlinearly in source x destination
-// pairs (it was the BM_MigrationMinMaxLp blow-up: 2.5 µs at 2 flows, 427 µs
-// at 8). Past a pair-count threshold the planner switches to an equivalent
-// bottleneck formulation -- binary search on the makespan T with a max-flow
-// (Dinic) feasibility check over capacities T·r_ij -- whose cost stays
-// near-linear in pairs (DESIGN.md §14). Small instances keep the LP path
-// byte-identical to preserve existing plans and golden traces.
+// is feasible. For a fixed T that is a max-flow question over a tripartite
+// graph (capacities S_i, T·r_ij, D_j), so the planner bisects on T with a
+// Dinic max flow as the feasibility check and reads the moves off the flow
+// at the smallest feasible T (DESIGN.md §7). Transfers on distinct links run
+// in parallel; same-link volume serializes. The min-max LP over the same
+// rows is the test oracle in tests/oracle/.
 //
 // The WAN-agnostic baselines of §8.7.1 are also provided: Random (ignore
 // bandwidth), Distant (adversarial: prefer the slowest links), and None
@@ -111,28 +108,18 @@ class MigrationPlanner {
       const std::vector<Move>& moves, const physical::NetworkView& view);
 
  private:
-  // `lp_iterations` (optional) receives the simplex pivot count of the
-  // makespan LP, for trace cost attribution; untouched on the greedy
-  // fallback path.
+  // Bisection on T with a Dinic max-flow feasibility check per probe (see
+  // the header comment). Falls back to the greedy plan when no finite T
+  // routes the state (dead links).
   [[nodiscard]] MigrationPlan plan_network_aware(
       const std::vector<StateSource>& sources,
       const std::vector<StateDestination>& destinations,
-      const physical::NetworkView& view,
-      std::size_t* lp_iterations = nullptr) const;
+      const physical::NetworkView& view) const;
 
   [[nodiscard]] MigrationPlan plan_greedy(
       const std::vector<StateSource>& sources,
       const std::vector<StateDestination>& destinations,
       const physical::NetworkView& view, bool prefer_slow_links);
-
-  // Bottleneck-flow path for large instances (see header comment): binary
-  // search on T, Dinic max-flow feasibility per probe. Falls back to the
-  // greedy plan when no finite T routes the state (disconnected links),
-  // matching the LP path's infeasibility fallback.
-  [[nodiscard]] MigrationPlan plan_bottleneck_flow(
-      const std::vector<StateSource>& sources,
-      const std::vector<StateDestination>& destinations,
-      const physical::NetworkView& view) const;
 
   MigrationStrategy strategy_;
   Rng rng_;

@@ -12,6 +12,8 @@
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "physical/physical_plan.h"
 #include "query/logical_plan.h"
 #include "state/migration.h"
@@ -361,6 +363,59 @@ TEST(PolicyTest, NetworkBottleneckReassignsStatefulStage) {
   EXPECT_EQ(action.new_placement.parallelism(), 1);
   EXPECT_EQ(action.new_placement.at(SiteId(1)), 0);  // moved away
   EXPECT_FALSE(action.migration.moves.empty());      // stateful: must migrate
+}
+
+TEST(PolicyTest, RelaxedAlphaReassignIsTracedAndProfiled) {
+  // The map sits behind a 6 Mbps link; every other link carries 11.5 Mbps.
+  // Its 10 Mbps stream fits no site at α = 0.8 (9.2 Mbps) but does at the
+  // relaxed α = 0.95 (10.9 Mbps). With scaling off, the policy falls back to
+  // the relaxed re-assignment, whose placement must land in the trace under
+  // the same "plan" span and in the profiler's placement phase like any
+  // other placement.
+  Fixture f(11.5, 100'000.0);
+  net::Topology topo = net::Topology::make_uniform(4, 4, 11.5, 20.0);
+  topo.set_link(SiteId(0), SiteId(1), 6.0, 20.0);
+  f.engine.reset();  // release flows before replacing the network
+  f.network = net::Network(topo, std::make_shared<net::ConstantBandwidth>());
+  f.engine = std::make_unique<engine::Engine>(f.plan, f.physical, f.network,
+                                              engine::EngineConfig{});
+  GlobalMetricMonitor monitor;
+  f.run(0.0, 40.0, 10'000.0, &monitor);
+
+  AdaptationPolicy::Config config;
+  config.allow_scale = false;
+  auto policy = f.make_policy(config);
+  auto sink = std::make_shared<obs::MemorySink>();
+  obs::TraceEmitter trace(sink);
+  obs::Profiler profiler(/*enabled=*/true);
+  policy.set_trace(&trace);
+  policy.set_profiler(&profiler);
+  const auto action =
+      policy.decide(*f.engine, monitor, TruthView(f.network, f.engine.get()));
+  ASSERT_EQ(action.kind, ActionKind::kReassign);
+  EXPECT_EQ(action.new_placement.at(SiteId(1)), 0);
+
+  double plan_span = -1.0;
+  std::vector<double> placement_spans;
+  for (const obs::TraceEvent& e : sink->of_type("span_begin")) {
+    if (e.str("name") == "plan") plan_span = e.num("span_id");
+    if (e.str("name") == "placement_ilp") {
+      EXPECT_EQ(e.num("parent_id"), plan_span);
+      placement_spans.push_back(e.num("span_id"));
+    }
+  }
+  ASSERT_EQ(placement_spans.size(), 2u);  // α = 0.8, then α = 0.95
+  std::vector<std::string> feasible;
+  for (const obs::TraceEvent& e : sink->of_type("span_end")) {
+    for (double id : placement_spans) {
+      if (e.num("span_id") == id) feasible.emplace_back(e.str("feasible"));
+    }
+  }
+  EXPECT_EQ(feasible, (std::vector<std::string>{"false", "true"}));
+  EXPECT_EQ(profiler.accums()[static_cast<std::size_t>(
+                                  obs::Phase::kSolverPlacement)]
+                .calls,
+            2u);
 }
 
 TEST(PolicyTest, NetworkBottleneckScalesOutWhenNoSingleLinkSuffices) {

@@ -1,5 +1,5 @@
-// Unit and property tests for the two-phase simplex solver.
-#include "lp/simplex.h"
+// Unit and property tests for the oracles' two-phase simplex solver.
+#include "oracle/simplex.h"
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "lp/problem.h"
+#include "oracle/problem.h"
 
 namespace wasp::lp {
 namespace {
@@ -176,44 +176,6 @@ TEST(SimplexTest, Phase1ToleranceScalesWithEps) {
   tight.eps = 1e-11;
   const Solution strict = solve(p, tight);
   EXPECT_EQ(strict.status, SolveStatus::kInfeasible);
-}
-
-TEST(SimplexTest, MaintainedRowPricingMatchesRescan) {
-  // The maintained reduced-cost row must reproduce the reference rescan
-  // pricing: same status, objective, and vertex across a deterministic
-  // sweep of random box-bounded LPs.
-  Rng rng(20240806);
-  for (int trial = 0; trial < 40; ++trial) {
-    const int n = static_cast<int>(rng.uniform_int(1, 5));
-    const int rows = static_cast<int>(rng.uniform_int(0, 5));
-    Problem p(rng.uniform() < 0.5 ? Sense::kMinimize : Sense::kMaximize);
-    for (int v = 0; v < n; ++v) {
-      const double lo = rng.uniform(-3.0, 1.0);
-      p.add_variable(rng.uniform(-5.0, 5.0), lo, lo + rng.uniform(0.5, 4.0));
-    }
-    for (int r = 0; r < rows; ++r) {
-      std::vector<double> coeffs;
-      for (int v = 0; v < n; ++v) coeffs.push_back(rng.uniform(-2.0, 2.0));
-      const RowType type = rng.uniform() < 0.5 ? RowType::kLe : RowType::kGe;
-      p.add_dense_constraint(coeffs, type, rng.uniform(-4.0, 4.0));
-    }
-
-    SimplexOptions fast;
-    fast.pricing = SimplexOptions::Pricing::kMaintainedRow;
-    SimplexOptions ref;
-    ref.pricing = SimplexOptions::Pricing::kRescan;
-    const Solution a = solve(p, fast);
-    const Solution b = solve(p, ref);
-    ASSERT_EQ(a.status, b.status) << "trial " << trial;
-    if (a.optimal()) {
-      EXPECT_NEAR(a.objective, b.objective, kTol) << "trial " << trial;
-      ASSERT_EQ(a.values.size(), b.values.size());
-      for (std::size_t v = 0; v < a.values.size(); ++v) {
-        EXPECT_NEAR(a.values[v], b.values[v], kTol)
-            << "trial " << trial << " var " << v;
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

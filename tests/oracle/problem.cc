@@ -1,4 +1,4 @@
-#include "lp/problem.h"
+#include "oracle/problem.h"
 
 #include <cassert>
 

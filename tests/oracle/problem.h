@@ -1,11 +1,12 @@
-// Linear-program model used by the simplex solver and the ILP layer.
+// Linear-program model for the test oracles' simplex and branch & bound.
 //
 // WASP's WAN-aware task placement (paper Eq. 1-5) is an integer linear
-// program the prototype solved with Gurobi. Gurobi is proprietary, so this
-// repository carries its own small LP/ILP stack: `lp` is the continuous
-// solver, `ilp` adds branch & bound. Problems in this codebase are small
-// (tens of variables/rows), so the implementation favors exactness and
-// clarity over large-scale performance.
+// program the prototype solved with Gurobi, and its state migration plan is
+// a min-max LP (§5). The production planners in src/ solve both without an
+// LP (greedy fill, Dinic bisection); this small LP/ILP stack states the
+// programs as the paper writes them so tests can check the planners
+// against it. Problems are small (tens of variables/rows), so the
+// implementation favors exactness and clarity over speed.
 #pragma once
 
 #include <cstddef>
@@ -80,15 +81,6 @@ struct Solution {
   SolveStatus status = SolveStatus::kInfeasible;
   double objective = 0.0;
   std::vector<double> values;
-  // Simplex pivots performed across both phases (solver-cost attribution for
-  // trace spans; 0 when the solve failed before pivoting).
-  std::size_t iterations = 0;
-  // Optimal basis (one tableau column index per constraint row), captured
-  // only when SimplexOptions::capture_basis is set. Indices live in the
-  // solver's internal column space (structural, then slack, then artificial),
-  // so a basis is only meaningful as a warm start for a problem with the
-  // same variable/constraint structure -- callers key it accordingly.
-  std::vector<std::size_t> basis;
 
   [[nodiscard]] bool optimal() const { return status == SolveStatus::kOptimal; }
 };

@@ -1,4 +1,4 @@
-#include "lp/simplex.h"
+#include "oracle/simplex.h"
 
 #include <algorithm>
 #include <cassert>
@@ -115,16 +115,19 @@ StandardForm build_standard_form(const Problem& p) {
   return sf;
 }
 
+// A solve that ended without an optimum: only the status is meaningful.
+Solution no_optimum(SolveStatus status) {
+  Solution sol;
+  sol.status = status;
+  return sol;
+}
+
 // Dense tableau with an explicit basis. Columns: structural vars, then slack/
 // surplus, then artificials, then rhs.
 class Tableau {
  public:
   Tableau(StandardForm sf, const SimplexOptions& options)
-      : sf_(std::move(sf)),
-        eps_(options.eps),
-        capture_basis_(options.capture_basis),
-        maintained_pricing_(options.pricing ==
-                            SimplexOptions::Pricing::kMaintainedRow) {
+      : sf_(std::move(sf)), eps_(options.eps) {
     const std::size_t m = sf_.num_rows();
     num_rows_ = m;
     // Count auxiliary columns.
@@ -193,87 +196,31 @@ class Tableau {
     }
   }
 
-  // Attempts to install a previously captured basis by pivoting each desired
-  // column into the basis. Returns true when every non-artificial desired
-  // column is basic afterwards and the resulting basic solution is feasible
-  // (rhs >= -tol, artificial basics at ~0); run() then skips phase 1. On
-  // false the tableau has been mutated by partial pivoting and the caller
-  // must discard it (cold fallback) -- pivots preserve tableau validity but
-  // not the phase-1-ready starting basis.
-  bool try_install_basis(const std::vector<std::size_t>& warm) {
-    if (warm.size() != num_rows_) return false;
-    for (std::size_t d : warm) {
-      if (d >= num_cols_) return false;
-    }
-    std::vector<char> desired(num_cols_, 0);
-    for (std::size_t d : warm) {
-      if (!is_artificial_[d]) desired[d] = 1;
-    }
-    std::vector<char> basic(num_cols_, 0);
-    for (std::size_t b : basis_) basic[b] = 1;
-    for (std::size_t d : warm) {
-      if (is_artificial_[d] || basic[d]) continue;
-      // Pivot `d` in over a row whose current basic variable is not itself
-      // desired; the largest-magnitude pivot wins for numeric stability.
-      std::size_t best_row = num_rows_;
-      double best_mag = eps_;
-      for (std::size_t r = 0; r < num_rows_; ++r) {
-        if (desired[basis_[r]]) continue;
-        const double mag = std::abs(row(r)[d]);
-        if (mag > best_mag) {
-          best_row = r;
-          best_mag = mag;
-        }
-      }
-      if (best_row == num_rows_) return false;  // singular: cold fallback
-      basic[basis_[best_row]] = 0;
-      pivot(best_row, d);
-      basic[d] = 1;
-    }
-    for (std::size_t r = 0; r < num_rows_; ++r) {
-      if (row(r)[num_cols_] < -feas_tol_) return false;
-      if (is_artificial_[basis_[r]] &&
-          std::abs(row(r)[num_cols_]) > feas_tol_) {
-        return false;
-      }
-    }
-    warm_feasible_ = true;
-    return true;
-  }
-
   Solution run() {
-    if (warm_feasible_) {
-      // A warm basis was installed at a feasible point: phase 1 is already
-      // done. Block artificials exactly as drop_artificials() would.
-      for (std::size_t c = art_begin_; c < num_cols_; ++c) {
-        if (is_artificial_[c]) blocked_[c] = 1;
+    // Phase 1: minimize the sum of artificial variables. `cost_` is reused
+    // as the phase-cost buffer for both phases.
+    cost_.assign(num_cols_, 0.0);
+    bool any_artificial = false;
+    for (std::size_t c = art_begin_; c < num_cols_; ++c) {
+      if (is_artificial_[c]) {
+        cost_[c] = 1.0;
+        any_artificial = true;
       }
-    } else {
-      // Phase 1: minimize the sum of artificial variables. `cost_` is reused
-      // as the phase-cost buffer for both phases.
-      cost_.assign(num_cols_, 0.0);
-      bool any_artificial = false;
-      for (std::size_t c = art_begin_; c < num_cols_; ++c) {
-        if (is_artificial_[c]) {
-          cost_[c] = 1.0;
-          any_artificial = true;
-        }
+    }
+    if (any_artificial) {
+      const SolveStatus s1 = optimize(cost_);
+      if (s1 == SolveStatus::kIterationLimit) return no_optimum(s1);
+      if (phase_objective(cost_) > feas_tol_) {
+        return no_optimum(SolveStatus::kInfeasible);
       }
-      if (any_artificial) {
-        const SolveStatus s1 = optimize(cost_);
-        if (s1 == SolveStatus::kIterationLimit) return Solution{.status = s1, .objective = 0.0, .values = {}, .iterations = pivots_};
-        if (phase_objective(cost_) > feas_tol_) {
-          return Solution{.status = SolveStatus::kInfeasible, .objective = 0.0, .values = {}, .iterations = pivots_};
-        }
-        drop_artificials();
-      }
+      drop_artificials();
     }
 
     // Phase 2: the real objective.
     cost_.assign(num_cols_, 0.0);
     for (std::size_t c = 0; c < sf_.num_structural; ++c) cost_[c] = sf_.cost[c];
     const SolveStatus s2 = optimize(cost_);
-    if (s2 != SolveStatus::kOptimal) return Solution{.status = s2, .objective = 0.0, .values = {}, .iterations = pivots_};
+    if (s2 != SolveStatus::kOptimal) return no_optimum(s2);
 
     // Recover original variable values.
     std::vector<double> y(num_cols_, 0.0);
@@ -282,8 +229,6 @@ class Tableau {
     }
     Solution sol;
     sol.status = SolveStatus::kOptimal;
-    sol.iterations = pivots_;
-    if (capture_basis_) sol.basis = basis_;
     sol.values.resize(sf_.mapping.size(), 0.0);
     for (std::size_t i = 0; i < sf_.mapping.size(); ++i) {
       const VarMap& m = sf_.mapping[i];
@@ -322,27 +267,12 @@ class Tableau {
   }
 
   SolveStatus optimize(const std::vector<double>& cost) {
-    if (maintained_pricing_) {
-      // Price every column once per phase; pivot() keeps the row current.
-      red_.resize(num_cols_);
-      for (std::size_t c = 0; c < num_cols_; ++c) {
-        red_[c] = reduced_cost(cost, c);
-      }
-    }
-    const SolveStatus status = optimize_loop(cost);
-    red_.clear();  // pivots outside optimize() (drop_artificials) don't track
-    return status;
-  }
-
-  SolveStatus optimize_loop(const std::vector<double>& cost) {
     for (std::size_t iter = 0; iter < max_iters_; ++iter) {
       // Bland's rule: the lowest-index column with negative reduced cost.
       std::size_t entering = num_cols_;
       for (std::size_t c = 0; c < num_cols_; ++c) {
         if (blocked_[c]) continue;
-        const double rc =
-            maintained_pricing_ ? red_[c] : reduced_cost(cost, c);
-        if (rc < -eps_) {
+        if (reduced_cost(cost, c) < -eps_) {
           entering = c;
           break;
         }
@@ -371,7 +301,6 @@ class Tableau {
   }
 
   void pivot(std::size_t prow, std::size_t col) {
-    ++pivots_;
     double* pr = row(prow);
     const double p = pr[col];
     assert(std::abs(p) > 0.0);
@@ -383,16 +312,6 @@ class Tableau {
       if (factor == 0.0) continue;
       for (std::size_t c = 0; c <= num_cols_; ++c) {
         tr[c] -= factor * pr[c];
-      }
-    }
-    // Reduced-cost row invariant: the row transforms exactly like any other
-    // tableau row under the elimination, using the normalized pivot row.
-    if (!red_.empty()) {
-      const double factor = red_[col];
-      if (factor != 0.0) {
-        for (std::size_t c = 0; c < num_cols_; ++c) {
-          red_[c] -= factor * pr[c];
-        }
       }
     }
     basis_[prow] = col;
@@ -422,11 +341,7 @@ class Tableau {
 
   StandardForm sf_;
   double eps_;
-  bool capture_basis_ = false;
-  bool warm_feasible_ = false;
-  bool maintained_pricing_ = true;
   double feas_tol_ = 1e-7;
-  std::vector<double> red_;  // maintained reduced costs, active in optimize()
   std::vector<double> cost_;  // phase cost buffer, reused across phases
   std::size_t slack_begin_ = 0;
   std::size_t art_begin_ = 0;
@@ -434,7 +349,6 @@ class Tableau {
   std::size_t num_rows_ = 0;
   std::size_t stride_ = 0;
   std::size_t max_iters_ = 0;
-  std::size_t pivots_ = 0;  // total pivots across both phases
   std::vector<double> a_;  // row-major, `stride_` doubles per row (rhs last)
   std::vector<std::size_t> basis_;
   std::vector<char> is_artificial_;
@@ -451,14 +365,7 @@ Solution solve(const Problem& problem, const SimplexOptions& options) {
     sol.objective = 0.0;
     return sol;
   }
-  StandardForm sf = build_standard_form(problem);
-  if (options.warm_basis != nullptr && !options.warm_basis->empty()) {
-    // Warm attempt on a copy of the standard form: a failed install mutates
-    // the tableau, so the cold path below rebuilds from the pristine form.
-    Tableau warm(sf, options);
-    if (warm.try_install_basis(*options.warm_basis)) return warm.run();
-  }
-  Tableau tableau(std::move(sf), options);
+  Tableau tableau(build_standard_form(problem), options);
   return tableau.run();
 }
 

@@ -180,48 +180,6 @@ TEST(SchedulerTest, ScaleUpCountsOwnVacatedSlots) {
   EXPECT_EQ(outcome->placement.parallelism(), 3);
 }
 
-TEST(SchedulerTest, PlacementCacheHitsWithinEpoch) {
-  FakeView view(4, 100.0, 10.0, 4);
-  Scheduler scheduler;
-  StageContext ctx;
-  ctx.parallelism = 2;
-  ctx.upstream = {{SiteId(0), 5'000.0, 125.0}};
-  scheduler.begin_epoch();
-  const auto first = scheduler.place_stage(ctx, view);
-  EXPECT_EQ(scheduler.cache_stats().hits, 0u);
-  const auto second = scheduler.place_stage(ctx, view);
-  EXPECT_EQ(scheduler.cache_stats().hits, 1u);
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(first->placement, second->placement);
-  EXPECT_EQ(first->objective, second->objective);
-  // A different view must miss (the key covers what the ILP reads).
-  view.set_slots(SiteId(1), 1);
-  const auto before = scheduler.cache_stats().misses;
-  (void)scheduler.place_stage(ctx, view);
-  EXPECT_EQ(scheduler.cache_stats().misses, before + 1);
-}
-
-TEST(SchedulerTest, CacheMatchesReferenceSolvers) {
-  FakeView view(4, 50.0, 20.0, 3);
-  view.set_bandwidth(SiteId(0), SiteId(2), 8.0);
-  Scheduler fast;
-  Scheduler reference(Scheduler::Config{.use_reference_solvers = true});
-  StageContext ctx;
-  ctx.parallelism = 3;
-  ctx.upstream = {{SiteId(0), 8'000.0, 125.0}};
-  ctx.downstream = {{SiteId(3), 2'000.0, 125.0}};
-  for (int round = 0; round < 2; ++round) {  // second round hits the cache
-    const auto a = fast.place_stage(ctx, view);
-    const auto b = reference.place_stage(ctx, view);
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (a.has_value()) {
-      EXPECT_EQ(a->placement, b->placement);
-      EXPECT_EQ(a->objective, b->objective);
-    }
-  }
-}
-
 TEST(SchedulerTest, MinPerSitePinsExistingTasks) {
   FakeView view(3, 1000.0, 10.0, 4);
   view.set_latency(SiteId(0), SiteId(2), 1.0);  // site 2 is attractive

@@ -22,11 +22,11 @@
 #include "common/rng.h"
 #include "engine/delay_tracker.h"
 #include "engine/engine.h"
-#include "ilp/branch_and_bound.h"
-#include "lp/simplex.h"
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "oracle/branch_and_bound.h"
+#include "oracle/simplex.h"
 #include "physical/physical_plan.h"
 #include "query/logical_plan.h"
 #include "state/migration.h"

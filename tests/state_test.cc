@@ -1,12 +1,16 @@
 // Unit and property tests for state-migration planning (paper §5, §8.7):
-// the min-max LP, the WAN-agnostic baselines, and makespan estimation.
+// the min-max planner against its LP oracle, the WAN-agnostic baselines,
+// and makespan estimation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "oracle/migration_lp.h"
 #include "state/migration.h"
 
 namespace wasp::state {
@@ -96,18 +100,26 @@ TEST(MigrationTest, MinMaxBalancesAcrossSources) {
 }
 
 TEST(MigrationTest, DistantPrefersSlowLinks) {
-  FakeView view(3);
-  view.set_bandwidth(SiteId(0), SiteId(1), 800.0);
-  view.set_bandwidth(SiteId(0), SiteId(2), 8.0);
+  // Crossed links: s0 -> d0 and s1 -> d1 are fast, the two crossings slow.
+  // The network-aware plan fills each destination over both of its links at
+  // once (50 MB over 100 + 1 MB/s); Distant drains each source over its
+  // slowest link (50 MB over 1 MB/s), 101x slower.
+  FakeView view(4);
+  const SiteId s0(0), s1(1), d0(2), d1(3);
+  view.set_bandwidth(s0, d0, 800.0);  // 100 MB/s
+  view.set_bandwidth(s0, d1, 8.0);    // 1 MB/s
+  view.set_bandwidth(s1, d0, 8.0);
+  view.set_bandwidth(s1, d1, 800.0);
   MigrationPlanner aware(MigrationStrategy::kNetworkAware, Rng(1));
   MigrationPlanner distant(MigrationStrategy::kDistant, Rng(1));
-  // Unbalanced destinations: 90 MB can go anywhere.
-  const std::vector<StateSource> sources{{SiteId(0), 90.0}};
-  const std::vector<StateDestination> dests{{SiteId(1), 90.0},
-                                            {SiteId(2), 90.0}};
+  const std::vector<StateSource> sources{{s0, 50.0}, {s1, 50.0}};
+  const std::vector<StateDestination> dests{{d0, 50.0}, {d1, 50.0}};
   const auto fast = aware.plan(sources, dests, view);
   const auto slow = distant.plan(sources, dests, view);
-  EXPECT_LT(fast.estimated_transition_sec, slow.estimated_transition_sec);
+  EXPECT_NEAR(fast.estimated_transition_sec, 50.0 / 101.0, 1e-6);
+  EXPECT_NEAR(slow.estimated_transition_sec, 50.0, 1e-6);
+  EXPECT_GE(slow.estimated_transition_sec,
+            2.0 * fast.estimated_transition_sec);
 }
 
 TEST(MigrationTest, LocalMovesAreFree) {
@@ -196,7 +208,7 @@ TEST_P(MigrationOptimalityProperty, AwareBeatsAgnosticBaselines) {
     }
     EXPECT_NEAR(inbound, total, 1e-5);
   }
-  // Optimality: the LP's makespan is a lower bound on the greedy ones.
+  // Optimality: the min-max makespan is a lower bound on the greedy ones.
   EXPECT_LE(plan_aware.estimated_transition_sec,
             plan_random.estimated_transition_sec + 1e-6);
   EXPECT_LE(plan_aware.estimated_transition_sec,
@@ -205,6 +217,96 @@ TEST_P(MigrationOptimalityProperty, AwareBeatsAgnosticBaselines) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, MigrationOptimalityProperty,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+// Property: the network-aware planner (bisection over Dinic max flows)
+// reaches the makespan of the §5 min-max LP oracle. Instances range from a
+// single pair to 64 pairs, about one link in seven is dead, and sources and
+// destinations are drawn independently, so some pairs share a site (a free,
+// local transfer).
+TEST(MigrationOracleTest, MakespanMatchesMinMaxLp) {
+  int small = 0, large = 0, colocated = 0, dead = 0, unroutable = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    // Even seeds draw 49-64 pairs, odd seeds 1-36.
+    const bool big = seed % 2 == 0;
+    const std::size_t n =
+        static_cast<std::size_t>(big ? rng.uniform_int(12, 16)
+                                     : rng.uniform_int(4, 12));
+    FakeView view(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i == j) continue;
+        view.set_bandwidth(SiteId(static_cast<std::int64_t>(i)),
+                           SiteId(static_cast<std::int64_t>(j)),
+                           rng.uniform() < 0.15 ? 0.0
+                                                : rng.uniform(2.0, 200.0));
+      }
+    }
+    auto distinct_sites = [&](std::size_t k) {
+      std::vector<std::int64_t> ids(n);
+      std::iota(ids.begin(), ids.end(), 0);
+      for (std::size_t i = 0; i < k; ++i) {
+        std::swap(ids[i], ids[static_cast<std::size_t>(rng.uniform_int(
+                              static_cast<std::int64_t>(i),
+                              static_cast<std::int64_t>(n) - 1))]);
+      }
+      ids.resize(k);
+      return ids;
+    };
+    auto count = [&] {
+      return static_cast<std::size_t>(
+          big ? rng.uniform_int(7, 8)
+              : rng.uniform_int(1, std::min<std::int64_t>(6, n)));
+    };
+    const std::size_t ns = count();
+    const std::size_t nd = count();
+    std::vector<StateSource> sources;
+    double total = 0.0;
+    for (std::int64_t site : distinct_sites(ns)) {
+      sources.push_back({SiteId(site), rng.uniform(10.0, 300.0)});
+      total += sources.back().state_mb;
+    }
+    std::vector<StateDestination> dests;
+    for (std::int64_t site : distinct_sites(nd)) {
+      dests.push_back({SiteId(site), rng.uniform(1.0, 4.0)});
+    }
+    (ns * nd < 48 ? small : large) += 1;
+    bool shares_site = false, touches_dead = false;
+    for (const auto& src : sources) {
+      for (const auto& dst : dests) {
+        shares_site |= src.site == dst.site;
+        touches_dead |= src.site != dst.site &&
+                        view.available_mbps(src.site, dst.site) == 0.0;
+      }
+    }
+    colocated += shares_site;
+    dead += touches_dead;
+
+    MigrationPlanner aware(MigrationStrategy::kNetworkAware, Rng(1));
+    const MigrationPlan plan = aware.plan(sources, dests, view);
+    const std::optional<double> optimum =
+        oracle::migration_makespan(sources, dests, view);
+    if (!optimum.has_value()) {
+      // No routing exists: the planner hands back its greedy fallback.
+      ++unroutable;
+      MigrationPlanner greedy(MigrationStrategy::kRandom, Rng(1));
+      EXPECT_EQ(plan.estimated_transition_sec,
+                greedy.plan(sources, dests, view).estimated_transition_sec);
+      continue;
+    }
+    EXPECT_NEAR(plan.estimated_transition_sec, *optimum, 1e-9 * *optimum);
+    double remote = 0.0;
+    for (const auto& m : plan.moves) remote += m.size_mb;
+    EXPECT_LE(remote, total * (1.0 + 1e-9));
+  }
+  // The sweep covers every case the planner distinguishes.
+  EXPECT_GT(small, 20);
+  EXPECT_GT(large, 20);
+  EXPECT_GT(colocated, 20);
+  EXPECT_GT(dead, 20);
+  EXPECT_GT(unroutable, 0);
+}
 
 // ---------------------------------------------------------------------------
 // Seeded retry-backoff jitter
