@@ -25,6 +25,27 @@ constexpr double kMaxDelaySec = 1e5;
 // each chunk touches) must be identical for --threads 1 and --threads N.
 constexpr std::size_t kChanChunk = 512;
 
+// Bounded buffers. A channel accepts new output only while its queue is
+// below kChannelBufferSec seconds of its observed drain rate plus a floor --
+// like Flink's byte-bounded network buffers, scaled to what the link
+// actually sustains. An input queue absorbs up to one tick of the group's
+// processing capacity plus a floor. Sustained bottlenecks therefore
+// propagate backpressure to the sources within seconds, and the overload
+// backlog accumulates in the replayable source, where its age drives the
+// event-time delay -- exactly as in the paper's prototype.
+constexpr double kChannelBufferSec = 2.0;
+constexpr double kChannelBufferFloorEvents = 5'000.0;
+constexpr double kInputBufferFloorEvents = 10'000.0;
+
+// Local checkpoint restore throughput (MB/s) after a failure (§5:
+// localized checkpointing makes restore a local, fast operation).
+constexpr double kLocalRestoreMbPerSec = 200.0;
+constexpr double kCheckpointIntervalSec = 30.0;
+// Tiered checkpoints: every Nth checkpoint is a full snapshot; the ones
+// between record only dirty-group deltas, so checkpoint cost scales with
+// the change rate instead of total state size (DESIGN.md §12).
+constexpr int kFullCheckpointEvery = 5;
+
 }  // namespace
 
 Engine::Engine(query::LogicalPlan logical, physical::PhysicalPlan physical,
@@ -295,16 +316,6 @@ void Engine::recompute_channel_shares() {
 }
 
 void Engine::refresh_source_runtime() {
-  // Dense mirror of source_rates_ for the per-tick generation loop (the map
-  // itself stays authoritative: source_generation_eps() sums it in map
-  // order).
-  g_source_rate_.assign(num_stages_ * num_sites_, 0.0);
-  const auto n = static_cast<std::int64_t>(num_sites_);
-  for (const auto& [key, eps] : source_rates_) {
-    g_source_rate_[static_cast<std::size_t>(key / n) * num_sites_ +
-                   static_cast<std::size_t>(key % n)] = eps;
-  }
-
   // Eagerly create one tracker per live source and prune entries whose
   // signature no longer names a live source (a re-plan that removed a
   // source must not keep its stale cumulative curves around).
@@ -350,18 +361,16 @@ double Engine::straggler_factor(SiteId site) const {
 void Engine::set_source_rate(OperatorId source, SiteId site, double eps) {
   check(logical_.op(source).is_source(), "engine: set_source_rate on operator ",
         source.value(), ", which is not a source");
-  const auto n = static_cast<std::int64_t>(num_sites_);
-  const double clamped = std::max(0.0, eps);
-  source_rates_[source.value() * n + site.value()] = clamped;
   g_source_rate_[gid(stage_index(source),
-                     static_cast<std::size_t>(site.value()))] = clamped;
+                     static_cast<std::size_t>(site.value()))] =
+      std::max(0.0, eps);
 }
 
 double Engine::source_generation_eps(OperatorId source) const {
-  const auto n = static_cast<std::int64_t>(num_sites_);
+  const std::size_t i = stage_index(source);
   double total = 0.0;
-  for (const auto& [key, eps] : source_rates_) {
-    if (key / n == source.value()) total += eps;
+  for (std::size_t s = 0; s < num_sites_; ++s) {
+    total += g_source_rate_[gid(i, s)];
   }
   return total;
 }
@@ -450,8 +459,7 @@ void Engine::stage_site_chunk(std::size_t k) {
     // post-adaptation catch-up burst), while an overloaded stage parks at
     // most ~one second of capacity before backpressure walks upstream to
     // the sources.
-    const double input_cap =
-        config_.input_buffer_floor_events + capacity * dt;
+    const double input_cap = kInputBufferFloorEvents + capacity * dt;
     const double space = std::max(0.0, input_cap - g_input_queue_[gi]);
     if (space > 0.0) {
       double total_want = 0.0;
@@ -527,8 +535,7 @@ void Engine::stage_site_chunk(std::size_t k) {
             c_delivered_prev_[ci] / dt);
         drain_eps = std::min(drain_eps, link_eps);
       }
-      chan_cap = config_.channel_buffer_floor_events +
-                 config_.channel_buffer_sec * drain_eps;
+      chan_cap = kChannelBufferFloorEvents + kChannelBufferSec * drain_eps;
     }
     const double space = std::max(0.0, chan_cap - c_queue_[ci]);
     const double max_proc = space / (sel * share);
@@ -610,15 +617,9 @@ void Engine::flow_demand_chunk(std::size_t chunk) {
   const std::size_t end = std::min(n, begin + kChanChunk);
   const std::size_t len = end - begin;
   const double dt = config_.tick_sec;
-  if (config_.use_fast_kernels) {
-    kernels::flow_demand_mbps(len, c_queue_.data() + begin,
-                              c_event_bytes_.data() + begin, dt,
-                              demand_scratch_.data() + begin);
-  } else {
-    kernels::flow_demand_mbps_scalar(len, c_queue_.data() + begin,
-                                     c_event_bytes_.data() + begin, dt,
-                                     demand_scratch_.data() + begin);
-  }
+  kernels::flow_demand_mbps(len, c_queue_.data() + begin,
+                            c_event_bytes_.data() + begin, dt,
+                            demand_scratch_.data() + begin);
   // Each channel owns a distinct flow (1:1 at append_channel), so the writes
   // are shared-nothing; set_stream_demand is a lookup in a map no one
   // mutates mid-tick plus a field store on that flow.
@@ -748,17 +749,10 @@ void Engine::phase_reset_chunk(std::size_t i) {
     const std::size_t n = chan_.size();
     const std::size_t begin = i * kChanChunk;
     const std::size_t len = std::min(n, begin + kChanChunk) - begin;
-    if (config_.use_fast_kernels) {
-      kernels::reset_channel_tick(
-          len, c_to_stage_.data() + begin, stage_suspended_.data(),
-          c_delivered_prev_.data() + begin, c_delivered_.data() + begin,
-          c_offered_.data() + begin);
-    } else {
-      kernels::reset_channel_tick_scalar(
-          len, c_to_stage_.data() + begin, stage_suspended_.data(),
-          c_delivered_prev_.data() + begin, c_delivered_.data() + begin,
-          c_offered_.data() + begin);
-    }
+    kernels::reset_channel_tick(
+        len, c_to_stage_.data() + begin, stage_suspended_.data(),
+        c_delivered_prev_.data() + begin, c_delivered_.data() + begin,
+        c_offered_.data() + begin);
     return;
   }
   // Group-capacity snapshot for one stage's row of the gid array. The dense
@@ -766,17 +760,10 @@ void Engine::phase_reset_chunk(std::size_t i) {
   // non-hosting group has tasks == 0, and 0 * eps * straggler is the same
   // +0.0 the fill wrote (see kernels.h).
   const std::size_t stage = i - par_chan_chunks_;
-  if (config_.use_fast_kernels) {
-    kernels::group_capacity_row(
-        num_sites_, g_tasks_.data() + stage * num_sites_,
-        stage_eps_per_slot_[stage], failed_sites_.data(),
-        straggler_factor_.data(), g_capacity_.data() + stage * num_sites_);
-  } else {
-    kernels::group_capacity_row_scalar(
-        num_sites_, g_tasks_.data() + stage * num_sites_,
-        stage_eps_per_slot_[stage], failed_sites_.data(),
-        straggler_factor_.data(), g_capacity_.data() + stage * num_sites_);
-  }
+  kernels::group_capacity_row(
+      num_sites_, g_tasks_.data() + stage * num_sites_,
+      stage_eps_per_slot_[stage], failed_sites_.data(),
+      straggler_factor_.data(), g_capacity_.data() + stage * num_sites_);
 }
 
 void Engine::tick(double t) {
@@ -794,16 +781,9 @@ void Engine::tick(double t) {
   // receiver is suspended (mid-transition), delivery skips it and
   // `delivered` decays to zero, which must not erase the drain estimate
   // the post-transition backpressure bound depends on.
-  if (config_.use_fast_kernels) {
-    kernels::reset_stage_tick(num_stages_, stage_processed_.data(),
-                              stage_emitted_.data(), stage_arrived_.data(),
-                              stage_backpressured_.data());
-  } else {
-    kernels::reset_stage_tick_scalar(num_stages_, stage_processed_.data(),
-                                     stage_emitted_.data(),
-                                     stage_arrived_.data(),
-                                     stage_backpressured_.data());
-  }
+  kernels::reset_stage_tick(num_stages_, stage_processed_.data(),
+                            stage_emitted_.data(), stage_arrived_.data(),
+                            stage_backpressured_.data());
   // One region fuses the channel resets (fixed slices) with the per-stage
   // capacity rows -- disjoint arrays, so the fusion is free parallelism.
   par_chan_chunks_ = (chan_.size() + kChanChunk - 1) / kChanChunk;
@@ -881,9 +861,8 @@ void Engine::tick(double t) {
   // identical -- clean groups already match -- so restore semantics do not
   // depend on the tier.
   profile.next(obs::Phase::kEngineCheckpoint);
-  if (t - last_checkpoint_ >= config_.checkpoint_interval_sec) {
-    const int every = std::max(1, config_.full_checkpoint_every);
-    const bool full = checkpoint_seq_ % every == 0;
+  if (t - last_checkpoint_ >= kCheckpointIntervalSec) {
+    const bool full = checkpoint_seq_ % kFullCheckpointEvery == 0;
     ++checkpoint_seq_;
     double checkpointed_mb = 0.0;
     double written_mb = 0.0;
@@ -1244,17 +1223,12 @@ void Engine::apply_replan(query::LogicalPlan logical,
 
   // 2. Capture per-site source rates keyed by source *name* (names identify
   // the external stream and are stable across plan candidates).
-  const auto n = static_cast<std::int64_t>(network_.topology().num_sites());
   std::unordered_map<std::string, std::vector<double>> rates_by_name;
   for (OperatorId src : logical_.sources()) {
-    std::vector<double> per_site(static_cast<std::size_t>(n), 0.0);
-    for (std::int64_t s = 0; s < n; ++s) {
-      const auto it = source_rates_.find(src.value() * n + s);
-      if (it != source_rates_.end()) {
-        per_site[static_cast<std::size_t>(s)] = it->second;
-      }
-    }
-    rates_by_name[logical_.op(src).name] = std::move(per_site);
+    const auto row = g_source_rate_.begin() +
+                     static_cast<std::ptrdiff_t>(gid(stage_index(src), 0));
+    rates_by_name[logical_.op(src).name].assign(
+        row, row + static_cast<std::ptrdiff_t>(num_sites_));
   }
 
   // 3. Swap in the new plan and rebuild the runtime.
@@ -1272,17 +1246,15 @@ void Engine::apply_replan(query::LogicalPlan logical,
   replay_pending_events_ = 0.0;
 
   // 4a. Re-key source rates to the new operator ids and restore backlogs.
-  source_rates_.clear();
   for (OperatorId new_src : logical_.sources()) {
+    const std::size_t i = stage_index(new_src);
     const auto rit = rates_by_name.find(logical_.op(new_src).name);
     if (rit != rates_by_name.end()) {
-      for (std::int64_t s = 0; s < n; ++s) {
-        const double eps = rit->second[static_cast<std::size_t>(s)];
-        if (eps > 0.0) source_rates_[new_src.value() * n + s] = eps;
-      }
+      std::copy(rit->second.begin(), rit->second.end(),
+                g_source_rate_.begin() +
+                    static_cast<std::ptrdiff_t>(gid(i, 0)));
     }
     const auto bl = source_backlogs.find(logical_.signature(new_src));
-    const std::size_t i = stage_index(new_src);
     if (bl != source_backlogs.end() && bl->second > 0.0) {
       int active_sites = 0;
       for (std::size_t s = 0; s < num_sites_; ++s) {
@@ -1296,8 +1268,8 @@ void Engine::apply_replan(query::LogicalPlan logical,
       }
     }
   }
-  // Dense rate mirror + tracker creation for the new sources; trackers whose
-  // signature no longer names a live source are pruned here.
+  // Tracker creation for the new sources; trackers whose signature no
+  // longer names a live source are pruned here.
   refresh_source_runtime();
 
   // 4b. Restore carried state into matching stateful operators.
@@ -1424,7 +1396,7 @@ void Engine::restore_site(SiteId site) {
     const std::size_t gi = gid(i, s);
     if (g_tasks_[gi] == 0) continue;
     const double restore_sec =
-        checkpointed_state_[gi] / config_.local_restore_mb_per_sec;
+        checkpointed_state_[gi] / kLocalRestoreMbPerSec;
     // A replay already in progress (back-to-back failures) composes with the
     // new one -- the group must finish the earlier replay and then this one;
     // resetting to now_ + restore_sec would silently discount work.

@@ -65,34 +65,9 @@ namespace wasp::engine {
 
 struct EngineConfig {
   double tick_sec = 1.0;
-  // Bounded buffers. A channel accepts new output only while its queue is
-  // below `channel_buffer_sec` seconds of its observed drain rate plus a
-  // floor -- like Flink's byte-bounded network buffers, scaled to what the
-  // link actually sustains. An input queue absorbs up to one tick of the
-  // group's processing capacity plus a floor. Sustained bottlenecks
-  // therefore propagate backpressure to the sources within seconds, and the
-  // overload backlog accumulates in the replayable source, where its age
-  // drives the event-time delay -- exactly as in the paper's prototype.
-  double channel_buffer_sec = 2.0;
-  double channel_buffer_floor_events = 5'000.0;
-  double input_buffer_floor_events = 10'000.0;
   // Degrade baseline: shed source events older than the SLO.
   bool degrade = false;
   double slo_sec = 10.0;
-  // Local checkpoint restore throughput (MB/s) after a failure (§5:
-  // localized checkpointing makes restore a local, fast operation).
-  double local_restore_mb_per_sec = 200.0;
-  double checkpoint_interval_sec = 30.0;
-  // Tiered checkpoints: every Nth checkpoint is a full snapshot; the ones
-  // between record only dirty-group deltas, so checkpoint cost scales with
-  // the change rate instead of total state size (DESIGN.md §12). 1 = every
-  // checkpoint is full (the pre-tiered behavior).
-  int full_checkpoint_every = 5;
-  // When false, the vectorization-annotated per-tick kernels are swapped for
-  // their scalar reference twins (src/engine/kernels.h). The two are
-  // bit-identical by contract -- this switch exists so tests can prove it on
-  // whole simulations, not for production use.
-  bool use_fast_kernels = true;
   // Optional observability hooks (non-owning; may be null). The trace
   // receives tick/placement/replan/failure/checkpoint events; the registry
   // receives engine.* counters and gauges. See DESIGN.md §6.
@@ -346,9 +321,9 @@ class Engine {
   // Recomputes c_share_ only (placement/skew changed, channels did not).
   void recompute_channel_shares();
   [[nodiscard]] double compute_channel_share(std::size_t ci) const;
-  // (Re)creates the per-source delay trackers and dense rate mirror, prunes
-  // trackers whose signature no longer names a live source, and refreshes
-  // the per-stage tracker pointer cache.
+  // (Re)creates the per-source delay trackers, prunes trackers whose
+  // signature no longer names a live source, and refreshes the per-stage
+  // tracker pointer cache.
   void refresh_source_runtime();
   // Rebuilds all channels adjacent to `stage_idx`, preserving aggregate
   // queued events per logical edge.
@@ -408,7 +383,7 @@ class Engine {
   std::vector<double> g_window_events_; // events in the open window
   std::vector<double> g_restore_until_; // checkpoint replay deadline
   std::vector<double> g_processed_prev_;
-  std::vector<double> g_source_rate_;   // dense mirror of source_rates_
+  std::vector<double> g_source_rate_;   // generation rate (eps), sources only
   // group_capacity_eps() snapshot taken at tick start. Its inputs (tasks,
   // per-slot rate, straggler factor, failure flags) only change between
   // ticks, so every in-tick consumer reads the same value the live function
@@ -513,7 +488,6 @@ class Engine {
   };
   MetricHandles mh_;
 
-  std::unordered_map<std::int64_t, double> source_rates_;  // (op,site) -> eps
   // char, not bool: the capacity-row kernel reads it as a raw array.
   std::vector<char> failed_sites_;
   std::vector<double> straggler_factor_;  // per-site capacity multiplier
@@ -528,7 +502,7 @@ class Engine {
   double replay_pending_events_ = 0.0;  // re-injected by the last re-plan
   double now_ = 0.0;  // end time of the latest tick
   double last_checkpoint_ = 0.0;
-  int checkpoint_seq_ = 0;  // full when seq % full_checkpoint_every == 0
+  int checkpoint_seq_ = 0;  // full when seq % kFullCheckpointEvery == 0
   double last_checkpoint_written_mb_ = 0.0;
   // Per-group state size / open-window contents at the last checkpoint,
   // indexed by gid. restore_site() rolls a recovered group's window back to

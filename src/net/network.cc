@@ -11,9 +11,9 @@
 namespace wasp::net {
 namespace {
 
-// Link groups per parallel-region chunk of the untraced step. A layout
-// constant (never a function of the worker count): chunk boundaries must be
-// identical for --threads 1 and --threads N.
+// Link groups per parallel-region chunk of step(). A layout constant (never
+// a function of the worker count): chunk boundaries must be identical for
+// --threads 1 and --threads N.
 constexpr std::size_t kLinkChunk = 16;
 
 }  // namespace
@@ -22,7 +22,8 @@ Network::Network(Topology topology, std::shared_ptr<const BandwidthModel> model)
     : topology_(std::move(topology)),
       model_(std::move(model)),
       link_partitioned_(topology_.num_sites() * topology_.num_sites(), 0),
-      site_down_(topology_.num_sites(), 0) {
+      site_down_(topology_.num_sites(), 0),
+      link_group_of_(topology_.num_sites() * topology_.num_sites(), -1) {
   assert(model_ != nullptr);
 }
 
@@ -83,20 +84,34 @@ void Network::remove_flow(FlowId id) {
 }
 
 void Network::rebuild_link_groups() {
-  link_groups_.clear();
-  local_flows_.clear();
-  link_index_.clear();
-  const auto n = static_cast<std::int64_t>(topology_.num_sites());
-  for (auto& [id, f] : flows_) {
-    if (f.from == f.to) {
-      local_flows_.push_back(&f);
-      continue;
-    }
-    const std::int64_t key = f.from.value() * n + f.to.value();
-    const auto [it, inserted] = link_index_.try_emplace(key, link_groups_.size());
-    if (inserted) link_groups_.push_back(LinkGroup{f.from, f.to, {}});
-    link_groups_[it->second].flows.push_back(&f);
+  for (const LinkGroup& g : link_groups_) {
+    link_group_of_[link_key(g.from, g.to)] = -1;
   }
+  link_flows_.clear();
+  link_groups_.clear();
+  bulk_flows_.clear();
+  // The map walk only collects; the sort fixes the order (ids are unique,
+  // so the order is total and independent of the map's iteration order).
+  for (auto& [id, f] : flows_) link_flows_.push_back(&f);
+  std::sort(link_flows_.begin(), link_flows_.end(),
+            [](const Flow* a, const Flow* b) {
+              if (a->from != b->from) return a->from < b->from;
+              if (a->to != b->to) return a->to < b->to;
+              return a->id < b->id;
+            });
+  for (std::size_t i = 0; i < link_flows_.size(); ++i) {
+    const Flow& f = *link_flows_[i];
+    if (link_groups_.empty() || link_groups_.back().from != f.from ||
+        link_groups_.back().to != f.to) {
+      link_group_of_[link_key(f.from, f.to)] =
+          static_cast<std::int32_t>(link_groups_.size());
+      link_groups_.push_back(LinkGroup{f.from, f.to, i, i});
+    }
+    link_groups_.back().end = i + 1;
+    if (f.kind == FlowKind::kBulk) bulk_flows_.push_back(link_flows_[i]);
+  }
+  std::sort(bulk_flows_.begin(), bulk_flows_.end(),
+            [](const Flow* a, const Flow* b) { return a->id < b->id; });
   link_groups_dirty_ = false;
 }
 
@@ -115,97 +130,11 @@ const Flow& Network::flow(FlowId id) const {
 
 bool Network::has_flow(FlowId id) const { return flows_.contains(id); }
 
-void Network::waterfill(const std::vector<Flow*>& flows, double capacity,
-                        std::vector<Flow*>& active_scratch) {
-  // Classic progressive filling. Bulk flows have unbounded demand and end up
-  // with an equal split of whatever streams leave unused. The working set is
-  // compacted in place (stably, so the fill order matches the input order)
-  // inside the caller's scratch vector: no allocation after warm-up, and
-  // parallel callers pass distinct scratch.
-  double remaining = capacity;
-  active_scratch.assign(flows.begin(), flows.end());
-  for (Flow* f : active_scratch) f->allocated_mbps = 0.0;
-
-  std::size_t active = active_scratch.size();
-  while (active > 0 && remaining > 1e-12) {
-    const double share = remaining / static_cast<double>(active);
-    bool anyone_satisfied = false;
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < active; ++i) {
-      Flow* f = active_scratch[i];
-      const bool bounded = f->kind == FlowKind::kStream;
-      const double want = bounded ? f->demand_mbps - f->allocated_mbps
-                                  : std::numeric_limits<double>::infinity();
-      if (bounded && want <= share) {
-        f->allocated_mbps += want;
-        remaining -= want;
-        anyone_satisfied = true;
-      } else {
-        active_scratch[kept++] = f;
-      }
-    }
-    active = kept;
-    if (!anyone_satisfied) {
-      // Everyone wants at least the equal share: split evenly and stop.
-      const double each = remaining / static_cast<double>(active);
-      for (std::size_t i = 0; i < active; ++i) {
-        active_scratch[i]->allocated_mbps += each;
-      }
-      remaining = 0.0;
-      break;
-    }
-  }
-}
-
-void Network::step(double t, double dt) {
-  ensure_link_groups();
-  const bool tracing = trace_ != nullptr && trace_->enabled();
-  if (tracing) {
-    // Legacy per-step grouping, kept verbatim while tracing: the order of
-    // link_alloc events follows this map's iteration order, which checked-in
-    // golden traces pin down byte-for-byte. The allocations it computes are
-    // bit-identical to the cached path below (same flows, same map order).
-    std::unordered_map<std::int64_t, std::vector<Flow*>> per_link;
-    const auto n = static_cast<std::int64_t>(topology_.num_sites());
-    for (auto& [id, f] : flows_) {
-      if (f.kind == FlowKind::kBulk && f.done) {
-        f.allocated_mbps = 0.0;
-        continue;
-      }
-      if (f.from == f.to) {
-        if (site_down(f.from)) {
-          f.allocated_mbps = 0.0;
-        } else {
-          f.allocated_mbps = f.kind == FlowKind::kStream ? f.demand_mbps
-                                                         : kLocalBandwidthMbps;
-        }
-        continue;
-      }
-      per_link[f.from.value() * n + f.to.value()].push_back(&f);
-    }
-    for (auto& [key, flows] : per_link) {
-      const SiteId from(key / n);
-      const SiteId to(key % n);
-      const double cap = capacity(from, to, t);
-      waterfill(flows, cap, wf_active_);
-      double stream_mbps = 0.0, bulk_mbps = 0.0;
-      for (const Flow* f : flows) {
-        (f->kind == FlowKind::kStream ? stream_mbps : bulk_mbps) +=
-            f->allocated_mbps;
-      }
-      trace_->event_at(t, "link_alloc")
-          .num("from_site", static_cast<double>(from.value()))
-          .num("to_site", static_cast<double>(to.value()))
-          .num("capacity_mbps", cap)
-          .num("stream_mbps", stream_mbps)
-          .num("bulk_mbps", bulk_mbps)
-          .num("num_flows", static_cast<double>(flows.size()));
-    }
-  } else {
-    // Fast path: reuse the link grouping cached at the last flow add/remove.
-    // Group-internal flow order is the flows_ map order of that rebuild, so
-    // waterfill visits flows in the same sequence as the legacy path.
-    for (Flow* f : local_flows_) {
+void Network::fill_link(LinkGroup& g, double t,
+                        std::vector<Flow*>& active) {
+  if (g.from == g.to) {
+    // Local transfers are unconstrained unless the site is down.
+    for (Flow* f : flows_of(g)) {
       if (f->kind == FlowKind::kBulk && f->done) {
         f->allocated_mbps = 0.0;
       } else if (site_down(f->from)) {
@@ -215,85 +144,123 @@ void Network::step(double t, double dt) {
                                                          : kLocalBandwidthMbps;
       }
     }
-    // Links are independent (each cross-site flow belongs to exactly one
-    // group), so the per-link fills fan out across the pool in fixed chunks
-    // of the cached group order. Each link is computed by exactly one chunk
-    // with the same flow order as the serial loop -- allocations are
-    // bit-identical for any thread count.
-    const std::size_t n_groups = link_groups_.size();
-    const std::size_t n_chunks = (n_groups + kLinkChunk - 1) / kLinkChunk;
-    if (wf_chunk_scratch_.size() < n_chunks) wf_chunk_scratch_.resize(n_chunks);
-    const auto fill_chunk = [&](std::size_t c) {
-      WfScratch& scratch = wf_chunk_scratch_[c];
-      const std::size_t gb = c * kLinkChunk;
-      const std::size_t ge = std::min(n_groups, gb + kLinkChunk);
-      for (std::size_t gi = gb; gi < ge; ++gi) {
-        LinkGroup& g = link_groups_[gi];
-        scratch.filtered.clear();
-        for (Flow* f : g.flows) {
-          if (f->kind == FlowKind::kBulk && f->done) {
-            f->allocated_mbps = 0.0;
-          } else {
-            scratch.filtered.push_back(f);
-          }
-        }
-        if (!scratch.filtered.empty()) {
-          waterfill(scratch.filtered, capacity(g.from, g.to, t),
-                    scratch.active);
-        }
+    return;
+  }
+  // Classic progressive filling over the unfinished flows, in id order.
+  // Bulk flows have unbounded demand and end up with an equal split of
+  // whatever streams leave unused. The working set is compacted in place
+  // (stably, so the fill order stays the id order) inside the chunk's
+  // scratch: no allocation after warm-up.
+  active.clear();
+  for (Flow* f : flows_of(g)) {
+    f->allocated_mbps = 0.0;
+    if (f->kind == FlowKind::kStream || !f->done) active.push_back(f);
+  }
+  g.live = active.size();
+  if (active.empty()) return;
+  g.capacity_mbps = capacity(g.from, g.to, t);
+  double remaining = g.capacity_mbps;
+  while (!active.empty() && remaining > 1e-12) {
+    const double share = remaining / static_cast<double>(active.size());
+    bool anyone_satisfied = false;
+    std::size_t kept = 0;
+    for (Flow* f : active) {
+      const bool bounded = f->kind == FlowKind::kStream;
+      const double want = bounded ? f->demand_mbps - f->allocated_mbps
+                                  : std::numeric_limits<double>::infinity();
+      if (bounded && want <= share) {
+        f->allocated_mbps += want;
+        remaining -= want;
+        anyone_satisfied = true;
+      } else {
+        active[kept++] = f;
       }
-    };
-    if (pool_ != nullptr) {
-      pool_->parallel_for(n_chunks, fill_chunk);
-    } else {
-      for (std::size_t c = 0; c < n_chunks; ++c) fill_chunk(c);
+    }
+    active.resize(kept);
+    if (!anyone_satisfied) {
+      // Everyone wants at least the equal share: split evenly and stop.
+      const double each = remaining / static_cast<double>(active.size());
+      for (Flow* f : active) f->allocated_mbps += each;
+      break;
+    }
+  }
+}
+
+void Network::step(double t, double dt) {
+  ensure_link_groups();
+  // Links are independent (each flow belongs to exactly one group), so the
+  // per-link fills fan out across the pool in fixed chunks of the group
+  // order. Each link is computed by exactly one chunk, over its flows in id
+  // order -- allocations are bit-identical for any thread count.
+  const std::size_t n_groups = link_groups_.size();
+  const std::size_t n_chunks = (n_groups + kLinkChunk - 1) / kLinkChunk;
+  if (wf_scratch_.size() < n_chunks) wf_scratch_.resize(n_chunks);
+  const auto fill_chunk = [&](std::size_t c) {
+    const std::size_t end = std::min(n_groups, (c + 1) * kLinkChunk);
+    for (std::size_t gi = c * kLinkChunk; gi < end; ++gi) {
+      fill_link(link_groups_[gi], t, wf_scratch_[c]);
+    }
+  };
+  if (pool_ != nullptr) {
+    pool_->parallel_for(n_chunks, fill_chunk);
+  } else {
+    for (std::size_t c = 0; c < n_chunks; ++c) fill_chunk(c);
+  }
+
+  const bool tracing = trace_ != nullptr && trace_->enabled();
+  if (tracing) {
+    for (const LinkGroup& g : link_groups_) {
+      if (g.from == g.to || g.live == 0) continue;
+      // Finished bulk flows hold exactly 0, so summing the whole group
+      // equals summing its live flows.
+      double stream_mbps = 0.0, bulk_mbps = 0.0;
+      for (const Flow* f : flows_of(g)) {
+        (f->kind == FlowKind::kStream ? stream_mbps : bulk_mbps) +=
+            f->allocated_mbps;
+      }
+      trace_->event_at(t, "link_alloc")
+          .num("from_site", static_cast<double>(g.from.value()))
+          .num("to_site", static_cast<double>(g.to.value()))
+          .num("capacity_mbps", g.capacity_mbps)
+          .num("stream_mbps", stream_mbps)
+          .num("bulk_mbps", bulk_mbps)
+          .num("num_flows", static_cast<double>(g.live));
     }
   }
 
   // Advance bulk transfers.
-  for (auto& [id, f] : flows_) {
-    if (f.kind != FlowKind::kBulk || f.done) continue;
-    f.remaining_mb -= mbps_to_mb_per_sec(f.allocated_mbps) * dt;
-    if (f.remaining_mb <= 1e-9) {
-      f.remaining_mb = 0.0;
-      f.done = true;
+  for (Flow* f : bulk_flows_) {
+    if (f->done) continue;
+    f->remaining_mb -= mbps_to_mb_per_sec(f->allocated_mbps) * dt;
+    if (f->remaining_mb <= 1e-9) {
+      f->remaining_mb = 0.0;
+      f->done = true;
       if (tracing) {
         trace_->event_at(t, "bulk_done")
-            .num("flow", static_cast<double>(id.value()))
-            .num("from_site", static_cast<double>(f.from.value()))
-            .num("to_site", static_cast<double>(f.to.value()));
+            .num("flow", static_cast<double>(f->id.value()))
+            .num("from_site", static_cast<double>(f->from.value()))
+            .num("to_site", static_cast<double>(f->to.value()));
       }
     }
   }
 }
 
 std::size_t Network::num_bulk_flows() const {
-  std::size_t count = 0;
-  for (const auto& [id, f] : flows_) {
-    if (f.kind == FlowKind::kBulk && !f.done) ++count;
-  }
-  return count;
+  const_cast<Network*>(this)->ensure_link_groups();
+  return static_cast<std::size_t>(std::count_if(
+      bulk_flows_.begin(), bulk_flows_.end(),
+      [](const Flow* f) { return !f->done; }));
 }
 
 double Network::link_allocated(SiteId from, SiteId to) const {
-  // Cross-site links sum their cached group, in the same flows_ map order
-  // the full scan below would visit (bit-identical FP sum). Local links and
-  // links with no flows fall through to the scan. The grouping cache is
-  // logically const state (rebuilding it changes no observable allocation).
+  // Sums the link's group in id order. The grouping cache is logically
+  // const state (rebuilding it changes no observable allocation).
   const_cast<Network*>(this)->ensure_link_groups();
-  if (from != to) {
-    const auto n = static_cast<std::int64_t>(topology_.num_sites());
-    const auto it = link_index_.find(from.value() * n + to.value());
-    if (it == link_index_.end()) return 0.0;
-    double total = 0.0;
-    for (const Flow* f : link_groups_[it->second].flows) {
-      total += f->allocated_mbps;
-    }
-    return total;
-  }
+  const std::int32_t gi = link_group_of_[link_key(from, to)];
+  if (gi < 0) return 0.0;
   double total = 0.0;
-  for (const auto& [id, f] : flows_) {
-    if (f.from == from && f.to == to) total += f.allocated_mbps;
+  for (const Flow* f : flows_of(link_groups_[static_cast<std::size_t>(gi)])) {
+    total += f->allocated_mbps;
   }
   return total;
 }

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -38,7 +40,7 @@ struct Flow {
   SiteId to;
   FlowKind kind = FlowKind::kStream;
   double demand_mbps = 0.0;     // streams: offered load this tick
-  double allocated_mbps = 0.0;  // filled in by allocate()
+  double allocated_mbps = 0.0;  // filled in by step()
   double remaining_mb = 0.0;    // bulk only
   bool done = false;            // bulk only
 };
@@ -97,64 +99,69 @@ class Network {
   [[nodiscard]] std::size_t num_bulk_flows() const;
 
   // Optional trace hook (non-owning; may be null). step() emits one
-  // "link_alloc" event per active WAN link and a "bulk_done" event when a
-  // bulk (migration) transfer completes.
+  // "link_alloc" event per WAN link with a live flow, in ascending
+  // (from, to) order, then one "bulk_done" event per bulk (migration)
+  // transfer that completed, in ascending flow id.
   void set_trace(obs::TraceEmitter* trace) { trace_ = trace; }
   [[nodiscard]] obs::TraceEmitter* trace() const { return trace_; }
 
-  // Optional intra-run executor (non-owning; null = serial). The untraced
-  // step() chunks its per-link waterfills across the pool: links are
-  // independent (each non-local flow belongs to exactly one link group), and
-  // each link's fill is computed by exactly one chunk with the same flow
-  // order either way, so allocations are bit-identical for any thread count.
-  // The traced path stays serial: golden traces pin its event order.
+  // Optional intra-run executor (non-owning; null = serial). step() chunks
+  // its per-link waterfills across the pool, traced or not: links are
+  // independent (each flow belongs to exactly one link group), and each
+  // link's fill is computed by exactly one chunk over its flows in ascending
+  // id, so allocations are bit-identical for any thread count. Trace events
+  // are emitted serially after the fill.
   void set_pool(exec::ThreadPool* pool) { pool_ = pool; }
   [[nodiscard]] exec::ThreadPool* pool() const { return pool_; }
 
  private:
-  // Max-min fair share for the flows of one link given its capacity. Bulk
-  // flows are treated as having unbounded demand. Operates on a scratch copy
-  // (`active`, caller-provided so parallel chunks stay shared-nothing) so
-  // the caller's vector keeps its order.
-  static void waterfill(const std::vector<Flow*>& flows, double capacity,
-                        std::vector<Flow*>& active);
-
-  // Flows grouped by directed link, cached across step() calls. Flow churn
-  // (placement changes, migrations) is orders of magnitude rarer than ticks,
-  // so add/remove only mark the cache dirty and the grouping is rebuilt
-  // lazily at the next use -- a whole topology's worth of channels can be
-  // registered in O(F) instead of O(F^2). The rebuild iterates `flows_` in
-  // map order -- the exact order the per-step grouping used to see (the
-  // map's iteration order depends only on its contents, not on when the
-  // rebuild runs) -- so waterfill's progressive filling and link_allocated's
-  // summation visit flows in the same sequence and stay bit-identical.
+  // Flows grouped by directed link (local from == to links included),
+  // cached across step() calls. Flow churn (placement changes, migrations)
+  // is orders of magnitude rarer than ticks, so add/remove only mark the
+  // cache dirty and the grouping is rebuilt lazily at the next use -- a
+  // whole topology's worth of channels can be registered in O(F log F)
+  // instead of O(F^2). Groups are in ascending (from, to) order and each
+  // group's flows in ascending FlowId, so every fill, sum and event order
+  // follows ids, never hash-table order.
   struct LinkGroup {
     SiteId from;
     SiteId to;
-    std::vector<Flow*> flows;  // map-iteration order at last rebuild
+    std::size_t begin = 0;  // [begin, end) of link_flows_
+    std::size_t end = 0;
+    // Set by the last step(): unfinished flows, and the capacity they
+    // shared (read only when live > 0).
+    std::size_t live = 0;
+    double capacity_mbps = 0.0;
   };
   void rebuild_link_groups();
   void ensure_link_groups() {
     if (link_groups_dirty_) rebuild_link_groups();
   }
+  [[nodiscard]] std::span<Flow* const> flows_of(const LinkGroup& g) const {
+    return std::span(link_flows_).subspan(g.begin, g.end - g.begin);
+  }
+  [[nodiscard]] std::size_t link_key(SiteId from, SiteId to) const {
+    return static_cast<std::size_t>(from.value()) * topology_.num_sites() +
+           static_cast<std::size_t>(to.value());
+  }
+  // Allocates one group's flows for this step (see step()); `active` is
+  // the calling chunk's scratch.
+  void fill_link(LinkGroup& g, double t, std::vector<Flow*>& active);
 
   Topology topology_;
   std::shared_ptr<const BandwidthModel> model_;
   std::vector<char> link_partitioned_;  // num_sites^2, row-major from*n+to
   std::vector<char> site_down_;         // num_sites
+  // Id -> flow lookup (stable addresses: the engine caches Flow pointers).
+  // Never iterated for a value, an event or an order.
   std::unordered_map<FlowId, Flow> flows_;
-  std::vector<LinkGroup> link_groups_;           // cross-site links
-  std::vector<Flow*> local_flows_;               // from == to
-  std::unordered_map<std::int64_t, std::size_t> link_index_;  // key -> group
-  std::vector<Flow*> waterfill_scratch_;  // active flows of one link
-  std::vector<Flow*> wf_active_;          // waterfill's working set
-  // Per-chunk scratch of the parallel untraced step (persists across steps;
-  // no allocation after warm-up). One slot per link-group chunk.
-  struct WfScratch {
-    std::vector<Flow*> filtered;  // group flows minus finished bulks
-    std::vector<Flow*> active;    // waterfill working set
-  };
-  std::vector<WfScratch> wf_chunk_scratch_;
+  std::vector<Flow*> link_flows_;        // every flow, by (from, to, id)
+  std::vector<LinkGroup> link_groups_;   // by (from, to)
+  std::vector<std::int32_t> link_group_of_;  // num_sites^2 -> group; -1 = none
+  std::vector<Flow*> bulk_flows_;        // bulk flows, by id
+  // Per-chunk waterfill working set (persists across steps; no allocation
+  // after warm-up). One slot per link-group chunk.
+  std::vector<std::vector<Flow*>> wf_scratch_;
   exec::ThreadPool* pool_ = nullptr;
   bool link_groups_dirty_ = true;
   std::int64_t next_flow_id_ = 0;

@@ -62,10 +62,14 @@ std::optional<std::vector<SiteTerm>> fold_sites(
     if (s < ctx.max_per_site.size() && ctx.max_per_site[s] >= 0) {
       slots = std::min(slots, ctx.max_per_site[s]);
     }
+    // An over-committed site (negative availability, e.g. a pinned sink
+    // reserved on a full site) offers no slots; it does not make the other
+    // sites' capacity unusable.
+    slots = std::max(0, slots);
     // Constraint (4): lo <= p[s] <= A[s].
     term.lo = s < ctx.min_per_site.size() ? ctx.min_per_site[s] : 0;
     if (term.lo > slots) return std::nullopt;  // floor exceeds capacity
-    term.hi = std::max(0, slots);
+    term.hi = slots;
 
     // Constraints (2) and (3): per (site, neighbor-site) bandwidth caps.
     // Each bounds p[s] alone:
@@ -162,7 +166,7 @@ std::optional<PlacementOutcome> Scheduler::place_stage(
   }
   const bool tracing = trace_ != nullptr && trace_->enabled();
   obs::TraceEmitter::SpanScope span(tracing ? trace_ : nullptr,
-                                    "placement_ilp");
+                                    "place_stage");
   if (tracing) span.num("parallelism", context.parallelism);
 
   std::optional<PlacementOutcome> outcome;

@@ -86,7 +86,7 @@ class Scheduler {
   }
 
   // Observability: when set, every non-pinned place_stage call emits a
-  // "placement_ilp" span (feasibility, objective, wall time) nested under
+  // "place_stage" span (feasibility, objective, wall time) nested under
   // the caller's ambient span. Null disables.
   void set_trace(obs::TraceEmitter* trace) { trace_ = trace; }
 

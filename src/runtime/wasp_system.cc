@@ -216,7 +216,7 @@ void WaspSystem::deploy(workload::QuerySpec spec) {
   const MonitorView view(*this);
 
   // Source rates at t = 0 drive the deployment-time cost model.
-  auto source_rates_for = [&](const query::LogicalPlan& plan) {
+  auto initial_source_rates = [&](const query::LogicalPlan& plan) {
     std::unordered_map<OperatorId, double> rates;
     for (OperatorId src : plan.sources()) {
       const auto it = pattern_source_ids_.find(plan.op(src).name);
@@ -237,7 +237,7 @@ void WaspSystem::deploy(workload::QuerySpec spec) {
   std::optional<physical::PlanPlacement> best_placed;
   double best_cost = 0.0;
   for (query::LogicalPlan& candidate : planner_.enumerate(spec.plan)) {
-    const auto src_rates = source_rates_for(candidate);
+    const auto src_rates = initial_source_rates(candidate);
     const auto rates = candidate.estimate_rates(src_rates);
     std::unordered_map<OperatorId, int> parallelism;  // default p = 1
     auto placed = physical::place_plan(candidate, rates, parallelism, view,

@@ -168,7 +168,8 @@ MigrationPlan MigrationPlanner::plan(
   for (auto& d : dsts) d.share_mb *= total_src / total_dst;
 
   const bool tracing = trace_ != nullptr && trace_->enabled();
-  obs::TraceEmitter::SpanScope span(tracing ? trace_ : nullptr, "migration_lp");
+  obs::TraceEmitter::SpanScope span(tracing ? trace_ : nullptr,
+                                    "plan_migration");
   if (tracing) {
     span.str("strategy", to_string(strategy_))
         .num("sources", static_cast<double>(srcs.size()))
@@ -192,12 +193,6 @@ MigrationPlan MigrationPlanner::plan(
     double total_mb = 0.0;
     for (const Move& m : out.moves) total_mb += m.size_mb;
     span.num("num_moves", static_cast<double>(out.moves.size()))
-        .num("total_mb", total_mb)
-        .num("estimated_transition_sec", out.estimated_transition_sec);
-    // Flat summary event kept for older consumers; nests inside the span.
-    trace_->event("migration_plan")
-        .str("strategy", to_string(strategy_))
-        .num("num_moves", static_cast<double>(out.moves.size()))
         .num("total_mb", total_mb)
         .num("estimated_transition_sec", out.estimated_transition_sec);
   }

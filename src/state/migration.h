@@ -89,7 +89,7 @@ class MigrationPlanner {
   [[nodiscard]] MigrationStrategy strategy() const { return strategy_; }
 
   // Optional trace hook (non-owning; may be null): plan() emits one
-  // "migration_plan" event summarizing the chosen move set.
+  // "plan_migration" span whose end event summarizes the chosen move set.
   void set_trace(obs::TraceEmitter* trace) { trace_ = trace; }
 
   // Tick-phase profiler hook (DESIGN.md §13): plan() runs under the

@@ -399,7 +399,7 @@ TEST(PolicyTest, RelaxedAlphaReassignIsTracedAndProfiled) {
   std::vector<double> placement_spans;
   for (const obs::TraceEvent& e : sink->of_type("span_begin")) {
     if (e.str("name") == "plan") plan_span = e.num("span_id");
-    if (e.str("name") == "placement_ilp") {
+    if (e.str("name") == "place_stage") {
       EXPECT_EQ(e.num("parent_id"), plan_span);
       placement_spans.push_back(e.num("span_id"));
     }

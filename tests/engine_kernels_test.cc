@@ -1,35 +1,68 @@
-// 0-ULP equivalence between the fast (vectorization-annotated) engine
-// kernels and their scalar reference twins, plus a whole-simulation check
-// that EngineConfig::use_fast_kernels cannot change a single bit of any
-// tick metric. This is the enforcement half of the determinism contract
-// documented in src/engine/kernels.h.
+// 0-ULP equivalence between the vectorization-annotated engine kernels
+// (src/engine/kernels.h) and plain scalar reference loops, plus the
+// chunked-vs-whole property the engine's parallel tick phases rely on. This
+// is the enforcement half of the determinism contract documented in
+// kernels.h.
 #include "engine/kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/engine.h"
-#include "net/bandwidth_model.h"
-#include "net/network.h"
-#include "net/topology.h"
-#include "physical/physical_plan.h"
-#include "query/logical_plan.h"
+#include "common/units.h"
 
 namespace wasp::engine {
 namespace {
 
-using physical::PhysicalPlan;
-using physical::StagePlacement;
-using query::LogicalOperator;
-using query::LogicalPlan;
-using query::OperatorKind;
+// Scalar references: each body equals its kernel's, minus __restrict and the
+// vectorize pragma -- the semantic definition the kernels must match bit
+// for bit.
+namespace reference {
+
+void reset_channel_tick(std::size_t n, const std::int32_t* to_stage,
+                        const char* stage_suspended, double* delivered_prev,
+                        double* delivered, double* offered) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool live = stage_suspended[to_stage[i]] == 0;
+    delivered_prev[i] = live ? delivered[i] : delivered_prev[i];
+    delivered[i] = 0.0;
+    offered[i] = 0.0;
+  }
+}
+
+void flow_demand_mbps(std::size_t n, const double* queue,
+                      const double* event_bytes, double dt, double* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = stream_mbps(queue[i] / dt, event_bytes[i]);
+  }
+}
+
+void reset_stage_tick(std::size_t n, double* processed, double* emitted,
+                      double* arrived, char* backpressured) {
+  for (std::size_t i = 0; i < n; ++i) {
+    processed[i] = 0.0;
+    emitted[i] = 0.0;
+    arrived[i] = 0.0;
+    backpressured[i] = 0;
+  }
+}
+
+void group_capacity_row(std::size_t n_sites, const std::int32_t* tasks,
+                        double eps_per_slot, const char* failed,
+                        const double* straggler, double* out) {
+  for (std::size_t s = 0; s < n_sites; ++s) {
+    out[s] =
+        failed[s] != 0 ? 0.0 : tasks[s] * eps_per_slot * straggler[s];
+  }
+}
+
+}  // namespace reference
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
@@ -78,9 +111,8 @@ TEST(KernelEquivalence, ResetChannelTickMatchesScalarBitwise) {
 
     auto prev_a = prev0, del_a = del0, off_a = off0;
     auto prev_b = prev0, del_b = del0, off_b = off0;
-    kernels::reset_channel_tick_scalar(n, to_stage.data(), suspended.data(),
-                                       prev_a.data(), del_a.data(),
-                                       off_a.data());
+    reference::reset_channel_tick(n, to_stage.data(), suspended.data(),
+                                  prev_a.data(), del_a.data(), off_a.data());
     kernels::reset_channel_tick(n, to_stage.data(), suspended.data(),
                                 prev_b.data(), del_b.data(), off_b.data());
     expect_bitwise_equal(prev_a, prev_b);
@@ -99,8 +131,8 @@ TEST(KernelEquivalence, FlowDemandMbpsMatchesScalarBitwise) {
     const double dt = rng.uniform(0.25, 4.0);
 
     std::vector<double> out_a(n, -1.0), out_b(n, -1.0);
-    kernels::flow_demand_mbps_scalar(n, queue.data(), event_bytes.data(), dt,
-                                     out_a.data());
+    reference::flow_demand_mbps(n, queue.data(), event_bytes.data(), dt,
+                                out_a.data());
     kernels::flow_demand_mbps(n, queue.data(), event_bytes.data(), dt,
                               out_b.data());
     expect_bitwise_equal(out_a, out_b);
@@ -115,8 +147,8 @@ TEST(KernelEquivalence, ResetStageTickMatchesScalarBitwise) {
     auto e_a = random_doubles(rng, n), e_b = e_a;
     auto a_a = random_doubles(rng, n), a_b = a_a;
     std::vector<char> bp_a(n, 1), bp_b(n, 1);
-    kernels::reset_stage_tick_scalar(n, p_a.data(), e_a.data(), a_a.data(),
-                                     bp_a.data());
+    reference::reset_stage_tick(n, p_a.data(), e_a.data(), a_a.data(),
+                                bp_a.data());
     kernels::reset_stage_tick(n, p_b.data(), e_b.data(), a_b.data(),
                               bp_b.data());
     expect_bitwise_equal(p_a, p_b);
@@ -139,8 +171,8 @@ TEST(KernelEquivalence, GroupCapacityRowMatchesScalarBitwise) {
     const double eps = rng.uniform(0.0, 1e4);
 
     std::vector<double> out_a(n, -1.0), out_b(n, -1.0);
-    kernels::group_capacity_row_scalar(n, tasks.data(), eps, failed.data(),
-                                       straggler.data(), out_a.data());
+    reference::group_capacity_row(n, tasks.data(), eps, failed.data(),
+                                  straggler.data(), out_a.data());
     kernels::group_capacity_row(n, tasks.data(), eps, failed.data(),
                                 straggler.data(), out_b.data());
     expect_bitwise_equal(out_a, out_b);
@@ -242,113 +274,6 @@ TEST(KernelEquivalence, ChunkedGroupCapacityRowMatchesWholeBitwise) {
                                   out_b.data() + b);
     }
     expect_bitwise_equal(out_a, out_b);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Whole-simulation equivalence: two engines over the same scenario, one with
-// fast kernels and one on the scalar reference path, must agree on every
-// metric of every tick to the bit.
-// ---------------------------------------------------------------------------
-
-struct SimPair {
-  // src (site 0) -> map (sites 1..2) -> sink (site 2).
-  SimPair(bool fast, double map_capacity)
-      : network(net::Topology::make_uniform(3, 4, 200.0, 10.0),
-                std::make_shared<net::ConstantBandwidth>()) {
-    LogicalOperator src;
-    src.name = "src";
-    src.kind = OperatorKind::kSource;
-    src.output_event_bytes = 125.0;
-    src.events_per_sec_per_slot = 1e6;
-    src.pinned_sites = {SiteId(0)};
-    src_id = plan.add_operator(std::move(src));
-
-    LogicalOperator map;
-    map.name = "map";
-    map.kind = OperatorKind::kMap;
-    map.selectivity = 0.8;
-    map.output_event_bytes = 125.0;
-    map.events_per_sec_per_slot = map_capacity;
-    map_id = plan.add_operator(std::move(map));
-
-    LogicalOperator sink;
-    sink.name = "sink";
-    sink.kind = OperatorKind::kSink;
-    sink.events_per_sec_per_slot = 1e6;
-    sink.pinned_sites = {SiteId(2)};
-    sink_id = plan.add_operator(std::move(sink));
-
-    plan.connect(src_id, map_id);
-    plan.connect(map_id, sink_id);
-
-    physical.add_stage(src_id, StagePlacement{.per_site = {1, 0, 0}});
-    physical.add_stage(map_id, StagePlacement{.per_site = {0, 1, 1}});
-    physical.add_stage(sink_id, StagePlacement{.per_site = {0, 0, 1}});
-
-    EngineConfig config;
-    config.use_fast_kernels = fast;
-    engine = std::make_unique<Engine>(plan, physical, network, config);
-  }
-
-  net::Network network;
-  LogicalPlan plan;
-  PhysicalPlan physical;
-  OperatorId src_id, map_id, sink_id;
-  std::unique_ptr<Engine> engine;
-};
-
-void expect_tick_bitwise_equal(const Engine& a, const Engine& b,
-                               const std::vector<OperatorId>& ops, double t) {
-  const auto& ma = a.last_tick();
-  const auto& mb = b.last_tick();
-  EXPECT_EQ(bits(ma.generated_eps), bits(mb.generated_eps)) << "t=" << t;
-  EXPECT_EQ(bits(ma.admitted_eps), bits(mb.admitted_eps)) << "t=" << t;
-  EXPECT_EQ(bits(ma.dropped_eps), bits(mb.dropped_eps)) << "t=" << t;
-  EXPECT_EQ(bits(ma.sink_eps), bits(mb.sink_eps)) << "t=" << t;
-  EXPECT_EQ(bits(ma.delay_sec), bits(mb.delay_sec)) << "t=" << t;
-  EXPECT_EQ(bits(ma.processing_ratio), bits(mb.processing_ratio)) << "t=" << t;
-  for (const auto op : ops) {
-    const auto oa = a.op_metrics(op);
-    const auto ob = b.op_metrics(op);
-    EXPECT_EQ(bits(oa.processed_eps), bits(ob.processed_eps)) << "t=" << t;
-    EXPECT_EQ(bits(oa.emitted_eps), bits(ob.emitted_eps)) << "t=" << t;
-    EXPECT_EQ(bits(oa.arrived_eps), bits(ob.arrived_eps)) << "t=" << t;
-    EXPECT_EQ(bits(oa.input_queue_events), bits(ob.input_queue_events))
-        << "t=" << t;
-    EXPECT_EQ(bits(oa.channel_backlog_events), bits(ob.channel_backlog_events))
-        << "t=" << t;
-    EXPECT_EQ(oa.backpressured, ob.backpressured) << "t=" << t;
-  }
-}
-
-TEST(KernelEquivalence, WholeSimulationFastVsScalarBitIdentical) {
-  // Undersized map + thin links + mid-run skew/placement/suspension churn:
-  // exercises delivery, backpressure, degrade accounting, and re-planning on
-  // both kernel paths.
-  SimPair fast(true, 9'000.0);
-  SimPair ref(false, 9'000.0);
-  const std::vector<OperatorId> ops = {fast.src_id, fast.map_id, fast.sink_id};
-
-  for (double t = 1.0; t <= 120.0; t += 1.0) {
-    // Deterministic sawtooth workload crossing the capacity boundary.
-    const double rate = 6'000.0 + 1'500.0 * static_cast<double>(
-                                               static_cast<int>(t) % 8);
-    for (SimPair* s : {&fast, &ref}) {
-      if (t == 30.0) s->engine->set_partition_skew(s->map_id, 3.0);
-      if (t == 50.0) {
-        s->engine->apply_placement(s->map_id,
-                                   StagePlacement{.per_site = {1, 1, 1}});
-      }
-      if (t == 70.0) s->engine->suspend_stage(s->map_id);
-      if (t == 75.0) s->engine->resume_stage(s->map_id);
-      if (t == 90.0) s->engine->set_partition_skew(s->map_id, 1.0);
-      s->engine->set_source_rate(s->src_id, SiteId(0), rate);
-      s->network.step(t, 1.0);
-      s->engine->tick(t);
-    }
-    expect_tick_bitwise_equal(*fast.engine, *ref.engine, ops, t);
-    if (::testing::Test::HasFailure()) break;  // first divergence is enough
   }
 }
 

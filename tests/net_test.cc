@@ -2,18 +2,24 @@
 // flow allocation (max-min fairness), bulk transfers, and the WAN monitor.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/units.h"
+#include "exec/thread_pool.h"
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "net/trace_io.h"
 #include "net/wan_monitor.h"
+#include "obs/trace.h"
 
 namespace wasp::net {
 namespace {
@@ -301,6 +307,116 @@ TEST(NetworkTest, RemoveFlowStopsAccounting) {
   EXPECT_FALSE(net.has_flow(f));
   net.step(1.0, 1.0);
   EXPECT_DOUBLE_EQ(net.link_allocated(SiteId(0), SiteId(1)), 0.0);
+}
+
+// One flow of the order test's scenario.
+struct FlowSpec {
+  SiteId from;
+  SiteId to;
+  bool bulk = false;
+  double amount = 0.0;  // stream demand (Mbps) or bulk size (MB)
+};
+
+FlowId add_spec(Network& net, const FlowSpec& spec) {
+  if (spec.bulk) return net.add_bulk_flow(spec.from, spec.to, spec.amount);
+  const FlowId id = net.add_stream_flow(spec.from, spec.to);
+  net.set_stream_demand(id, spec.amount);
+  return id;
+}
+
+FlowSpec random_spec(Rng& rng, int sites) {
+  FlowSpec spec;
+  spec.from = SiteId(rng.uniform_int(0, sites - 1));
+  spec.to = SiteId(rng.uniform_int(0, sites - 1));
+  spec.bulk = rng.uniform() < 0.25;
+  spec.amount = spec.bulk ? rng.uniform(5.0, 60.0) : rng.uniform(1.0, 60.0);
+  return spec;
+}
+
+// Builds the scenario's surviving flows in order. With `churn`, five
+// throwaway flows are added before each survivor and all of them are removed
+// once the survivors exist, so ids (and the flow table's history) differ
+// from the churn-free build while the survivors' relative id order does not.
+std::vector<FlowId> build_scenario(Network& net,
+                                   const std::vector<FlowSpec>& specs,
+                                   bool churn, int sites) {
+  Rng rng(99);
+  std::vector<FlowId> survivors, throwaways;
+  for (const FlowSpec& spec : specs) {
+    for (int k = 0; churn && k < 5; ++k) {
+      throwaways.push_back(add_spec(net, random_spec(rng, sites)));
+    }
+    survivors.push_back(add_spec(net, spec));
+  }
+  for (const FlowId id : throwaways) net.remove_flow(id);
+  return survivors;
+}
+
+TEST(NetworkTest, TracedStepFollowsLinkAndIdOrder) {
+  constexpr int kSites = 6;  // 36 links: more than one parallel fill chunk
+  Rng rng(2026);
+  std::vector<FlowSpec> specs;  // random links, so created out of link order
+  for (int i = 0; i < 60; ++i) specs.push_back(random_spec(rng, kSites));
+
+  struct Run {
+    Network net = make_net(kSites, 1, 100.0, 10.0);
+    std::shared_ptr<obs::MemorySink> sink = std::make_shared<obs::MemorySink>();
+    obs::TraceEmitter trace{sink};
+    std::vector<FlowId> ids;
+  };
+  exec::ThreadPool pool(4);
+  Run churned, clean, pooled;
+  churned.ids = build_scenario(churned.net, specs, /*churn=*/true, kSites);
+  clean.ids = build_scenario(clean.net, specs, /*churn=*/false, kSites);
+  pooled.ids = build_scenario(pooled.net, specs, /*churn=*/true, kSites);
+  pooled.net.set_pool(&pool);
+  for (Run* run : {&churned, &clean, &pooled}) run->net.set_trace(&run->trace);
+
+  for (int step = 0; step < 8; ++step) {
+    const double t = static_cast<double>(step);
+    for (Run* run : {&churned, &clean, &pooled}) run->net.step(t, 1.0);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    churned.net.flow(churned.ids[i]).allocated_mbps),
+                std::bit_cast<std::uint64_t>(
+                    clean.net.flow(clean.ids[i]).allocated_mbps))
+          << "flow " << i << " at t=" << t;
+    }
+  }
+
+  // Within a step: link_alloc in ascending (from, to), bulk_done in
+  // ascending flow id.
+  const auto link_allocs = churned.sink->of_type("link_alloc");
+  const auto bulk_dones = churned.sink->of_type("bulk_done");
+  ASSERT_GT(link_allocs.size(), 8u * 20u);
+  ASSERT_GE(bulk_dones.size(), 2u);
+  for (std::size_t i = 1; i < link_allocs.size(); ++i) {
+    const auto& a = link_allocs[i - 1];
+    const auto& b = link_allocs[i];
+    if (a.t != b.t) continue;
+    EXPECT_LT(std::make_pair(a.num("from_site"), a.num("to_site")),
+              std::make_pair(b.num("from_site"), b.num("to_site")))
+        << "t=" << b.t;
+  }
+  for (std::size_t i = 1; i < bulk_dones.size(); ++i) {
+    if (bulk_dones[i - 1].t != bulk_dones[i].t) continue;
+    EXPECT_LT(bulk_dones[i - 1].num("flow"), bulk_dones[i].num("flow"));
+  }
+
+  // link_alloc payloads match the churn-free network's (bulk_done carries
+  // the flow id, which churn shifts).
+  const auto clean_allocs = clean.sink->of_type("link_alloc");
+  ASSERT_EQ(link_allocs.size(), clean_allocs.size());
+  for (std::size_t i = 0; i < link_allocs.size(); ++i) {
+    EXPECT_EQ(link_allocs[i].nums, clean_allocs[i].nums) << "event " << i;
+  }
+
+  // A 4-worker pool writes the same trace bytes as no pool.
+  ASSERT_EQ(pooled.sink->events().size(), churned.sink->events().size());
+  for (std::size_t i = 0; i < churned.sink->events().size(); ++i) {
+    EXPECT_EQ(obs::to_json_line(pooled.sink->events()[i]),
+              obs::to_json_line(churned.sink->events()[i]));
+  }
 }
 
 // Property: waterfilling never exceeds capacity and never over-allocates a

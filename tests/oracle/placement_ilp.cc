@@ -41,6 +41,7 @@ std::optional<physical::PlacementOutcome> solve_placement(
     if (s < ctx.max_per_site.size() && ctx.max_per_site[s] >= 0) {
       slots = std::min(slots, ctx.max_per_site[s]);
     }
+    slots = std::max(0, slots);  // an over-committed site offers none
     const int lo = s < ctx.min_per_site.size() ? ctx.min_per_site[s] : 0;
     if (lo > slots) return std::nullopt;  // empty box
     problem.add_variable(cost, lo, slots);

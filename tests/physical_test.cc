@@ -160,6 +160,25 @@ TEST(SchedulerTest, ExtraSlotsEnableReassignment) {
   EXPECT_TRUE(scheduler.place_stage(ctx, view, {0, 1}).has_value());
 }
 
+TEST(SchedulerTest, OverCommittedSiteOffersZeroSlots) {
+  // Site 0 is over-committed (-1 free slots, e.g. a pinned sink reserved on
+  // a full site); sites 1 and 2 have room. Site 0 must offer nothing, not
+  // make the whole stage infeasible.
+  FakeView view(3, 1000.0, 10.0, 2);
+  view.set_slots(SiteId(0), -1);
+  Scheduler scheduler;
+  StageContext ctx;
+  ctx.parallelism = 3;
+  ctx.upstream = {{SiteId(0), 1000.0, 100.0}};
+  const auto outcome = scheduler.place_stage(ctx, view);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->placement.at(SiteId(0)), 0);
+  EXPECT_EQ(outcome->placement.parallelism(), 3);
+  // A floor at the over-committed site still cannot be met.
+  ctx.min_per_site = {1, 0, 0};
+  EXPECT_FALSE(scheduler.place_stage(ctx, view).has_value());
+}
+
 TEST(SchedulerTest, ScaleUpCountsOwnVacatedSlots) {
   // Slot-tight cluster: one free slot at site 0, nothing else. The stage
   // currently runs one task each at sites 1 and 2; scaling to p = 3 only

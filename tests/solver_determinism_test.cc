@@ -206,7 +206,8 @@ class RandomView final : public NetworkView {
       : n_(n), bw_(n * n), lat_(n * n), slots_(n) {
     for (auto& b : bw_) b = rng.uniform() < 0.1 ? 0.0 : rng.uniform(5.0, 200.0);
     for (auto& l : lat_) l = rng.uniform(5.0, 300.0);
-    for (auto& s : slots_) s = static_cast<int>(rng.uniform_int(0, 4));
+    // Negative = over-committed (the site must offer zero slots).
+    for (auto& s : slots_) s = static_cast<int>(rng.uniform_int(-2, 4));
   }
   [[nodiscard]] std::size_t num_sites() const override { return n_; }
   [[nodiscard]] double available_mbps(SiteId f, SiteId t) const override {
@@ -267,7 +268,8 @@ TEST(SolverDeterminismTest, RandomStageContextsMatchReference) {
   // place_stage and the place_with_min_parallelism scale-out search agree
   // with the oracle on feasibility and objective, on random contexts that
   // exercise every bound the scheduler folds: floors, region caps,
-  // exclusions, the re-assignment's extra slots and dead links.
+  // exclusions, over-committed sites, the re-assignment's extra slots and dead
+  // links.
   for (const std::size_t n : {8u, 16u, 64u}) {
     SCOPED_TRACE("sites " + std::to_string(n));
     Rng rng(20260806 + n);
