@@ -41,9 +41,7 @@ int main(int argc, char** argv) {
     auto spec = make_query(bed, Query::kTopk);
     auto pattern = uniform_rates(spec, 10'000.0);
     pattern.add_step(300.0, 2.0);
-    runtime::SystemConfig config;
-    config.threads = opts.threads;
-    opts.apply_profile(&config);
+    runtime::SystemConfig config = opts.system_config();
     config.mode = runtime::AdaptationMode::kWasp;
     config.scheduler.alpha = alpha;
     config.trace_sink = opts.sink_for("alpha=" + TextTable::fmt(alpha, 2));

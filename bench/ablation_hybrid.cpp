@@ -36,9 +36,7 @@ Outcome run(wasp::runtime::AdaptationMode mode,
   auto pattern = uniform_rates(spec, 10'000.0);
   pattern.add_step(200.0, 2.5);
   pattern.add_step(800.0, 1.0);
-  runtime::SystemConfig config;
-  config.threads = opts.threads;
-  opts.apply_profile(&config);
+  runtime::SystemConfig config = opts.system_config();
   config.mode = mode;
   config.slo_sec = 10.0;
   if (mode != runtime::AdaptationMode::kNoAdapt) {

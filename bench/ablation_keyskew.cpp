@@ -35,9 +35,7 @@ Outcome run(wasp::runtime::AdaptationMode mode, double skew,
   auto spec = make_query(bed, Query::kTopk);
   auto pattern = uniform_rates(spec, 10'000.0);
   pattern.add_step(200.0, 2.0);
-  runtime::SystemConfig config;
-  config.threads = opts.threads;
-  opts.apply_profile(&config);
+  runtime::SystemConfig config = opts.system_config();
   config.mode = mode;
   if (mode != runtime::AdaptationMode::kNoAdapt) {
     config.trace_sink = opts.sink;

@@ -31,9 +31,7 @@ int main(int argc, char** argv) {
     auto p_topk = uniform_rates(topk, 10'000.0);
     p_topk.add_step(300.0, 2.5);  // tenant A surges
     auto p_ysb = uniform_rates(ysb, 10'000.0);
-    runtime::SystemConfig cfg;
-    cfg.threads = opts.threads;
-    opts.apply_profile(&cfg);
+    runtime::SystemConfig cfg = opts.system_config();
     cfg.mode = adapt ? runtime::AdaptationMode::kWasp
                      : runtime::AdaptationMode::kNoAdapt;
     if (adapt) cfg.trace_sink = opts.sink;

@@ -29,9 +29,7 @@ Outcome run(wasp::runtime::AdaptationMode mode,
   Testbed bed;
   auto spec = make_query(bed, Query::kTopk);
   auto pattern = uniform_rates(spec, 10'000.0);
-  runtime::SystemConfig config;
-  config.threads = opts.threads;
-  opts.apply_profile(&config);
+  runtime::SystemConfig config = opts.system_config();
   config.mode = mode;
   if (mode != runtime::AdaptationMode::kNoAdapt) {
     config.trace_sink = opts.sink;

@@ -7,6 +7,7 @@
 // monitoring interval, checkpointing every 30 s, initial parallelism 1.
 #pragma once
 
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include "net/network.h"
 #include "net/topology.h"
 #include "net/topology_spec.h"
+#include "runtime/run_spec.h"
 #include "runtime/wasp_system.h"
 #include "workload/patterns.h"
 #include "workload/queries.h"
@@ -33,34 +35,25 @@ inline constexpr std::uint64_t kSeed = 7;
 // by default; `--topology=SPEC` (default_topology_spec()) swaps in a
 // generated topology -- for the paper spec, build() is exactly
 // make_paper_testbed, so defaults are byte-identical to the historical
-// testbed. Roles stay type-based: edge sites feed sources (split east/west),
-// the first DC hosts the sink.
+// testbed. Site roles are wasp_sim's (runtime::site_roles): edge sites feed
+// the sources, split east/west, and the first DC hosts the sink; a topology
+// without edge sites uses the hub layout around site 0.
 struct Testbed {
   explicit Testbed(std::shared_ptr<const net::BandwidthModel> model = nullptr,
                    std::uint64_t seed = kSeed)
       : rng(seed),
         topology(default_topology_spec().build(rng)),
         network(topology, model ? model
-                                : std::make_shared<net::ConstantBandwidth>()) {
-    for (const auto& site : topology.sites()) {
-      if (site.type == net::SiteType::kEdge) {
-        (east.size() <= west.size() ? east : west).push_back(site.id);
-        edges.push_back(site.id);
-      } else {
-        dcs.push_back(site.id);
-        if (!sink.valid()) sink = site.id;
-      }
-    }
-  }
+                                : std::make_shared<net::ConstantBandwidth>()),
+        roles(runtime::site_roles(topology)) {}
 
   Rng rng;
   net::Topology topology;
   net::Network network;
-  std::vector<SiteId> east, west, edges, dcs;
-  SiteId sink;
+  runtime::SiteRoles roles;
 };
 
-enum class Query { kYsb, kTopk, kEventsOfInterest };
+using Query = runtime::QueryKind;
 
 inline const char* query_name(Query q) {
   switch (q) {
@@ -70,20 +63,22 @@ inline const char* query_name(Query q) {
       return "Top-K Popular Topics";
     case Query::kEventsOfInterest:
       return "Events of Interest";
+    case Query::kJoin:
+      return "Four-Source Join";
   }
   return "?";
 }
 
+// The query over the testbed's roles; exits 2 when the topology has too few
+// sites for it.
 inline workload::QuerySpec make_query(const Testbed& bed, Query q) {
-  switch (q) {
-    case Query::kYsb:
-      return workload::make_ysb_campaign(bed.edges, bed.sink);
-    case Query::kTopk:
-      return workload::make_topk_topics(bed.east, bed.west, bed.sink);
-    case Query::kEventsOfInterest:
-      return workload::make_events_of_interest(bed.edges, bed.sink);
+  std::string error;
+  auto spec = runtime::make_query(q, bed.roles, &error);
+  if (!spec.has_value()) {
+    std::cerr << error << "\n";
+    std::exit(2);
   }
-  return workload::make_topk_topics(bed.east, bed.west, bed.sink);
+  return std::move(*spec);
 }
 
 // Uniform per-site source rates (the §8.4 setup distributes the YSB evenly
@@ -91,11 +86,7 @@ inline workload::QuerySpec make_query(const Testbed& bed, Query q) {
 inline workload::SteppedWorkload uniform_rates(const workload::QuerySpec& spec,
                                                double eps_per_site) {
   workload::SteppedWorkload pattern;
-  for (OperatorId src : spec.sources) {
-    for (SiteId s : spec.plan.op(src).pinned_sites) {
-      pattern.set_base_rate(src, s, eps_per_site);
-    }
-  }
+  workload::set_base_rates(pattern, spec, eps_per_site);
   return pattern;
 }
 

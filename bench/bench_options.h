@@ -37,9 +37,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/number.h"
 #include "net/topology_spec.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "runtime/wasp_system.h"
 
 namespace wasp::bench {
 
@@ -57,21 +59,33 @@ struct BenchOptions {
   std::shared_ptr<obs::FileSink> sink;  // null unless --trace-out was given
   std::string trace_out;
   std::string metrics_out;  // empty unless --metrics was given
-  std::string topology;     // canonical spec; empty = paper testbed
   int jobs = 1;             // worker threads for the driver's independent runs
   int threads = 1;          // intra-run worker threads per simulation
   bool profile = false;     // always-on phase profiler (DESIGN.md §13)
   int profile_every = 60;   // profile-event cadence in ticks
 
-  // Copies the profiler knobs into a run's SystemConfig; drivers call this
-  // on every config they build so `--profile` covers all of a driver's runs.
-  template <typename SystemConfigT>
-  void apply_profile(SystemConfigT* config) const {
-    config->profile = profile;
-    config->profile_every = profile_every;
+  // A run config carrying the execution settings (threads, profiler);
+  // drivers start every run's config from it so the flags cover all runs.
+  [[nodiscard]] runtime::SystemConfig system_config() const {
+    runtime::SystemConfig config;
+    config.threads = threads;
+    config.profile = profile;
+    config.profile_every = profile_every;
+    return config;
   }
 
-  // Parses argv; exits with usage on an unknown flag or an unopenable file.
+  // `value` as a whole-string integer >= 1; exits 2 on anything else.
+  static int count_or_exit(const std::string& flag, const std::string& value) {
+    int count = 0;
+    if (!parse_number(value, &count) || count < 1) {
+      std::cerr << flag << " needs an integer >= 1, got '" << value << "'\n";
+      std::exit(2);
+    }
+    return count;
+  }
+
+  // Parses argv; exits 2 on an unknown flag or a bad value, 1 on an
+  // unopenable file.
   static BenchOptions parse(int argc, char** argv) {
     BenchOptions opts;
     for (int i = 1; i < argc; ++i) {
@@ -83,55 +97,41 @@ struct BenchOptions {
       const std::string profile_every_prefix = "--profile-every=";
       const std::string topology_prefix = "--topology=";
       if (arg == "--help" || arg == "-h") {
-        std::cout << argv[0]
-                  << " [--jobs=N] [--threads=N] [--profile] [--trace-out=FILE] "
-                     "[--metrics=FILE]\n"
-                     "  --jobs=N          fan independent runs across N "
-                     "worker threads\n"
-                     "                    (results identical for any N)\n"
-                     "  --threads=N       intra-run worker threads sharing "
-                     "each run's tick\n"
-                     "                    (results identical for any N; keep "
-                     "jobs*threads\n"
-                     "                    within the machine's cores)\n"
-                     "  --trace-out=FILE  write the observability trace "
-                     "(JSONL) to FILE;\n"
-                     "                    with --jobs>1 each traced run gets "
-                     "FILE with its\n"
-                     "                    label inserted before the "
-                     "extension\n"
-                     "  --metrics=FILE    write per-run metrics snapshots "
-                     "(JSONL) to FILE\n"
-                     "  --profile         always-on phase profiler: emit "
-                     "periodic `profile`\n"
-                     "                    events into the trace (pure "
-                     "observer; results\n"
-                     "                    stay bit-identical)\n"
-                     "  --profile-every=N profile-event cadence in ticks "
-                     "(default 60;\n"
-                     "                    implies --profile)\n"
-                     "  --topology=SPEC   run on a generated topology instead "
-                     "of the 16-site\n"
-                     "                    paper testbed: paper | "
-                     "uniform:sites=,slots=,bw=,lat=\n"
-                     "                    | edge:sites=,regions=,core=,... "
-                     "(DESIGN.md §14).\n"
-                     "                    Drivers that pin sources to edge "
-                     "sites need a spec\n"
-                     "                    with edge sites (paper or edge:)\n";
+        std::cout << argv[0] << R"( [--jobs=N] [--threads=N] [--profile]
+    [--trace-out=FILE] [--metrics=FILE] [--topology=SPEC]
+  --jobs=N          fan independent runs across N worker threads
+                    (results identical for any N)
+  --threads=N       intra-run worker threads sharing each run's tick
+                    (results identical for any N; keep jobs*threads
+                    within the machine's cores)
+  --trace-out=FILE  write the observability trace (JSONL) to FILE;
+                    with --jobs>1 each traced run gets FILE with its
+                    label inserted before the extension
+  --metrics=FILE    write per-run metrics snapshots (JSONL) to FILE
+  --profile         always-on phase profiler: emit periodic `profile`
+                    events into the trace (pure observer; results
+                    stay bit-identical)
+  --profile-every=N profile-event cadence in ticks (default 60;
+                    implies --profile)
+  --topology=SPEC   run on a generated topology instead of the 16-site
+                    paper testbed: paper | uniform:sites=,slots=,bw=,lat=
+                    | edge:sites=,regions=,core=,... (DESIGN.md §14).
+                    Without edge sites, site 0 hosts the sink and the
+                    other sites feed the sources
+)";
         std::exit(0);
       } else if (arg.rfind(trace_prefix, 0) == 0) {
         opts.trace_out = arg.substr(trace_prefix.size());
       } else if (arg.rfind(metrics_prefix, 0) == 0) {
         opts.metrics_out = arg.substr(metrics_prefix.size());
       } else if (arg.rfind(jobs_prefix, 0) == 0) {
-        opts.jobs = std::max(1, std::atoi(arg.substr(jobs_prefix.size()).c_str()));
+        opts.jobs = count_or_exit("--jobs", arg.substr(jobs_prefix.size()));
       } else if (arg.rfind(threads_prefix, 0) == 0) {
         opts.threads =
-            std::max(1, std::atoi(arg.substr(threads_prefix.size()).c_str()));
+            count_or_exit("--threads", arg.substr(threads_prefix.size()));
       } else if (arg.rfind(profile_every_prefix, 0) == 0) {
-        opts.profile_every = std::max(
-            1, std::atoi(arg.substr(profile_every_prefix.size()).c_str()));
+        opts.profile_every = count_or_exit(
+            "--profile-every", arg.substr(profile_every_prefix.size()));
         opts.profile = true;
       } else if (arg == "--profile") {
         opts.profile = true;
@@ -144,7 +144,6 @@ struct BenchOptions {
           std::exit(2);
         }
         default_topology_spec() = *spec;
-        opts.topology = spec->to_string();
       } else {
         std::cerr << "unknown argument: " << arg
                   << " (supported: --jobs=N --threads=N --profile "

@@ -38,9 +38,7 @@ int main(int argc, char** argv) {
       auto pattern = uniform_rates(spec, 10'000.0);
       pattern.add_step(300.0, 2.0);
       pattern.add_step(600.0, 1.0);
-      runtime::SystemConfig config;
-      config.threads = opts.threads;
-      opts.apply_profile(&config);
+      runtime::SystemConfig config = opts.system_config();
       config.mode = kModes[m];
       config.slo_sec = 10.0;
       if (kModes[m] == runtime::AdaptationMode::kWasp) {

@@ -39,9 +39,7 @@ int main(int argc, char** argv) {
     auto pattern = uniform_rates(spec, 10'000.0);
     pattern.add_step(300.0, 2.0);   // x2
     pattern.add_step(900.0, 1.0);   // back to x1
-    runtime::SystemConfig config;
-    config.threads = opts.threads;
-    opts.apply_profile(&config);
+    runtime::SystemConfig config = opts.system_config();
     config.mode = kModes[m];
     if (kModes[m] != runtime::AdaptationMode::kNoAdapt) {
       config.trace_sink = opts.sink;

@@ -25,9 +25,8 @@ struct LiveRun {
 
 LiveRun run_mode(wasp::runtime::AdaptationMode mode,
                  wasp::TimeSeries* variation_out,
-                 std::shared_ptr<wasp::obs::TraceSink> trace_sink = nullptr,
-                 int threads = 1,
-                 const wasp::bench::BenchOptions* opts = nullptr) {
+                 std::shared_ptr<wasp::obs::TraceSink> trace_sink,
+                 const wasp::bench::BenchOptions& opts) {
   using namespace wasp;
   using namespace wasp::bench;
 
@@ -49,26 +48,20 @@ LiveRun run_mode(wasp::runtime::AdaptationMode mode,
   workload::RandomWalkWorkload::Config wl_cfg;
   wl_cfg.horizon_sec = 1800.0;
   workload::RandomWalkWorkload pattern(wl_cfg, wl_rng);
-  for (OperatorId src : spec.sources) {
-    for (SiteId s : spec.plan.op(src).pinned_sites) {
-      pattern.set_base_rate(src, s, 10'000.0);
-    }
-  }
+  workload::set_base_rates(pattern, spec, 10'000.0);
 
   if (variation_out != nullptr) {
     // Sample one link's bandwidth factor and one site's workload factor.
     TimeSeries bw("bandwidth_factor"), wl("workload_factor");
     for (double t = 0.0; t <= 1800.0; t += 60.0) {
       bw.add(t, bw_model->factor(SiteId(0), SiteId(1), t));
-      wl.add(t, pattern.factor(bed.edges[0], t));
+      wl.add(t, pattern.factor(bed.roles.edges[0], t));
     }
     variation_out[0] = bw;
     variation_out[1] = wl;
   }
 
-  runtime::SystemConfig config;
-  config.threads = threads;
-  if (opts != nullptr) opts->apply_profile(&config);
+  runtime::SystemConfig config = opts.system_config();
   config.mode = mode;
   config.slo_sec = 10.0;
   config.trace_sink = std::move(trace_sink);
@@ -114,7 +107,7 @@ int main(int argc, char** argv) {
         mode, mode == runtime::AdaptationMode::kNoAdapt ? variations : nullptr,
         mode == runtime::AdaptationMode::kWasp ? opts.sink_for("wasp")
                                                : nullptr,
-        opts.threads, &opts);
+        opts);
   });
   for (std::size_t i = 0; i < runs.size(); ++i) {
     opts.write_metrics(to_string(kModes[i]), runs[i].metrics);

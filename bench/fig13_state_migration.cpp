@@ -38,9 +38,7 @@ MigrationRun run_strategy(wasp::state::MigrationStrategy strategy,
   }
   auto pattern = uniform_rates(spec, 10'000.0);
 
-  runtime::SystemConfig config;
-  config.threads = opts.threads;
-  opts.apply_profile(&config);
+  runtime::SystemConfig config = opts.system_config();
   config.mode = runtime::AdaptationMode::kNoAdapt;  // controlled experiment
   config.migration = strategy;
   config.trace_sink = opts.sink;  // forced migrations still emit spans
@@ -73,8 +71,8 @@ MigrationRun run_strategy(wasp::state::MigrationStrategy strategy,
   }
   const auto used = eng.slots_in_use();
   std::vector<SiteId> valid;
-  for (SiteId dc : bed.dcs) {
-    if (current.at(dc) != 0 || dc == bed.sink) continue;
+  for (SiteId dc : bed.roles.dcs) {
+    if (current.at(dc) != 0 || dc == bed.roles.sink) continue;
     if (used[static_cast<std::size_t>(dc.value())] >=
         bed.topology.site(dc).slots) {
       continue;
@@ -91,8 +89,8 @@ MigrationRun run_strategy(wasp::state::MigrationStrategy strategy,
   }
   // Fall back to any non-current DC if validation left nothing.
   if (valid.empty()) {
-    for (SiteId dc : bed.dcs) {
-      if (current.at(dc) == 0 && dc != bed.sink) valid.push_back(dc);
+    for (SiteId dc : bed.roles.dcs) {
+      if (current.at(dc) == 0 && dc != bed.roles.sink) valid.push_back(dc);
     }
   }
   Rng pick_rng(kSeed + 3);

@@ -41,9 +41,7 @@ Run run_case(double state_mb, bool partitioned,
   }
   auto pattern = uniform_rates(spec, 10'000.0);
 
-  runtime::SystemConfig config;
-  config.threads = opts.threads;
-  opts.apply_profile(&config);
+  runtime::SystemConfig config = opts.system_config();
   config.mode = runtime::AdaptationMode::kNoAdapt;
   config.migration = state::MigrationStrategy::kNetworkAware;
   config.trace_sink = opts.sink;  // forced migrations still emit spans
@@ -54,8 +52,8 @@ Run run_case(double state_mb, bool partitioned,
   // Candidate destination sites: data centers without window tasks.
   const auto current = system.engine().placement(window_op);
   std::vector<SiteId> candidates;
-  for (SiteId dc : bed.dcs) {
-    if (current.at(dc) == 0 && dc != bed.sink) candidates.push_back(dc);
+  for (SiteId dc : bed.roles.dcs) {
+    if (current.at(dc) == 0 && dc != bed.roles.sink) candidates.push_back(dc);
   }
 
   // Default: the whole stage (and state) to one site. Partitioned: estimate

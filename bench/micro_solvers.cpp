@@ -24,6 +24,7 @@
 #include "physical/physical_plan.h"
 #include "physical/scheduler.h"
 #include "query/planner.h"
+#include "runtime/run_spec.h"
 #include "state/migration.h"
 #include "workload/queries.h"
 
@@ -139,16 +140,8 @@ struct FigScaleSuite {
   FigScaleSuite() {
     Rng rng(7);
     topo = net::Topology::make_paper_testbed(rng);
-    std::vector<SiteId> east, west, edges;
-    SiteId sink;
-    for (const auto& site : topo.sites()) {
-      if (site.type == net::SiteType::kEdge) {
-        (east.size() <= west.size() ? east : west).push_back(site.id);
-        edges.push_back(site.id);
-      } else if (!sink.valid()) {
-        sink = site.id;
-      }
-    }
+    const runtime::SiteRoles roles = runtime::site_roles(topo);
+    const auto& [east, west, edges, dcs, sink] = roles;
     const std::vector<SiteId> four(edges.begin(), edges.begin() + 4);
     auto add = [&](workload::QuerySpec spec, double eps) {
       std::unordered_map<OperatorId, double> src;
@@ -274,11 +267,10 @@ void BM_MigrationMinMaxLp(benchmark::State& state) {
 BENCHMARK(BM_MigrationMinMaxLp)->Arg(2)->Arg(4)->Arg(8)->Arg(32);
 
 // Shared body of the engine-tick benchmarks: top-k query over the given
-// topology with sources split east/west, hub placement at the sink site.
+// topology with wasp_sim's site roles, hub placement at the sink site.
 void run_engine_tick_topk(benchmark::State& state, const net::Topology& topo,
-                          const std::vector<SiteId>& east,
-                          const std::vector<SiteId>& west, SiteId sink,
                           int threads = 1) {
+  const auto [east, west, edges, dcs, sink] = runtime::site_roles(topo);
   net::Network network(topo, std::make_shared<net::ConstantBandwidth>());
   // Intra-run parallelism (DESIGN.md §11): threads-1 pool workers plus the
   // caller. Results are bit-identical across thread counts, so the thread
@@ -323,17 +315,7 @@ void run_engine_tick_topk(benchmark::State& state, const net::Topology& topo,
 
 void BM_EngineTickTopk(benchmark::State& state) {
   Rng rng(7);
-  net::Topology topo = net::Topology::make_paper_testbed(rng);
-  std::vector<SiteId> east, west;
-  SiteId sink;
-  for (const auto& site : topo.sites()) {
-    if (site.type == net::SiteType::kEdge) {
-      (east.size() <= west.size() ? east : west).push_back(site.id);
-    } else if (!sink.valid()) {
-      sink = site.id;
-    }
-  }
-  run_engine_tick_topk(state, topo, east, west, sink);
+  run_engine_tick_topk(state, net::Topology::make_paper_testbed(rng));
 }
 BENCHMARK(BM_EngineTickTopk);
 
@@ -346,13 +328,8 @@ BENCHMARK(BM_EngineTickTopk);
 void BM_EngineTickTopkScale(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
-  net::Topology topo = net::Topology::make_uniform(n, 4, 500.0, 20.0);
-  const SiteId sink = SiteId(0);
-  std::vector<SiteId> east, west;
-  for (int i = 1; i < n; ++i) {
-    (i % 2 != 0 ? east : west).push_back(SiteId(i));
-  }
-  run_engine_tick_topk(state, topo, east, west, sink, threads);
+  run_engine_tick_topk(state, net::Topology::make_uniform(n, 4, 500.0, 20.0),
+                       threads);
 }
 BENCHMARK(BM_EngineTickTopkScale)
     ->ArgsProduct({{16, 64, 256}, {1, 2, 4}});

@@ -36,9 +36,7 @@ Measured run_mode(wasp::runtime::AdaptationMode mode,
     if (op.kind == query::OperatorKind::kWindowAggregate) window_op = op.id;
   }
   auto pattern = uniform_rates(spec, 10'000.0);
-  runtime::SystemConfig config;
-  config.threads = opts.threads;
-  opts.apply_profile(&config);
+  runtime::SystemConfig config = opts.system_config();
   config.mode = mode;
   config.slo_sec = 10.0;
   config.trace_sink = opts.sink;

@@ -27,9 +27,7 @@ QueryInfo inspect(wasp::bench::Query q,
   Testbed bed;
   auto spec = make_query(bed, q);
   auto pattern = uniform_rates(spec, 10'000.0);
-  runtime::SystemConfig config;
-  config.threads = opts.threads;
-  opts.apply_profile(&config);
+  runtime::SystemConfig config = opts.system_config();
   config.mode = runtime::AdaptationMode::kNoAdapt;
   config.trace_sink = opts.sink;
   runtime::WaspSystem system(bed.network, std::move(spec), pattern, config);

@@ -14,6 +14,7 @@
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "runtime/run_spec.h"
 #include "runtime/wasp_system.h"
 #include "workload/patterns.h"
 #include "workload/queries.h"
@@ -36,26 +37,15 @@ int main() {
       topo, std::make_shared<net::RandomWalkBandwidth>(topo.num_sites(),
                                                        bw_cfg, bw_rng));
 
-  std::vector<SiteId> east, west;
-  SiteId sink;
-  for (const auto& site : topo.sites()) {
-    if (site.type == net::SiteType::kEdge) {
-      (east.size() <= west.size() ? east : west).push_back(site.id);
-    } else if (!sink.valid()) {
-      sink = site.id;
-    }
-  }
-  workload::QuerySpec query = workload::make_topk_topics(east, west, sink);
+  const runtime::SiteRoles roles = runtime::site_roles(topo);
+  workload::QuerySpec query =
+      workload::make_topk_topics(roles.east, roles.west, roles.sink);
 
   Rng wl_rng(43);
   workload::RandomWalkWorkload::Config wl_cfg;
   wl_cfg.horizon_sec = 1800.0;
   workload::RandomWalkWorkload pattern(wl_cfg, wl_rng);
-  for (OperatorId src : query.sources) {
-    for (SiteId s : query.plan.op(src).pinned_sites) {
-      pattern.set_base_rate(src, s, 10'000.0);
-    }
-  }
+  workload::set_base_rates(pattern, query, 10'000.0);
 
   runtime::SystemConfig config;
   config.mode = runtime::AdaptationMode::kWasp;

@@ -13,6 +13,7 @@
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "runtime/run_spec.h"
 #include "runtime/wasp_system.h"
 #include "workload/patterns.h"
 #include "workload/queries.h"
@@ -28,27 +29,15 @@ int main() {
   net::Network network(topo, std::make_shared<net::ConstantBandwidth>());
 
   // Edge sites host the sources; one data center hosts the sink.
-  std::vector<SiteId> east, west;
-  SiteId sink;
-  for (const auto& site : topo.sites()) {
-    if (site.type == net::SiteType::kEdge) {
-      (east.size() <= west.size() ? east : west).push_back(site.id);
-    } else if (!sink.valid()) {
-      sink = site.id;
-    }
-  }
+  const runtime::SiteRoles roles = runtime::site_roles(topo);
 
   // 2. The query: Top-K popular topics (stateful windowed aggregation).
-  workload::QuerySpec query = workload::make_topk_topics(east, west, sink);
+  workload::QuerySpec query =
+      workload::make_topk_topics(roles.east, roles.west, roles.sink);
 
   // 3. The workload: 10k events/s per source site, doubling at t=300 s.
   workload::SteppedWorkload pattern;
-  for (std::size_t i = 0; i < query.sources.size(); ++i) {
-    const auto& op = query.plan.op(query.sources[i]);
-    for (SiteId s : op.pinned_sites) {
-      pattern.set_base_rate(query.sources[i], s, 10'000.0);
-    }
-  }
+  workload::set_base_rates(pattern, query, 10'000.0);
   pattern.add_step(300.0, 2.0);
 
   // 4. Deploy with the full WASP policy and run 10 simulated minutes.

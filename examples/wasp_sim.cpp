@@ -2,7 +2,9 @@
 //
 // Drives any of the benchmark queries under configurable dynamics and
 // adaptation modes, printing either a human-readable summary or a CSV
-// time series -- the general-purpose front door to the simulator.
+// time series -- the general-purpose front door to the simulator. Every run
+// key of runtime::RunSpec is a --key=value flag; the flags parsed here only
+// say how the run executes and where its results go.
 //
 // Examples:
 //   wasp_sim                                      # Top-K, full WASP, defaults
@@ -20,30 +22,19 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/log.h"
-#include "common/rng.h"
+#include "common/number.h"
 #include "common/table.h"
-#include "faults/fault_injector.h"
-#include "faults/fault_schedule.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "net/bandwidth_model.h"
-#include "net/network.h"
-#include "net/topology.h"
-#include "net/topology_spec.h"
-#include "net/trace_io.h"
-#include "workload/trace_io.h"
-#include "runtime/wasp_system.h"
-#include "workload/patterns.h"
-#include "workload/queries.h"
+#include "runtime/run_spec.h"
 
 namespace {
 
 using namespace wasp;
 
-// SIGINT/SIGTERM land here; the run loops stop at the next tick boundary and
+// SIGINT/SIGTERM land here; the run loop stops at the next tick boundary and
 // fall through the normal finish path (flush the FileSink, final profile
 // event, metrics dump, report), so an interrupted run still produces a
 // `wasp_trace validate`-clean trace.
@@ -51,133 +42,50 @@ volatile std::sig_atomic_t g_interrupted = 0;
 
 void handle_stop_signal(int /*signum*/) { g_interrupted = 1; }
 
-struct Options {
-  std::string query = "topk";
-  std::string mode = "wasp";
-  double duration = 900.0;
-  double rate = 10'000.0;
-  std::uint64_t seed = 7;
-  std::string topology;  // --topology spec; empty = paper testbed / --sites
-  int sites = 0;    // 0 = the 16-site paper testbed
-  int threads = 1;  // intra-run worker threads
-  int standby_replicas = 0;  // hot standbys per protected stage
-  double slo = 10.0;
-  std::string slo_spec;  // --slo=key=value,... (watchdog form)
-  double alpha = 0.8;
-  bool live_bandwidth = false;
-  bool live_workload = false;
-  bool csv = false;
-  bool verbose = false;
-  bool profile = false;
-  int profile_every = 60;
-  std::string trace_file;
-  std::string workload_trace_file;
+// The command line: the run spec (every --key=value that is not one of
+// wasp_sim's own flags), how the run executes, and where its results go.
+struct Flags {
+  runtime::RunSpec spec;
+  runtime::RunSettings settings;
   std::string trace_out;
   std::string metrics_out;
   std::string bench_out;
-  std::string fault_schedule_file;
-  std::vector<std::pair<double, double>> workload_steps;
-  std::vector<std::pair<double, double>> bandwidth_steps;
-  std::optional<std::pair<double, double>> failure;  // (t, duration)
+  bool csv = false;
+  bool verbose = false;
 };
 
 void print_usage() {
-  std::cout <<
-      R"(wasp_sim -- wide-area adaptive stream processing scenario runner
-
-  --query=topk|ysb|interest|join   query to deploy (default topk)
-  --mode=wasp|no-adapt|degrade|re-assign|scale|re-plan|hybrid
-                                   adaptation mode (default wasp)
-  --duration=SECONDS               simulated runtime (default 900)
-  --rate=EPS                       base events/s per source site (default 10000)
-  --seed=N                         master seed (default 7)
-  --sites=N                        run on a uniform N-site clique (4 slots,
-                                   500 Mbps, 20 ms) instead of the 16-site
-                                   paper testbed; site 0 hosts the sink, the
-                                   rest feed sources (scale experiments)
-  --topology=SPEC                  generated topology (DESIGN.md §14):
-                                     paper            16-site paper testbed
-                                     uniform:sites=N,slots=S,bw=MBPS,lat=MS
-                                     edge:sites=200,regions=8,core=4,
-                                          regional=1,core-slots=16,
-                                          regional-slots=8,edge-slots=2-4,
-                                          domains-per-region=1
-                                   every key optional; ';' also separates
-                                   pairs. The edge hierarchy is seeded by
-                                   --seed (same seed, same topology) and
-                                   auto-enables region-decomposed failure
-                                   recovery. Mutually exclusive with --sites
+  std::cout << "wasp_sim -- wide-area adaptive stream processing scenario "
+               "runner\n\nRun keys:\n"
+            << runtime::RunSpec::help(runtime::RunSpec{}) <<
+      R"(
+Execution and output (results and traces are identical for any value):
   --threads=N                      intra-run worker threads sharing one run's
-                                   tick (default 1). Results and traces are
-                                   bit-identical for any N; combine with a
-                                   sweep's --jobs so jobs x threads stays
-                                   within the machine's cores
-  --standby-replicas=N             hot-standby replicas per protected stateful
-                                   stage (default 0 = replan-only recovery).
-                                   Replicas are placed in distinct failure
-                                   domains, kept warm by periodic delta syncs
-                                   over the shared WAN, and promoted -- no
-                                   solver on the hot path -- when a primary
-                                   site is confirmed failed (DESIGN.md §12)
-  --slo=SECONDS                    degrade/hybrid SLO (default 10)
-  --slo=SPEC                       declarative SLO watchdog instead: comma-
-                                   separated bounds evaluated per tick over a
-                                   sliding window, e.g.
-                                   --slo=delay_p99=5s,ratio_min=0.9,window=30s
-                                   (keys: delay_p99 delay_p95 delay_max
-                                   ratio_min window). Violation episodes
-                                   appear as slo_violation trace spans and
-                                   slo.* metrics.
-  --alpha=X                        bandwidth utilization threshold (default 0.8)
-  --workload-step=T:FACTOR         scale the workload by FACTOR at time T
-                                   (repeatable)
-  --bandwidth-step=T:FACTOR        scale every link by FACTOR at time T
-                                   (repeatable)
-  --live-bandwidth                 random-walk bandwidth (factors 0.51-2.36)
-  --live-workload                  random-walk workload (factors 0.8-2.4)
-  --trace=FILE                     replay a bandwidth-trace CSV
-                                   (time_sec,from_site,to_site,factor)
-  --workload-trace=FILE            replay a workload-trace CSV
-                                   (time_sec,source_name,site,events_per_sec)
-  --fail=T:DURATION                revoke all compute at T for DURATION seconds
-  --fault-schedule=FILE            replay a scripted chaos schedule (crash /
-                                   restore / partition / heal / flap /
-                                   straggler / stall lines; see DESIGN.md §8)
-  --trace-out=FILE                 write the structured observability trace
-                                   (schema-versioned JSONL) to FILE
-  --profile                        always-on phase profiler (DESIGN.md §13):
-                                   per-tick phase timings and thread-pool
-                                   stats, printed as a table at exit and --
-                                   with --trace-out -- emitted as periodic
-                                   `profile` trace events for `wasp_trace
-                                   profile`. Pure observer: results and
-                                   traces stay bit-identical (timing fields
-                                   are wall_*-prefixed and diff-exempt)
-  --profile-every=N                emit a profile event every N ticks
-                                   (default 60; implies --profile)
-  --metrics=FILE                   write the final metrics-registry snapshot
-                                   (flat JSON object) to FILE
-  --bench-out=FILE                 write a wall-clock benchmark JSON (wall_ms,
-                                   ticks, ticks_per_sec) to FILE
+                                   tick (default 1; keep jobs x threads within
+                                   the machine's cores)
+  --profile                        phase profiler (DESIGN.md §13): a table at
+                                   exit and, with --trace-out, periodic
+                                   `profile` events for `wasp_trace profile`
+  --profile-every=N                profile cadence in ticks (default 60;
+                                   implies --profile)
+  --trace-out=FILE                 write the observability trace (JSONL)
+  --metrics=FILE                   write the final metrics snapshot (JSON)
+  --bench-out=FILE                 write wall_ms, ticks, ticks_per_sec and the
+                                   canonical run spec ("run") as JSON
   --csv                            print t,delay_s,ratio,parallelism_x as CSV
   --verbose                        narrate adaptation decisions
   --help                           this text
 )";
 }
 
-bool parse_pair(const std::string& value, std::pair<double, double>* out) {
-  const auto colon = value.find(':');
-  if (colon == std::string::npos) return false;
-  try {
-    out->first = std::stod(value.substr(0, colon));
-    out->second = std::stod(value.substr(colon + 1));
-  } catch (...) {
-    return false;
-  }
-  return true;
+// Whole-string integer >= 1 for a count flag.
+bool parse_count(const std::string& flag, const std::string& value, int* out) {
+  if (parse_number(value, out) && *out >= 1) return true;
+  std::cerr << flag << " needs an integer >= 1, got '" << value << "'\n";
+  return false;
 }
 
-bool parse_args(int argc, char** argv, Options* opts) {
+bool parse_args(int argc, char** argv, Flags* opts) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value_of = [&](const char* flag) -> std::optional<std::string> {
@@ -185,290 +93,46 @@ bool parse_args(int argc, char** argv, Options* opts) {
       if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
       return std::nullopt;
     };
+    std::string error;
     if (arg == "--help" || arg == "-h") {
       print_usage();
       std::exit(0);
-    } else if (auto v = value_of("--query")) {
-      opts->query = *v;
-    } else if (auto v = value_of("--mode")) {
-      opts->mode = *v;
-    } else if (auto v = value_of("--duration")) {
-      opts->duration = std::stod(*v);
-    } else if (auto v = value_of("--rate")) {
-      opts->rate = std::stod(*v);
-    } else if (auto v = value_of("--seed")) {
-      opts->seed = std::stoull(*v);
-    } else if (auto v = value_of("--topology")) {
-      opts->topology = *v;
-    } else if (auto v = value_of("--sites")) {
-      opts->sites = std::stoi(*v);
-      if (opts->sites < 2) {
-        std::cerr << "--sites needs at least 2 (sink + a source site)\n";
-        return false;
-      }
-    } else if (auto v = value_of("--threads")) {
-      opts->threads = std::stoi(*v);
-      if (opts->threads < 1) {
-        std::cerr << "--threads must be >= 1\n";
-        return false;
-      }
-    } else if (auto v = value_of("--standby-replicas")) {
-      opts->standby_replicas = std::stoi(*v);
-      if (opts->standby_replicas < 0) {
-        std::cerr << "--standby-replicas must be >= 0\n";
-        return false;
-      }
-    } else if (auto v = value_of("--slo")) {
-      // Two forms: a plain number is the legacy degrade/hybrid SLO seconds;
-      // anything with '=' is a declarative watchdog spec.
-      if (v->find('=') != std::string::npos) {
-        opts->slo_spec = *v;
-      } else {
-        opts->slo = std::stod(*v);
-      }
-    } else if (auto v = value_of("--alpha")) {
-      opts->alpha = std::stod(*v);
-    } else if (auto v = value_of("--trace")) {
-      opts->trace_file = *v;
-    } else if (auto v = value_of("--workload-trace")) {
-      opts->workload_trace_file = *v;
     } else if (auto v = value_of("--trace-out")) {
       opts->trace_out = *v;
     } else if (auto v = value_of("--metrics")) {
       opts->metrics_out = *v;
     } else if (auto v = value_of("--bench-out")) {
       opts->bench_out = *v;
-    } else if (auto v = value_of("--fault-schedule")) {
-      opts->fault_schedule_file = *v;
-    } else if (auto v = value_of("--workload-step")) {
-      std::pair<double, double> step;
-      if (!parse_pair(*v, &step)) return false;
-      opts->workload_steps.push_back(step);
-    } else if (auto v = value_of("--bandwidth-step")) {
-      std::pair<double, double> step;
-      if (!parse_pair(*v, &step)) return false;
-      opts->bandwidth_steps.push_back(step);
-    } else if (auto v = value_of("--fail")) {
-      std::pair<double, double> f;
-      if (!parse_pair(*v, &f)) return false;
-      opts->failure = f;
+    } else if (auto v = value_of("--threads")) {
+      if (!parse_count("--threads", *v, &opts->settings.threads)) return false;
     } else if (auto v = value_of("--profile-every")) {
-      opts->profile_every = std::stoi(*v);
-      if (opts->profile_every < 1) {
-        std::cerr << "--profile-every must be >= 1\n";
+      if (!parse_count("--profile-every", *v,
+                       &opts->settings.profile_every)) {
         return false;
       }
-      opts->profile = true;
+      opts->settings.profile = true;
     } else if (arg == "--profile") {
-      opts->profile = true;
-    } else if (arg == "--live-bandwidth") {
-      opts->live_bandwidth = true;
-    } else if (arg == "--live-workload") {
-      opts->live_workload = true;
+      opts->settings.profile = true;
     } else if (arg == "--csv") {
       opts->csv = true;
     } else if (arg == "--verbose") {
       opts->verbose = true;
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
+    } else if (!opts->spec.set_arg(arg, &error)) {
+      std::cerr << error << " (see --help)\n";
       return false;
     }
   }
   return true;
 }
 
-std::optional<runtime::AdaptationMode> mode_of(const std::string& name) {
-  if (name == "wasp") return runtime::AdaptationMode::kWasp;
-  if (name == "no-adapt") return runtime::AdaptationMode::kNoAdapt;
-  if (name == "degrade") return runtime::AdaptationMode::kDegrade;
-  if (name == "re-assign") return runtime::AdaptationMode::kReassignOnly;
-  if (name == "scale") return runtime::AdaptationMode::kScaleOnly;
-  if (name == "re-plan") return runtime::AdaptationMode::kReplanOnly;
-  if (name == "hybrid") return runtime::AdaptationMode::kHybrid;
-  return std::nullopt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opts;
-  if (!parse_args(argc, argv, &opts)) {
-    print_usage();
-    return 2;
-  }
-  const auto mode = mode_of(opts.mode);
-  if (!mode.has_value()) {
-    std::cerr << "unknown mode '" << opts.mode << "'\n";
-    return 2;
-  }
+  Flags opts;
+  if (!parse_args(argc, argv, &opts)) return 2;
   if (opts.verbose) set_log_level(LogLevel::kInfo);
+  const runtime::RunSpec& spec = opts.spec;
 
-  // --- substrate -----------------------------------------------------------
-  if (!opts.topology.empty() && opts.sites > 0) {
-    std::cerr << "--topology and --sites are mutually exclusive\n";
-    return 2;
-  }
-  std::optional<net::TopologySpec> topo_spec;
-  if (!opts.topology.empty()) {
-    std::string error;
-    topo_spec = net::TopologySpec::parse(opts.topology, &error);
-    if (!topo_spec.has_value()) {
-      std::cerr << "bad --topology spec: " << error << "\n";
-      return 2;
-    }
-  }
-  Rng rng(opts.seed);
-  net::Topology topo =
-      topo_spec.has_value()
-          ? topo_spec->build(rng)
-          : (opts.sites > 0
-                 ? net::Topology::make_uniform(opts.sites, 4, 500.0, 20.0)
-                 : net::Topology::make_paper_testbed(rng));
-
-  std::shared_ptr<const net::BandwidthModel> bw_model =
-      std::make_shared<net::ConstantBandwidth>();
-  if (!opts.trace_file.empty()) {
-    std::ifstream in(opts.trace_file);
-    if (!in) {
-      std::cerr << "cannot open trace file '" << opts.trace_file << "'\n";
-      return 1;
-    }
-    std::string error;
-    auto trace = std::make_shared<net::TraceBandwidth>(
-        net::load_bandwidth_trace(in, &error));
-    if (!error.empty()) {
-      std::cerr << error << "\n";
-      return 1;
-    }
-    bw_model = std::move(trace);
-  } else if (opts.live_bandwidth) {
-    Rng bw_rng(opts.seed + 1);
-    net::RandomWalkBandwidth::Config cfg;
-    cfg.horizon_sec = opts.duration;
-    cfg.min_factor = 0.51;
-    cfg.max_factor = 2.36;
-    bw_model = std::make_shared<net::RandomWalkBandwidth>(topo.num_sites(),
-                                                          cfg, bw_rng);
-  }
-  if (!opts.bandwidth_steps.empty()) {
-    bw_model = std::make_shared<net::ComposedBandwidth>(
-        bw_model,
-        std::make_shared<net::SteppedBandwidth>(opts.bandwidth_steps));
-  }
-  net::Network network(topo, bw_model);
-
-  std::vector<SiteId> east, west, edges, dcs;
-  SiteId sink;
-  const bool uniform_roles =
-      opts.sites > 0 || (topo_spec.has_value() &&
-                         topo_spec->kind == net::TopologySpec::Kind::kUniform);
-  if (uniform_roles) {
-    // Uniform clique (scale experiments): site 0 is the sink hub, every
-    // other site feeds sources, split east/west by parity.
-    sink = topo.sites().front().id;
-    for (const auto& site : topo.sites()) {
-      dcs.push_back(site.id);
-      if (site.id == sink) continue;
-      edges.push_back(site.id);
-      (site.id.value() % 2 != 0 ? east : west).push_back(site.id);
-    }
-  } else {
-    // Role selection by site type generalizes from the paper testbed to the
-    // edge hierarchy: every edge site feeds sources (split east/west), the
-    // first DC (core-0 in the hierarchy) hosts the sink.
-    for (const auto& site : topo.sites()) {
-      if (site.type == net::SiteType::kEdge) {
-        (east.size() <= west.size() ? east : west).push_back(site.id);
-        edges.push_back(site.id);
-      } else {
-        dcs.push_back(site.id);
-        if (!sink.valid()) sink = site.id;
-      }
-    }
-  }
-
-  // --- query ----------------------------------------------------------------
-  workload::QuerySpec query = [&] {
-    if (opts.query == "ysb") return workload::make_ysb_campaign(edges, sink);
-    if (opts.query == "interest") {
-      return workload::make_events_of_interest(edges, sink);
-    }
-    if (opts.query == "join") {
-      return workload::make_four_source_join(dcs, sink, true);
-    }
-    return workload::make_topk_topics(east, west, sink);
-  }();
-
-  // --- workload ---------------------------------------------------------------
-  std::unique_ptr<workload::WorkloadPattern> pattern;
-  if (!opts.workload_trace_file.empty()) {
-    std::ifstream in(opts.workload_trace_file);
-    if (!in) {
-      std::cerr << "cannot open workload trace '" << opts.workload_trace_file
-                << "'\n";
-      return 1;
-    }
-    std::string error;
-    auto trace = std::make_unique<workload::TraceWorkload>(
-        workload::load_workload_trace(in, &error));
-    if (!error.empty()) {
-      std::cerr << error << "\n";
-      return 1;
-    }
-    for (OperatorId src : query.sources) {
-      trace->bind_source(src, query.plan.op(src).name);
-    }
-    pattern = std::move(trace);
-  } else if (opts.live_workload) {
-    Rng wl_rng(opts.seed + 2);
-    workload::RandomWalkWorkload::Config cfg;
-    cfg.horizon_sec = opts.duration;
-    auto live = std::make_unique<workload::RandomWalkWorkload>(cfg, wl_rng);
-    for (OperatorId src : query.sources) {
-      for (SiteId s : query.plan.op(src).pinned_sites) {
-        live->set_base_rate(src, s, opts.rate);
-      }
-    }
-    pattern = std::move(live);
-  } else {
-    auto stepped = std::make_unique<workload::SteppedWorkload>();
-    for (OperatorId src : query.sources) {
-      for (SiteId s : query.plan.op(src).pinned_sites) {
-        stepped->set_base_rate(src, s, opts.rate);
-      }
-    }
-    for (const auto& [t, factor] : opts.workload_steps) {
-      stepped->add_step(t, factor);
-    }
-    pattern = std::move(stepped);
-  }
-
-  // --- run ----------------------------------------------------------------------
-  runtime::SystemConfig config;
-  config.mode = *mode;
-  config.slo_sec = opts.slo;
-  config.scheduler.alpha = opts.alpha;
-  config.seed = opts.seed;
-  config.threads = opts.threads;
-  config.standby_replicas = opts.standby_replicas;
-  config.profile = opts.profile;
-  config.profile_every = opts.profile_every;
-  if (topo_spec.has_value() &&
-      topo_spec->kind == net::TopologySpec::Kind::kEdgeHierarchy) {
-    // Planet-scale runs: localized site failures re-solve only the affected
-    // failure domain's region (DESIGN.md §14). The domains come from the
-    // generator; WaspSystem forwards them to the policy automatically.
-    config.policy.region_decomposition = true;
-  }
-  if (!opts.slo_spec.empty()) {
-    std::string error;
-    const auto spec = runtime::SloSpec::parse(opts.slo_spec, &error);
-    if (!spec.has_value()) {
-      std::cerr << "bad --slo spec: " << error << "\n";
-      return 2;
-    }
-    config.slo = *spec;
-  }
   std::shared_ptr<obs::FileSink> trace_sink;
   if (!opts.trace_out.empty()) {
     trace_sink = std::make_shared<obs::FileSink>(opts.trace_out);
@@ -476,65 +140,23 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open trace output '" << opts.trace_out << "'\n";
       return 1;
     }
-    config.trace_sink = trace_sink;
+    opts.settings.trace_sink = trace_sink;
   }
-  runtime::WaspSystem system(network, std::move(query), *pattern, config);
-
-  // Scripted chaos: the injector applies link faults on the Network directly
-  // and drives site/straggler/stall faults through the system's injection
-  // API. The control plane only ever learns of them via heartbeats.
-  std::unique_ptr<faults::FaultInjector> injector;
-  if (!opts.fault_schedule_file.empty()) {
-    faults::FaultSchedule schedule;
-    std::string error;
-    if (!faults::FaultSchedule::parse_file(opts.fault_schedule_file, &schedule,
-                                           &error)) {
-      std::cerr << error << "\n";
-      return 1;
-    }
-    injector = std::make_unique<faults::FaultInjector>(
-        network, std::move(schedule), Rng(opts.seed ^ 0xFA17));
-    faults::FaultInjector::Hooks hooks;
-    hooks.crash_site = [&system](SiteId s) { system.fail_sites({s}); };
-    hooks.restore_site = [&system](SiteId s) { system.restore_sites({s}); };
-    hooks.set_straggler = [&system](SiteId s, double f) {
-      system.mutable_engine().set_straggler(s, f);
-    };
-    hooks.stall_control = [&system](double sec) {
-      system.stall_control_for(sec);
-    };
-    injector->set_hooks(std::move(hooks));
-    injector->set_trace(&system.trace());
+  runtime::BuildError build_error;
+  const auto run = runtime::build_run(spec, opts.settings, &build_error);
+  if (run == nullptr) {
+    std::cerr << build_error.message << "\n";
+    return build_error.file ? 1 : 2;
   }
+  runtime::WaspSystem& system = run->system();
 
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
 
-  // Tick-at-a-time run loop (instead of run_until) so SIGINT/SIGTERM can
-  // stop at a tick boundary and still reach the normal finish path below.
-  auto run_to = [&](double until) {
-    while (g_interrupted == 0 &&
-           system.now() + config.tick_sec <= until + 1e-9) {
-      system.step();
-    }
-  };
-
+  // Tick at a time so SIGINT/SIGTERM stop at a tick boundary and still reach
+  // the normal finish path below.
   const auto wall_start = std::chrono::steady_clock::now();
-  if (opts.failure.has_value()) {
-    run_to(opts.failure->first);
-    system.fail_all_sites();
-    run_to(opts.failure->first + opts.failure->second);
-    system.restore_all_sites();
-  }
-  if (injector != nullptr) {
-    while (g_interrupted == 0 &&
-           system.now() + config.tick_sec <= opts.duration + 1e-9) {
-      injector->tick(system.now());
-      system.step();
-    }
-  } else {
-    run_to(opts.duration);
-  }
+  run->run_until(spec.duration_sec, &g_interrupted);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - wall_start)
@@ -551,17 +173,15 @@ int main(int argc, char** argv) {
     // stopped the run early.
     const double ticks = system.now();
     bench << "{\n  \"schema\": \"wasp-bench-e2e-v1\",\n"
-          << "  \"query\": \"" << opts.query << "\",\n"
-          << "  \"mode\": \"" << opts.mode << "\",\n"
-          << "  \"duration_sim_sec\": " << opts.duration << ",\n"
-          << "  \"rate_eps_per_site\": " << opts.rate << ",\n"
-          << "  \"seed\": " << opts.seed << ",\n"
-          << "  \"topology\": \""
-          << (topo_spec.has_value() ? topo_spec->to_string()
-                                    : (opts.sites > 0 ? "uniform" : "paper"))
-          << "\",\n"
-          << "  \"sites\": " << topo.num_sites() << ",\n"
-          << "  \"threads\": " << opts.threads << ",\n"
+          << "  \"run\": \"" << spec.to_string() << "\",\n"
+          << "  \"query\": \"" << runtime::to_string(spec.query) << "\",\n"
+          << "  \"mode\": \"" << runtime::to_string(spec.mode) << "\",\n"
+          << "  \"duration_sim_sec\": " << spec.duration_sec << ",\n"
+          << "  \"rate_eps_per_site\": " << spec.rate_eps << ",\n"
+          << "  \"seed\": " << spec.seed << ",\n"
+          << "  \"topology\": \"" << spec.topology.to_string() << "\",\n"
+          << "  \"sites\": " << run->network().topology().num_sites() << ",\n"
+          << "  \"threads\": " << opts.settings.threads << ",\n"
           << "  \"wall_ms\": " << wall_ms << ",\n"
           << "  \"ticks\": " << ticks << ",\n"
           << "  \"ticks_per_sec\": " << (wall_ms > 0.0 ? ticks * 1e3 / wall_ms
@@ -572,7 +192,7 @@ int main(int argc, char** argv) {
   // Profiler gauges enter the registry only here, after the run: the
   // registry contents stay bit-identical with profiling on or off for the
   // whole simulation (the pure-observer contract, DESIGN.md §13).
-  if (opts.profile) system.export_profiler_metrics();
+  if (opts.settings.profile) system.export_profiler_metrics();
 
   if (!opts.metrics_out.empty()) {
     std::ofstream metrics(opts.metrics_out);
@@ -601,12 +221,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::cout << "query=" << opts.query << " mode=" << opts.mode
-            << " duration=" << opts.duration << "s rate=" << opts.rate
-            << " ev/s/site seed=" << opts.seed << "\n\n";
+  std::cout << "query=" << runtime::to_string(spec.query)
+            << " mode=" << runtime::to_string(spec.mode)
+            << " duration=" << spec.duration_sec << "s rate=" << spec.rate_eps
+            << " ev/s/site seed=" << spec.seed << "\n\n";
   TextTable table({"metric", "value"});
   table.add_row({"avg delay (s)",
-                 TextTable::fmt(rec.delay().mean_over(0.0, opts.duration), 3)});
+                 TextTable::fmt(rec.delay().mean_over(0.0, spec.duration_sec),
+                                3)});
   table.add_row(
       {"p95 delay (s)", TextTable::fmt(rec.delay_histogram().percentile(95), 3)});
   table.add_row(
@@ -628,7 +250,7 @@ int main(int argc, char** argv) {
     std::cout << "\n[interrupted at t=" << system.now()
               << "s; trace, metrics and report cover the completed ticks]\n";
   }
-  if (opts.profile) {
+  if (opts.settings.profile) {
     const auto& accums = system.profiler().accums();
     const auto& step =
         accums[static_cast<std::size_t>(obs::Phase::kStep)];
@@ -667,7 +289,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (injector != nullptr) {
+  if (const auto* injector = run->injector()) {
     std::size_t aborted = 0, abandoned = 0, promotions = 0;
     for (const auto& e : rec.events()) {
       if (e.aborted()) ++aborted;
@@ -678,7 +300,7 @@ int main(int argc, char** argv) {
     }
     // One parseable line the chaos-smoke CI job asserts on.
     std::cout << "\nchaos: recovery_events=" << rec.recovery_events().size()
-              << " orphaned_bulk_flows=" << network.num_bulk_flows()
+              << " orphaned_bulk_flows=" << run->network().num_bulk_flows()
               << " aborted_transitions=" << aborted
               << " abandoned=" << abandoned
               << " faults_injected=" << injector->applied()

@@ -10,103 +10,11 @@
 #include <mutex>
 #include <sstream>
 
-#include "common/rng.h"
+#include "common/number.h"
 #include "exec/thread_pool.h"
-#include "faults/fault_injector.h"
-#include "faults/fault_schedule.h"
-#include "net/bandwidth_model.h"
-#include "net/network.h"
-#include "net/topology.h"
-#include "net/topology_spec.h"
-#include "net/trace_io.h"
-#include "runtime/wasp_system.h"
-#include "workload/patterns.h"
-#include "workload/queries.h"
 
 namespace wasp::exec {
 namespace {
-
-const char* kAxisNames[] = {"seeds",    "policy",        "query",
-                            "duration", "rate",          "alpha",
-                            "slo",      "trace",         "fault",
-                            "workload-step", "bandwidth-step", "topology"};
-
-std::string canonical_axis(const std::string& name) {
-  if (name == "seed") return "seeds";
-  if (name == "mode") return "policy";
-  if (name == "fault-schedule") return "fault";
-  return name;
-}
-
-bool known_axis(const std::string& name) {
-  for (const char* known : kAxisNames) {
-    if (name == known) return true;
-  }
-  return false;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  try {
-    std::size_t pos = 0;
-    *out = std::stoull(text, &pos);
-    return pos == text.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_double(const std::string& text, double* out) {
-  try {
-    std::size_t pos = 0;
-    *out = std::stod(text, &pos);
-    return pos == text.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-// "T:F" pairs joined by '+': "300:2+600:1".
-bool parse_steps(const std::string& text,
-                 std::vector<std::pair<double, double>>* out) {
-  out->clear();
-  std::stringstream in(text);
-  std::string item;
-  while (std::getline(in, item, '+')) {
-    const auto colon = item.find(':');
-    if (colon == std::string::npos) return false;
-    std::pair<double, double> step;
-    if (!parse_double(item.substr(0, colon), &step.first) ||
-        !parse_double(item.substr(colon + 1), &step.second)) {
-      return false;
-    }
-    out->push_back(step);
-  }
-  return !out->empty();
-}
-
-bool mode_valid(const std::string& name) {
-  return name == "wasp" || name == "static" || name == "no-adapt" ||
-         name == "degrade" || name == "re-assign" || name == "scale" ||
-         name == "re-plan" || name == "hybrid";
-}
-
-std::optional<runtime::AdaptationMode> mode_of(const std::string& name) {
-  if (name == "wasp") return runtime::AdaptationMode::kWasp;
-  if (name == "static" || name == "no-adapt") {
-    return runtime::AdaptationMode::kNoAdapt;
-  }
-  if (name == "degrade") return runtime::AdaptationMode::kDegrade;
-  if (name == "re-assign") return runtime::AdaptationMode::kReassignOnly;
-  if (name == "scale") return runtime::AdaptationMode::kScaleOnly;
-  if (name == "re-plan") return runtime::AdaptationMode::kReplanOnly;
-  if (name == "hybrid") return runtime::AdaptationMode::kHybrid;
-  return std::nullopt;
-}
-
-bool query_valid(const std::string& name) {
-  return name == "topk" || name == "ysb" || name == "interest" ||
-         name == "join";
-}
 
 bool has_glob_chars(const std::string& value) {
   return value.find_first_of("*?[") != std::string::npos;
@@ -154,8 +62,8 @@ bool expand_values(const std::string& axis, const std::string& text,
     const auto dots = item.find("..");
     if (axis == "seeds" && dots != std::string::npos) {
       std::uint64_t lo = 0, hi = 0;
-      if (!parse_u64(item.substr(0, dots), &lo) ||
-          !parse_u64(item.substr(dots + 2), &hi) || lo > hi) {
+      if (!parse_number(item.substr(0, dots), &lo) ||
+          !parse_number(item.substr(dots + 2), &hi) || lo > hi) {
         *error = "bad seed range '" + item + "' (want a..b with a <= b)";
         return false;
       }
@@ -173,82 +81,6 @@ bool expand_values(const std::string& axis, const std::string& text,
   return true;
 }
 
-// Applies one axis value to the cell; false with *error on a bad value.
-bool apply_axis(const std::string& axis, const std::string& value,
-                RunSpec* spec, std::string* error) {
-  if (axis == "seeds") {
-    if (!parse_u64(value, &spec->seed)) {
-      *error = "bad seed '" + value + "'";
-      return false;
-    }
-    spec->seed_forked = false;
-    return true;
-  }
-  if (axis == "policy") {
-    if (!mode_valid(value)) {
-      *error = "unknown policy '" + value + "'";
-      return false;
-    }
-    spec->mode = value == "static" ? "no-adapt" : value;
-    return true;
-  }
-  if (axis == "query") {
-    if (!query_valid(value)) {
-      *error = "unknown query '" + value + "'";
-      return false;
-    }
-    spec->query = value;
-    return true;
-  }
-  if (axis == "duration") return parse_double(value, &spec->duration_sec) ||
-                                 (*error = "bad duration '" + value + "'",
-                                  false);
-  if (axis == "rate") return parse_double(value, &spec->rate_eps) ||
-                             (*error = "bad rate '" + value + "'", false);
-  if (axis == "alpha") return parse_double(value, &spec->alpha) ||
-                              (*error = "bad alpha '" + value + "'", false);
-  if (axis == "slo") return parse_double(value, &spec->slo_sec) ||
-                            (*error = "bad slo '" + value + "'", false);
-  if (axis == "trace") {
-    spec->bandwidth_trace = value == "none" ? "" : value;
-    return true;
-  }
-  if (axis == "fault") {
-    spec->fault_schedule = value == "none" ? "" : value;
-    return true;
-  }
-  if (axis == "workload-step") {
-    if (!parse_steps(value, &spec->workload_steps)) {
-      *error = "bad workload-step '" + value + "' (want T:F, '+'-joined)";
-      return false;
-    }
-    return true;
-  }
-  if (axis == "bandwidth-step") {
-    if (!parse_steps(value, &spec->bandwidth_steps)) {
-      *error = "bad bandwidth-step '" + value + "' (want T:F, '+'-joined)";
-      return false;
-    }
-    return true;
-  }
-  if (axis == "topology") {
-    // Specs use ';' between params ("edge:sites=64;regions=4") because ','
-    // separates axis values. "paper" resets to the default testbed.
-    std::string parse_error;
-    const auto topo = net::TopologySpec::parse(value, &parse_error);
-    if (!topo.has_value()) {
-      *error = "bad topology '" + value + "': " + parse_error;
-      return false;
-    }
-    spec->topology = topo->kind == net::TopologySpec::Kind::kPaper
-                         ? std::string{}
-                         : topo->to_string();
-    return true;
-  }
-  *error = "unknown axis '" + axis + "'";
-  return false;
-}
-
 }  // namespace
 
 bool GridSpec::parse_arg(const std::string& arg, std::string* error) {
@@ -257,12 +89,13 @@ bool GridSpec::parse_arg(const std::string& arg, std::string* error) {
     *error = "bad grid axis '" + arg + "' (want name=value[,value...])";
     return false;
   }
-  GridAxis axis;
-  axis.name = canonical_axis(arg.substr(0, eq));
-  if (!known_axis(axis.name)) {
-    *error = "unknown grid axis '" + axis.name + "'";
+  const auto name = runtime::RunSpec::axis_name(arg.substr(0, eq));
+  if (!name.has_value()) {
+    *error = "unknown grid axis '" + arg.substr(0, eq) + "'";
     return false;
   }
+  GridAxis axis;
+  axis.name = std::string(*name);
   if (!expand_values(axis.name, arg.substr(eq + 1), &axis.values, error)) {
     return false;
   }
@@ -316,25 +149,17 @@ std::string GridSpec::to_string() const {
   return out;
 }
 
-std::optional<std::vector<RunSpec>> expand_grid(const GridSpec& grid,
-                                                const SweepDefaults& defaults,
-                                                std::string* error) {
-  RunSpec base;
-  base.seed = defaults.base_seed;
-  base.seed_forked = true;
-  base.mode = defaults.mode;
-  base.query = defaults.query;
-  base.duration_sec = defaults.duration_sec;
-  base.rate_eps = defaults.rate_eps;
-  base.alpha = defaults.alpha;
-  base.slo_sec = defaults.slo_sec;
-
+std::optional<std::vector<SweepCell>> expand_grid(const GridSpec& grid,
+                                                  const runtime::RunSpec& base,
+                                                  std::string* error) {
   const std::size_t n = grid.num_cells();
-  std::vector<RunSpec> cells;
+  std::vector<SweepCell> cells;
   cells.reserve(n);
   for (std::size_t index = 0; index < n; ++index) {
-    RunSpec cell = base;
+    SweepCell cell;
     cell.index = index;
+    cell.seed_forked = true;
+    cell.run = base;
     // Row-major decode: the last axis varies fastest.
     std::size_t remainder = index;
     std::size_t stride = n;
@@ -343,170 +168,48 @@ std::optional<std::vector<RunSpec>> expand_grid(const GridSpec& grid,
       const std::size_t pick = remainder / stride;
       remainder %= stride;
       const std::string& value = axis.values[pick];
-      if (!apply_axis(axis.name, value, &cell, error)) {
+      if (!cell.run.set(axis.name, value, error)) {
         *error = "cell " + std::to_string(index) + ": " + *error;
         return std::nullopt;
       }
+      if (axis.name == "seeds") cell.seed_forked = false;
       cell.labels.emplace_back(axis.name, value);
     }
     // Seed forking by cell index (never by scheduling order) when the grid
     // does not pin seeds explicitly.
-    if (cell.seed_forked) cell.seed = fork_seed(defaults.base_seed, index);
+    if (cell.seed_forked) cell.run.seed = fork_seed(base.seed, index);
     cells.push_back(std::move(cell));
   }
   return cells;
 }
 
-RunResult run_one(const RunSpec& spec, const std::string& trace_path,
-                  int threads, bool profile, int profile_every) {
+RunResult run_one(const SweepCell& cell, runtime::RunSettings settings,
+                  const std::string& trace_path) {
   RunResult result;
-  result.spec = spec;
+  result.cell = cell;
   const auto wall_start = std::chrono::steady_clock::now();
-  auto fail = [&](const std::string& why) {
-    result.ok = false;
-    result.error = why;
-    return result;
-  };
+  const runtime::RunSpec& spec = cell.run;
 
-  // ---- private, shared-nothing run context -------------------------------
-  Rng rng(spec.seed);
-  net::TopologySpec topo_spec;  // Kind::kPaper
-  if (!spec.topology.empty()) {
-    std::string spec_error;
-    const auto parsed = net::TopologySpec::parse(spec.topology, &spec_error);
-    if (!parsed.has_value()) return fail("bad topology: " + spec_error);
-    topo_spec = *parsed;
-  }
-  net::Topology topo = topo_spec.build(rng);
-
-  std::shared_ptr<const net::BandwidthModel> bw_model =
-      std::make_shared<net::ConstantBandwidth>();
-  if (spec.bandwidth_trace == "live") {
-    Rng bw_rng(spec.seed + 1);
-    net::RandomWalkBandwidth::Config cfg;
-    cfg.horizon_sec = spec.duration_sec;
-    cfg.min_factor = 0.51;
-    cfg.max_factor = 2.36;
-    bw_model = std::make_shared<net::RandomWalkBandwidth>(topo.num_sites(),
-                                                          cfg, bw_rng);
-  } else if (!spec.bandwidth_trace.empty()) {
-    std::ifstream in(spec.bandwidth_trace);
-    if (!in) return fail("cannot open trace '" + spec.bandwidth_trace + "'");
-    std::string error;
-    auto trace = std::make_shared<net::TraceBandwidth>(
-        net::load_bandwidth_trace(in, &error));
-    if (!error.empty()) return fail(error);
-    bw_model = std::move(trace);
-  }
-  if (!spec.bandwidth_steps.empty()) {
-    bw_model = std::make_shared<net::ComposedBandwidth>(
-        bw_model, std::make_shared<net::SteppedBandwidth>(spec.bandwidth_steps));
-  }
-  net::Network network(topo, bw_model);
-
-  std::vector<SiteId> east, west, edges, dcs;
-  SiteId sink;
-  for (const auto& site : topo.sites()) {
-    if (site.type == net::SiteType::kEdge) {
-      (east.size() <= west.size() ? east : west).push_back(site.id);
-      edges.push_back(site.id);
-    } else {
-      dcs.push_back(site.id);
-      if (!sink.valid()) sink = site.id;
-    }
-  }
-  if (edges.empty()) {
-    // Uniform topologies have no edge tier; every non-sink site feeds sources
-    // (the wasp_sim hub layout) so the queries still have inputs.
-    for (const auto& site : topo.sites()) {
-      if (site.id == sink) continue;
-      (east.size() <= west.size() ? east : west).push_back(site.id);
-      edges.push_back(site.id);
-    }
-  }
-
-  workload::QuerySpec query = [&] {
-    if (spec.query == "ysb") return workload::make_ysb_campaign(edges, sink);
-    if (spec.query == "interest") {
-      return workload::make_events_of_interest(edges, sink);
-    }
-    if (spec.query == "join") {
-      return workload::make_four_source_join(dcs, sink, true);
-    }
-    return workload::make_topk_topics(east, west, sink);
-  }();
-
-  workload::SteppedWorkload pattern;
-  for (OperatorId src : query.sources) {
-    for (SiteId s : query.plan.op(src).pinned_sites) {
-      pattern.set_base_rate(src, s, spec.rate_eps);
-    }
-  }
-  for (const auto& [t, factor] : spec.workload_steps) {
-    pattern.add_step(t, factor);
-  }
-
-  runtime::SystemConfig config;
-  const auto mode = mode_of(spec.mode);
-  if (!mode.has_value()) return fail("unknown mode '" + spec.mode + "'");
-  config.mode = *mode;
-  config.slo_sec = spec.slo_sec;
-  config.scheduler.alpha = spec.alpha;
-  config.seed = spec.seed;
-  config.threads = std::max(1, threads);
-  if (topo_spec.kind == net::TopologySpec::Kind::kEdgeHierarchy) {
-    // Planet-scale cells re-plan per failure domain (DESIGN.md §14) so a
-    // localized failure never re-solves the whole placement.
-    config.policy.region_decomposition = true;
-  }
-  config.profile = profile;
-  config.profile_every = std::max(1, profile_every);
   std::shared_ptr<obs::FileSink> trace_sink;
   if (!trace_path.empty()) {
     trace_sink = std::make_shared<obs::FileSink>(trace_path);
     if (!trace_sink->ok()) {
-      return fail("cannot open trace output '" + trace_path + "'");
+      result.error = "cannot open trace output '" + trace_path + "'";
+      return result;
     }
-    config.trace_sink = trace_sink;
   }
-  runtime::WaspSystem system(network, std::move(query), pattern, config);
-
-  std::unique_ptr<faults::FaultInjector> injector;
-  if (!spec.fault_schedule.empty()) {
-    faults::FaultSchedule schedule;
-    std::string error;
-    if (!faults::FaultSchedule::parse_file(spec.fault_schedule, &schedule,
-                                           &error)) {
-      return fail(error);
-    }
-    injector = std::make_unique<faults::FaultInjector>(
-        network, std::move(schedule), Rng(spec.seed ^ 0xFA17));
-    faults::FaultInjector::Hooks hooks;
-    hooks.crash_site = [&system](SiteId s) { system.fail_sites({s}); };
-    hooks.restore_site = [&system](SiteId s) { system.restore_sites({s}); };
-    hooks.set_straggler = [&system](SiteId s, double f) {
-      system.mutable_engine().set_straggler(s, f);
-    };
-    hooks.stall_control = [&system](double sec) {
-      system.stall_control_for(sec);
-    };
-    injector->set_hooks(std::move(hooks));
-    injector->set_trace(&system.trace());
+  settings.trace_sink = trace_sink;
+  runtime::BuildError build_error;
+  const auto run = runtime::build_run(spec, settings, &build_error);
+  if (run == nullptr) {
+    result.error = build_error.message;
+    return result;
   }
-
-  // ---- run ---------------------------------------------------------------
-  if (injector != nullptr) {
-    while (system.now() + config.tick_sec <= spec.duration_sec + 1e-9) {
-      injector->tick(system.now());
-      system.step();
-    }
-  } else {
-    system.run_until(spec.duration_sec);
-  }
+  run->run_until(spec.duration_sec);
   if (trace_sink != nullptr) trace_sink->flush();
 
   // ---- summarize ---------------------------------------------------------
-  const auto& rec = system.recorder();
+  const auto& rec = run->system().recorder();
   result.ok = true;
   result.delay_mean_sec = rec.delay().mean_over(0.0, spec.duration_sec);
   result.delay_p50_sec = rec.delay_histogram().percentile(50);
@@ -538,28 +241,17 @@ RunResult run_one(const RunSpec& spec, const std::string& trace_path,
 
 obs::TraceEvent RunResult::to_trace_event() const {
   obs::TraceEvent event;
-  event.seq = spec.index + 1;  // seq 0 is the sweep_grid header
+  event.seq = cell.index + 1;  // seq 0 is the sweep_grid header
   event.t = 0.0;
   event.type = "sweep_cell";
-  for (const auto& [axis, value] : spec.labels) {
+  for (const auto& [axis, value] : cell.labels) {
     event.strs.emplace_back(axis, value);
   }
-  event.strs.emplace_back("mode", spec.mode);
-  event.strs.emplace_back("query", spec.query);
-  if (!spec.bandwidth_trace.empty()) {
-    event.strs.emplace_back("bandwidth_trace", spec.bandwidth_trace);
-  }
-  if (!spec.fault_schedule.empty()) {
-    event.strs.emplace_back("fault_schedule", spec.fault_schedule);
-  }
-  event.strs.emplace_back("seed_forked", spec.seed_forked ? "true" : "false");
+  event.strs.emplace_back("run", cell.run.to_string());
+  event.strs.emplace_back("seed_forked", cell.seed_forked ? "true" : "false");
   if (!ok) event.strs.emplace_back("error", error);
-  event.nums.emplace_back("cell", static_cast<double>(spec.index));
-  event.nums.emplace_back("seed", static_cast<double>(spec.seed));
-  event.nums.emplace_back("duration_sec", spec.duration_sec);
-  event.nums.emplace_back("rate_eps", spec.rate_eps);
-  event.nums.emplace_back("alpha", spec.alpha);
-  event.nums.emplace_back("slo_sec", spec.slo_sec);
+  event.nums.emplace_back("cell", static_cast<double>(cell.index));
+  event.nums.emplace_back("seed", static_cast<double>(cell.run.seed));
   event.nums.emplace_back("ok", ok ? 1.0 : 0.0);
   if (ok) {
     event.nums.emplace_back("delay_mean_sec", delay_mean_sec);
@@ -579,7 +271,7 @@ obs::TraceEvent RunResult::to_trace_event() const {
   return event;
 }
 
-std::vector<RunResult> run_sweep(const std::vector<RunSpec>& cells,
+std::vector<RunResult> run_sweep(const std::vector<SweepCell>& cells,
                                  const SweepOptions& opts) {
   std::vector<RunResult> results(cells.size());
   std::mutex progress_mu;
@@ -589,8 +281,7 @@ std::vector<RunResult> run_sweep(const std::vector<RunSpec>& cells,
       trace_path =
           opts.trace_dir + "/run_" + std::to_string(cells[i].index) + ".jsonl";
     }
-    results[i] = run_one(cells[i], trace_path, opts.threads, opts.profile,
-                         opts.profile_every);
+    results[i] = run_one(cells[i], opts.settings, trace_path);
     if (opts.on_cell_done) {
       std::lock_guard<std::mutex> lock(progress_mu);
       opts.on_cell_done(results[i]);
@@ -599,22 +290,15 @@ std::vector<RunResult> run_sweep(const std::vector<RunSpec>& cells,
   return results;
 }
 
-std::string merged_jsonl(const GridSpec& grid, const SweepDefaults& defaults,
+std::string merged_jsonl(const GridSpec& grid, const runtime::RunSpec& base,
                          const std::vector<RunResult>& results) {
   obs::TraceEvent header;
   header.seq = 0;
   header.t = 0.0;
   header.type = "sweep_grid";
   header.strs.emplace_back("grid", grid.to_string());
-  header.strs.emplace_back("default_mode", defaults.mode);
-  header.strs.emplace_back("default_query", defaults.query);
+  header.strs.emplace_back("defaults", base.to_string());
   header.nums.emplace_back("cells", static_cast<double>(results.size()));
-  header.nums.emplace_back("base_seed",
-                           static_cast<double>(defaults.base_seed));
-  header.nums.emplace_back("default_duration_sec", defaults.duration_sec);
-  header.nums.emplace_back("default_rate_eps", defaults.rate_eps);
-  header.nums.emplace_back("default_alpha", defaults.alpha);
-  header.nums.emplace_back("default_slo_sec", defaults.slo_sec);
 
   std::string out = obs::to_json_line(header);
   out.push_back('\n');

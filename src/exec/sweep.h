@@ -6,19 +6,21 @@
 // evaluation (Fig. 8-14, Tables 2-3) is a set of such grids: seeds x
 // adaptation policies x bandwidth traces x fault schedules, every cell a
 // self-contained simulation. This header turns a grid description into an
-// ordered list of RunSpecs, executes them across N workers, and merges the
-// per-cell summaries into one deterministic JSONL stream.
+// ordered list of cells -- each a runtime::RunSpec -- executes them across N
+// workers, and merges the per-cell summaries into one deterministic JSONL
+// stream.
 //
 // Determinism contract (DESIGN.md §9):
 //   1. Cells are expanded in row-major axis order (last axis fastest) and
-//      numbered 0..n-1; the cell index is part of the spec.
+//      numbered 0..n-1; the cell index is part of the cell.
 //   2. A cell's seed comes from its `seeds` axis value if the grid has one,
 //      otherwise it is forked from the grid's base seed by *cell index*
 //      (exec::fork_seed) -- never from scheduling order.
-//   3. Every run is shared-nothing: it builds its own Rng, Topology, Network,
-//      workload pattern, WaspSystem (hence its own Recorder, MetricsRegistry,
-//      TraceEmitter) and, when tracing, its own private FileSink. Nothing in
-//      a run reads wall-clock time into its results.
+//   3. Every run is shared-nothing: runtime::build_run gives it its own Rng,
+//      Topology, Network, workload pattern, WaspSystem (hence its own
+//      Recorder, MetricsRegistry, TraceEmitter) and, when tracing, its own
+//      private FileSink. Nothing in a run reads wall-clock time into its
+//      results.
 //   4. The merge walks results by cell index, so the merged JSONL (and the
 //      summary table derived from it) is byte-identical for --jobs 1 and
 //      --jobs N. Wall-clock timings are reported separately (bench JSON /
@@ -38,26 +40,19 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "runtime/run_spec.h"
 
 namespace wasp::exec {
 
-// One grid axis: an ordered list of string values for a named parameter.
-// Supported names (aliases in parentheses):
-//   seeds (seed)            integer list/range; the per-cell master seed
-//   policy (mode)           wasp|static|no-adapt|degrade|re-assign|scale|
-//                           re-plan|hybrid ("static" is an alias of no-adapt)
-//   query                   topk|ysb|interest|join
-//   duration, rate, alpha, slo                      numeric
-//   trace                   bandwidth-trace CSV path, or "live"/"none"
-//   fault (fault-schedule)  fault-schedule file path, or "none"
-//   workload-step / bandwidth-step                  "T:F" steps, '+'-joined
-//   topology                TopologySpec strings (DESIGN.md §14): "paper",
-//                           "uniform:sites=..;slots=..", "edge:sites=..;
-//                           regions=..". Use ';' between params -- ',' would
-//                           split the axis value list.
-// File-valued axes (trace, fault) expand shell-style globs at parse time.
+// One grid axis: an ordered list of string values for one run key
+// (runtime::RunSpec, DESIGN.md §9). The axis is named by its sweep spelling:
+// seeds, policy and fault for the keys seed, mode and fault-schedule (either
+// spelling is accepted), the key itself otherwise. Values are any the key
+// accepts; seeds also takes "a..b" integer ranges, and the trace and fault
+// axes expand shell-style globs at parse time. A topology value uses ';'
+// between its params, since ',' separates values.
 struct GridAxis {
-  std::string name;                 // canonical name (aliases resolved)
+  std::string name;                 // sweep spelling (aliases resolved)
   std::vector<std::string> values;  // in declaration order
 };
 
@@ -79,50 +74,28 @@ struct GridSpec {
   [[nodiscard]] std::string to_string() const;
 };
 
-// Grid-independent defaults applied to every cell an axis does not override.
-struct SweepDefaults {
-  std::uint64_t base_seed = 42;  // forked per cell when there is no seeds axis
-  std::string mode = "wasp";
-  std::string query = "topk";
-  double duration_sec = 900.0;
-  double rate_eps = 10'000.0;
-  double alpha = 0.8;
-  double slo_sec = 10.0;
-};
-
-// One fully-resolved cell.
-struct RunSpec {
+// One fully-resolved cell: the base spec with the cell's axis values set.
+struct SweepCell {
   std::size_t index = 0;
-  std::uint64_t seed = 0;
   bool seed_forked = false;  // true when seed came from fork_seed, not an axis
-  std::string mode = "wasp";
-  std::string query = "topk";
-  double duration_sec = 900.0;
-  double rate_eps = 10'000.0;
-  double alpha = 0.8;
-  double slo_sec = 10.0;
-  std::string bandwidth_trace;  // empty = constant; "live" = random walk
-  std::string fault_schedule;   // empty = none
-  std::string topology;         // canonical TopologySpec; empty = paper
-  std::vector<std::pair<double, double>> workload_steps;
-  std::vector<std::pair<double, double>> bandwidth_steps;
   // The (axis, value) pairs that produced this cell, in axis order -- echoed
   // into the result line so every cell is self-describing.
   std::vector<std::pair<std::string, std::string>> labels;
+  runtime::RunSpec run;
 };
 
-// Expands the grid against the defaults into cells ordered row-major (last
-// axis fastest). Returns nullopt with *error set when an axis has an unknown
-// name or an unparseable value.
-std::optional<std::vector<RunSpec>> expand_grid(const GridSpec& grid,
-                                                const SweepDefaults& defaults,
-                                                std::string* error);
+// Expands the grid against the base spec into cells ordered row-major (last
+// axis fastest). Returns nullopt with *error set when an axis value is one
+// its key rejects.
+std::optional<std::vector<SweepCell>> expand_grid(const GridSpec& grid,
+                                                  const runtime::RunSpec& base,
+                                                  std::string* error);
 
 // Per-cell summary: the figures' headline metrics, computed from the run's
 // private Recorder. Wall time is carried for operator feedback but excluded
 // from the deterministic serialization.
 struct RunResult {
-  RunSpec spec;
+  SweepCell cell;
   bool ok = false;
   std::string error;  // non-empty when !ok (e.g. unreadable trace file)
   double delay_mean_sec = 0.0;
@@ -140,47 +113,42 @@ struct RunResult {
   double recovery_sec = 0.0;
   double wall_ms = 0.0;  // NOT serialized into the merged JSONL
 
-  // The deterministic "sweep_cell" event (seq = cell index).
+  // The deterministic "sweep_cell" event (seq = cell index + 1): labels,
+  // the canonical spec as "run", and the summary.
   [[nodiscard]] obs::TraceEvent to_trace_event() const;
 };
 
 struct SweepOptions {
   int jobs = 1;
-  // Intra-run worker threads per cell (SystemConfig::threads). Results are
-  // bit-identical for any value; total concurrency is jobs * threads, so
-  // callers should keep that product within the machine's cores (wasp_sweep
-  // warns and clamps).
-  int threads = 1;
+  // Every cell's execution settings (threads, profiler); results are
+  // bit-identical for any value. Keep jobs * threads within the machine's
+  // cores.
+  runtime::RunSettings settings;
   // When non-empty, each run writes its private observability trace to
   // "<trace_dir>/run_<index>.jsonl" (the directory must exist).
   std::string trace_dir;
-  // Always-on phase profiler (DESIGN.md §13): each cell emits periodic
-  // `profile` events into its private trace. Pure observer -- the merged
-  // sweep stream and every cell's results are bit-identical either way.
-  bool profile = false;
-  int profile_every = 60;
   // Optional progress hook, invoked from worker threads under an internal
   // mutex as each cell finishes (completion order, i.e. nondeterministic --
   // for stderr progress only, never for results).
   std::function<void(const RunResult&)> on_cell_done;
 };
 
-// Executes one cell in a fresh, self-contained context. `trace_path` (may be
-// empty) is the run's private JSONL trace destination; `threads` is the
-// cell's intra-run worker count (SystemConfig::threads); `profile` /
-// `profile_every` mirror SweepOptions.
-RunResult run_one(const RunSpec& spec, const std::string& trace_path = {},
-                  int threads = 1, bool profile = false,
-                  int profile_every = 60);
+// Builds, runs and summarizes one cell in a fresh, self-contained context
+// (runtime::build_run); a build error becomes an ok=false result. The cell
+// traces to `trace_path` (a private JSONL file; none when empty) in place of
+// settings.trace_sink.
+RunResult run_one(const SweepCell& cell, runtime::RunSettings settings = {},
+                  const std::string& trace_path = {});
 
 // Executes all cells across opts.jobs workers and returns results ordered by
 // cell index regardless of completion order.
-std::vector<RunResult> run_sweep(const std::vector<RunSpec>& cells,
+std::vector<RunResult> run_sweep(const std::vector<SweepCell>& cells,
                                  const SweepOptions& opts);
 
-// Deterministic merged stream: the "sweep_grid" header event followed by one
-// "sweep_cell" line per result, in index order. Identical for any --jobs.
-std::string merged_jsonl(const GridSpec& grid, const SweepDefaults& defaults,
+// Deterministic merged stream: the "sweep_grid" header event (the grid and
+// the base spec as "defaults") followed by one "sweep_cell" line per result,
+// in index order. Identical for any --jobs.
+std::string merged_jsonl(const GridSpec& grid, const runtime::RunSpec& base,
                          const std::vector<RunResult>& results);
 
 }  // namespace wasp::exec

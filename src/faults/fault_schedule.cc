@@ -1,9 +1,12 @@
 #include "faults/fault_schedule.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
+
+#include "common/number.h"
+#include "net/topology.h"
 
 namespace wasp::faults {
 namespace {
@@ -20,14 +23,6 @@ struct KeyValues {
   }
 };
 
-bool parse_double(const std::string& s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 bool parse_site(const KeyValues& kvs, const std::string& key, SiteId* out,
                 std::string* error) {
   const std::string* raw = kvs.find(key);
@@ -36,7 +31,7 @@ bool parse_site(const KeyValues& kvs, const std::string& key, SiteId* out,
     return false;
   }
   double v = 0.0;
-  if (!parse_double(*raw, &v) || v < 0.0 || v != static_cast<int>(v)) {
+  if (!parse_number(*raw, &v) || v < 0.0 || v != static_cast<int>(v)) {
     *error = "bad site id in " + key + "=" + *raw;
     return false;
   }
@@ -51,7 +46,7 @@ bool parse_num(const KeyValues& kvs, const std::string& key, bool required,
     if (required) *error = "missing " + key + "=";
     return !required;
   }
-  if (!parse_double(*raw, out)) {
+  if (!parse_number(*raw, out)) {
     *error = "bad number in " + key + "=" + *raw;
     return false;
   }
@@ -105,7 +100,7 @@ bool FaultSchedule::parse(std::istream& in, FaultSchedule* out,
     if (!(tokens >> time_tok)) continue;  // blank / comment-only line
 
     FaultEvent event;
-    if (!parse_double(time_tok, &event.t) || event.t < 0.0) {
+    if (!parse_number(time_tok, &event.t) || event.t < 0.0) {
       return fail("bad time '" + time_tok + "'");
     }
     std::string kind_tok;
@@ -187,6 +182,35 @@ bool FaultSchedule::parse_file(const std::string& path, FaultSchedule* out,
     return false;
   }
   return parse(in, out, error);
+}
+
+bool FaultSchedule::validate(const net::Topology& topology,
+                             std::string* error) const {
+  const auto n = static_cast<std::int64_t>(topology.num_sites());
+  for (const FaultEvent& e : events_) {
+    std::string why;
+    for (const auto& [key, id] : {std::pair{"site", e.site},
+                                  std::pair{"from", e.from},
+                                  std::pair{"to", e.to}}) {
+      if (why.empty() && id.value() >= n) {
+        why = std::string(key) + "=" + std::to_string(id.value()) +
+              " is not a site of the " + std::to_string(n) + "-site topology";
+      }
+    }
+    const bool domain_fault = e.kind == FaultKind::kDomainDown ||
+                              e.kind == FaultKind::kDomainRestore;
+    if (domain_fault && topology.sites_in_domain(e.domain).empty()) {
+      why = "domain=" + std::to_string(e.domain) + " has no site";
+    }
+    if (!why.empty()) {
+      if (error != nullptr) {
+        *error = "fault schedule: " + std::string(to_string(e.kind)) +
+                 " at t=" + format_number(e.t) + ": " + why;
+      }
+      return false;
+    }
+  }
+  return true;
 }
 
 void FaultSchedule::add(FaultEvent event) {

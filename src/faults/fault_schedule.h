@@ -27,6 +27,10 @@
 
 #include "common/ids.h"
 
+namespace wasp::net {
+class Topology;
+}  // namespace wasp::net
+
 namespace wasp::faults {
 
 enum class FaultKind {
@@ -65,6 +69,12 @@ class FaultSchedule {
                          std::string* error);
 
   void add(FaultEvent event);
+
+  // Checks every event against `topology`: each site, from and to that is
+  // set must be one of its sites, and each domain fault must name a domain
+  // with at least one site. On failure returns false and names the
+  // offending event in *error.
+  bool validate(const net::Topology& topology, std::string* error) const;
 
   [[nodiscard]] const std::vector<FaultEvent>& events() const {
     return events_;

@@ -72,6 +72,8 @@ struct EdgeHierarchyParams {
   [[nodiscard]] int total_sites() const {
     return core_dcs + regions * regional_dcs_per_region + edge_sites;
   }
+
+  bool operator==(const EdgeHierarchyParams&) const = default;
 };
 
 class Topology {

@@ -46,10 +46,13 @@ struct TopologySpec {
   // Builds the topology. Deterministic given `rng` and the spec.
   [[nodiscard]] Topology build(Rng& rng) const;
 
-  // Canonical round-trippable form (parse(to_string()) == *this).
+  // Canonical round-trippable form (parse(to_string()) == *this): doubles
+  // print in shortest round-trip form.
   [[nodiscard]] std::string to_string() const;
 
   [[nodiscard]] int expected_sites() const;
+
+  bool operator==(const TopologySpec&) const = default;
 };
 
 }  // namespace wasp::net

@@ -1,32 +1,33 @@
 #include "runtime/slo_watchdog.h"
 
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/number.h"
 
 namespace wasp::runtime {
 namespace {
 
-// Parses a positive number with an optional "s"/"sec" suffix ("5", "5s",
-// "5.5sec"). Returns false on anything else.
+// Parses a non-negative number with an optional "s"/"sec" suffix ("5",
+// "5s", "5.5sec"). Returns false on anything else.
 bool parse_value(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  std::string buf(text);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end == buf.c_str()) return false;
-  std::string_view rest(end);
-  if (!rest.empty() && rest != "s" && rest != "sec") return false;
-  if (v < 0.0) return false;
+  for (std::string_view suffix : {"sec", "s"}) {
+    if (text.ends_with(suffix)) {
+      text.remove_suffix(suffix.size());
+      break;
+    }
+  }
+  double v = 0.0;
+  if (!parse_number(text, &v) || v < 0.0) return false;
   *out = v;
   return true;
 }
 
 void append_bound(std::string& out, const char* key, double value) {
   if (value < 0.0) return;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s%s=%g", out.empty() ? "" : ",", key,
-                value);
-  out += buf;
+  if (!out.empty()) out += ',';
+  out += key;
+  out += '=';
+  out += format_number(value);
 }
 
 }  // namespace

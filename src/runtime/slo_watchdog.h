@@ -50,8 +50,11 @@ struct SloSpec {
   static std::optional<SloSpec> parse(std::string_view text,
                                       std::string* error = nullptr);
 
-  // Canonical "key=value,..." rendering of the set fields.
+  // Canonical "key=value,..." rendering of the set fields, doubles in
+  // shortest round-trip form (parse(to_string()) == *this).
   [[nodiscard]] std::string to_string() const;
+
+  bool operator==(const SloSpec&) const = default;
 };
 
 class SloWatchdog {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string_view>
+#include <utility>
 
 #include "common/log.h"
 #include "exec/thread_pool.h"
@@ -10,24 +12,35 @@
 
 namespace wasp::runtime {
 
+namespace {
+
+// The one mode-name table: to_string() prints a mode's first name, and
+// "static" is the sweep's alias of no-adapt.
+constexpr std::pair<std::string_view, AdaptationMode> kModeNames[] = {
+    {"no-adapt", AdaptationMode::kNoAdapt},
+    {"degrade", AdaptationMode::kDegrade},
+    {"wasp", AdaptationMode::kWasp},
+    {"re-assign", AdaptationMode::kReassignOnly},
+    {"scale", AdaptationMode::kScaleOnly},
+    {"re-plan", AdaptationMode::kReplanOnly},
+    {"hybrid", AdaptationMode::kHybrid},
+    {"static", AdaptationMode::kNoAdapt},
+};
+
+}  // namespace
+
 const char* to_string(AdaptationMode mode) {
-  switch (mode) {
-    case AdaptationMode::kNoAdapt:
-      return "no-adapt";
-    case AdaptationMode::kDegrade:
-      return "degrade";
-    case AdaptationMode::kWasp:
-      return "wasp";
-    case AdaptationMode::kReassignOnly:
-      return "re-assign";
-    case AdaptationMode::kScaleOnly:
-      return "scale";
-    case AdaptationMode::kReplanOnly:
-      return "re-plan";
-    case AdaptationMode::kHybrid:
-      return "hybrid";
+  for (const auto& [name, m] : kModeNames) {
+    if (m == mode) return name.data();
   }
   return "?";
+}
+
+std::optional<AdaptationMode> parse_mode(std::string_view name) {
+  for (const auto& [known, m] : kModeNames) {
+    if (known == name) return m;
+  }
+  return std::nullopt;
 }
 
 // The control plane's network view: bandwidth from the (noisy, periodically

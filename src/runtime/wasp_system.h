@@ -41,6 +41,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -81,6 +82,9 @@ enum class AdaptationMode {
 };
 
 [[nodiscard]] const char* to_string(AdaptationMode mode);
+// Inverse of to_string, plus "static" for no-adapt; nullopt on an unknown
+// name.
+[[nodiscard]] std::optional<AdaptationMode> parse_mode(std::string_view name);
 
 struct SystemConfig {
   AdaptationMode mode = AdaptationMode::kWasp;
@@ -181,6 +185,7 @@ class WaspSystem {
   void run_until(double t_end);
 
   [[nodiscard]] double now() const { return now_; }
+  [[nodiscard]] double tick_sec() const { return config_.tick_sec; }
   [[nodiscard]] const engine::Engine& engine() const { return *engine_; }
   [[nodiscard]] engine::Engine& mutable_engine() { return *engine_; }
   [[nodiscard]] const Recorder& recorder() const { return recorder_; }

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "common/log.h"
+
 namespace wasp::workload {
 namespace {
 
@@ -62,7 +64,7 @@ LogicalOperator sink_op(const char* name, SiteId site) {
 
 QuerySpec make_ysb_campaign(const std::vector<SiteId>& edge_sites,
                             SiteId sink_site) {
-  assert(!edge_sites.empty());
+  check(!edge_sites.empty(), "ysb campaign: needs a source site");
   QuerySpec spec;
   LogicalPlan& plan = spec.plan;
 
@@ -106,7 +108,7 @@ QuerySpec make_ysb_campaign(const std::vector<SiteId>& edge_sites,
 QuerySpec make_topk_topics(const std::vector<SiteId>& east_sites,
                            const std::vector<SiteId>& west_sites,
                            SiteId sink_site) {
-  assert(!east_sites.empty() && !west_sites.empty());
+  check(!east_sites.empty() && !west_sites.empty(), "topk: no east/west site");
   QuerySpec spec;
   LogicalPlan& plan = spec.plan;
 
@@ -169,7 +171,7 @@ QuerySpec make_topk_topics(const std::vector<SiteId>& east_sites,
 
 QuerySpec make_events_of_interest(const std::vector<SiteId>& edge_sites,
                                   SiteId sink_site) {
-  assert(edge_sites.size() >= 2);
+  check(edge_sites.size() >= 2, "events of interest: needs 2 sites");
   QuerySpec spec;
   LogicalPlan& plan = spec.plan;
 
@@ -207,7 +209,7 @@ QuerySpec make_events_of_interest(const std::vector<SiteId>& edge_sites,
 
 QuerySpec make_four_source_join(const std::vector<SiteId>& sites,
                                 SiteId sink_site, bool stateful_joins) {
-  assert(sites.size() >= 4);
+  check(sites.size() >= 4, "four-source join: needs 4 sites");
   QuerySpec spec;
   LogicalPlan& plan = spec.plan;
 

@@ -41,6 +41,17 @@ struct QuerySpec {
 [[nodiscard]] QuerySpec make_events_of_interest(
     const std::vector<SiteId>& edge_sites, SiteId sink_site);
 
+// Gives every source of `query` a base rate of `eps` events/s at each of its
+// pinned sites (any pattern with set_base_rate: stepped, random walk).
+template <typename Pattern>
+void set_base_rates(Pattern& pattern, const QuerySpec& query, double eps) {
+  for (OperatorId source : query.sources) {
+    for (SiteId site : query.plan.op(source).pinned_sites) {
+      pattern.set_base_rate(source, site, eps);
+    }
+  }
+}
+
 // Four-source commutative hash-join query (Fig. 5): sources at four sites
 // joined pairwise; the join order is what query re-planning re-optimizes.
 // `stateful_joins` controls whether the joins carry state (restricting

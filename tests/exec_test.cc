@@ -292,15 +292,15 @@ TEST(ExpandGrid, RowMajorLastAxisFastest) {
   std::string error;
   ASSERT_TRUE(grid.parse_arg("seeds=1,2", &error));
   ASSERT_TRUE(grid.parse_arg("policy=wasp,degrade", &error));
-  const auto cells = expand_grid(grid, SweepDefaults{}, &error);
+  const auto cells = expand_grid(grid, runtime::RunSpec{}, &error);
   ASSERT_TRUE(cells.has_value()) << error;
   ASSERT_EQ(cells->size(), 4u);
-  EXPECT_EQ((*cells)[0].seed, 1u);
-  EXPECT_EQ((*cells)[0].mode, "wasp");
-  EXPECT_EQ((*cells)[1].seed, 1u);
-  EXPECT_EQ((*cells)[1].mode, "degrade");
-  EXPECT_EQ((*cells)[2].seed, 2u);
-  EXPECT_EQ((*cells)[2].mode, "wasp");
+  EXPECT_EQ((*cells)[0].run.seed, 1u);
+  EXPECT_EQ((*cells)[0].run.mode, runtime::AdaptationMode::kWasp);
+  EXPECT_EQ((*cells)[1].run.seed, 1u);
+  EXPECT_EQ((*cells)[1].run.mode, runtime::AdaptationMode::kDegrade);
+  EXPECT_EQ((*cells)[2].run.seed, 2u);
+  EXPECT_EQ((*cells)[2].run.mode, runtime::AdaptationMode::kWasp);
   EXPECT_EQ((*cells)[3].index, 3u);
   EXPECT_FALSE((*cells)[0].seed_forked);
 }
@@ -309,14 +309,14 @@ TEST(ExpandGrid, ForksSeedByCellIndexWithoutSeedsAxis) {
   GridSpec grid;
   std::string error;
   ASSERT_TRUE(grid.parse_arg("policy=wasp,degrade,hybrid", &error));
-  SweepDefaults defaults;
-  defaults.base_seed = 99;
-  const auto cells = expand_grid(grid, defaults, &error);
+  runtime::RunSpec base;
+  base.seed = 99;
+  const auto cells = expand_grid(grid, base, &error);
   ASSERT_TRUE(cells.has_value()) << error;
   ASSERT_EQ(cells->size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_TRUE((*cells)[i].seed_forked);
-    EXPECT_EQ((*cells)[i].seed, fork_seed(99, i));
+    EXPECT_EQ((*cells)[i].run.seed, fork_seed(99, i));
   }
 }
 
@@ -326,12 +326,14 @@ TEST(ExpandGrid, TopologyAxisStoresCanonicalSpecs) {
   // ';' separates spec params because ',' separates axis values.
   ASSERT_TRUE(
       grid.parse_arg("topology=paper,edge:sites=32;regions=4", &error));
-  const auto cells = expand_grid(grid, SweepDefaults{}, &error);
+  const auto cells = expand_grid(grid, runtime::RunSpec{}, &error);
   ASSERT_TRUE(cells.has_value()) << error;
   ASSERT_EQ(cells->size(), 2u);
-  EXPECT_TRUE((*cells)[0].topology.empty());  // paper = the default testbed
-  EXPECT_FALSE((*cells)[1].topology.empty());
-  EXPECT_EQ((*cells)[1].topology.rfind("edge:", 0), 0u);
+  EXPECT_EQ((*cells)[0].run.topology, net::TopologySpec{});  // paper
+  EXPECT_EQ((*cells)[1].run.topology.kind,
+            net::TopologySpec::Kind::kEdgeHierarchy);
+  EXPECT_EQ((*cells)[1].run.topology.edge.edge_sites, 32);
+  EXPECT_EQ((*cells)[1].run.topology.edge.regions, 4);
   EXPECT_EQ((*cells)[1].labels[0].second, "edge:sites=32;regions=4");
 }
 
@@ -342,7 +344,7 @@ TEST(ExpandGrid, RejectsBadValues) {
     GridSpec grid;
     std::string error;
     ASSERT_TRUE(grid.parse_arg(axis, &error)) << axis;
-    EXPECT_FALSE(expand_grid(grid, SweepDefaults{}, &error).has_value())
+    EXPECT_FALSE(expand_grid(grid, runtime::RunSpec{}, &error).has_value())
         << axis;
     EXPECT_FALSE(error.empty());
   }
@@ -353,27 +355,50 @@ TEST(ExpandGrid, StepsAndStaticAliasApply) {
   std::string error;
   ASSERT_TRUE(grid.parse_arg("policy=static", &error));
   ASSERT_TRUE(grid.parse_arg("workload-step=300:2+600:1", &error));
-  const auto cells = expand_grid(grid, SweepDefaults{}, &error);
+  const auto cells = expand_grid(grid, runtime::RunSpec{}, &error);
   ASSERT_TRUE(cells.has_value()) << error;
-  EXPECT_EQ((*cells)[0].mode, "no-adapt");
-  ASSERT_EQ((*cells)[0].workload_steps.size(), 2u);
-  EXPECT_DOUBLE_EQ((*cells)[0].workload_steps[0].first, 300.0);
-  EXPECT_DOUBLE_EQ((*cells)[0].workload_steps[0].second, 2.0);
+  EXPECT_EQ((*cells)[0].run.mode, runtime::AdaptationMode::kNoAdapt);
+  ASSERT_EQ((*cells)[0].run.workload_steps.size(), 2u);
+  EXPECT_DOUBLE_EQ((*cells)[0].run.workload_steps[0].first, 300.0);
+  EXPECT_DOUBLE_EQ((*cells)[0].run.workload_steps[0].second, 2.0);
 }
 
 // ---- run_one / run_sweep ----------------------------------------------
 
 TEST(RunOne, ReportsErrorsInsteadOfThrowing) {
-  RunSpec spec;
-  spec.seed = 7;
-  spec.duration_sec = 10.0;
-  spec.fault_schedule = "/nonexistent/chaos.fsched";
-  const RunResult result = run_one(spec);
+  SweepCell cell;
+  cell.run.seed = 7;
+  cell.run.duration_sec = 10.0;
+  cell.run.fault_schedule = "/nonexistent/chaos.fsched";
+  const RunResult result = run_one(cell);
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.error.empty());
   const obs::TraceEvent event = result.to_trace_event();
   EXPECT_EQ(event.num("ok"), 0.0);
   EXPECT_FALSE(std::string(event.str("error")).empty());
+}
+
+// Inputs that used to abort, segfault or run past a vector's end come back
+// as failed cells with a message, and never take the sweep down.
+TEST(RunOne, TopologyTooSmallOrFaultIdsOutsideItFailTheCell) {
+  const std::string schedule = testing::TempDir() + "/exec_test_bad.fsched";
+  std::ofstream(schedule) << "10 partition from=99 to=0 duration=5\n";
+  for (const std::string& text : std::vector<std::string>{
+           "topology=uniform:sites=1", "topology=uniform:sites=2",
+           "topology=uniform:sites=3 query=join",
+           "topology=edge:sites=4,regions=1,core=1,regional=0 query=join",
+           "fault-schedule=" + schedule}) {
+    SCOPED_TRACE(text);
+    std::string error;
+    const auto spec = runtime::RunSpec::parse(text + " duration=20", &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    SweepCell cell;
+    cell.run = *spec;
+    const RunResult result = run_one(cell);
+    EXPECT_FALSE(result.ok);
+    EXPECT_FALSE(result.error.empty());
+    EXPECT_EQ(result.to_trace_event().num("ok"), 0.0);
+  }
 }
 
 // The tentpole acceptance test: a 16-cell grid (8 seeds x 2 policies, with a
@@ -384,14 +409,14 @@ TEST(SweepDeterminism, SixteenCellGridIdenticalForJobs1AndJobs8) {
   std::string error;
   ASSERT_TRUE(grid.parse_arg("seeds=1..8", &error));
   ASSERT_TRUE(grid.parse_arg("policy=wasp,static", &error));
-  SweepDefaults defaults;
-  defaults.duration_sec = 120.0;
-  auto cells = expand_grid(grid, defaults, &error);
+  runtime::RunSpec base;
+  base.duration_sec = 120.0;
+  auto cells = expand_grid(grid, base, &error);
   ASSERT_TRUE(cells.has_value()) << error;
   ASSERT_EQ(cells->size(), 16u);
   // A surge at t=30 so the wasp cells exercise the adaptation machinery.
   for (auto& cell : *cells) {
-    cell.workload_steps = {{30.0, 3.0}};
+    cell.run.workload_steps = {{30.0, 3.0}};
   }
 
   SweepOptions serial;
@@ -400,21 +425,22 @@ TEST(SweepDeterminism, SixteenCellGridIdenticalForJobs1AndJobs8) {
   parallel.jobs = 8;
   const auto serial_results = run_sweep(*cells, serial);
   const auto parallel_results = run_sweep(*cells, parallel);
-  const std::string serial_merged =
-      merged_jsonl(grid, defaults, serial_results);
+  const std::string serial_merged = merged_jsonl(grid, base, serial_results);
   const std::string parallel_merged =
-      merged_jsonl(grid, defaults, parallel_results);
+      merged_jsonl(grid, base, parallel_results);
   EXPECT_EQ(serial_merged, parallel_merged);  // byte-identical
 
   // Results are ordered by cell index regardless of completion order.
   for (std::size_t i = 0; i < parallel_results.size(); ++i) {
     EXPECT_TRUE(parallel_results[i].ok) << parallel_results[i].error;
-    EXPECT_EQ(parallel_results[i].spec.index, i);
+    EXPECT_EQ(parallel_results[i].cell.index, i);
   }
   // The adaptive cells did adapt (the surge is sized to force it).
   std::size_t adaptive_actions = 0;
   for (const auto& result : parallel_results) {
-    if (result.spec.mode == "wasp") adaptive_actions += result.adaptations;
+    if (result.cell.run.mode == runtime::AdaptationMode::kWasp) {
+      adaptive_actions += result.adaptations;
+    }
   }
   EXPECT_GT(adaptive_actions, 0u);
 }
@@ -425,14 +451,14 @@ TEST(MergedJsonl, ParsesAsTraceEvents) {
   GridSpec grid;
   std::string error;
   ASSERT_TRUE(grid.parse_arg("seeds=1..2", &error));
-  SweepDefaults defaults;
-  defaults.duration_sec = 30.0;
-  const auto cells = expand_grid(grid, defaults, &error);
+  runtime::RunSpec base;
+  base.duration_sec = 30.0;
+  const auto cells = expand_grid(grid, base, &error);
   ASSERT_TRUE(cells.has_value()) << error;
   SweepOptions opts;
   opts.jobs = 2;
   const auto results = run_sweep(*cells, opts);
-  const std::string merged = merged_jsonl(grid, defaults, results);
+  const std::string merged = merged_jsonl(grid, base, results);
 
   std::istringstream in(merged);
   const obs::TraceFile parsed = obs::load_trace(in);

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -76,6 +77,36 @@ TEST(FaultScheduleTest, RejectsMalformedLinesWithLineNumbers) {
   expect_error("120 straggler site=1 factor=0\n", "factor must be > 0");
   // The line number points at the offending line, not the first.
   expect_error("100 crash site=1\n200 heal from=0\n", "line 2");
+}
+
+// Site ids and domains are checked against the topology before a run: an id
+// past the end would otherwise index the Network's per-site state out of
+// bounds.
+TEST(FaultScheduleTest, ValidateRejectsIdsOutsideTheTopology) {
+  const net::Topology topology = net::Topology::make_uniform(16, 2, 100, 10);
+  const auto validate = [&](const std::string& text, std::string* error) {
+    std::istringstream in(text);
+    FaultSchedule schedule;
+    EXPECT_TRUE(FaultSchedule::parse(in, &schedule, error)) << *error;
+    return schedule.validate(topology, error);
+  };
+  std::string error;
+  EXPECT_TRUE(validate("10 crash site=15\n20 partition from=0 to=15\n"
+                       "30 domain_down domain=3\n40 stall duration=5\n",
+                       &error))
+      << error;
+  for (const auto& [text, needle] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"10 partition from=99 to=0 duration=5\n", "from=99"},
+           {"10 crash site=99\n20 restore site=99\n", "site=99"},
+           {"10 flap from=1 to=16 period=4 duration=8\n", "to=16"},
+           {"10 straggler site=16 factor=0.5\n", "site=16"},
+           {"10 domain_down domain=99\n", "domain=99"}}) {
+    SCOPED_TRACE(text);
+    EXPECT_FALSE(validate(text, &error));
+    EXPECT_NE(error.find(needle), std::string::npos) << error;
+    EXPECT_NE(error.find("t=10"), std::string::npos) << error;
+  }
 }
 
 // ---------------------------------------------------------------------------

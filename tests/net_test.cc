@@ -17,6 +17,7 @@
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "net/topology_spec.h"
 #include "net/trace_io.h"
 #include "net/wan_monitor.h"
 #include "obs/trace.h"
@@ -507,6 +508,34 @@ TEST(WanMonitorTest, EstimatesAreStaleBetweenProbes) {
   EXPECT_NEAR(monitor.available(SiteId(0), SiteId(1)), 100.0, 1e-9);
   monitor.tick(40.0);
   EXPECT_LT(monitor.available(SiteId(0), SiteId(1)), 100.0);
+}
+
+// to_string() prints doubles in shortest round-trip form, so a spec with
+// non-round link parameters survives parse(to_string()) bit for bit (a
+// 6-digit form would turn bw=123.4567891 into 123.457).
+TEST(TopologySpecTest, RoundTripsNonRoundDoublesExactly) {
+  std::string error;
+  const auto spec = TopologySpec::parse(
+      "uniform:sites=8,bw=123.4567891,lat=0.1234567", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_EQ(spec->to_string(),
+            "uniform:sites=8,slots=4,bw=123.4567891,lat=0.1234567");
+  const auto again = TopologySpec::parse(spec->to_string(), &error);
+  ASSERT_TRUE(again.has_value()) << error;
+  EXPECT_EQ(*again, *spec);
+  EXPECT_EQ(again->uniform_bw_mbps, 123.4567891);
+  EXPECT_EQ(again->uniform_latency_ms, 0.1234567);
+  // Round values print as before.
+  EXPECT_EQ(TopologySpec::parse("uniform:sites=16")->to_string(),
+            "uniform:sites=16,slots=4,bw=500,lat=20");
+}
+
+TEST(TopologySpecTest, NumbersMustUseTheWholeString) {
+  for (const char* text : {"uniform:bw=100x", "uniform:lat= 5",
+                           "uniform:sites=8.5", "uniform:bw=inf"}) {
+    SCOPED_TRACE(text);
+    EXPECT_FALSE(TopologySpec::parse(text).has_value());
+  }
 }
 
 TEST(TraceIoTest, StepInterpolationBetweenSamples) {

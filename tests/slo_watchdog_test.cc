@@ -45,6 +45,19 @@ TEST(SloSpecTest, ParsesFullSpecAndSuffixedSeconds) {
   EXPECT_DOUBLE_EQ(reparsed->window_sec, spec->window_sec);
 }
 
+TEST(SloSpecTest, RoundTripsNonRoundValuesExactly) {
+  std::string error;
+  const auto spec =
+      SloSpec::parse("delay_p99=1.23456789,ratio_min=0.9,window=29.5", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_EQ(spec->to_string(),
+            "delay_p99=1.23456789,ratio_min=0.9,window=29.5");
+  const auto again = SloSpec::parse(spec->to_string(), &error);
+  ASSERT_TRUE(again.has_value()) << error;
+  EXPECT_EQ(*again, *spec);
+  EXPECT_EQ(again->delay_p99_sec, 1.23456789);
+}
+
 TEST(SloSpecTest, DefaultsWindowAndAllowsPartialSpecs) {
   const auto spec = SloSpec::parse("delay_p99=5");
   ASSERT_TRUE(spec.has_value());

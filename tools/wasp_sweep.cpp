@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/number.h"
 #include "common/table.h"
 #include "exec/sweep.h"
 #include "exec/thread_pool.h"
@@ -33,47 +34,34 @@ using namespace wasp;
 
 struct Options {
   exec::GridSpec grid;
-  exec::SweepDefaults defaults;
+  runtime::RunSpec base;  // every cell's spec before its axis values
   int jobs = exec::ThreadPool::hardware_workers();
-  int threads = 1;  // intra-run workers per cell
+  runtime::RunSettings settings;  // every cell's threads and profiler
   std::string out = "sweep.jsonl";
   std::string trace_dir;
   std::string bench_out;
   bool quiet = false;
-  bool profile = false;
-  int profile_every = 60;
 };
 
-void print_usage() {
+void print_usage(const runtime::RunSpec& base) {
   std::cout <<
       R"(wasp_sweep -- deterministic parallel sweep over WaspSystem runs
 
   --grid AXIS [AXIS...]     grid axes; every following non-flag argument is
-                            one axis, written name=value[,value...]:
-                              seeds=1..32         integer list and/or ranges
-                              policy=wasp,static  also: no-adapt degrade
-                                                  re-assign scale re-plan hybrid
-                              query=topk,ysb      also: interest join
-                              trace=FILE|live     bandwidth trace CSV (globs ok)
-                              fault=FILE          fault schedule (globs ok)
-                              duration=N rate=N alpha=X slo=N
-                              workload-step=T:F[+T:F...]
-                              bandwidth-step=T:F[+T:F...]
-                              topology=paper,edge:sites=64;regions=4
-                                                  TopologySpec strings
-                                                  (DESIGN.md §14); use ';'
-                                                  between spec params, ','
-                                                  separates axis values
-                            cells = cartesian product, last axis fastest
+                            one axis key=value[,value...] over a run key
+                            below (seeds, policy and fault spell seed, mode
+                            and fault-schedule): seeds=1..32 takes ranges,
+                            trace= and fault= take globs,
+                            topology=paper,edge:sites=64;regions=4 uses ';'
+                            inside a spec. Cells = cartesian product, last
+                            axis fastest
   --sweep-file=FILE         read axes from FILE (one per line, # comments)
   --jobs=N                  worker threads (default: hardware cores; results
                             are byte-identical for any N)
   --threads=N               intra-run worker threads per cell (default 1;
-                            results are byte-identical for any N). Total
-                            concurrency is jobs*threads; when that exceeds
-                            the machine's cores, threads is clamped with a
-                            warning -- prefer raising --jobs while there are
-                            more cells than cores
+                            results are byte-identical for any N); clamped
+                            with a warning when jobs*threads exceeds the
+                            machine's cores
   --out=FILE                merged JSONL (default sweep.jsonl; "-" = stdout)
   --trace-dir=DIR           per-run observability traces DIR/run_<cell>.jsonl
   --profile                 always-on phase profiler: each traced cell emits
@@ -81,20 +69,29 @@ void print_usage() {
                             merged stream is bit-identical either way)
   --profile-every=N         profile-event cadence in ticks (default 60;
                             implies --profile)
-  --seed=N                  base seed forked per cell when no seeds axis
-                            (default 42)
-  --mode=M --query=Q --duration=N --rate=N --alpha=X --slo=N
-                            defaults for cells no axis overrides
   --bench-out=FILE          run the grid with --jobs workers AND serially,
                             assert the merged outputs are byte-identical, and
                             write a speedup JSON (wasp-bench-sweep-v1)
   --quiet                   suppress the summary table and progress lines
   --help                    this text
 
-The merged stream is one "sweep_grid" header line plus one "sweep_cell" line
-per cell (obs trace-event encoding, seq = cell index + 1); `wasp_trace
-validate|diff` accept it. Wall-clock timings never enter the merged stream.
+Run keys: --key=value sets the base spec of every cell; an axis overrides it.
+Without a seeds axis each cell's seed is forked from --seed by cell index.
+)" << runtime::RunSpec::help(base)
+            << R"(
+The merged stream is one "sweep_grid" header line (the grid and the base spec
+as "defaults") plus one "sweep_cell" line per cell (its axis labels, the
+canonical spec as "run", and the summary; obs trace-event encoding, seq = cell
+index + 1); `wasp_trace validate|diff` accept it. Wall-clock timings never
+enter the merged stream.
 )";
+}
+
+// Whole-string integer >= 1 for a count flag.
+bool parse_count(const std::string& flag, const std::string& value, int* out) {
+  if (parse_number(value, out) && *out >= 1) return true;
+  std::cerr << flag << " needs an integer >= 1, got '" << value << "'\n";
+  return false;
 }
 
 bool parse_args(int argc, char** argv, Options* opts) {
@@ -109,7 +106,7 @@ bool parse_args(int argc, char** argv, Options* opts) {
     std::string error;
     if (arg.rfind("--", 0) == 0) in_grid = false;
     if (arg == "--help" || arg == "-h") {
-      print_usage();
+      print_usage(opts->base);
       std::exit(0);
     } else if (arg == "--grid") {
       in_grid = true;
@@ -124,47 +121,38 @@ bool parse_args(int argc, char** argv, Options* opts) {
         return false;
       }
     } else if (auto v = value_of("--jobs")) {
-      opts->jobs = std::max(1, std::atoi(v->c_str()));
+      if (!parse_count("--jobs", *v, &opts->jobs)) return false;
     } else if (auto v = value_of("--threads")) {
-      opts->threads = std::max(1, std::atoi(v->c_str()));
+      if (!parse_count("--threads", *v, &opts->settings.threads)) {
+        return false;
+      }
     } else if (auto v = value_of("--out")) {
       opts->out = *v;
     } else if (auto v = value_of("--trace-dir")) {
       opts->trace_dir = *v;
     } else if (auto v = value_of("--bench-out")) {
       opts->bench_out = *v;
-    } else if (auto v = value_of("--seed")) {
-      opts->defaults.base_seed = std::stoull(*v);
-    } else if (auto v = value_of("--mode")) {
-      opts->defaults.mode = *v;
-    } else if (auto v = value_of("--query")) {
-      opts->defaults.query = *v;
-    } else if (auto v = value_of("--duration")) {
-      opts->defaults.duration_sec = std::stod(*v);
-    } else if (auto v = value_of("--rate")) {
-      opts->defaults.rate_eps = std::stod(*v);
-    } else if (auto v = value_of("--alpha")) {
-      opts->defaults.alpha = std::stod(*v);
-    } else if (auto v = value_of("--slo")) {
-      opts->defaults.slo_sec = std::stod(*v);
     } else if (auto v = value_of("--profile-every")) {
-      opts->profile_every = std::max(1, std::atoi(v->c_str()));
-      opts->profile = true;
+      if (!parse_count("--profile-every", *v,
+                       &opts->settings.profile_every)) {
+        return false;
+      }
+      opts->settings.profile = true;
     } else if (arg == "--profile") {
-      opts->profile = true;
+      opts->settings.profile = true;
     } else if (arg == "--quiet") {
       opts->quiet = true;
-    } else {
-      std::cerr << "unknown argument: " << arg << " (see --help)\n";
+    } else if (!opts->base.set_arg(arg, &error)) {
+      std::cerr << error << " (see --help)\n";
       return false;
     }
   }
   return true;
 }
 
-std::string labels_of(const exec::RunSpec& spec) {
+std::string labels_of(const exec::SweepCell& cell) {
   std::string out;
-  for (const auto& [axis, value] : spec.labels) {
+  for (const auto& [axis, value] : cell.labels) {
     if (!out.empty()) out += ' ';
     out += axis + "=" + value;
   }
@@ -177,12 +165,12 @@ void print_summary(const std::vector<exec::RunResult>& results) {
                    "ratio", "proc%", "adapt", "recov(s)"});
   for (const exec::RunResult& r : results) {
     if (!r.ok) {
-      table.add_row({std::to_string(r.spec.index), labels_of(r.spec),
-                     std::to_string(r.spec.seed), "ERROR: " + r.error});
+      table.add_row({std::to_string(r.cell.index), labels_of(r.cell),
+                     std::to_string(r.cell.run.seed), "ERROR: " + r.error});
       continue;
     }
-    table.add_row({std::to_string(r.spec.index), labels_of(r.spec),
-                   std::to_string(r.spec.seed),
+    table.add_row({std::to_string(r.cell.index), labels_of(r.cell),
+                   std::to_string(r.cell.run.seed),
                    TextTable::fmt(r.delay_p50_sec, 3),
                    TextTable::fmt(r.delay_p95_sec, 3),
                    TextTable::fmt(r.delay_p99_sec, 3),
@@ -195,22 +183,20 @@ void print_summary(const std::vector<exec::RunResult>& results) {
 }
 
 // Runs the whole grid once; wall time out-param.
-std::vector<exec::RunResult> run_grid(const std::vector<exec::RunSpec>& cells,
+std::vector<exec::RunResult> run_grid(const std::vector<exec::SweepCell>& cells,
                                       const Options& opts, int jobs,
                                       double* wall_ms) {
   exec::SweepOptions sweep_opts;
   sweep_opts.jobs = jobs;
-  sweep_opts.threads = opts.threads;
+  sweep_opts.settings = opts.settings;
   sweep_opts.trace_dir = opts.trace_dir;
-  sweep_opts.profile = opts.profile;
-  sweep_opts.profile_every = opts.profile_every;
   if (!opts.quiet) {
     std::size_t done = 0;
     const std::size_t total = cells.size();
     sweep_opts.on_cell_done = [&done, total](const exec::RunResult& r) {
       ++done;
       std::cerr << "sweep: " << done << "/" << total << " cell "
-                << r.spec.index << " (" << labels_of(r.spec) << ") "
+                << r.cell.index << " (" << labels_of(r.cell) << ") "
                 << (r.ok ? "" : "FAILED ") << static_cast<long>(r.wall_ms)
                 << " ms\n";
     };
@@ -227,10 +213,11 @@ std::vector<exec::RunResult> run_grid(const std::vector<exec::RunSpec>& cells,
 
 int main(int argc, char** argv) {
   Options opts;
+  opts.base.seed = 42;  // forked per cell when the grid has no seeds axis
   if (!parse_args(argc, argv, &opts)) return 2;
 
   std::string error;
-  const auto cells = exec::expand_grid(opts.grid, opts.defaults, &error);
+  const auto cells = exec::expand_grid(opts.grid, opts.base, &error);
   if (!cells.has_value()) {
     std::cerr << error << "\n";
     return 2;
@@ -244,19 +231,20 @@ int main(int argc, char** argv) {
   // every run slower (the intra-run regions spin-wait). Results do not
   // depend on either knob, so clamping threads is always safe.
   const int cores = exec::ThreadPool::hardware_workers();
-  if (opts.threads > 1 && opts.jobs * opts.threads > cores) {
+  int& threads = opts.settings.threads;
+  if (threads > 1 && opts.jobs * threads > cores) {
     const int clamped = std::max(1, cores / opts.jobs);
     std::cerr << "wasp_sweep: --jobs=" << opts.jobs << " x --threads="
-              << opts.threads << " oversubscribes " << cores
+              << threads << " oversubscribes " << cores
               << (cores == 1 ? " core" : " cores") << "; clamping --threads to "
               << clamped << " (results are identical either way)\n";
-    opts.threads = clamped;
+    threads = clamped;
   }
 
   double wall_ms = 0.0;
   const auto results = run_grid(*cells, opts, opts.jobs, &wall_ms);
   const std::string merged =
-      exec::merged_jsonl(opts.grid, opts.defaults, results);
+      exec::merged_jsonl(opts.grid, opts.base, results);
 
   // The speedup benchmark re-runs the identical grid serially and insists on
   // byte-identical merged output -- the determinism contract, enforced on
@@ -268,7 +256,7 @@ int main(int argc, char** argv) {
     const auto serial_results =
         run_grid(*cells, serial_opts, /*jobs=*/1, &serial_wall_ms);
     const std::string serial_merged =
-        exec::merged_jsonl(opts.grid, opts.defaults, serial_results);
+        exec::merged_jsonl(opts.grid, opts.base, serial_results);
     if (serial_merged != merged) {
       std::cerr << "DETERMINISM VIOLATION: --jobs " << opts.jobs
                 << " merged output differs from --jobs 1\n";
@@ -285,7 +273,7 @@ int main(int argc, char** argv) {
           << "  \"grid\": \"" << opts.grid.to_string() << "\",\n"
           << "  \"cells\": " << cells->size() << ",\n"
           << "  \"jobs\": " << opts.jobs << ",\n"
-          << "  \"threads\": " << opts.threads << ",\n"
+          << "  \"threads\": " << opts.settings.threads << ",\n"
           << "  \"hardware_cores\": " << exec::ThreadPool::hardware_workers()
           << ",\n"
           << "  \"serial_wall_ms\": " << serial_wall_ms << ",\n"
