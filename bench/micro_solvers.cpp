@@ -1,23 +1,19 @@
-// Micro-benchmarks (google-benchmark) for the performance-critical
-// substrates: the placement solver (placement-sized instances and a
-// planet-scale sweep), one fig-scale decision epoch, the min-max migration
-// planner, and the engine tick.
+// Micro-benchmarks (google-benchmark) for the control-plane solvers: the
+// placement solver (placement-sized instances and a planet-scale sweep), one
+// fig-scale decision epoch, and the min-max migration planner. They cover
+// sizes perfbench's workloads do not reach (256-site placement, 32-source
+// migration); the engine tick is perfbench's (engine.*, net.waterfill.*).
+// `--benchmark_out=FILE --benchmark_out_format=json` writes the numbers.
 //
 // These are not paper figures; they document that the control-plane
 // optimizations are cheap enough to run inside a 1 Hz simulation loop (and,
 // in the prototype's terms, inside a 40 s monitoring interval).
 #include <benchmark/benchmark.h>
 
-#include <fstream>
-#include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/engine.h"
-#include "exec/thread_pool.h"
-#include "microengine/micro_engine.h"
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
@@ -93,8 +89,7 @@ BENCHMARK(BM_PlacementIlp)->Arg(8)->Arg(16);
 // ---------------------------------------------------------------------------
 
 void BM_PlacementScale(benchmark::State& state) {
-  // Single-stage placement as the site count grows 16 -> 64 -> 256. The CI
-  // perf gate asserts the 16 -> 256 growth stays sub-quadratic.
+  // Single-stage placement as the site count grows 16 -> 64 -> 256.
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   const RandomView view(m, rng);
@@ -266,176 +261,6 @@ void BM_MigrationMinMaxLp(benchmark::State& state) {
 }
 BENCHMARK(BM_MigrationMinMaxLp)->Arg(2)->Arg(4)->Arg(8)->Arg(32);
 
-// Shared body of the engine-tick benchmarks: top-k query over the given
-// topology with wasp_sim's site roles, hub placement at the sink site.
-void run_engine_tick_topk(benchmark::State& state, const net::Topology& topo,
-                          int threads = 1) {
-  const auto [east, west, edges, dcs, sink] = runtime::site_roles(topo);
-  net::Network network(topo, std::make_shared<net::ConstantBandwidth>());
-  // Intra-run parallelism (DESIGN.md §11): threads-1 pool workers plus the
-  // caller. Results are bit-identical across thread counts, so the thread
-  // axis measures pure tick throughput scaling.
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<exec::ThreadPool>(threads - 1);
-    network.set_pool(pool.get());
-  }
-  auto spec = workload::make_topk_topics(east, west, sink);
-  physical::PhysicalPlan physical;
-  // Simple hub placement for the micro-benchmark.
-  for (OperatorId id : spec.plan.topological_order()) {
-    const auto& op = spec.plan.op(id);
-    physical::StagePlacement placement;
-    placement.per_site.assign(topo.num_sites(), 0);
-    if (!op.pinned_sites.empty()) {
-      for (SiteId s : op.pinned_sites) {
-        ++placement.per_site[static_cast<std::size_t>(s.value())];
-      }
-    } else {
-      placement.per_site[static_cast<std::size_t>(sink.value())] = 1;
-    }
-    physical.add_stage(id, placement);
-  }
-  engine::EngineConfig config;
-  config.pool = pool.get();
-  engine::Engine engine(spec.plan, physical, network, config);
-  for (OperatorId src : spec.sources) {
-    for (SiteId s : spec.plan.op(src).pinned_sites) {
-      engine.set_source_rate(src, s, 10'000.0);
-    }
-  }
-  double t = 0.0;
-  for (auto _ : state) {
-    t += 1.0;
-    network.step(t, 1.0);
-    engine.tick(t);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(t));
-}
-
-void BM_EngineTickTopk(benchmark::State& state) {
-  Rng rng(7);
-  run_engine_tick_topk(state, net::Topology::make_paper_testbed(rng));
-}
-BENCHMARK(BM_EngineTickTopk);
-
-// Scaling variant: uniform topology at 16/64/256 sites, one source per
-// non-hub site. Tick cost is dominated by the per-(stage, site) group and
-// per-channel loops, so this tracks how the SoA data layout behaves as the
-// site count (and with it the channel count) grows. The second axis is the
-// intra-run worker count (1 = serial engine, N = pool with N-1 workers);
-// ticks are bit-identical across the axis, only wall time moves.
-void BM_EngineTickTopkScale(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  run_engine_tick_topk(state, net::Topology::make_uniform(n, 4, 500.0, 20.0),
-                       threads);
-}
-BENCHMARK(BM_EngineTickTopkScale)
-    ->ArgsProduct({{16, 64, 256}, {1, 2, 4}});
-
-void BM_MicroEngineRecords(benchmark::State& state) {
-  // Per-record DES throughput: how many simulated records per second of
-  // wall time the validation engine sustains on a 3-stage pipeline.
-  query::LogicalPlan plan;
-  query::LogicalOperator src;
-  src.name = "src";
-  src.kind = query::OperatorKind::kSource;
-  src.events_per_sec_per_slot = 1e6;
-  src.pinned_sites = {SiteId(0)};
-  const OperatorId s = plan.add_operator(std::move(src));
-  query::LogicalOperator map;
-  map.name = "map";
-  map.kind = query::OperatorKind::kMap;
-  map.events_per_sec_per_slot = 50'000.0;
-  const OperatorId m = plan.add_operator(std::move(map));
-  query::LogicalOperator sink;
-  sink.name = "sink";
-  sink.kind = query::OperatorKind::kSink;
-  sink.events_per_sec_per_slot = 1e6;
-  sink.pinned_sites = {SiteId(2)};
-  const OperatorId k = plan.add_operator(std::move(sink));
-  plan.connect(s, m);
-  plan.connect(m, k);
-  physical::PhysicalPlan physical;
-  physical.add_stage(s, physical::StagePlacement{.per_site = {1, 0, 0}});
-  physical.add_stage(m, physical::StagePlacement{.per_site = {0, 1, 0}});
-  physical.add_stage(k, physical::StagePlacement{.per_site = {0, 0, 1}});
-  const auto topo = net::Topology::make_uniform(3, 2, 1000.0, 10.0);
-
-  std::uint64_t records = 0;
-  for (auto _ : state) {
-    micro::MicroConfig config;
-    config.horizon_sec = 10.0;
-    micro::MicroEngine engine(plan, physical, topo, config);
-    engine.set_source_rate(s, SiteId(0), 5'000.0);
-    const auto results = engine.run();
-    records += results.generated;
-    benchmark::DoNotOptimize(results.sink_eps);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(records));
-}
-BENCHMARK(BM_MicroEngineRecords);
-
-// ---------------------------------------------------------------------------
-// JSON emission: `--bench-json=PATH` writes BENCH_solvers.json (schema
-// documented in DESIGN.md) -- per-benchmark ns/op.
-// ---------------------------------------------------------------------------
-
-class CollectingReporter final : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      ns_per_op_[run.benchmark_name()] = run.GetAdjustedRealTime();
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
-  [[nodiscard]] const std::map<std::string, double>& ns_per_op() const {
-    return ns_per_op_;
-  }
-
- private:
-  std::map<std::string, double> ns_per_op_;  // name -> ns per iteration
-};
-
-void write_bench_json(const std::string& path,
-                      const std::map<std::string, double>& ns_per_op) {
-  std::ofstream out(path);
-  out << "{\n  \"schema\": \"wasp-bench-solvers-v1\",\n  \"benchmarks\": [\n";
-  bool first = true;
-  for (const auto& [name, ns] : ns_per_op) {
-    out << (first ? "" : ",\n") << "    {\"name\": \"" << name
-        << "\", \"ns_per_op\": " << ns << "}";
-    first = false;
-  }
-  out << "\n  ]\n}\n";
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prefix = "--bench-json=";
-    if (arg.rfind(prefix, 0) == 0) {
-      json_path = arg.substr(prefix.size());
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) return 1;
-  CollectingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  if (!json_path.empty()) {
-    write_bench_json(json_path, reporter.ns_per_op());
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -14,7 +14,6 @@
 //   wasp_sim --trace=bandwidth.csv                # replay a measured trace
 //
 // Run `wasp_sim --help` for the full flag list.
-#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <fstream>
@@ -49,7 +48,6 @@ struct Flags {
   runtime::RunSettings settings;
   std::string trace_out;
   std::string metrics_out;
-  std::string bench_out;
   bool csv = false;
   bool verbose = false;
 };
@@ -70,8 +68,6 @@ Execution and output (results and traces are identical for any value):
                                    implies --profile)
   --trace-out=FILE                 write the observability trace (JSONL)
   --metrics=FILE                   write the final metrics snapshot (JSON)
-  --bench-out=FILE                 write wall_ms, ticks, ticks_per_sec and the
-                                   canonical run spec ("run") as JSON
   --csv                            print t,delay_s,ratio,parallelism_x as CSV
   --verbose                        narrate adaptation decisions
   --help                           this text
@@ -101,8 +97,6 @@ bool parse_args(int argc, char** argv, Flags* opts) {
       opts->trace_out = *v;
     } else if (auto v = value_of("--metrics")) {
       opts->metrics_out = *v;
-    } else if (auto v = value_of("--bench-out")) {
-      opts->bench_out = *v;
     } else if (auto v = value_of("--threads")) {
       if (!parse_count("--threads", *v, &opts->settings.threads)) return false;
     } else if (auto v = value_of("--profile-every")) {
@@ -155,39 +149,8 @@ int main(int argc, char** argv) {
 
   // Tick at a time so SIGINT/SIGTERM stop at a tick boundary and still reach
   // the normal finish path below.
-  const auto wall_start = std::chrono::steady_clock::now();
   run->run_until(spec.duration_sec, &g_interrupted);
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
   if (trace_sink != nullptr) trace_sink->flush();
-
-  if (!opts.bench_out.empty()) {
-    std::ofstream bench(opts.bench_out);
-    if (!bench) {
-      std::cerr << "cannot open bench output '" << opts.bench_out << "'\n";
-      return 1;
-    }
-    // 1 Hz simulation loop; now() counts executed ticks even when a signal
-    // stopped the run early.
-    const double ticks = system.now();
-    bench << "{\n  \"schema\": \"wasp-bench-e2e-v1\",\n"
-          << "  \"run\": \"" << spec.to_string() << "\",\n"
-          << "  \"query\": \"" << runtime::to_string(spec.query) << "\",\n"
-          << "  \"mode\": \"" << runtime::to_string(spec.mode) << "\",\n"
-          << "  \"duration_sim_sec\": " << spec.duration_sec << ",\n"
-          << "  \"rate_eps_per_site\": " << spec.rate_eps << ",\n"
-          << "  \"seed\": " << spec.seed << ",\n"
-          << "  \"topology\": \"" << spec.topology.to_string() << "\",\n"
-          << "  \"sites\": " << run->network().topology().num_sites() << ",\n"
-          << "  \"threads\": " << opts.settings.threads << ",\n"
-          << "  \"wall_ms\": " << wall_ms << ",\n"
-          << "  \"ticks\": " << ticks << ",\n"
-          << "  \"ticks_per_sec\": " << (wall_ms > 0.0 ? ticks * 1e3 / wall_ms
-                                                       : 0.0)
-          << "\n}\n";
-  }
 
   // Profiler gauges enter the registry only here, after the run: the
   // registry contents stay bit-identical with profiling on or off for the

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <utility>
 
 #include "common/log.h"
 #include "common/units.h"
@@ -129,8 +130,11 @@ double estimate_plan_cost(
   // plans must lose to feasible ones regardless of latency.
   constexpr double kOverloadPenalty = 1e6;
   double cost = 0.0;
-  // Aggregate demand per directed link first (edges can share links).
-  std::unordered_map<std::int64_t, double> link_demand_mbps;
+  // Every edge share's demand on its directed link (edges can share links),
+  // keyed by from * n + to. Sorted stably below, so each link's demand sums
+  // its shares in walk order and the penalties sum in ascending (from, to)
+  // order, never in hash order.
+  std::vector<std::pair<std::int64_t, double>> link_shares_mbps;
   const auto n = static_cast<std::int64_t>(view.num_sites());
 
   for (const auto& op : logical.operators()) {
@@ -154,14 +158,24 @@ double estimate_plan_cost(
           if (eps <= 0.0) continue;
           cost += eps * view.latency_ms(su, sd) / 1e3;
           if (su != sd) {
-            link_demand_mbps[su.value() * n + sd.value()] +=
-                stream_mbps(eps, op.output_event_bytes);
+            link_shares_mbps.emplace_back(
+                su.value() * n + sd.value(),
+                stream_mbps(eps, op.output_event_bytes));
           }
         }
       }
     }
   }
-  for (const auto& [key, demand] : link_demand_mbps) {
+  std::stable_sort(
+      link_shares_mbps.begin(), link_shares_mbps.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t i = 0; i < link_shares_mbps.size();) {
+    const std::int64_t key = link_shares_mbps[i].first;
+    double demand = 0.0;
+    for (; i < link_shares_mbps.size() && link_shares_mbps[i].first == key;
+         ++i) {
+      demand += link_shares_mbps[i].second;
+    }
     const SiteId from(key / n), to(key % n);
     const double limit = alpha * view.available_mbps(from, to);
     if (demand > limit && limit >= 0.0) {

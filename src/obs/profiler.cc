@@ -26,7 +26,6 @@ constexpr const char* kPhaseNames[static_cast<std::size_t>(Phase::kCount)] = {
     "control.solver.migration",
     "control.standby_sync",
     "record",
-    "micro.batch",
 };
 
 }  // namespace

@@ -56,7 +56,6 @@ enum class Phase : int {
   kSolverMigration,   //   migration min-max solve
   kStandbySync,       //   hot-standby delta sync pump
   kRecord,            // recorder + SLO watchdog fold
-  kMicroBatch,        // microengine event-loop batches (bench/validation)
   kCount
 };
 

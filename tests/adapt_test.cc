@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "adapt/diagnosis.h"
 #include "adapt/monitor.h"
 #include "adapt/policy.h"
+#include "common/units.h"
 #include "engine/engine.h"
 #include "net/bandwidth_model.h"
 #include "net/network.h"
@@ -681,6 +684,64 @@ TEST(PlanCostTest, CoLocationIsCheaperThanWanHops) {
   const double local = estimate_plan_cost(f.plan, colocated, rates, view,
                                           0.8);
   EXPECT_LT(local, spread);
+}
+
+TEST(PlanCostTest, SumsOverloadPenaltiesInLinkOrder) {
+  // src@0 -> map@{1,2} -> sink@3: four WAN links, each carrying exactly
+  // 100 Mbps, with zero latency so the cost is the overload penalties alone.
+  // Their sizes span ten orders of magnitude, so the order of the FP sum
+  // shows in the result's low bits.
+  Fixture f(1000.0, 100'000.0);
+  PhysicalPlan spread;
+  spread.add_stage(f.src_id, StagePlacement{.per_site = {1, 0, 0, 0}});
+  spread.add_stage(f.map_id, StagePlacement{.per_site = {0, 1, 1, 0}});
+  spread.add_stage(f.sink_id, StagePlacement{.per_site = {0, 0, 0, 1}});
+  std::unordered_map<OperatorId, query::OperatorRates> rates;
+  rates[f.src_id].output_eps = 200'000.0;
+  rates[f.map_id].output_eps = 200'000.0;
+
+  struct Link {
+    int from, to;
+    double available_mbps;
+  };
+  // Ascending (from, to).
+  const std::vector<Link> links = {
+      {0, 1, 30.0}, {0, 2, 3e-3}, {1, 3, 7e-9}, {2, 3, 0.9}};
+  class LinkView final : public physical::NetworkView {
+   public:
+    explicit LinkView(const std::vector<Link>& links) : links_(links) {}
+    std::size_t num_sites() const override { return 4; }
+    double available_mbps(SiteId from, SiteId to) const override {
+      for (const Link& l : links_) {
+        if (l.from == from.value() && l.to == to.value()) {
+          return l.available_mbps;
+        }
+      }
+      return 1e9;
+    }
+    double latency_ms(SiteId, SiteId) const override { return 0.0; }
+    int available_slots(SiteId) const override { return 4; }
+
+   private:
+    const std::vector<Link>& links_;
+  } view(links);
+
+  std::vector<double> penalties;
+  for (const Link& l : links) {
+    penalties.push_back(1e6 * (stream_mbps(100'000.0, 125.0) /
+                               (1.0 * l.available_mbps)));
+  }
+  double ascending = 0.0;
+  for (double p : penalties) ascending += p;
+  double descending = 0.0;
+  for (auto it = penalties.rbegin(); it != penalties.rend(); ++it) {
+    descending += *it;
+  }
+  ASSERT_NE(ascending, descending)
+      << "the reverse sum must round differently, or order is untested";
+
+  EXPECT_EQ(estimate_plan_cost(f.plan, spread, rates, view, /*alpha=*/1.0),
+            ascending);
 }
 
 }  // namespace

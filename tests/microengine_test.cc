@@ -1,7 +1,7 @@
 // Tests for the per-record discrete-event micro-engine, including the
 // cross-validation suite that pins the fluid engine's approximations to the
 // DES ground truth on small deployments.
-#include "microengine/micro_engine.h"
+#include "oracle/micro_engine.h"
 
 #include <gtest/gtest.h>
 

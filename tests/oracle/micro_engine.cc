@@ -1,13 +1,11 @@
-#include "microengine/micro_engine.h"
+#include "oracle/micro_engine.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <optional>
 
 #include "common/log.h"
 #include "common/units.h"
-#include "obs/profiler.h"
 
 namespace wasp::micro {
 namespace {
@@ -281,23 +279,10 @@ MicroResults MicroEngine::run() {
     }
   }
 
-  // Profiling batches the clock reads: one micro.batch frame per
-  // kProfileBatchEvents events keeps the observer cost off the per-event
-  // path (the DES loop is this module's entire runtime).
-  constexpr std::uint64_t kProfileBatchEvents = 4096;
-  std::optional<obs::Profiler::Scope> batch_scope;
-  std::uint64_t batch_left = kProfileBatchEvents;
-  const bool profiling = profiler_ != nullptr && profiler_->enabled();
-  if (profiling) batch_scope.emplace(profiler_, obs::Phase::kMicroBatch);
-
   while (!events_.empty()) {
     const Event event = pop_event();
     if (event.time > config_.horizon_sec) break;
     const double now = event.time;
-    if (profiling && --batch_left == 0) {
-      batch_scope.emplace(profiler_, obs::Phase::kMicroBatch);
-      batch_left = kProfileBatchEvents;
-    }
 
     switch (event.kind) {
       case EventKind::kGenerate: {

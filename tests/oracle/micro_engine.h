@@ -53,10 +53,6 @@
 #include "physical/physical_plan.h"
 #include "query/logical_plan.h"
 
-namespace wasp::obs {
-class Profiler;
-}  // namespace wasp::obs
-
 namespace wasp::micro {
 
 struct MicroConfig {
@@ -88,12 +84,6 @@ class MicroEngine {
 
   // Sets the generation rate of `source` at `site` (records/s).
   void set_source_rate(OperatorId source, SiteId site, double eps);
-
-  // Tick-phase profiler hook (DESIGN.md §13): run() accounts its event loop
-  // under the micro.batch phase in fixed-size event batches, so long
-  // validation runs show up in `wasp_trace profile` without a per-event
-  // clock read. Pure observer; null (the default) disables.
-  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
 
   // Runs the whole horizon and returns the measurements.
   [[nodiscard]] MicroResults run();
@@ -179,7 +169,6 @@ class MicroEngine {
   const net::Topology& topology_;
   MicroConfig config_;
   Rng rng_;
-  obs::Profiler* profiler_ = nullptr;
 
   std::vector<TaskGroup> groups_;
   // op index -> group indices (per hosting site).

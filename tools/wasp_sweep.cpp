@@ -5,15 +5,12 @@
 // worker threads (shared-nothing: every run owns its whole world), and
 // merges the per-cell summaries into one ordered JSONL stream plus a
 // human-readable table. The merged output is byte-identical for --jobs 1
-// and --jobs N (DESIGN.md §9); wall-clock numbers go to stderr and the
-// optional --bench-out JSON only.
+// and --jobs N (DESIGN.md §9); wall-clock numbers go to stderr only.
 //
 // Examples:
 //   wasp_sweep --grid seeds=1..32 policy=wasp,static --jobs=8 --out=sweep.jsonl
 //   wasp_sweep --grid fault=examples/*.fsched seeds=1..4 --duration=300
 //   wasp_sweep --sweep-file=grids/fig09.sweep --jobs=4
-//   wasp_sweep --grid seeds=1..32 --bench-out=BENCH_sweep.json   # serial-vs-
-//       parallel speedup benchmark; also asserts the merged outputs match
 //
 // Run `wasp_sweep --help` for the full flag list.
 #include <chrono>
@@ -39,7 +36,6 @@ struct Options {
   runtime::RunSettings settings;  // every cell's threads and profiler
   std::string out = "sweep.jsonl";
   std::string trace_dir;
-  std::string bench_out;
   bool quiet = false;
 };
 
@@ -69,9 +65,6 @@ void print_usage(const runtime::RunSpec& base) {
                             merged stream is bit-identical either way)
   --profile-every=N         profile-event cadence in ticks (default 60;
                             implies --profile)
-  --bench-out=FILE          run the grid with --jobs workers AND serially,
-                            assert the merged outputs are byte-identical, and
-                            write a speedup JSON (wasp-bench-sweep-v1)
   --quiet                   suppress the summary table and progress lines
   --help                    this text
 
@@ -130,8 +123,6 @@ bool parse_args(int argc, char** argv, Options* opts) {
       opts->out = *v;
     } else if (auto v = value_of("--trace-dir")) {
       opts->trace_dir = *v;
-    } else if (auto v = value_of("--bench-out")) {
-      opts->bench_out = *v;
     } else if (auto v = value_of("--profile-every")) {
       if (!parse_count("--profile-every", *v,
                        &opts->settings.profile_every)) {
@@ -184,10 +175,9 @@ void print_summary(const std::vector<exec::RunResult>& results) {
 
 // Runs the whole grid once; wall time out-param.
 std::vector<exec::RunResult> run_grid(const std::vector<exec::SweepCell>& cells,
-                                      const Options& opts, int jobs,
-                                      double* wall_ms) {
+                                      const Options& opts, double* wall_ms) {
   exec::SweepOptions sweep_opts;
-  sweep_opts.jobs = jobs;
+  sweep_opts.jobs = opts.jobs;
   sweep_opts.settings = opts.settings;
   sweep_opts.trace_dir = opts.trace_dir;
   if (!opts.quiet) {
@@ -242,49 +232,9 @@ int main(int argc, char** argv) {
   }
 
   double wall_ms = 0.0;
-  const auto results = run_grid(*cells, opts, opts.jobs, &wall_ms);
+  const auto results = run_grid(*cells, opts, &wall_ms);
   const std::string merged =
       exec::merged_jsonl(opts.grid, opts.base, results);
-
-  // The speedup benchmark re-runs the identical grid serially and insists on
-  // byte-identical merged output -- the determinism contract, enforced on
-  // every benchmark run.
-  if (!opts.bench_out.empty()) {
-    double serial_wall_ms = 0.0;
-    Options serial_opts = opts;
-    serial_opts.trace_dir.clear();  // don't overwrite the parallel run's traces
-    const auto serial_results =
-        run_grid(*cells, serial_opts, /*jobs=*/1, &serial_wall_ms);
-    const std::string serial_merged =
-        exec::merged_jsonl(opts.grid, opts.base, serial_results);
-    if (serial_merged != merged) {
-      std::cerr << "DETERMINISM VIOLATION: --jobs " << opts.jobs
-                << " merged output differs from --jobs 1\n";
-      return 1;
-    }
-    std::ofstream bench(opts.bench_out);
-    if (!bench) {
-      std::cerr << "cannot open bench output '" << opts.bench_out << "'\n";
-      return 1;
-    }
-    const double speedup =
-        wall_ms > 0.0 ? serial_wall_ms / wall_ms : 0.0;
-    bench << "{\n  \"schema\": \"wasp-bench-sweep-v1\",\n"
-          << "  \"grid\": \"" << opts.grid.to_string() << "\",\n"
-          << "  \"cells\": " << cells->size() << ",\n"
-          << "  \"jobs\": " << opts.jobs << ",\n"
-          << "  \"threads\": " << opts.settings.threads << ",\n"
-          << "  \"hardware_cores\": " << exec::ThreadPool::hardware_workers()
-          << ",\n"
-          << "  \"serial_wall_ms\": " << serial_wall_ms << ",\n"
-          << "  \"parallel_wall_ms\": " << wall_ms << ",\n"
-          << "  \"speedup\": " << speedup << ",\n"
-          << "  \"deterministic\": true\n}\n";
-    std::cerr << "sweep bench: " << cells->size() << " cells, jobs="
-              << opts.jobs << ": serial " << static_cast<long>(serial_wall_ms)
-              << " ms, parallel " << static_cast<long>(wall_ms)
-              << " ms, speedup " << speedup << "x (merged outputs identical)\n";
-  }
 
   if (opts.out == "-") {
     std::cout << merged;

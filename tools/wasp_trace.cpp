@@ -5,7 +5,7 @@
 //   wasp_trace spans [--id=N] [--op=N] FILE  span forest with critical path
 //   wasp_trace diff A B [--ignore=k1,k2] [--include-wall]
 //                                            field-level comparison
-//   wasp_trace profile FILE [--json] [--diff=B] [--chrome [-o OUT]]
+//   wasp_trace profile FILE [--diff=B] [--chrome [-o OUT]]
 //                                            phase-profiler breakdown
 //   wasp_trace export --chrome FILE [-o OUT] Chrome trace-event JSON
 //
@@ -47,7 +47,7 @@ int usage(const char* argv0) {
                "  diff A B [--ignore=k1,k2] [--include-wall]\n"
                "                           field-level trace comparison"
                " (wall_* ignored by default)\n"
-               "  profile FILE [--json] [--diff=B] [--chrome [-o OUT]]\n"
+               "  profile FILE [--diff=B] [--chrome [-o OUT]]\n"
                "                           phase-profiler breakdown from"
                " `profile` events (--profile runs):\n"
                "                           top phases by self time, per-tick"
@@ -286,51 +286,11 @@ int cmd_diff(const std::vector<std::string>& args) {
   return 1;
 }
 
-void print_profile_json(const wasp::obs::ProfileSummary& profile,
-                        std::FILE* out) {
-  const wasp::obs::ProfilePhase* step = profile.find("step");
-  const double coverage_pct =
-      step != nullptr && step->total_us > 0.0
-          ? 100.0 * (1.0 - step->self_us / step->total_us)
-          : 0.0;
-  std::fprintf(out, "{\n  \"schema\": \"wasp-trace-profile-v1\",\n");
-  std::fprintf(out, "  \"ticks\": %llu,\n",
-               static_cast<unsigned long long>(profile.ticks));
-  std::fprintf(out, "  \"profile_events\": %zu,\n", profile.profile_events);
-  std::fprintf(out, "  \"coverage_pct\": %.3f,\n", coverage_pct);
-  std::fprintf(out, "  \"phases\": [\n");
-  for (std::size_t i = 0; i < profile.phases.size(); ++i) {
-    const auto& p = profile.phases[i];
-    std::fprintf(out,
-                 "    {\"phase\": \"%s\", \"ticks\": %llu, \"calls\": %llu, "
-                 "\"total_us\": %.3f, \"self_us\": %.3f}%s\n",
-                 p.name.c_str(), static_cast<unsigned long long>(p.ticks),
-                 static_cast<unsigned long long>(p.calls), p.total_us,
-                 p.self_us, i + 1 < profile.phases.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]%s\n", profile.pool.present ? "," : "");
-  if (profile.pool.present) {
-    const auto& pool = profile.pool;
-    std::fprintf(out,
-                 "  \"pool\": {\"threads\": %.0f, \"tasks\": %.0f, "
-                 "\"chunks\": %.0f, \"regions\": %.0f, \"busy_us\": %.3f, "
-                 "\"busy_min_us\": %.3f, \"busy_max_us\": %.3f, "
-                 "\"queue_peak\": %.0f}\n",
-                 pool.threads, pool.tasks, pool.chunks, pool.regions,
-                 pool.busy_us, pool.busy_min_us, pool.busy_max_us,
-                 pool.queue_peak);
-  }
-  std::fprintf(out, "}\n");
-}
-
 int cmd_profile(const std::vector<std::string>& args) {
-  bool json = false;
   bool chrome = false;
   std::string path, diff_path, out_path;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--json") {
-      json = true;
-    } else if (args[i] == "--chrome") {
+    if (args[i] == "--chrome") {
       chrome = true;
     } else if (args[i].rfind("--diff=", 0) == 0) {
       diff_path = args[i].substr(7);
@@ -407,11 +367,6 @@ int cmd_profile(const std::vector<std::string>& args) {
     return 0;
   }
 
-  if (json) {
-    print_profile_json(profile, stdout);
-    return 0;
-  }
-
   const wasp::obs::ProfilePhase* step = profile.find("step");
   const double denom_us =
       step != nullptr && step->total_us > 0.0 ? step->total_us : 0.0;
@@ -451,8 +406,9 @@ int cmd_profile(const std::vector<std::string>& args) {
         pool.threads, pool.tasks, pool.chunks, pool.regions,
         pool.busy_us / 1e3, pool.busy_min_us / 1e3, pool.busy_max_us / 1e3,
         pool.queue_peak);
-    // Worker utilization explains the BENCH_e2e t4 pool-overhead row: busy
-    // time across workers over (workers x measured tick time).
+    // Worker utilization: busy time across workers over (workers x measured
+    // tick time). A low figure is pool overhead, the cost perfbench reports
+    // as exec.t4_over_t1 < 1.
     if (denom_us > 0.0 && pool.threads > 1.0) {
       std::printf("pool: worker utilization %.1f%% of %d worker(s) over "
                   "measured ticks\n",
