@@ -115,6 +115,7 @@ void Engine::build_runtime() {
   g_capacity_.assign(num_groups, 0.0);
   proc_scratch_.assign(num_groups, 0.0);
   bp_scratch_.assign(num_groups, 0);
+  link_memo_.assign(num_sites_ * num_sites_, LinkMemo{});
 
   for (const auto& op : logical_.operators()) {
     const auto i = static_cast<std::size_t>(op.id.value());
@@ -572,40 +573,35 @@ void Engine::stage_site_chunk(std::size_t k) {
 
 const Engine::LinkMemo& Engine::link_memo(std::int32_t from_site,
                                           std::int32_t to_site) {
-  const std::int64_t key = static_cast<std::int64_t>(from_site) *
-                               static_cast<std::int64_t>(num_sites_) +
-                           to_site;
-  const auto [hit, inserted] = link_memo_.try_emplace(key);
-  if (inserted) {
+  LinkMemo& memo = link_memo_[link_index(from_site, to_site)];
+  if (memo.stamp != memo_stamp_) {
+    memo.stamp = memo_stamp_;
     const SiteId from(from_site);
     const SiteId to(to_site);
-    hit->second.capacity = network_.capacity(from, to, now_);
+    memo.capacity = network_.capacity(from, to, now_);
     // headroom is only ever consulted for channels backed by a flow, which
-    // are cross-site by construction; intra-site keys skip the allocation
-    // query entirely.
+    // are cross-site by construction; intra-site entries skip the
+    // allocation query entirely (their headroom stays 0).
     if (from_site != to_site) {
-      hit->second.headroom = std::max(
-          0.0, hit->second.capacity - network_.link_allocated(from, to));
+      memo.headroom =
+          std::max(0.0, memo.capacity - network_.link_allocated(from, to));
     }
   }
-  return hit->second;
+  return memo;
 }
 
 const Engine::LinkMemo& Engine::link_memo_at(std::int32_t from_site,
                                              std::int32_t to_site) const {
-  const std::int64_t key = static_cast<std::int64_t>(from_site) *
-                               static_cast<std::int64_t>(num_sites_) +
-                           to_site;
-  const auto hit = link_memo_.find(key);
-  assert(hit != link_memo_.end());  // prefill_link_memo() covered every link
-  return hit->second;
+  const LinkMemo& memo = link_memo_[link_index(from_site, to_site)];
+  assert(memo.stamp == memo_stamp_);  // prefill_link_memo() filled it
+  return memo;
 }
 
 void Engine::prefill_link_memo() {
-  // Insert the memo entry of every channel's link up front (serial). Each
+  // Fill the memo entry of every channel's link up front (serial). Each
   // entry is a pure function of (from, to, now_) and the network state fixed
   // for this tick, so eager vs. lazy computation yields identical bits; with
-  // every key present, the parallel chunks only ever do read-only lookups.
+  // every entry current, the parallel chunks only ever read.
   for (const ChannelDesc& c : chan_) {
     link_memo(c.from_site, c.to_site);
   }
@@ -621,8 +617,8 @@ void Engine::flow_demand_chunk(std::size_t chunk) {
                             c_event_bytes_.data() + begin, dt,
                             demand_scratch_.data() + begin);
   // Each channel owns a distinct flow (1:1 at append_channel), so the writes
-  // are shared-nothing; set_stream_demand is a lookup in a map no one
-  // mutates mid-tick plus a field store on that flow.
+  // are shared-nothing; set_stream_demand is an index into a flow store no
+  // one mutates mid-tick plus a field store on that flow.
   for (std::size_t i = begin; i < end; ++i) {
     if (!chan_[i].flow.valid()) continue;
     network_.set_stream_demand(chan_[i].flow, demand_scratch_[i]);
@@ -791,7 +787,7 @@ void Engine::tick(double t) {
              [this](std::size_t i) { phase_reset_chunk(i); });
   prev_delay_sec_ = last_.delay_sec;
   last_ = QueryTickMetrics{};
-  link_memo_.clear();
+  ++memo_stamp_;  // every memo entry is now stale
   prefill_link_memo();
 
   if (config_.degrade) apply_degrade_drops(t);

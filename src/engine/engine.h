@@ -400,7 +400,9 @@ class Engine {
   std::vector<double> c_delivered_prev_;
   std::vector<double> c_event_bytes_;  // mirror of chan_[i].event_bytes
   std::vector<double> c_share_;        // precomputed routing share
-  std::vector<const net::Flow*> c_flow_;  // null for intra-site channels
+  // Null for intra-site channels. Valid until the channel's own flow is
+  // removed: the network never moves a live flow (see net::Network).
+  std::vector<const net::Flow*> c_flow_;
   std::vector<std::int32_t> c_to_stage_;  // mirror for the reset kernel
 
   // Hosting sites per stage (ascending site index), rebuilt with every
@@ -421,22 +423,32 @@ class Engine {
   // Per-tick scratch (no allocation after warm-up).
   std::vector<double> lat_scratch_;
   std::vector<double> demand_scratch_;
-  // Per-tick memo of link capacity and headroom (capacity - allocated),
-  // keyed by from*num_sites+to. Both inputs are fixed for the duration of a
-  // tick -- network_.step() runs before Engine::tick() and allocations only
-  // change there -- so channels sharing a link reuse the first computation
-  // bit-for-bit instead of re-querying the network.
+  // Per-tick memo of link capacity and headroom (capacity - allocated): a
+  // dense num_sites^2 array indexed by from*num_sites+to. Both inputs are
+  // fixed for the duration of a tick -- network_.step() runs before
+  // Engine::tick() and allocations only change there -- so channels sharing
+  // a link reuse the first computation bit-for-bit instead of re-querying
+  // the network. An entry is current when its stamp equals memo_stamp_,
+  // which tick() bumps instead of clearing the array; the 64-bit stamp
+  // never wraps, so a stale entry never reads as current.
   struct LinkMemo {
     double capacity = 0.0;
     double headroom = 0.0;
+    std::uint64_t stamp = 0;  // memo_stamp_ of the tick that filled it
   };
-  std::unordered_map<std::int64_t, LinkMemo> link_memo_;
+  std::vector<LinkMemo> link_memo_;  // sized num_sites^2 by build_runtime()
+  std::uint64_t memo_stamp_ = 0;     // bumped by every tick()
+  [[nodiscard]] std::size_t link_index(std::int32_t from_site,
+                                       std::int32_t to_site) const {
+    return static_cast<std::size_t>(from_site) * num_sites_ +
+           static_cast<std::size_t>(to_site);
+  }
   const LinkMemo& link_memo(std::int32_t from_site, std::int32_t to_site);
-  // Read-only lookup of an entry prefill_link_memo() already inserted; safe
-  // from parallel chunks (no mutation, no rehash).
+  // Read-only access to an entry prefill_link_memo() already filled this
+  // tick; safe from parallel chunks (no mutation).
   [[nodiscard]] const LinkMemo& link_memo_at(std::int32_t from_site,
                                              std::int32_t to_site) const;
-  // Inserts the memo entry of every channel's link (serial, at tick start),
+  // Fills the memo entry of every channel's link (serial, at tick start),
   // so in-tick consumers -- including parallel chunks -- only ever read.
   void prefill_link_memo();
 

@@ -62,24 +62,38 @@ bool Network::site_down(SiteId site) const {
   return site_down_[s] != 0;
 }
 
-FlowId Network::add_stream_flow(SiteId from, SiteId to) {
-  const FlowId id(next_flow_id_++);
-  flows_.emplace(id, Flow{id, from, to, FlowKind::kStream, 0.0, 0.0, 0.0,
-                          false});
+FlowId Network::add_flow(Flow f) {
+  f.id = FlowId(static_cast<std::int64_t>(slot_of_.size()));
+  std::int32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::int32_t>(flows_.size());
+    flows_.push_back(f);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    flows_[static_cast<std::size_t>(slot)] = f;
+  }
+  slot_of_.push_back(slot);
   link_groups_dirty_ = true;
-  return id;
+  return f.id;
+}
+
+FlowId Network::add_stream_flow(SiteId from, SiteId to) {
+  return add_flow(
+      Flow{FlowId(), from, to, FlowKind::kStream, 0.0, 0.0, 0.0, false});
 }
 
 FlowId Network::add_bulk_flow(SiteId from, SiteId to, double size_mb) {
-  const FlowId id(next_flow_id_++);
-  Flow f{id, from, to, FlowKind::kBulk, 0.0, 0.0, size_mb, size_mb <= 0.0};
-  flows_.emplace(id, f);
-  link_groups_dirty_ = true;
-  return id;
+  return add_flow(Flow{FlowId(), from, to, FlowKind::kBulk, 0.0, 0.0,
+                       size_mb, size_mb <= 0.0});
 }
 
 void Network::remove_flow(FlowId id) {
-  flows_.erase(id);
+  if (!has_flow(id)) return;
+  std::int32_t& slot = slot_of_[static_cast<std::size_t>(id.value())];
+  flows_[static_cast<std::size_t>(slot)] = Flow{};  // invalid id: free
+  free_slots_.push_back(slot);
+  slot = -1;
   link_groups_dirty_ = true;
 }
 
@@ -90,9 +104,11 @@ void Network::rebuild_link_groups() {
   link_flows_.clear();
   link_groups_.clear();
   bulk_flows_.clear();
-  // The map walk only collects; the sort fixes the order (ids are unique,
-  // so the order is total and independent of the map's iteration order).
-  for (auto& [id, f] : flows_) link_flows_.push_back(&f);
+  // The slot walk only collects; the sort fixes the order (ids are unique,
+  // so the order is total and independent of which slot holds which flow).
+  for (Flow& f : flows_) {
+    if (f.id.valid()) link_flows_.push_back(&f);
+  }
   std::sort(link_flows_.begin(), link_flows_.end(),
             [](const Flow* a, const Flow* b) {
               if (a->from != b->from) return a->from < b->from;
@@ -116,19 +132,10 @@ void Network::rebuild_link_groups() {
 }
 
 void Network::set_stream_demand(FlowId id, double mbps) {
-  auto it = flows_.find(id);
-  assert(it != flows_.end());
-  assert(it->second.kind == FlowKind::kStream);
-  it->second.demand_mbps = std::max(0.0, mbps);
+  Flow& f = flows_[slot(id)];
+  assert(f.kind == FlowKind::kStream);
+  f.demand_mbps = std::max(0.0, mbps);
 }
-
-const Flow& Network::flow(FlowId id) const {
-  auto it = flows_.find(id);
-  assert(it != flows_.end());
-  return it->second;
-}
-
-bool Network::has_flow(FlowId id) const { return flows_.contains(id); }
 
 void Network::fill_link(LinkGroup& g, double t,
                         std::vector<Flow*>& active) {

@@ -8,11 +8,12 @@
 // experiments (§8.7) depend on.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -73,14 +74,24 @@ class Network {
   }
 
   // --- flow management -----------------------------------------------------
+  //
+  // FlowIds are sequential and never reused. Every call below is O(1);
+  // removing an unknown or already-removed id is a no-op. A Flow reference
+  // stays valid until that flow is removed, whatever other flows are added
+  // or removed meanwhile (the engine caches Flow pointers).
 
   FlowId add_stream_flow(SiteId from, SiteId to);
   FlowId add_bulk_flow(SiteId from, SiteId to, double size_mb);
   void remove_flow(FlowId id);
   void set_stream_demand(FlowId id, double mbps);
 
-  [[nodiscard]] const Flow& flow(FlowId id) const;
-  [[nodiscard]] bool has_flow(FlowId id) const;
+  [[nodiscard]] const Flow& flow(FlowId id) const {
+    return flows_[slot(id)];
+  }
+  [[nodiscard]] bool has_flow(FlowId id) const {
+    const auto i = static_cast<std::size_t>(id.value());
+    return id.valid() && i < slot_of_.size() && slot_of_[i] >= 0;
+  }
 
   // Computes the max-min fair allocation of every link's capacity at time
   // `t` among its flows, then advances bulk transfers by `dt` seconds.
@@ -92,7 +103,10 @@ class Network {
   // the last step(); used by monitors and tests.
   [[nodiscard]] double link_allocated(SiteId from, SiteId to) const;
 
-  [[nodiscard]] std::size_t num_flows() const { return flows_.size(); }
+  // Live flows (a removed flow's slot does not count).
+  [[nodiscard]] std::size_t num_flows() const {
+    return flows_.size() - free_slots_.size();
+  }
 
   // Number of unfinished bulk transfers; a clean shutdown (and a clean
   // chaos run) ends with zero.
@@ -147,14 +161,26 @@ class Network {
   // Allocates one group's flows for this step (see step()); `active` is
   // the calling chunk's scratch.
   void fill_link(LinkGroup& g, double t, std::vector<Flow*>& active);
+  // Stores `f` under the next FlowId, in a free slot if there is one.
+  FlowId add_flow(Flow f);
+  [[nodiscard]] std::size_t slot(FlowId id) const {
+    assert(has_flow(id));
+    return static_cast<std::size_t>(
+        slot_of_[static_cast<std::size_t>(id.value())]);
+  }
 
   Topology topology_;
   std::shared_ptr<const BandwidthModel> model_;
   std::vector<char> link_partitioned_;  // num_sites^2, row-major from*n+to
   std::vector<char> site_down_;         // num_sites
-  // Id -> flow lookup (stable addresses: the engine caches Flow pointers).
-  // Never iterated for a value, an event or an order.
-  std::unordered_map<FlowId, Flow> flows_;
+  // Flow store: slots with stable addresses (a deque never moves its
+  // elements when it grows). A removed flow's slot holds an invalid id and
+  // goes on a LIFO free list for the next add; slot_of_ maps a FlowId value
+  // to its slot, -1 once the flow is removed. Slot order is never used for
+  // a value, an event or an order: rebuild_link_groups() sorts by id.
+  std::deque<Flow> flows_;
+  std::vector<std::int32_t> free_slots_;
+  std::vector<std::int32_t> slot_of_;  // one entry per FlowId ever issued
   std::vector<Flow*> link_flows_;        // every flow, by (from, to, id)
   std::vector<LinkGroup> link_groups_;   // by (from, to)
   std::vector<std::int32_t> link_group_of_;  // num_sites^2 -> group; -1 = none
@@ -164,7 +190,6 @@ class Network {
   std::vector<std::vector<Flow*>> wf_scratch_;
   exec::ThreadPool* pool_ = nullptr;
   bool link_groups_dirty_ = true;
-  std::int64_t next_flow_id_ = 0;
   obs::TraceEmitter* trace_ = nullptr;
 };
 

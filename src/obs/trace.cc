@@ -195,7 +195,8 @@ TraceEmitter::Event& TraceEmitter::Event::str(std::string_view key,
 std::uint64_t TraceEmitter::begin_span(std::string_view name,
                                        std::uint64_t parent) {
   std::uint64_t id = kNoSpan;
-  begin_span_event(name, &id, parent);
+  // No extra fields: the discarded builder commits the event right here.
+  static_cast<void>(begin_span_event(name, &id, parent));
   return id;
 }
 

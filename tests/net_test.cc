@@ -2,6 +2,7 @@
 // flow allocation (max-min fairness), bulk transfers, and the WAN monitor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -310,6 +311,110 @@ TEST(NetworkTest, RemoveFlowStopsAccounting) {
   EXPECT_DOUBLE_EQ(net.link_allocated(SiteId(0), SiteId(1)), 0.0);
 }
 
+// The flow store under churn: slots freed by removals are reused by later
+// adds out of id order, while ids keep increasing and every live flow keeps
+// its fields.
+TEST(NetworkTest, FlowStoreChurnKeepsIdsAndFlows) {
+  struct Expected {
+    FlowId id;
+    SiteId from;
+    SiteId to;
+    FlowKind kind;
+    double remaining_mb;
+  };
+  Network net = make_net(4, 1, 100.0, 10.0);
+  Rng rng(17);
+  std::vector<Expected> live;
+  std::vector<FlowId> removed;
+  FlowId last;
+  const auto check_all = [&] {
+    ASSERT_EQ(net.num_flows(), live.size());
+    EXPECT_FALSE(net.has_flow(FlowId()));
+    for (const FlowId id : removed) EXPECT_FALSE(net.has_flow(id)) << id;
+    for (const Expected& e : live) {
+      ASSERT_TRUE(net.has_flow(e.id)) << e.id;
+      const Flow& f = net.flow(e.id);
+      EXPECT_EQ(f.id, e.id);
+      EXPECT_EQ(f.from, e.from);
+      EXPECT_EQ(f.to, e.to);
+      EXPECT_EQ(f.kind, e.kind);
+      EXPECT_EQ(f.remaining_mb, e.remaining_mb);
+    }
+  };
+  const auto add = [&](SiteId from, SiteId to, bool bulk, double size_mb) {
+    const FlowId id = bulk ? net.add_bulk_flow(from, to, size_mb)
+                           : net.add_stream_flow(from, to);
+    EXPECT_GT(id, last);
+    last = id;
+    live.push_back({id, from, to, bulk ? FlowKind::kBulk : FlowKind::kStream,
+                    bulk ? size_mb : 0.0});
+  };
+  const auto add_random = [&] {
+    const SiteId from(rng.uniform_int(0, 3));
+    const SiteId to(rng.uniform_int(0, 3));
+    add(from, to, rng.uniform() < 0.5, rng.uniform(1.0, 500.0));
+  };
+  const auto remove_random = [&] {
+    const auto i = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+    net.remove_flow(live[i].id);
+    removed.push_back(live[i].id);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+
+  for (int i = 0; i < 60; ++i) add_random();
+  for (int round = 0; round < 20; ++round) {
+    // Removing in random order puts the free slots out of id order; the
+    // adds that follow reuse them.
+    for (int k = 0; k < 7; ++k) remove_random();
+    for (int k = 0; k < 5; ++k) add_random();
+    check_all();
+  }
+
+  // A second removal of the same id is a no-op, also for the slot it freed:
+  // the two adds that follow must land in distinct slots.
+  remove_random();
+  net.remove_flow(removed.back());
+  net.remove_flow(FlowId());
+  net.remove_flow(FlowId(last.value() + 1));  // never issued
+  check_all();
+  add(SiteId(0), SiteId(1), /*bulk=*/true, 111.0);
+  add(SiteId(2), SiteId(3), /*bulk=*/false, 0.0);
+  check_all();
+}
+
+// The engine caches `const Flow*` per channel: a pointer to a live flow must
+// survive any amount of adding and removing of other flows (ASan catches a
+// store that moves its flows).
+TEST(NetworkTest, FlowPointerSurvivesChurnOfOtherFlows) {
+  Network net = make_net(3, 1, 100.0, 10.0);
+  const FlowId kept = net.add_stream_flow(SiteId(0), SiteId(1));
+  net.set_stream_demand(kept, 12.5);
+  const Flow* p = &net.flow(kept);
+  std::vector<FlowId> others;
+  Rng rng(5);
+  for (int op = 0; op < 10000; ++op) {
+    if (others.empty() || rng.uniform() < 0.6) {
+      others.push_back(net.add_bulk_flow(SiteId(1), SiteId(2), 10.0));
+    } else {
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(others.size()) - 1));
+      net.remove_flow(others[i]);
+      others[i] = others.back();
+      others.pop_back();
+    }
+  }
+  ASSERT_GT(others.size(), 1000u);  // the store grew well past its start
+  EXPECT_EQ(p, &net.flow(kept));
+  EXPECT_EQ(p->id, kept);
+  EXPECT_EQ(p->from, SiteId(0));
+  EXPECT_EQ(p->to, SiteId(1));
+  EXPECT_EQ(p->kind, FlowKind::kStream);
+  EXPECT_EQ(p->demand_mbps, 12.5);
+  net.step(0.0, 1.0);
+  EXPECT_EQ(p->allocated_mbps, 12.5);
+}
+
 // One flow of the order test's scenario.
 struct FlowSpec {
   SiteId from;
@@ -335,9 +440,12 @@ FlowSpec random_spec(Rng& rng, int sites) {
 }
 
 // Builds the scenario's surviving flows in order. With `churn`, five
-// throwaway flows are added before each survivor and all of them are removed
-// once the survivors exist, so ids (and the flow table's history) differ
-// from the churn-free build while the survivors' relative id order does not.
+// throwaway flows are added before each survivor and three random earlier
+// throwaways are removed just before it, so the survivor (and the next
+// throwaways) reuse freed slots out of id order; the remaining throwaways
+// are removed once the survivors exist. Ids and the flow store's slot
+// layout differ from the churn-free build; the survivors' relative id order
+// does not.
 std::vector<FlowId> build_scenario(Network& net,
                                    const std::vector<FlowSpec>& specs,
                                    bool churn, int sites) {
@@ -346,6 +454,13 @@ std::vector<FlowId> build_scenario(Network& net,
   for (const FlowSpec& spec : specs) {
     for (int k = 0; churn && k < 5; ++k) {
       throwaways.push_back(add_spec(net, random_spec(rng, sites)));
+    }
+    for (int k = 0; churn && k < 3; ++k) {
+      const auto i = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(throwaways.size()) - 1));
+      net.remove_flow(throwaways[i]);
+      throwaways[i] = throwaways.back();
+      throwaways.pop_back();
     }
     survivors.push_back(add_spec(net, spec));
   }
@@ -356,8 +471,11 @@ std::vector<FlowId> build_scenario(Network& net,
 TEST(NetworkTest, TracedStepFollowsLinkAndIdOrder) {
   constexpr int kSites = 6;  // 36 links: more than one parallel fill chunk
   Rng rng(2026);
-  std::vector<FlowSpec> specs;  // random links, so created out of link order
-  for (int i = 0; i < 60; ++i) specs.push_back(random_spec(rng, kSites));
+  // Random links, so created out of link order; about six flows a link, so
+  // a fill or sum that walks a link's flows out of id order moves result
+  // bits.
+  std::vector<FlowSpec> specs;
+  for (int i = 0; i < 200; ++i) specs.push_back(random_spec(rng, kSites));
 
   struct Run {
     Network net = make_net(kSites, 1, 100.0, 10.0);
@@ -404,12 +522,25 @@ TEST(NetworkTest, TracedStepFollowsLinkAndIdOrder) {
     EXPECT_LT(bulk_dones[i - 1].num("flow"), bulk_dones[i].num("flow"));
   }
 
-  // link_alloc payloads match the churn-free network's (bulk_done carries
-  // the flow id, which churn shifts).
+  // link_alloc payloads match the churn-free network's. bulk_done carries
+  // the flow id, which churn shifts: map it back to the survivor's index.
   const auto clean_allocs = clean.sink->of_type("link_alloc");
   ASSERT_EQ(link_allocs.size(), clean_allocs.size());
   for (std::size_t i = 0; i < link_allocs.size(); ++i) {
     EXPECT_EQ(link_allocs[i].nums, clean_allocs[i].nums) << "event " << i;
+  }
+  const auto clean_dones = clean.sink->of_type("bulk_done");
+  ASSERT_EQ(bulk_dones.size(), clean_dones.size());
+  const auto survivor_of = [](const Run& run, double flow) {
+    const auto it = std::find(run.ids.begin(), run.ids.end(),
+                              FlowId(static_cast<std::int64_t>(flow)));
+    return it - run.ids.begin();
+  };
+  for (std::size_t i = 0; i < bulk_dones.size(); ++i) {
+    EXPECT_EQ(bulk_dones[i].t, clean_dones[i].t) << "event " << i;
+    EXPECT_EQ(survivor_of(churned, bulk_dones[i].num("flow")),
+              survivor_of(clean, clean_dones[i].num("flow")))
+        << "event " << i;
   }
 
   // A 4-worker pool writes the same trace bytes as no pool.
@@ -451,7 +582,9 @@ TEST_P(NetworkFairnessProperty, AllocationIsFeasibleAndDemandBounded) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const double a = net.flow(ids[i]).allocated_mbps;
     EXPECT_GE(a, -1e-9);
-    if (demands[i] >= 0.0) EXPECT_LE(a, demands[i] + 1e-9);
+    if (demands[i] >= 0.0) {
+      EXPECT_LE(a, demands[i] + 1e-9);
+    }
     total += a;
   }
   EXPECT_LE(total, capacity + 1e-6);
@@ -459,7 +592,9 @@ TEST_P(NetworkFairnessProperty, AllocationIsFeasibleAndDemandBounded) {
   // present), the link is fully used.
   double total_demand = 0.0;
   for (double d : demands) total_demand += d >= 0.0 ? d : 1e18;
-  if (total_demand >= capacity) EXPECT_NEAR(total, capacity, 1e-6);
+  if (total_demand >= capacity) {
+    EXPECT_NEAR(total, capacity, 1e-6);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomFlowSets, NetworkFairnessProperty,

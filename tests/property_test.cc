@@ -147,7 +147,9 @@ TEST_P(EngineConservationProperty, GeneratedEqualsAdmittedPlusBacklog) {
   EXPECT_NEAR(generated,
               admitted + dropped + p.engine->source_backlog_events(),
               std::max(1.0, 1e-6 * generated));
-  if (!degrade) EXPECT_DOUBLE_EQ(dropped, 0.0);
+  if (!degrade) {
+    EXPECT_DOUBLE_EQ(dropped, 0.0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomPipelines, EngineConservationProperty,
