@@ -115,7 +115,6 @@ void Engine::build_runtime() {
   g_capacity_.assign(num_groups, 0.0);
   proc_scratch_.assign(num_groups, 0.0);
   bp_scratch_.assign(num_groups, 0);
-  link_memo_.assign(num_sites_ * num_sites_, LinkMemo{});
 
   for (const auto& op : logical_.operators()) {
     const auto i = static_cast<std::size_t>(op.id.value());
@@ -226,10 +225,13 @@ void Engine::rebuild_channel_indexes() {
   d_weight_.assign(n, 0.0);
   d_wlat_.assign(n, 0.0);
   d_linkeps_.assign(n, 0.0);
+  c_latency_ms_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     c_to_stage_[i] = chan_[i].to_stage;
     c_flow_[i] = chan_[i].flow.valid() ? &network_.flow(chan_[i].flow)
                                        : nullptr;
+    c_latency_ms_[i] = network_.latency_ms(SiteId(chan_[i].from_site),
+                                           SiteId(chan_[i].to_site));
   }
 
   // Counting-sort CSR build: bucket lists come out in ascending channel-id
@@ -525,8 +527,10 @@ void Engine::stage_site_chunk(std::size_t k) {
         // plus the link's unused headroom (demand-driven allocations
         // under-report a lightly-loaded link's potential, which would
         // otherwise self-limit backlog draining).
+        const net::LinkRecord& link = network_.link(
+            SiteId(chan_[ci].from_site), SiteId(chan_[ci].to_site));
         const double headroom =
-            link_memo_at(chan_[ci].from_site, chan_[ci].to_site).headroom;
+            std::max(0.0, link.capacity_mbps - link.allocated_mbps);
         // A freshly (re)built flow has allocated_mbps = 0 and, on a busy
         // link, near-zero headroom -- but the channel demonstrably drained
         // at delivered_prev last tick, so never estimate below that.
@@ -571,42 +575,6 @@ void Engine::stage_site_chunk(std::size_t k) {
   }
 }
 
-const Engine::LinkMemo& Engine::link_memo(std::int32_t from_site,
-                                          std::int32_t to_site) {
-  LinkMemo& memo = link_memo_[link_index(from_site, to_site)];
-  if (memo.stamp != memo_stamp_) {
-    memo.stamp = memo_stamp_;
-    const SiteId from(from_site);
-    const SiteId to(to_site);
-    memo.capacity = network_.capacity(from, to, now_);
-    // headroom is only ever consulted for channels backed by a flow, which
-    // are cross-site by construction; intra-site entries skip the
-    // allocation query entirely (their headroom stays 0).
-    if (from_site != to_site) {
-      memo.headroom =
-          std::max(0.0, memo.capacity - network_.link_allocated(from, to));
-    }
-  }
-  return memo;
-}
-
-const Engine::LinkMemo& Engine::link_memo_at(std::int32_t from_site,
-                                             std::int32_t to_site) const {
-  const LinkMemo& memo = link_memo_[link_index(from_site, to_site)];
-  assert(memo.stamp == memo_stamp_);  // prefill_link_memo() filled it
-  return memo;
-}
-
-void Engine::prefill_link_memo() {
-  // Fill the memo entry of every channel's link up front (serial). Each
-  // entry is a pure function of (from, to, now_) and the network state fixed
-  // for this tick, so eager vs. lazy computation yields identical bits; with
-  // every entry current, the parallel chunks only ever read.
-  for (const ChannelDesc& c : chan_) {
-    link_memo(c.from_site, c.to_site);
-  }
-}
-
 void Engine::flow_demand_chunk(std::size_t chunk) {
   const std::size_t n = chan_.size();
   const std::size_t begin = chunk * kChanChunk;
@@ -617,11 +585,11 @@ void Engine::flow_demand_chunk(std::size_t chunk) {
                             c_event_bytes_.data() + begin, dt,
                             demand_scratch_.data() + begin);
   // Each channel owns a distinct flow (1:1 at append_channel), so the writes
-  // are shared-nothing; set_stream_demand is an index into a flow store no
-  // one mutates mid-tick plus a field store on that flow.
+  // are shared-nothing: set_stream_demand stores the demand and the flow's
+  // change flag through the cached pointer, with no id lookup.
   for (std::size_t i = begin; i < end; ++i) {
-    if (!chan_[i].flow.valid()) continue;
-    network_.set_stream_demand(chan_[i].flow, demand_scratch_[i]);
+    if (c_flow_[i] == nullptr) continue;
+    network_.set_stream_demand(*c_flow_[i], demand_scratch_[i]);
   }
 }
 
@@ -643,11 +611,15 @@ void Engine::delay_pre_chunk(std::size_t chunk) {
     d_qexcess_[ci] = std::max(0.0, c_queue_[ci] - c_offered_[ci]);
     const double w = c_delivered_[ci] + c_offered_[ci] + 1e-9;
     d_weight_[ci] = w;
-    d_wlat_[ci] = w * network_.latency_ms(SiteId(chan_[ci].from_site),
-                                          SiteId(chan_[ci].to_site));
-    d_linkeps_[ci] = events_per_sec_over(
-        link_memo_at(chan_[ci].from_site, chan_[ci].to_site).capacity,
-        c_event_bytes_[ci]);
+    d_wlat_[ci] = w * c_latency_ms_[ci];
+    // A cross-site channel reads its link's record; an intra-site channel
+    // carries no flow, so its local link may have no record.
+    const SiteId from(chan_[ci].from_site);
+    const SiteId to(chan_[ci].to_site);
+    const double link_mbps = c_flow_[ci] != nullptr
+                                 ? network_.link(from, to).capacity_mbps
+                                 : network_.capacity(from, to, now_);
+    d_linkeps_[ci] = events_per_sec_over(link_mbps, c_event_bytes_[ci]);
   }
 }
 
@@ -787,8 +759,10 @@ void Engine::tick(double t) {
              [this](std::size_t i) { phase_reset_chunk(i); });
   prev_delay_sec_ = last_.delay_sec;
   last_ = QueryTickMetrics{};
-  ++memo_stamp_;  // every memo entry is now stale
-  prefill_link_memo();
+  // The network stepped before this tick, but flows added or removed since
+  // (another query's control plane, in a runtime::Cluster) leave its link
+  // records to be regrouped: do it here, serially, so chunks only read them.
+  network_.sync_links();
 
   if (config_.degrade) apply_degrade_drops(t);
 
@@ -973,8 +947,8 @@ void Engine::emit_tick_trace(double t, double dt) {
         .num("offered_eps", c_offered_[ci] / dt)
         .num("delivered_eps", c_delivered_[ci] / dt)
         .num("queue_events", c_queue_[ci]);
-    if (c.flow.valid() && network_.has_flow(c.flow)) {
-      event.num("allocated_mbps", network_.flow(c.flow).allocated_mbps);
+    if (c_flow_[ci] != nullptr) {
+      event.num("allocated_mbps", c_flow_[ci]->allocated_mbps);
     }
   }
 }

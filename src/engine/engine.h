@@ -315,8 +315,9 @@ class Engine {
   void append_channel(std::size_t from_stage, std::size_t to_stage, SiteId su,
                       SiteId sd, double event_bytes, double queue,
                       double delivered, double delivered_prev);
-  // Rebuilds the CSR adjacency indexes, cached flow pointers, and the
-  // precomputed routing shares after any change to the channel set.
+  // Rebuilds the CSR adjacency indexes, cached flow pointers and link
+  // latencies, and the precomputed routing shares after any change to the
+  // channel set.
   void rebuild_channel_indexes();
   // Recomputes c_share_ only (placement/skew changed, channels did not).
   void recompute_channel_shares();
@@ -401,8 +402,14 @@ class Engine {
   std::vector<double> c_event_bytes_;  // mirror of chan_[i].event_bytes
   std::vector<double> c_share_;        // precomputed routing share
   // Null for intra-site channels. Valid until the channel's own flow is
-  // removed: the network never moves a live flow (see net::Network).
+  // removed: the network never moves a live flow (see net::Network). The
+  // channel phase writes each flow's demand through it, and the stage
+  // phase reads its allocation; the link's capacity and allocation sum come
+  // from the network's link record (net::Network::link).
   std::vector<const net::Flow*> c_flow_;
+  // Link latency (ms) per channel, cached by rebuild_channel_indexes(): the
+  // network owns its topology and exposes it only const, so it is exact.
+  std::vector<double> c_latency_ms_;
   std::vector<std::int32_t> c_to_stage_;  // mirror for the reset kernel
 
   // Hosting sites per stage (ascending site index), rebuilt with every
@@ -423,34 +430,6 @@ class Engine {
   // Per-tick scratch (no allocation after warm-up).
   std::vector<double> lat_scratch_;
   std::vector<double> demand_scratch_;
-  // Per-tick memo of link capacity and headroom (capacity - allocated): a
-  // dense num_sites^2 array indexed by from*num_sites+to. Both inputs are
-  // fixed for the duration of a tick -- network_.step() runs before
-  // Engine::tick() and allocations only change there -- so channels sharing
-  // a link reuse the first computation bit-for-bit instead of re-querying
-  // the network. An entry is current when its stamp equals memo_stamp_,
-  // which tick() bumps instead of clearing the array; the 64-bit stamp
-  // never wraps, so a stale entry never reads as current.
-  struct LinkMemo {
-    double capacity = 0.0;
-    double headroom = 0.0;
-    std::uint64_t stamp = 0;  // memo_stamp_ of the tick that filled it
-  };
-  std::vector<LinkMemo> link_memo_;  // sized num_sites^2 by build_runtime()
-  std::uint64_t memo_stamp_ = 0;     // bumped by every tick()
-  [[nodiscard]] std::size_t link_index(std::int32_t from_site,
-                                       std::int32_t to_site) const {
-    return static_cast<std::size_t>(from_site) * num_sites_ +
-           static_cast<std::size_t>(to_site);
-  }
-  const LinkMemo& link_memo(std::int32_t from_site, std::int32_t to_site);
-  // Read-only access to an entry prefill_link_memo() already filled this
-  // tick; safe from parallel chunks (no mutation).
-  [[nodiscard]] const LinkMemo& link_memo_at(std::int32_t from_site,
-                                             std::int32_t to_site) const;
-  // Fills the memo entry of every channel's link (serial, at tick start),
-  // so in-tick consumers -- including parallel chunks -- only ever read.
-  void prefill_link_memo();
 
   // --- intra-run parallelism (DESIGN.md §11) -------------------------------
   //

@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 
@@ -22,8 +23,7 @@ Network::Network(Topology topology, std::shared_ptr<const BandwidthModel> model)
     : topology_(std::move(topology)),
       model_(std::move(model)),
       link_partitioned_(topology_.num_sites() * topology_.num_sites(), 0),
-      site_down_(topology_.num_sites(), 0),
-      link_group_of_(topology_.num_sites() * topology_.num_sites(), -1) {
+      site_down_(topology_.num_sites(), 0) {
   assert(model_ != nullptr);
 }
 
@@ -98,8 +98,10 @@ void Network::remove_flow(FlowId id) {
 }
 
 void Network::rebuild_link_groups() {
+  // Sized once, by the first rebuild.
+  links_.resize(topology_.num_sites() * topology_.num_sites());
   for (const LinkGroup& g : link_groups_) {
-    link_group_of_[link_key(g.from, g.to)] = -1;
+    links_[link_key(g.from, g.to)].allocated_mbps = 0.0;  // unless re-summed
   }
   link_flows_.clear();
   link_groups_.clear();
@@ -119,8 +121,6 @@ void Network::rebuild_link_groups() {
     const Flow& f = *link_flows_[i];
     if (link_groups_.empty() || link_groups_.back().from != f.from ||
         link_groups_.back().to != f.to) {
-      link_group_of_[link_key(f.from, f.to)] =
-          static_cast<std::int32_t>(link_groups_.size());
       link_groups_.push_back(LinkGroup{f.from, f.to, i, i});
     }
     link_groups_.back().end = i + 1;
@@ -128,20 +128,61 @@ void Network::rebuild_link_groups() {
   }
   std::sort(bulk_flows_.begin(), bulk_flows_.end(),
             [](const Flow* a, const Flow* b) { return a->id < b->id; });
+  // The records now sum the new groups: a removed flow drops out and a new
+  // one adds its 0, exactly as a sum taken at read time would.
+  for (const LinkGroup& g : link_groups_) {
+    links_[link_key(g.from, g.to)].allocated_mbps = allocated_sum(g);
+  }
   link_groups_dirty_ = false;
 }
 
 void Network::set_stream_demand(FlowId id, double mbps) {
-  Flow& f = flows_[slot(id)];
-  assert(f.kind == FlowKind::kStream);
-  f.demand_mbps = std::max(0.0, mbps);
+  set_stream_demand(flows_[slot(id)], mbps);
 }
 
-void Network::fill_link(LinkGroup& g, double t,
+void Network::set_stream_demand(const Flow& flow, double mbps) {
+  assert(has_flow(flow.id) && &flows_[slot(flow.id)] == &flow);
+  assert(flow.kind == FlowKind::kStream);
+  // flows_ holds its flows non-const; callers only see them as const.
+  Flow& f = const_cast<Flow&>(flow);
+  const double demand = std::max(0.0, mbps);
+  if (std::bit_cast<std::uint64_t>(demand) !=
+      std::bit_cast<std::uint64_t>(f.demand_mbps)) {
+    f.demand_mbps = demand;
+    f.changed = true;
+  }
+}
+
+double Network::allocated_sum(const LinkGroup& g) const {
+  double total = 0.0;
+  for (const Flow* f : flows_of(g)) total += f->allocated_mbps;
+  return total;
+}
+
+bool Network::needs_fill(const LinkGroup& g, const LinkRecord& link,
+                         double capacity_mbps) const {
+  // A local fill ignores capacity but reads site_down(from); there are few
+  // local groups, so they always refill.
+  if (!g.filled || g.from == g.to) return true;
+  // Bit patterns, not values: equal bits (even a NaN's) feed the fill the
+  // same input, and 0.0 vs -0.0 refills.
+  if (std::bit_cast<std::uint64_t>(capacity_mbps) !=
+      std::bit_cast<std::uint64_t>(link.capacity_mbps)) {
+    return true;
+  }
+  for (const Flow* f : flows_of(g)) {
+    if (f->changed) return true;
+  }
+  return false;
+}
+
+void Network::fill_link(LinkGroup& g, double capacity_mbps,
                         std::vector<Flow*>& active) {
+  g.filled = true;
   if (g.from == g.to) {
     // Local transfers are unconstrained unless the site is down.
     for (Flow* f : flows_of(g)) {
+      f->changed = false;
       if (f->kind == FlowKind::kBulk && f->done) {
         f->allocated_mbps = 0.0;
       } else if (site_down(f->from)) {
@@ -160,13 +201,12 @@ void Network::fill_link(LinkGroup& g, double t,
   // scratch: no allocation after warm-up.
   active.clear();
   for (Flow* f : flows_of(g)) {
+    f->changed = false;
     f->allocated_mbps = 0.0;
     if (f->kind == FlowKind::kStream || !f->done) active.push_back(f);
   }
   g.live = active.size();
-  if (active.empty()) return;
-  g.capacity_mbps = capacity(g.from, g.to, t);
-  double remaining = g.capacity_mbps;
+  double remaining = capacity_mbps;
   while (!active.empty() && remaining > 1e-12) {
     const double share = remaining / static_cast<double>(active.size());
     bool anyone_satisfied = false;
@@ -199,13 +239,30 @@ void Network::step(double t, double dt) {
   // per-link fills fan out across the pool in fixed chunks of the group
   // order. Each link is computed by exactly one chunk, over its flows in id
   // order -- allocations are bit-identical for any thread count.
+  //
+  // A fill is a pure function of its link's capacity, its flows' kinds,
+  // demands and done flags, and (local links) site_down(from). So a WAN link
+  // is refilled only when one of them may have moved since its last fill:
+  // its group is new (every group is, after a rebuild), its capacity's bit
+  // pattern differs from the stored one (partitions, site-down flags and
+  // the bandwidth model reach a WAN fill only through capacity()), or a
+  // flow is marked changed (a new demand, a finished bulk transfer; the
+  // fill clears the mark). Otherwise its flows, live count and record
+  // already hold what a refill would write. Local links always refill.
   const std::size_t n_groups = link_groups_.size();
   const std::size_t n_chunks = (n_groups + kLinkChunk - 1) / kLinkChunk;
   if (wf_scratch_.size() < n_chunks) wf_scratch_.resize(n_chunks);
   const auto fill_chunk = [&](std::size_t c) {
     const std::size_t end = std::min(n_groups, (c + 1) * kLinkChunk);
     for (std::size_t gi = c * kLinkChunk; gi < end; ++gi) {
-      fill_link(link_groups_[gi], t, wf_scratch_[c]);
+      LinkGroup& g = link_groups_[gi];
+      LinkRecord& link = links_[link_key(g.from, g.to)];
+      const double capacity_mbps = capacity(g.from, g.to, t);
+      if (needs_fill(g, link, capacity_mbps)) {
+        fill_link(g, capacity_mbps, wf_scratch_[c]);
+        link.allocated_mbps = allocated_sum(g);
+      }
+      link.capacity_mbps = capacity_mbps;
     }
   };
   if (pool_ != nullptr) {
@@ -218,6 +275,7 @@ void Network::step(double t, double dt) {
   if (tracing) {
     for (const LinkGroup& g : link_groups_) {
       if (g.from == g.to || g.live == 0) continue;
+      const LinkRecord& link = links_[link_key(g.from, g.to)];
       // Finished bulk flows hold exactly 0, so summing the whole group
       // equals summing its live flows.
       double stream_mbps = 0.0, bulk_mbps = 0.0;
@@ -228,7 +286,7 @@ void Network::step(double t, double dt) {
       trace_->event_at(t, "link_alloc")
           .num("from_site", static_cast<double>(g.from.value()))
           .num("to_site", static_cast<double>(g.to.value()))
-          .num("capacity_mbps", g.capacity_mbps)
+          .num("capacity_mbps", link.capacity_mbps)
           .num("stream_mbps", stream_mbps)
           .num("bulk_mbps", bulk_mbps)
           .num("num_flows", static_cast<double>(g.live));
@@ -242,6 +300,7 @@ void Network::step(double t, double dt) {
     if (f->remaining_mb <= 1e-9) {
       f->remaining_mb = 0.0;
       f->done = true;
+      f->changed = true;
       if (tracing) {
         trace_->event_at(t, "bulk_done")
             .num("flow", static_cast<double>(f->id.value()))
@@ -260,16 +319,10 @@ std::size_t Network::num_bulk_flows() const {
 }
 
 double Network::link_allocated(SiteId from, SiteId to) const {
-  // Sums the link's group in id order. The grouping cache is logically
-  // const state (rebuilding it changes no observable allocation).
+  // The grouping cache is logically const state (rebuilding it re-sums the
+  // records and changes no observable allocation).
   const_cast<Network*>(this)->ensure_link_groups();
-  const std::int32_t gi = link_group_of_[link_key(from, to)];
-  if (gi < 0) return 0.0;
-  double total = 0.0;
-  for (const Flow* f : flows_of(link_groups_[static_cast<std::size_t>(gi)])) {
-    total += f->allocated_mbps;
-  }
-  return total;
+  return links_[link_key(from, to)].allocated_mbps;
 }
 
 }  // namespace wasp::net

@@ -44,6 +44,16 @@ struct Flow {
   double allocated_mbps = 0.0;  // filled in by step()
   double remaining_mb = 0.0;    // bulk only
   bool done = false;            // bulk only
+  // demand_mbps or done changed since this flow's link was last filled: set
+  // by set_stream_demand and by step() when a bulk transfer finishes,
+  // cleared by the fill (see step()). Sits in the padding after `done`.
+  bool changed = false;
+};
+
+// What step() leaves for one directed link (see Network::link()).
+struct LinkRecord {
+  double capacity_mbps = 0.0;   // the capacity the link's flows shared
+  double allocated_mbps = 0.0;  // their summed allocated_mbps, in id order
 };
 
 class Network {
@@ -78,12 +88,19 @@ class Network {
   // FlowIds are sequential and never reused. Every call below is O(1);
   // removing an unknown or already-removed id is a no-op. A Flow reference
   // stays valid until that flow is removed, whatever other flows are added
-  // or removed meanwhile (the engine caches Flow pointers).
+  // or removed meanwhile (the engine caches Flow pointers and writes its
+  // demands through them).
 
   FlowId add_stream_flow(SiteId from, SiteId to);
   FlowId add_bulk_flow(SiteId from, SiteId to, double size_mb);
   void remove_flow(FlowId id);
+  // Sets a stream flow's offered load, clamped at 0, and marks the flow
+  // changed when the clamped value differs from the stored one. The Flow&
+  // form skips the id lookup; `flow` must be a live stream flow of this
+  // network. Each call writes only its own flow, so calls on distinct flows
+  // may run in parallel.
   void set_stream_demand(FlowId id, double mbps);
+  void set_stream_demand(const Flow& flow, double mbps);
 
   [[nodiscard]] const Flow& flow(FlowId id) const {
     return flows_[slot(id)];
@@ -96,12 +113,27 @@ class Network {
   // Computes the max-min fair allocation of every link's capacity at time
   // `t` among its flows, then advances bulk transfers by `dt` seconds.
   // Stream allocations are readable via flow().allocated_mbps until the next
-  // call.
+  // call. A link whose fill inputs are unchanged since its last fill keeps
+  // its allocations without a refill (the fill is a pure function of them).
   void step(double t, double dt);
 
   // Sum of allocated bandwidth on the directed link from -> to (Mbps) as of
-  // the last step(); used by monitors and tests.
+  // the last step(); used by monitors and tests. Flows added since count 0,
+  // removed ones not at all.
   [[nodiscard]] double link_allocated(SiteId from, SiteId to) const;
+
+  // The record of the directed link from -> to: the capacity its flows
+  // shared at the last step(), and link_allocated(). A link without flows
+  // reads allocated 0 and the capacity of the last step that had a flow on
+  // it. Read-only, so parallel chunks may call it, but only after
+  // sync_links() once flows were added or removed since the last step().
+  [[nodiscard]] const LinkRecord& link(SiteId from, SiteId to) const {
+    assert(!link_groups_dirty_);
+    return links_[link_key(from, to)];
+  }
+  // Regroups flows added or removed since the last step() and re-sums their
+  // links' records -- the rebuild link_allocated() runs on demand. Serial.
+  void sync_links() { ensure_link_groups(); }
 
   // Live flows (a removed flow's slot does not count).
   [[nodiscard]] std::size_t num_flows() const {
@@ -136,16 +168,15 @@ class Network {
   // whole topology's worth of channels can be registered in O(F log F)
   // instead of O(F^2). Groups are in ascending (from, to) order and each
   // group's flows in ascending FlowId, so every fill, sum and event order
-  // follows ids, never hash-table order.
+  // follows ids, never hash-table order. A group's capacity and allocation
+  // sum live in its link's record (links_).
   struct LinkGroup {
     SiteId from;
     SiteId to;
     std::size_t begin = 0;  // [begin, end) of link_flows_
     std::size_t end = 0;
-    // Set by the last step(): unfinished flows, and the capacity they
-    // shared (read only when live > 0).
-    std::size_t live = 0;
-    double capacity_mbps = 0.0;
+    std::size_t live = 0;  // unfinished flows at the last fill
+    bool filled = false;   // false until the first fill after the rebuild
   };
   void rebuild_link_groups();
   void ensure_link_groups() {
@@ -158,9 +189,16 @@ class Network {
     return static_cast<std::size_t>(from.value()) * topology_.num_sites() +
            static_cast<std::size_t>(to.value());
   }
-  // Allocates one group's flows for this step (see step()); `active` is
-  // the calling chunk's scratch.
-  void fill_link(LinkGroup& g, double t, std::vector<Flow*>& active);
+  // Whether `g`, whose record is `link`, must be refilled at
+  // `capacity_mbps` (see step()).
+  [[nodiscard]] bool needs_fill(const LinkGroup& g, const LinkRecord& link,
+                                double capacity_mbps) const;
+  // Allocates one group's flows at `capacity_mbps` (see step()); `active`
+  // is the calling chunk's scratch.
+  void fill_link(LinkGroup& g, double capacity_mbps,
+                 std::vector<Flow*>& active);
+  // The group's allocations summed in id order.
+  [[nodiscard]] double allocated_sum(const LinkGroup& g) const;
   // Stores `f` under the next FlowId, in a free slot if there is one.
   FlowId add_flow(Flow f);
   [[nodiscard]] std::size_t slot(FlowId id) const {
@@ -183,7 +221,9 @@ class Network {
   std::vector<std::int32_t> slot_of_;  // one entry per FlowId ever issued
   std::vector<Flow*> link_flows_;        // every flow, by (from, to, id)
   std::vector<LinkGroup> link_groups_;   // by (from, to)
-  std::vector<std::int32_t> link_group_of_;  // num_sites^2 -> group; -1 = none
+  // One record per directed link, row-major from*n+to: num_sites^2 entries,
+  // allocated by the first rebuild.
+  std::vector<LinkRecord> links_;
   std::vector<Flow*> bulk_flows_;        // bulk flows, by id
   // Per-chunk waterfill working set (persists across steps; no allocation
   // after warm-up). One slot per link-group chunk.

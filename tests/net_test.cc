@@ -6,8 +6,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -311,6 +313,41 @@ TEST(NetworkTest, RemoveFlowStopsAccounting) {
   EXPECT_DOUBLE_EQ(net.link_allocated(SiteId(0), SiteId(1)), 0.0);
 }
 
+// The record is read between steps (runtime::Cluster, WanMonitor::probe_now):
+// it must give what a sum taken at read time gives. A removed flow drops out
+// at once, a new flow adds its 0, and a partition shows at the next step.
+TEST(NetworkTest, LinkRecordIsExactBetweenSteps) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  Network net = make_net(2, 1, 80.0, 10.0);
+  const SiteId a(0), b(1);
+  const FlowId small = net.add_stream_flow(a, b);
+  const FlowId big = net.add_stream_flow(a, b);
+  net.set_stream_demand(small, 30.0);
+  net.set_stream_demand(big, 70.0);
+  net.step(1.0, 1.0);
+  ASSERT_EQ(net.flow(small).allocated_mbps, 30.0);
+  ASSERT_EQ(net.flow(big).allocated_mbps, 50.0);
+  ASSERT_EQ(net.link_allocated(a, b), 80.0);
+
+  net.remove_flow(small);
+  EXPECT_EQ(bits(net.link_allocated(a, b)),
+            bits(net.flow(big).allocated_mbps));
+
+  const FlowId added = net.add_stream_flow(a, b);
+  net.set_stream_demand(added, 5.0);
+  EXPECT_EQ(bits(net.link_allocated(a, b)),
+            bits(net.flow(big).allocated_mbps));
+
+  net.set_link_partitioned(a, b, true);
+  EXPECT_EQ(bits(net.link_allocated(a, b)),
+            bits(net.flow(big).allocated_mbps));
+  net.sync_links();
+  EXPECT_EQ(net.link(a, b).capacity_mbps, 80.0);
+  net.step(2.0, 1.0);
+  EXPECT_EQ(bits(net.link_allocated(a, b)), bits(0.0));
+  EXPECT_EQ(bits(net.link(a, b).capacity_mbps), bits(0.0));
+}
+
 // The flow store under churn: slots freed by removals are reused by later
 // adds out of id order, while ids keep increasing and every live flow keeps
 // its fields.
@@ -549,6 +586,260 @@ TEST(NetworkTest, TracedStepFollowsLinkAndIdOrder) {
     EXPECT_EQ(obs::to_json_line(pooled.sink->events()[i]),
               obs::to_json_line(churned.sink->events()[i]));
   }
+}
+
+// --- the skip rule against a full refill ----------------------------------
+//
+// step() refills only the links whose fill inputs may have changed. The
+// reference below is the fill without that rule: every step regroups every
+// flow and refills every link from scratch, with the same arithmetic in the
+// same id order (kept here as the oracle, the way the scalar kernel twins
+// live in engine_kernels_test.cc).
+
+// The change flag rides in Flow's tail padding.
+static_assert(sizeof(Flow) == 64);
+
+struct RefFlow {
+  FlowId id;  // the network's id for the same flow
+  SiteId from;
+  SiteId to;
+  bool bulk = false;
+  double demand_mbps = 0.0;
+  double allocated_mbps = 0.0;
+  double remaining_mb = 0.0;
+  bool done = false;
+};
+
+// Fills one link's flows (ascending id) at `capacity`; `from_down` is
+// site_down(from), which only a local link's fill reads.
+void ref_fill_link(const std::vector<RefFlow*>& link, double capacity,
+                   bool from_down) {
+  if (link.front()->from == link.front()->to) {
+    for (RefFlow* f : link) {
+      if ((f->bulk && f->done) || from_down) {
+        f->allocated_mbps = 0.0;
+      } else {
+        f->allocated_mbps = f->bulk ? kLocalBandwidthMbps : f->demand_mbps;
+      }
+    }
+    return;
+  }
+  std::vector<RefFlow*> active;
+  for (RefFlow* f : link) {
+    f->allocated_mbps = 0.0;
+    if (!f->bulk || !f->done) active.push_back(f);
+  }
+  double remaining = capacity;
+  while (!active.empty() && remaining > 1e-12) {
+    const double share = remaining / static_cast<double>(active.size());
+    bool anyone_satisfied = false;
+    std::vector<RefFlow*> kept;
+    for (RefFlow* f : active) {
+      const double want = f->bulk ? std::numeric_limits<double>::infinity()
+                                  : f->demand_mbps - f->allocated_mbps;
+      if (!f->bulk && want <= share) {
+        f->allocated_mbps += want;
+        remaining -= want;
+        anyone_satisfied = true;
+      } else {
+        kept.push_back(f);
+      }
+    }
+    active = std::move(kept);
+    if (!anyone_satisfied) {
+      const double each = remaining / static_cast<double>(active.size());
+      for (RefFlow* f : active) f->allocated_mbps += each;
+      break;
+    }
+  }
+}
+
+// One full step over `flows` (ascending id) with the network's fault state
+// and capacities at `t`.
+void ref_step(std::vector<RefFlow>& flows, const Network& net, double t,
+              double dt) {
+  std::vector<RefFlow*> order;
+  for (RefFlow& f : flows) order.push_back(&f);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const RefFlow* a, const RefFlow* b) {
+                     return std::make_pair(a->from, a->to) <
+                            std::make_pair(b->from, b->to);
+                   });
+  std::vector<RefFlow*> link;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    link.push_back(order[i]);
+    if (i + 1 < order.size() && order[i + 1]->from == order[i]->from &&
+        order[i + 1]->to == order[i]->to) {
+      continue;
+    }
+    const SiteId from = link.front()->from, to = link.front()->to;
+    ref_fill_link(link, net.capacity(from, to, t), net.site_down(from));
+    link.clear();
+  }
+  for (RefFlow& f : flows) {
+    if (!f.bulk || f.done) continue;
+    f.remaining_mb -= mbps_to_mb_per_sec(f.allocated_mbps) * dt;
+    if (f.remaining_mb <= 1e-9) {
+      f.remaining_mb = 0.0;
+      f.done = true;
+    }
+  }
+}
+
+// The first difference between the network and the reference after a step
+// at `t`, or "" when every allocation, link sum and stored capacity matches
+// bit for bit.
+std::string skip_rule_diff(const Network& net,
+                           const std::vector<RefFlow>& flows, double t,
+                           int sites) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::ostringstream out;
+  for (const RefFlow& f : flows) {
+    const Flow& got = net.flow(f.id);
+    if (bits(got.allocated_mbps) != bits(f.allocated_mbps) ||
+        got.done != f.done) {
+      out << "flow " << f.id << " allocated " << got.allocated_mbps
+          << " done " << got.done << ", reference " << f.allocated_mbps
+          << " done " << f.done;
+      return out.str();
+    }
+  }
+  for (int i = 0; i < sites; ++i) {
+    for (int j = 0; j < sites; ++j) {
+      const SiteId from(i), to(j);
+      double sum = 0.0;
+      bool has_flow = false;
+      for (const RefFlow& f : flows) {
+        if (f.from != from || f.to != to) continue;
+        sum += f.allocated_mbps;
+        has_flow = true;
+      }
+      if (bits(net.link_allocated(from, to)) != bits(sum)) {
+        out << "link " << i << "->" << j << " allocated "
+            << net.link_allocated(from, to) << ", reference " << sum;
+        return out.str();
+      }
+      const double capacity = net.capacity(from, to, t);
+      const double stored = net.link(from, to).capacity_mbps;
+      if (has_flow && bits(stored) != bits(capacity)) {
+        out << "link " << i << "->" << j << " capacity " << stored
+            << ", reference " << capacity;
+        return out.str();
+      }
+    }
+  }
+  return "";
+}
+
+// A seeded random walk over every input of the skip rule: demands rewritten
+// with the same value and changed (to 0 and to a negative value that clamps),
+// partitions and site-down flags toggled, flows added and removed, bulk
+// transfers finishing, and bandwidth steps that include a factor of 0 (with
+// it, a local link's capacity reads 0 whether or not its site is down).
+void run_skip_rule_walk(exec::ThreadPool* pool) {
+  constexpr int kSites = 6;
+  constexpr int kSteps = 2000;
+  auto model = std::make_shared<SteppedBandwidth>(
+      std::vector<std::pair<double, double>>{{300.0, 0.5},
+                                             {500.0, 0.0},
+                                             {700.0, 0.0},
+                                             {900.0, 1.7},
+                                             {1300.0, 0.0},
+                                             {1400.0, 1.7},
+                                             {1700.0, 0.25}});
+  Network net = make_net(kSites, 1, 100.0, 10.0, model);
+  net.set_pool(pool);
+  Rng rng(4242);
+  std::vector<RefFlow> flows;  // ascending id: adds append, removes erase
+
+  const auto add = [&] {
+    RefFlow f;
+    f.from = SiteId(rng.uniform_int(0, kSites - 1));
+    f.to = rng.uniform() < 0.25 ? f.from
+                                : SiteId(rng.uniform_int(0, kSites - 1));
+    f.bulk = rng.uniform() < 0.3;
+    if (f.bulk) {
+      // Some transfers are empty, so done from the start.
+      f.remaining_mb = rng.uniform() < 0.1 ? 0.0 : rng.uniform(5.0, 400.0);
+      f.done = f.remaining_mb <= 0.0;
+      f.id = net.add_bulk_flow(f.from, f.to, f.remaining_mb);
+    } else {
+      f.id = net.add_stream_flow(f.from, f.to);
+      f.demand_mbps = rng.uniform(0.0, 60.0);
+      net.set_stream_demand(f.id, f.demand_mbps);
+    }
+    flows.push_back(f);
+  };
+  const auto random_stream = [&]() -> RefFlow* {
+    for (int tries = 0; tries < 20; ++tries) {
+      RefFlow& f = flows[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(flows.size()) - 1))];
+      if (!f.bulk) return &f;
+    }
+    return nullptr;
+  };
+
+  for (int i = 0; i < 40; ++i) add();
+  int finished = 0, toggles = 0, churn = 0;
+  for (int step = 1; step <= kSteps; ++step) {
+    const double t = static_cast<double>(step);
+    for (int k = 0; k < 3; ++k) {  // the same value again: nothing changes
+      if (RefFlow* f = random_stream()) {
+        net.set_stream_demand(f->id, f->demand_mbps);
+      }
+    }
+    if (rng.uniform() < 0.4) {
+      if (RefFlow* f = random_stream()) {
+        const double u = rng.uniform();
+        const double mbps = u < 0.2   ? 0.0
+                            : u < 0.4 ? -rng.uniform(1.0, 10.0)
+                                      : rng.uniform(0.0, 60.0);
+        net.set_stream_demand(f->id, mbps);
+        f->demand_mbps = std::max(0.0, mbps);
+      }
+    }
+    if (rng.uniform() < 0.03) {
+      const SiteId from(rng.uniform_int(0, kSites - 1));
+      const SiteId to(rng.uniform_int(0, kSites - 1));
+      net.set_link_partitioned(from, to, !net.link_partitioned(from, to));
+      ++toggles;
+    }
+    if (rng.uniform() < 0.03) {
+      const SiteId site(rng.uniform_int(0, kSites - 1));
+      net.set_site_down(site, !net.site_down(site));
+      ++toggles;
+    }
+    if (rng.uniform() < 0.04) {
+      add();
+      ++churn;
+    }
+    if (rng.uniform() < 0.04 && flows.size() > 1) {
+      const auto i = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(flows.size()) - 1));
+      net.remove_flow(flows[i].id);
+      flows.erase(flows.begin() + static_cast<std::ptrdiff_t>(i));
+      ++churn;
+    }
+    int done_before = 0;
+    for (const RefFlow& f : flows) done_before += f.done ? 1 : 0;
+    net.step(t, 1.0);
+    ref_step(flows, net, t, 1.0);
+    for (const RefFlow& f : flows) finished += f.done ? 1 : 0;
+    finished -= done_before;
+    ASSERT_EQ(skip_rule_diff(net, flows, t, kSites), "") << "at t=" << t;
+  }
+  // The walk reached every input (the mutation checks in CHANGES.md show
+  // that leaving any one out of the rule fails it).
+  EXPECT_GT(finished, 20);
+  EXPECT_GT(toggles, 60);
+  EXPECT_GT(churn, 80);
+}
+
+TEST(NetworkTest, SkippedLinksMatchAFullRefill) { run_skip_rule_walk(nullptr); }
+
+TEST(NetworkTest, SkippedLinksMatchAFullRefillOnAPool) {
+  exec::ThreadPool pool(4);
+  run_skip_rule_walk(&pool);
 }
 
 // Property: waterfilling never exceeds capacity and never over-allocates a
