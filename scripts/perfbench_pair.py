@@ -28,6 +28,11 @@ Checks (exit 1 if any fails):
 Every sim_* value that differs between the sides is printed with both
 values; the simulated metrics repeat exactly for a seed.
 
+Every parsed run.py result, plain and layer runs of both sides, is written
+with its side, workload, seed and place in the run order to one JSON file
+(--results, default perfbench_pair_results.json in the working directory),
+also when a run fails part-way; the build trees are temporary.
+
 The comparison (`compare`, `layer_checks`) is a pure function of parsed
 run.py results; tests/perfbench_pair_test.py drives it with canned results.
 """
@@ -187,6 +192,23 @@ def report(plain, layer, seeds):
     return failed
 
 
+def record(runs, side, workload, seed, trace, result):
+    """Appends one parsed run.py result to `runs` with where it came from;
+    its place in `runs` is its place in the run order."""
+    runs.append({"order": len(runs), "side": side,
+                 "kind": "layer" if trace else "plain",
+                 "workload": workload, "seed": seed, "result": result})
+    return result
+
+
+def write_results(path, base, head, seeds, runs):
+    """Writes every recorded run, in run order, to the JSON file `path`."""
+    with open(path, "w") as f:
+        json.dump({"base": str(base), "head": str(head), "seeds": seeds,
+                   "runs": runs}, f, indent=1)
+        f.write("\n")
+
+
 def run_side(side, tree, target_dir, workload, seed, trace):
     """One run.py invocation on one side; returns its parsed result."""
     env = dict(os.environ, CARGO_TARGET_DIR=str(target_dir))
@@ -207,8 +229,13 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--base", required=True, type=Path)
     p.add_argument("--head", required=True, type=Path)
+    p.add_argument("--results", type=Path,
+                   default=Path("perfbench_pair_results.json"),
+                   help="JSON file for every run's result (default: "
+                   "%(default)s in the working directory)")
     args = p.parse_args()
     base, head = args.base.resolve(), args.head.resolve()
+    results_path = args.results.resolve()
     if base != head:
         shutil.rmtree(base / "perfbench", ignore_errors=True)
         shutil.copytree(head / "perfbench", base / "perfbench",
@@ -221,24 +248,34 @@ def main():
     log("perfbench pair: %d pairs, seeds %s, %d cores" % (
         PAIRS, seeds, os.cpu_count() or 1))
 
+    runs = []
     with tempfile.TemporaryDirectory(prefix="perfbench_pair_") as tmp:
         sides = {"base": (base, Path(tmp) / "base"),
                  "head": (head, Path(tmp) / "head")}
+
+        def run(side, workload, seed, trace):
+            result = run_side(side, *sides[side], workload, seed, trace)
+            return record(runs, side, workload, seed, trace, result)
+
         plain = {s: {w: [] for w in workloads} for s in sides}
         layer = {s: {PAIR_LAYER_WORKLOAD: []} for s in sides}
-        for i, seed in enumerate(seeds):
-            order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
-            log("pair %d of %d (%s first)" % (i + 1, PAIRS, order[0]))
-            for w in workloads:
+        try:
+            for i, seed in enumerate(seeds):
+                order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
+                log("pair %d of %d (%s first)" % (i + 1, PAIRS, order[0]))
+                for w in workloads:
+                    for s in order:
+                        plain[s][w].append(run(s, w, seed, 0))
                 for s in order:
-                    plain[s][w].append(run_side(s, *sides[s], w, seed, 0))
-            for s in order:
-                layer[s][PAIR_LAYER_WORKLOAD].append(
-                    run_side(s, *sides[s], PAIR_LAYER_WORKLOAD, seed, 1))
-        for w in workloads:
-            if w != PAIR_LAYER_WORKLOAD:
-                layer["head"][w] = [
-                    run_side("head", *sides["head"], w, SEED, 1)]
+                    layer[s][PAIR_LAYER_WORKLOAD].append(
+                        run(s, PAIR_LAYER_WORKLOAD, seed, 1))
+            for w in workloads:
+                if w != PAIR_LAYER_WORKLOAD:
+                    layer["head"][w] = [run("head", w, SEED, 1)]
+        finally:
+            write_results(results_path, base, head, seeds, runs)
+            log("perfbench pair: %d run results in %s" % (
+                len(runs), results_path))
 
     failed = report(compare(contract, plain["base"], plain["head"]),
                     layer_checks(layer["base"], layer["head"]), seeds)

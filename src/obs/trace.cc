@@ -1,99 +1,129 @@
 #include "obs/trace.h"
 
-#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 
 namespace wasp::obs {
 namespace {
 
-// JSON string escaping for keys and string values, per RFC 8259: quotes,
-// backslashes and control characters are escaped, and bytes that do not form
-// a valid UTF-8 sequence are replaced with U+FFFD so the emitted line is
-// always valid JSON even when a free-text field (abort_reason, recovery
-// detail, a fault-schedule string read from a file) carries garbage.
-void append_escaped(std::string& out, std::string_view text) {
+// True for a byte append_json_string copies as it is: printable ASCII other
+// than the quote and the backslash.
+bool plain_byte(unsigned char ch) {
+  return ch >= 0x20 && ch < 0x80 && ch != '"' && ch != '\\';
+}
+
+// Length of the valid UTF-8 sequence that starts at text[i] (a byte >= 0x80),
+// or 0 when there is none: a bad lead byte, a truncated sequence, a missing
+// continuation byte, an overlong form, a UTF-16 surrogate or a code point
+// above U+10FFFF.
+std::size_t utf8_length(std::string_view text, std::size_t i) {
+  const unsigned char ch = static_cast<unsigned char>(text[i]);
+  std::size_t len = 0;
+  if ((ch & 0xE0) == 0xC0 && ch >= 0xC2) {
+    len = 2;
+  } else if ((ch & 0xF0) == 0xE0) {
+    len = 3;
+  } else if ((ch & 0xF8) == 0xF0 && ch <= 0xF4) {
+    len = 4;
+  }
+  if (len == 0 || i + len > text.size()) return 0;
+  for (std::size_t k = 1; k < len; ++k) {
+    const unsigned char cont = static_cast<unsigned char>(text[i + k]);
+    if ((cont & 0xC0) != 0x80) return 0;
+  }
+  const unsigned char b1 = static_cast<unsigned char>(text[i + 1]);
+  if (len == 3) {
+    if (ch == 0xE0 && b1 < 0xA0) return 0;   // overlong
+    if (ch == 0xED && b1 >= 0xA0) return 0;  // UTF-16 surrogate
+  }
+  if (len == 4) {
+    if (ch == 0xF0 && b1 < 0x90) return 0;   // overlong
+    if (ch == 0xF4 && b1 >= 0x90) return 0;  // > U+10FFFF
+  }
+  return len;
+}
+
+// True when %.12g prints `value` as a plain integer with the digits of its
+// integer conversion: a whole number below 1e12 in magnitude (1e12 itself
+// prints "1e+12"), other than -0.0 (which prints "-0").
+bool prints_as_integer(double value) {
+  if (!(std::fabs(value) < 1e12)) return false;
+  const auto whole = static_cast<std::int64_t>(value);
+  return static_cast<double>(whole) == value &&
+         !(whole == 0 && std::signbit(value));
+}
+
+}  // namespace
+
+// Repairing bad UTF-8 keeps every line valid JSON even when a free-text
+// field (abort_reason, recovery detail, a fault-schedule string read from a
+// file) carries garbage.
+void append_json_string(std::string& out, std::string_view text) {
   out.push_back('"');
-  for (std::size_t i = 0; i < text.size();) {
+  std::size_t i = 0;
+  while (i < text.size()) {
+    // Copy each run of plain bytes in one call; in practice the first run
+    // is the whole text.
+    std::size_t run_end = i;
+    while (run_end < text.size() &&
+           plain_byte(static_cast<unsigned char>(text[run_end]))) {
+      ++run_end;
+    }
+    out.append(text.data() + i, run_end - i);
+    i = run_end;
+    if (i == text.size()) break;
+
     const unsigned char ch = static_cast<unsigned char>(text[i]);
     if (ch == '"') {
       out += "\\\"";
-      ++i;
     } else if (ch == '\\') {
       out += "\\\\";
-      ++i;
     } else if (ch == '\n') {
       out += "\\n";
-      ++i;
     } else if (ch == '\r') {
       out += "\\r";
-      ++i;
     } else if (ch == '\t') {
       out += "\\t";
-      ++i;
     } else if (ch < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(ch));
-      out += buf;
-      ++i;
-    } else if (ch < 0x80) {
-      out.push_back(static_cast<char>(ch));
-      ++i;
+      static constexpr char kHex[] = "0123456789abcdef";
+      out += "\\u00";
+      out.push_back(kHex[ch >> 4]);
+      out.push_back(kHex[ch & 0xF]);
+    } else if (const std::size_t len = utf8_length(text, i); len != 0) {
+      out.append(text.data() + i, len);  // valid UTF-8 passes verbatim
+      i += len;
+      continue;
     } else {
-      // Multi-byte UTF-8 lead byte: validate length, continuation bytes and
-      // the no-overlong/no-surrogate/in-range rules; pass valid sequences
-      // through verbatim, replace anything else with U+FFFD and resync at
-      // the next byte.
-      std::size_t len = 0;
-      if ((ch & 0xE0) == 0xC0 && ch >= 0xC2) {
-        len = 2;
-      } else if ((ch & 0xF0) == 0xE0) {
-        len = 3;
-      } else if ((ch & 0xF8) == 0xF0 && ch <= 0xF4) {
-        len = 4;
-      }
-      bool valid = len != 0 && i + len <= text.size();
-      if (valid) {
-        for (std::size_t k = 1; k < len; ++k) {
-          const unsigned char cont = static_cast<unsigned char>(text[i + k]);
-          if ((cont & 0xC0) != 0x80) valid = false;
-        }
-      }
-      if (valid && len == 3) {
-        const unsigned char b1 = static_cast<unsigned char>(text[i + 1]);
-        if (ch == 0xE0 && b1 < 0xA0) valid = false;  // overlong
-        if (ch == 0xED && b1 >= 0xA0) valid = false;  // UTF-16 surrogate
-      }
-      if (valid && len == 4) {
-        const unsigned char b1 = static_cast<unsigned char>(text[i + 1]);
-        if (ch == 0xF0 && b1 < 0x90) valid = false;  // overlong
-        if (ch == 0xF4 && b1 >= 0x90) valid = false;  // > U+10FFFF
-      }
-      if (valid) {
-        out.append(text.substr(i, len));
-        i += len;
-      } else {
-        out += "\xEF\xBF\xBD";  // U+FFFD replacement character
-        ++i;
-      }
+      out += "\xEF\xBF\xBD";  // U+FFFD; resync at the next byte
     }
+    ++i;
   }
   out.push_back('"');
 }
 
-void append_number(std::string& out, double value) {
+void append_json_number(std::string& out, double value) {
   if (!std::isfinite(value)) {
     out += "null";
     return;
   }
-  // Shortest round-trippable form is overkill here; %.12g keeps lines compact
-  // while preserving the precision the analyses care about.
+  // Most trace numbers are integers (seq, ids, sites, counts, whole-second
+  // timestamps), and the integer conversion is several times cheaper than
+  // the floating one. to_chars with a precision is defined as printf with
+  // that precision, so both branches print exactly the %.12g bytes.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  out += buf;
+  char* end = buf;
+  if (prints_as_integer(value)) {
+    end = std::to_chars(buf, buf + sizeof(buf),
+                        static_cast<std::int64_t>(value))
+              .ptr;
+  } else {
+    end = std::to_chars(buf, buf + sizeof(buf), value,
+                        std::chars_format::general, 12)
+              .ptr;
+  }
+  out.append(buf, end);
 }
-
-}  // namespace
 
 double TraceEvent::num(std::string_view key, double fallback) const {
   for (const auto& [k, v] : nums) {
@@ -110,30 +140,33 @@ std::string_view TraceEvent::str(std::string_view key,
   return fallback;
 }
 
-std::string to_json_line(const TraceEvent& event) {
-  std::string out;
-  out.reserve(96 + 32 * (event.nums.size() + event.strs.size()));
+void append_json_line(std::string& out, const TraceEvent& event) {
   out += "{\"schema\":";
-  append_number(out, kTraceSchemaVersion);
+  append_json_number(out, kTraceSchemaVersion);
   out += ",\"seq\":";
-  append_number(out, static_cast<double>(event.seq));
+  append_json_number(out, static_cast<double>(event.seq));
   out += ",\"t\":";
-  append_number(out, event.t);
+  append_json_number(out, event.t);
   out += ",\"type\":";
-  append_escaped(out, event.type);
+  append_json_string(out, event.type);
   for (const auto& [key, value] : event.strs) {
     out.push_back(',');
-    append_escaped(out, key);
+    append_json_string(out, key);
     out.push_back(':');
-    append_escaped(out, value);
+    append_json_string(out, value);
   }
   for (const auto& [key, value] : event.nums) {
     out.push_back(',');
-    append_escaped(out, key);
+    append_json_string(out, key);
     out.push_back(':');
-    append_number(out, value);
+    append_json_number(out, value);
   }
   out.push_back('}');
+}
+
+std::string to_json_line(const TraceEvent& event) {
+  std::string out;
+  append_json_line(out, event);
   return out;
 }
 
@@ -154,13 +187,16 @@ std::vector<TraceEvent> MemorySink::of_type(std::string_view type) const {
 }
 
 void FileSink::write(const TraceEvent& event) {
-  // Serialize outside the lock; emit the complete line in one locked write
-  // so concurrent writers can interleave lines but never bytes.
-  std::string line = to_json_line(event);
+  // Serialize outside the lock into this thread's reused buffer; emit the
+  // complete line in one locked write so concurrent writers can interleave
+  // lines but never bytes.
+  thread_local std::string line;
+  line.clear();
+  append_json_line(line, event);
   line.push_back('\n');
   std::lock_guard<std::mutex> lock(mu_);
   if (!out_.good()) return;
-  out_ << line;
+  out_.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 void FileSink::flush() {
@@ -172,12 +208,16 @@ TraceEmitter::Event::Event(TraceEmitter* emitter, double t,
                            std::string_view type)
     : emitter_(emitter) {
   if (emitter_ == nullptr) return;
+  if (!emitter_->spare_.empty()) {
+    event_ = std::move(emitter_->spare_.back());
+    emitter_->spare_.pop_back();
+  }
   event_.t = t;
   event_.type.assign(type);
 }
 
 TraceEmitter::Event::~Event() {
-  if (emitter_ != nullptr) emitter_->commit(std::move(event_));
+  if (emitter_ != nullptr) emitter_->commit(event_);
 }
 
 TraceEmitter::Event& TraceEmitter::Event::num(std::string_view key,
@@ -286,9 +326,14 @@ TraceEmitter::ParentScope::~ParentScope() {
   }
 }
 
-void TraceEmitter::commit(TraceEvent event) {
+void TraceEmitter::commit(TraceEvent& event) {
   event.seq = next_seq_++;
   sink_->write(event);
+  // Hand the event back, emptied but with its vectors' capacity, for the
+  // next builder to fill.
+  event.nums.clear();
+  event.strs.clear();
+  spare_.push_back(std::move(event));
 }
 
 }  // namespace wasp::obs

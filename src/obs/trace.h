@@ -81,6 +81,15 @@ struct TraceEvent {
 // fields are escaped per RFC 8259 (quotes, backslashes, control characters)
 // and invalid UTF-8 bytes are replaced with U+FFFD so the line always parses.
 [[nodiscard]] std::string to_json_line(const TraceEvent& event);
+// The same line appended to `out`, so a caller can reuse one buffer.
+void append_json_line(std::string& out, const TraceEvent& event);
+
+// The line's two value writers, shared by every JSON writer in src/obs.
+// A number prints exactly as printf's "%.12g" would print it, or as null
+// when it is NaN or infinite.
+void append_json_number(std::string& out, double value);
+// A quoted JSON string, escaped and repaired as to_json_line describes.
+void append_json_string(std::string& out, std::string_view text);
 
 class TraceSink {
  public:
@@ -122,13 +131,14 @@ class MemorySink final : public TraceSink {
 // swallows writes.
 //
 // Thread safety: write() and flush() serialize on an internal mutex, and a
-// line is fully serialized before the lock is taken, so each JSON line lands
-// atomically even when several emitters share one sink (e.g. the traced runs
-// of a parallel bench driver). Note that sharing a sink across concurrently
-// running emitters interleaves *lines* nondeterministically and mixes their
-// independent `seq` streams -- deterministic sweeps give every run a private
-// sink instead (exec::SweepOptions::trace_dir); the lock is a safety net,
-// not an ordering guarantee.
+// line is fully serialized (into a buffer each thread reuses) before the lock
+// is taken, so each JSON line lands atomically even when several emitters
+// share one sink (e.g. the traced runs of a parallel bench driver). Note that
+// sharing a sink across concurrently running emitters interleaves *lines*
+// nondeterministically and mixes their independent `seq` streams --
+// deterministic sweeps give every run a private sink instead
+// (exec::SweepOptions::trace_dir); the lock is a safety net, not an ordering
+// guarantee.
 class FileSink final : public TraceSink {
  public:
   explicit FileSink(const std::string& path) : out_(path) {}
@@ -157,7 +167,9 @@ class TraceEmitter {
   void set_now(double t) { now_ = t; }
   [[nodiscard]] double now() const { return now_; }
 
-  // RAII field builder: commits the event to the sink on destruction.
+  // RAII field builder: commits the event to the sink on destruction. Each
+  // builder fills its own event, so builders alive at the same time never
+  // share fields, and seq follows the order in which they commit.
   class Event {
    public:
     Event(Event&& other) noexcept
@@ -267,7 +279,8 @@ class TraceEmitter {
   }
 
  private:
-  void commit(TraceEvent event);
+  // Stamps seq, writes the event to the sink and keeps it as a spare.
+  void commit(TraceEvent& event);
   [[nodiscard]] std::uint64_t resolve_parent(std::uint64_t parent) const {
     if (parent != kAmbientParent) return parent;
     return ambient_.empty() ? kNoSpan : ambient_.back();
@@ -279,6 +292,11 @@ class TraceEmitter {
   std::uint64_t next_span_id_ = 1;
   std::uint64_t open_spans_ = 0;
   std::vector<std::uint64_t> ambient_;
+  // Committed events, emptied, whose vectors keep their capacity: a builder
+  // takes one instead of allocating, so after warm-up an event allocates
+  // only for a key or string longer than std::string holds inline. Holds as
+  // many events as builders were ever alive at once.
+  std::vector<TraceEvent> spare_;
 };
 
 }  // namespace wasp::obs

@@ -168,39 +168,6 @@ bool expect(Cursor& c, char ch, std::string* error) {
   return true;
 }
 
-void json_escape_to(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void append_json_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "null";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  out += buf;
-}
-
 }  // namespace
 
 bool parse_trace_line(std::string_view line, TraceEvent* out, int* schema,
@@ -635,15 +602,15 @@ void export_chrome_trace(const std::vector<TraceEvent>& events,
       if (key == "name") continue;
       if (!first) line += ",";
       first = false;
-      json_escape_to(line, key);
+      append_json_string(line, key);
       line += ":";
-      json_escape_to(line, value);
+      append_json_string(line, value);
     }
     for (const auto& [key, value] : event.nums) {
       if (key == "span_id" || key == "parent_id") continue;
       if (!first) line += ",";
       first = false;
-      json_escape_to(line, key);
+      append_json_string(line, key);
       line += ":";
       append_json_number(line, value);
     }
@@ -665,7 +632,7 @@ void export_chrome_trace(const std::vector<TraceEvent>& events,
       const std::string name(event.str("name", "span"));
       if (node != nullptr && node->closed) {
         line += "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":";
-        json_escape_to(line, name);
+        append_json_string(line, name);
         line += ",\"cat\":\"span\",\"ts\":";
         append_json_number(line, ts_us);
         line += ",\"dur\":";
@@ -677,15 +644,15 @@ void export_chrome_trace(const std::vector<TraceEvent>& events,
           for (const auto& [key, value] : end_event.strs) {
             if (any) line += ",";
             any = true;
-            json_escape_to(line, key);
+            append_json_string(line, key);
             line += ":";
-            json_escape_to(line, value);
+            append_json_string(line, value);
           }
           for (const auto& [key, value] : end_event.nums) {
             if (key == "span_id") continue;
             if (any) line += ",";
             any = true;
-            json_escape_to(line, key);
+            append_json_string(line, key);
             line += ":";
             append_json_number(line, value);
           }
@@ -693,7 +660,7 @@ void export_chrome_trace(const std::vector<TraceEvent>& events,
         line += "}}";
       } else {
         line += "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"s\":\"g\",\"name\":";
-        json_escape_to(line, name + " (unclosed)");
+        append_json_string(line, name + " (unclosed)");
         line += ",\"cat\":\"span\",\"ts\":";
         append_json_number(line, ts_us);
         line += ",\"args\":{";
@@ -702,7 +669,7 @@ void export_chrome_trace(const std::vector<TraceEvent>& events,
       }
     } else {
       line += "{\"ph\":\"i\",\"pid\":1,\"tid\":2,\"s\":\"t\",\"name\":";
-      json_escape_to(line, event.type);
+      append_json_string(line, event.type);
       line += ",\"cat\":\"event\",\"ts\":";
       append_json_number(line, ts_us);
       line += ",\"args\":{";
@@ -855,7 +822,7 @@ void export_chrome_profile_counters(const TraceFile& file, std::ostream& out) {
     if (!first_record) line += ",\n";
     first_record = false;
     line += "{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":";
-    json_escape_to(line,
+    append_json_string(line,
                    is_pool ? "pool busy us/tick" : name + " self us/tick");
     line += ",\"cat\":\"profile\",\"ts\":";
     append_json_number(line, event.t * 1e6);

@@ -1,6 +1,8 @@
 #include "runtime/cluster.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace wasp::runtime {
 
@@ -25,6 +27,11 @@ void Cluster::reserve_pinned(const workload::QuerySpec& spec) {
 WaspSystem& Cluster::submit(workload::QuerySpec spec,
                             const workload::WorkloadPattern& pattern,
                             SystemConfig config) {
+  if (now_ > 0.0) {
+    throw std::logic_error(
+        "Cluster::submit after the cluster started stepping (now " +
+        std::to_string(now_) + "); submit every query before the first step");
+  }
   // Release this query's own reservation (if registered): its deployment
   // is about to claim the real slots.
   if (!reserved_.empty()) {

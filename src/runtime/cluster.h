@@ -43,7 +43,10 @@ class Cluster {
   // Deploys a query. The returned reference stays valid for the Cluster's
   // lifetime. Deployment sees the slots already taken by earlier queries
   // plus any outstanding reservations (its own reservation, if it was
-  // registered, is released first).
+  // registered, is released first). Every query must be submitted before
+  // the first step(): a query's clock starts at 0, so a late one would tick
+  // against a network already at cluster time. Throws std::logic_error once
+  // now() > 0.
   WaspSystem& submit(workload::QuerySpec spec,
                      const workload::WorkloadPattern& pattern,
                      SystemConfig config);

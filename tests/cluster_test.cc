@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "common/rng.h"
 #include "net/bandwidth_model.h"
@@ -161,6 +162,22 @@ TEST(ClusterTest, StepsAdvanceAllQueriesInLockstep) {
   EXPECT_DOUBLE_EQ(cluster.now(), 50.0);
   EXPECT_DOUBLE_EQ(cluster.query(0).now(), 50.0);
   EXPECT_DOUBLE_EQ(cluster.query(1).now(), 50.0);
+}
+
+TEST(ClusterTest, SubmitAfterTheFirstStepThrows) {
+  Bed bed;
+  Cluster cluster(bed.network);
+  auto a = workload::make_events_of_interest(bed.edges, bed.sink);
+  auto pa = bed.rates(a, 5'000.0);
+  cluster.submit(std::move(a), pa, SystemConfig{});  // before any step: fine
+  EXPECT_EQ(cluster.num_queries(), 1u);
+  cluster.run_until(50.0);
+
+  auto b = workload::make_events_of_interest(bed.edges, bed.sink);
+  auto pb = bed.rates(b, 5'000.0);
+  EXPECT_THROW(cluster.submit(std::move(b), pb, SystemConfig{}),
+               std::logic_error);
+  EXPECT_EQ(cluster.num_queries(), 1u);
 }
 
 }  // namespace

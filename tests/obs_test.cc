@@ -6,11 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <limits>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -147,6 +155,37 @@ TEST(TraceEmitterTest, OfTypeResultsSurviveEviction) {
   EXPECT_DOUBLE_EQ(kept[0].num("i"), 1.0);
 }
 
+TEST(TraceEmitterTest, NestedBuildersKeepTheirOwnFieldsAndCommitOrder) {
+  auto sink = std::make_shared<MemorySink>();
+  TraceEmitter emitter(sink);
+  emitter.set_now(2.0);
+  {
+    auto outer = emitter.event("outer");
+    outer.num("a", 1.0).str("who", "outer");
+    {
+      auto inner = emitter.event_at(3.0, "inner");
+      inner.num("b", 2.0).str("who", "inner");
+      outer.num("c", 3.0);
+    }  // inner commits first
+    outer.str("late", "yes");
+  }
+  // Recycled events come back empty.
+  emitter.event("third").num("d", 4.0);
+  { auto fourth = emitter.event("fourth"); }
+
+  ASSERT_EQ(sink->events().size(), 4u);
+  EXPECT_EQ(to_json_line(sink->events()[0]),
+            R"({"schema":2,"seq":0,"t":3,"type":"inner","who":"inner",)"
+            R"("b":2})");
+  EXPECT_EQ(to_json_line(sink->events()[1]),
+            R"({"schema":2,"seq":1,"t":2,"type":"outer","who":"outer",)"
+            R"("late":"yes","a":1,"c":3})");
+  EXPECT_EQ(to_json_line(sink->events()[2]),
+            R"({"schema":2,"seq":2,"t":2,"type":"third","d":4})");
+  EXPECT_EQ(to_json_line(sink->events()[3]),
+            R"({"schema":2,"seq":3,"t":2,"type":"fourth"})");
+}
+
 TEST(TraceJsonTest, LineHasSchemaOrderingAndEscaping) {
   TraceEvent event;
   event.seq = 7;
@@ -203,6 +242,169 @@ TEST(TraceJsonTest, NonFiniteNumbersSerializeAsNull) {
   const std::string line = to_json_line(event);
   EXPECT_NE(line.find("\"nan\":null"), std::string::npos) << line;
   EXPECT_NE(line.find("\"inf\":null"), std::string::npos) << line;
+}
+
+// printf's %.12g, the bytes the encoder has always written for a number.
+std::string printf_g12(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.12g", value);
+  return buf;
+}
+
+// Fixed cases around the encoder's two paths and printf's own switch
+// points: signed zeros, the integer bound at 1e12, the fixed/exponent
+// switches at 1e-4 and 1e12 (and values that round up to them), every power
+// of ten from 1e-12 to 1e16 with both neighbours, integers near 2^53 and
+// 2^63, subnormals and the extremes.
+std::vector<double> number_edge_cases() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> cases = {
+      0.0, 1.0, 0.5, 0.1, 1.0 / 3.0, 2.0 / 3.0, 0.99999999999999,
+      1e12 - 1.0, 1e12 - 0.5, 1e12 + 1.0, 999999999999.4, 999999999999.5,
+      999999999999.95, 1e13, 123456789012.4, 0.0001, 0.000099999999999995,
+      0.0000999999999999949, 9007199254740992.0, 9007199254740993.0,
+      9223372036854775807.0, 18446744073709551616.0, DBL_MAX, DBL_MIN,
+      std::numeric_limits<double>::denorm_min(), DBL_MIN / 3.0,
+      DBL_EPSILON};
+  for (int e = -12; e <= 16; ++e) {
+    const std::string text = "1e" + std::to_string(e);
+    const double p = std::strtod(text.c_str(), nullptr);  // exact rounding
+    cases.insert(cases.end(), {std::nextafter(p, 0.0), p,
+                               std::nextafter(p, kInf)});
+  }
+  const std::size_t n = cases.size();
+  for (std::size_t i = 0; i < n; ++i) cases.push_back(-cases[i]);
+  return cases;
+}
+
+// Seeded doubles: raw bit patterns over the whole exponent range (NaNs,
+// infinities and subnormals included), integers of every magnitude up to
+// 2^63 of both signs, short decimals like the trace's rates and seconds,
+// and values within a million of the integer bound.
+std::vector<double> seeded_doubles(std::size_t count) {
+  std::mt19937_64 rng(0x5EED7919);
+  std::vector<double> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t bits = rng();
+    const std::uint64_t pick = rng();
+    double v = 0.0;
+    switch (i % 4) {
+      case 0:
+        std::memcpy(&v, &bits, sizeof(v));
+        break;
+      case 1:
+        v = static_cast<double>(static_cast<std::int64_t>(bits) >>
+                                (pick % 64));
+        break;
+      case 2: {
+        const auto mantissa =
+            static_cast<std::int64_t>(bits % 2'000'000'001) - 1'000'000'000;
+        v = static_cast<double>(mantissa) /
+            std::pow(10.0, static_cast<double>(pick % 16));
+        break;
+      }
+      default:
+        v = 1e12 * ((pick & 1) != 0 ? 1.0 : -1.0) +
+            static_cast<double>(static_cast<std::int64_t>(bits % 4'000'001) -
+                                2'000'000) /
+                2.0;
+    }
+    out.push_back(v);
+  }
+  return out;
+}
+
+TEST(TraceJsonTest, NumbersAreThePrintfPrecision12Bytes) {
+  std::vector<double> values = number_edge_cases();
+  const std::vector<double> seeded = seeded_doubles(1'000'000);
+  values.insert(values.end(), seeded.begin(), seeded.end());
+
+  TraceEvent event;
+  event.type = "n";
+  event.nums.emplace_back("v", 0.0);
+  const std::string prefix = R"({"schema":2,"seq":0,"t":0,"type":"n","v":)";
+  std::size_t integers = 0, fractions = 0, non_finite = 0, mismatches = 0;
+  std::string first_mismatch;
+  for (double v : values) {
+    event.nums[0].second = v;
+    const std::string line = to_json_line(event);
+    const std::string want = prefix + printf_g12(v) + "}";
+    if (line != want && mismatches++ == 0) {
+      char bits[40];
+      std::snprintf(bits, sizeof(bits), "%a", v);
+      first_mismatch = std::string(bits) + ": " + line + " vs " + want;
+    }
+    if (!std::isfinite(v)) {
+      ++non_finite;
+    } else if (v == std::trunc(v)) {
+      ++integers;
+    } else {
+      ++fractions;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << first_mismatch;
+  // Each path and the null case saw a real share of the inputs.
+  EXPECT_GT(integers, 300'000u);
+  EXPECT_GT(fractions, 300'000u);
+  EXPECT_GT(non_finite, 100u);
+
+  event.nums[0].second = std::numeric_limits<double>::quiet_NaN();
+  event.nums.emplace_back("inf", std::numeric_limits<double>::infinity());
+  event.nums.emplace_back("ninf", -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(to_json_line(event),
+            prefix + R"(null,"inf":null,"ninf":null})");
+}
+
+// ---------------------------------------------------------------------------
+// FileSink shared across threads
+
+TEST(FileSinkTest, FourThreadsSharingOneSinkWriteWholeLinesInSeqOrder) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kEvents = 10'000;
+  const std::string path = testing::TempDir() + "obs_test_shared_sink.jsonl";
+  {
+    auto sink = std::make_shared<FileSink>(path);
+    ASSERT_TRUE(sink->ok());
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kThreads; ++w) {
+      threads.emplace_back([sink, w] {
+        TraceEmitter emitter(sink);
+        for (std::uint64_t i = 0; i < kEvents; ++i) {
+          // Lines of varying length, some needing escapes, so each thread's
+          // reused buffer grows and shrinks while the others write.
+          emitter.event_at(0.25 * static_cast<double>(i), "tick")
+              .str("pad", std::string(i % 97, 'x'))
+              .str("note", i % 10 == 0 ? "quote \" and \xff" : "plain")
+              .num("emitter", w)
+              .num("i", static_cast<double>(i));
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    sink->flush();
+  }
+
+  std::ifstream in(path);
+  std::vector<std::uint64_t> next_seq(kThreads, 0);
+  std::string line;
+  std::uint64_t lines = 0;
+  while (std::getline(in, line)) {
+    ++lines;
+    TraceEvent event;
+    std::string error;
+    ASSERT_TRUE(parse_trace_line(line, &event, nullptr, &error))
+        << "line " << lines << ": " << error << ": " << line;
+    const auto w = static_cast<std::size_t>(event.num("emitter", -1.0));
+    ASSERT_LT(w, next_seq.size()) << line;
+    ASSERT_EQ(event.seq, next_seq[w]) << "emitter " << w << ": " << line;
+    ASSERT_EQ(event.num("i"), static_cast<double>(event.seq)) << line;
+    ++next_seq[w];
+  }
+  EXPECT_EQ(lines, kThreads * kEvents);
+  for (int w = 0; w < kThreads; ++w) EXPECT_EQ(next_seq[w], kEvents);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Offline tests of scripts/perfbench_pair.py's verdict: canned run.py
-results go through `compare` and `layer_checks`; nothing is built or run.
+"""Offline tests of scripts/perfbench_pair.py's verdict and results file:
+canned run.py results go through `compare`, `layer_checks`, `record` and
+`write_results`; nothing is built or run.
 
     python3 tests/perfbench_pair_test.py
 """
 
 import importlib.util
+import json
+import tempfile
 import unittest
 from pathlib import Path
 
@@ -127,6 +130,33 @@ class LayerChecksTest(unittest.TestCase):
         low = layers(uniform=layer(placement_us=400.0, t4=0.45))
         self.assertEqual(failed_checks(base, ok), [])
         self.assertTrue(failed_checks(base, low))
+
+
+class ResultsFileTest(unittest.TestCase):
+    def test_every_run_is_kept_with_side_seed_kind_and_order(self):
+        runs = []
+        first = pair.record(runs, "base", "w", 7919, 0, result())
+        pair.record(runs, "head", "w", 7919, 0, result(ticks_per_s=2000.0))
+        pair.record(runs, "head", "w", 7920, 1, layer())
+        self.assertIs(first, runs[0]["result"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pair.json"
+            pair.write_results(path, Path("/b"), Path("/h"), [7919, 7920],
+                               runs)
+            with open(path) as f:
+                saved = json.load(f)
+        self.assertEqual(saved["base"], "/b")
+        self.assertEqual(saved["head"], "/h")
+        self.assertEqual(saved["seeds"], [7919, 7920])
+        self.assertEqual(
+            [(r["order"], r["side"], r["kind"], r["workload"], r["seed"])
+             for r in saved["runs"]],
+            [(0, "base", "plain", "w", 7919), (1, "head", "plain", "w", 7919),
+             (2, "head", "layer", "w", 7920)])
+        self.assertEqual(
+            saved["runs"][1]["result"]["metrics"]["ticks_per_s"]["value"],
+            2000.0)
+        self.assertEqual(saved["runs"][2]["result"], layer())
 
 
 if __name__ == "__main__":

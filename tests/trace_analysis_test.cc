@@ -332,5 +332,20 @@ TEST(ChromeExportTest, EmitsCompleteEventsForClosedSpans) {
   EXPECT_NE(json.find("2500000"), std::string::npos) << json;
 }
 
+TEST(ChromeExportTest, InvalidUtf8BecomesReplacementCharacter) {
+  // The export shares to_json_line's string writer, so a stray byte that is
+  // not UTF-8 becomes U+FFFD instead of making the file invalid JSON text.
+  TraceEvent event;
+  event.type = "recovery";
+  event.strs.emplace_back("detail", "bad \xff byte");
+  std::stringstream out;
+  export_chrome_trace({event}, out);
+  const std::string json = out.str();
+  EXPECT_NE(json.find("\"detail\":\"bad \xEF\xBF\xBD byte\""),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find('\xff'), std::string::npos) << json;
+}
+
 }  // namespace
 }  // namespace wasp::obs
