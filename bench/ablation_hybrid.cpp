@@ -6,9 +6,8 @@
 // the adapted deployment catches up. This bench quantifies the trade-off on
 // a hard overload (x2.5 surge) for all four combinations: neither (NoAdapt),
 // degradation only, re-optimization only (WASP), and both (Hybrid).
-#include <algorithm>
 #include <iostream>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -31,36 +30,26 @@ Outcome run(wasp::runtime::AdaptationMode mode,
   using namespace wasp;
   using namespace wasp::bench;
 
-  Testbed bed;
-  auto spec = make_query(bed, Query::kTopk);
-  auto pattern = uniform_rates(spec, 10'000.0);
-  pattern.add_step(200.0, 2.5);
-  pattern.add_step(800.0, 1.0);
-  runtime::SystemConfig config = opts.system_config();
-  config.mode = mode;
-  config.slo_sec = 10.0;
-  if (mode != runtime::AdaptationMode::kNoAdapt) {
-    config.trace_sink = opts.sink_for(to_string(mode));
-  }
-  runtime::WaspSystem system(bed.network, std::move(spec), pattern, config);
   // A failure on top of the surge: 60 s of accumulated events that no
   // re-optimization can avoid -- the window where degradation-as-stopgap
   // pays off.
-  system.run_until(400.0);
-  system.fail_all_sites();
-  system.run_until(460.0);
-  system.restore_all_sites();
-  system.run_until(1100.0);
+  runtime::RunSpec spec = opts.base;
+  spec.mode = mode;
+  spec.duration_sec = 1100.0;
+  spec.workload_steps = {{200.0, 2.5}, {800.0, 1.0}};
+  spec.fail = {{400.0, 60.0}};
+  auto run = build(spec, mode == runtime::AdaptationMode::kNoAdapt
+                             ? opts.settings
+                             : opts.traced(to_string(mode)));
+  run->run_until(spec.duration_sec);
 
-  const auto& rec = system.recorder();
+  const auto& rec = run->system().recorder();
   Outcome out;
-  out.metrics = system.metrics().snapshot();
+  out.metrics = run->system().metrics().snapshot();
   // Exclude the dead failure window (delay is the capped estimate
   // while nothing runs); measure recovery behaviour after the restore.
   out.avg_delay = rec.delay().mean_over(460.0, 1100.0);
-  for (const auto& [t, v] : rec.delay().points()) {
-    out.peak_delay = std::max(out.peak_delay, v);
-  }
+  out.peak_delay = peak(rec.delay());
   out.p99_delay = rec.delay_histogram().percentile(99);
   out.processed_pct = 100.0 * rec.processed_fraction();
   out.adaptations = rec.events().size();
@@ -105,8 +94,32 @@ int main(int argc, char** argv) {
       "NoAdapt diverges; Degrade bounds the delay but sheds events for the "
       "entire overload; WASP keeps 100% of the events with a transient "
       "spike while adapting; Hybrid combines them -- delay bounded like "
-      "Degrade (lower peak/p99 than WASP), losses limited to the short "
-      "window before the re-optimization lands (processed%% between Degrade "
-      "and WASP, close to 100)");
-  return 0;
+      "Degrade (lower p99 than WASP), losses limited to the window before "
+      "the re-optimization lands (processed% between Degrade and WASP)");
+  const Outcome& degrade = outcomes[1];
+  const Outcome& wasp_run = outcomes[2];
+  const Outcome& hybrid = outcomes[3];
+  const auto p99 = [](const Outcome& o) {
+    return TextTable::fmt(o.p99_delay, 2) + " s";
+  };
+  const auto pct = [](const Outcome& o) {
+    return TextTable::fmt(o.processed_pct, 1) + "%";
+  };
+  return check_claims(
+      opts,
+      {{"WASP keeps the events (>= 99% processed)",
+        wasp_run.processed_pct >= 99.0, "wasp " + pct(wasp_run)},
+       {"Degrade bounds the delay: p99 within 1.5x the 10 s SLO",
+        degrade.p99_delay <= 1.5 * opts.base.slo_sec,
+        "degrade " + p99(degrade)},
+       {"Hybrid bounds the delay like Degrade: p99 within 1.5x the SLO, "
+        "below WASP's",
+        hybrid.p99_delay <= 1.5 * opts.base.slo_sec &&
+            hybrid.p99_delay < wasp_run.p99_delay,
+        "hybrid " + p99(hybrid) + ", wasp " + p99(wasp_run)},
+       {"Hybrid processes more events than Degrade and fewer than WASP",
+        degrade.processed_pct < hybrid.processed_pct &&
+            hybrid.processed_pct < wasp_run.processed_pct,
+        "degrade " + pct(degrade) + ", hybrid " + pct(hybrid) + ", wasp " +
+            pct(wasp_run)}});
 }

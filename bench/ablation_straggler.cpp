@@ -8,7 +8,7 @@
 // λ_P trails the expected input) and scales/moves it.
 #include <algorithm>
 #include <iostream>
-#include <memory>
+#include <string>
 
 #include "bench_common.h"
 #include "bench_options.h"
@@ -18,6 +18,7 @@ namespace {
 struct Outcome {
   wasp::TimeSeries delay;
   double p95 = 0.0;
+  double baseline = 0.0;  // mean delay before the straggler, [0, 200)
   std::size_t adaptations = 0;
 };
 
@@ -26,16 +27,14 @@ Outcome run(wasp::runtime::AdaptationMode mode,
   using namespace wasp;
   using namespace wasp::bench;
 
-  Testbed bed;
-  auto spec = make_query(bed, Query::kTopk);
-  auto pattern = uniform_rates(spec, 10'000.0);
-  runtime::SystemConfig config = opts.system_config();
-  config.mode = mode;
-  if (mode != runtime::AdaptationMode::kNoAdapt) {
-    config.trace_sink = opts.sink;
-  }
-  runtime::WaspSystem system(bed.network, std::move(spec), pattern, config);
-  system.run_until(200.0);
+  runtime::RunSpec spec = opts.base;
+  spec.mode = mode;
+  spec.duration_sec = 900.0;
+  auto run = build(spec, mode == runtime::AdaptationMode::kNoAdapt
+                             ? opts.settings
+                             : opts.traced(to_string(mode)));
+  runtime::WaspSystem& system = run->system();
+  run->run_until(200.0);
   // Victim: the site of the busiest unpinned operator in the *deployed*
   // plan (deployment may have chosen a rewritten plan with different ids).
   SiteId victim;
@@ -50,12 +49,13 @@ Outcome run(wasp::runtime::AdaptationMode mode,
   }
   // Slow down every slot at that site by 10x.
   system.mutable_engine().set_straggler(victim, 0.1);
-  system.run_until(900.0);
+  run->run_until(spec.duration_sec);
   opts.write_metrics(to_string(mode), system.metrics());
 
   Outcome out;
   out.delay = bucketed(system.recorder().delay(), 50.0, to_string(mode));
   out.p95 = system.recorder().delay_histogram().percentile(95);
+  out.baseline = system.recorder().delay().mean_over(0.0, 200.0);
   out.adaptations = system.recorder().events().size();
   return out;
 }
@@ -85,5 +85,29 @@ int main(int argc, char** argv) {
       "delay diverges; WASP detects the measured processing-rate deficit, "
       "scales the operator (adding non-straggling tasks), and the delay "
       "returns near the baseline");
-  return 0;
+  // NoAdapt's buckets after the straggler hits, and WASP's lowest bucket
+  // once its first adaptations have landed.
+  bool diverges = true;
+  double previous = 0.0, wasp_low = 1e300;
+  for (const auto& [t, v] : noadapt.delay.points()) {
+    if (t > 200.0) diverges = diverges && v > previous;
+    previous = v;
+  }
+  for (const auto& [t, v] : wasp_run.delay.points()) {
+    if (t > 400.0) wasp_low = std::min(wasp_low, v);
+  }
+  const auto secs = [](double v) { return TextTable::fmt(v, 2) + " s"; };
+  return check_claims(
+      opts,
+      {{"without adaptation the delay diverges (grows in every 50 s bucket "
+        "after t=200)",
+        diverges, "last bucket " + secs(previous)},
+       {"WASP brings the delay back within 2x of its pre-straggler baseline "
+        "after t=400",
+        wasp_low <= 2.0 * wasp_run.baseline,
+        "lowest bucket " + secs(wasp_low) + ", baseline " +
+            secs(wasp_run.baseline)},
+       {"WASP's p95 delay is >= 10x below NoAdapt's",
+        10.0 * wasp_run.p95 <= noadapt.p95,
+        "wasp " + secs(wasp_run.p95) + ", no-adapt " + secs(noadapt.p95)}});
 }

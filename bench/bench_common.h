@@ -1,57 +1,31 @@
 // Shared scaffolding for the figure/table reproduction benches.
 //
 // Every bench binary regenerates one table or figure from the paper's
-// evaluation (§8) and prints the same rows/series the paper plots, plus a
-// short "expected shape" note so the output is self-describing. The
-// environment mirrors §8.2: the 16-site testbed, α = 0.8, p_max = 3, 40 s
-// monitoring interval, checkpointing every 30 s, initial parallelism 1.
+// evaluation (§8), prints the same rows/series the paper plots plus a short
+// "expected shape" note, and ends by checking the paper's claims against
+// what it measured (check_claims). The environment mirrors §8.2: the
+// 16-site testbed, α = 0.8, p_max = 3, 40 s monitoring interval,
+// checkpointing every 30 s, initial parallelism 1 -- the defaults of
+// runtime::RunSpec, through which every single-query run is built.
 #pragma once
 
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_options.h"
 #include "common/ids.h"
-#include "common/rng.h"
 #include "common/table.h"
 #include "common/time_series.h"
-#include "net/bandwidth_model.h"
-#include "net/network.h"
-#include "net/topology.h"
+#include "engine/engine.h"
 #include "net/topology_spec.h"
 #include "runtime/run_spec.h"
 #include "runtime/wasp_system.h"
-#include "workload/patterns.h"
-#include "workload/queries.h"
 
 namespace wasp::bench {
-
-inline constexpr std::uint64_t kSeed = 7;
-
-// The §8.2 testbed: 8 edge + 8 DC sites with the paper's link distributions
-// by default; `--topology=SPEC` (default_topology_spec()) swaps in a
-// generated topology -- for the paper spec, build() is exactly
-// make_paper_testbed, so defaults are byte-identical to the historical
-// testbed. Site roles are wasp_sim's (runtime::site_roles): edge sites feed
-// the sources, split east/west, and the first DC hosts the sink; a topology
-// without edge sites uses the hub layout around site 0.
-struct Testbed {
-  explicit Testbed(std::shared_ptr<const net::BandwidthModel> model = nullptr,
-                   std::uint64_t seed = kSeed)
-      : rng(seed),
-        topology(default_topology_spec().build(rng)),
-        network(topology, model ? model
-                                : std::make_shared<net::ConstantBandwidth>()),
-        roles(runtime::site_roles(topology)) {}
-
-  Rng rng;
-  net::Topology topology;
-  net::Network network;
-  runtime::SiteRoles roles;
-};
 
 using Query = runtime::QueryKind;
 
@@ -69,29 +43,70 @@ inline const char* query_name(Query q) {
   return "?";
 }
 
-// The query over the testbed's roles; exits 2 when the topology has too few
-// sites for it.
-inline workload::QuerySpec make_query(const Testbed& bed, Query q) {
-  std::string error;
-  auto spec = runtime::make_query(q, bed.roles, &error);
-  if (!spec.has_value()) {
-    std::cerr << error << "\n";
-    std::exit(2);
+// Builds `spec` through runtime::build_run; exits with build_run's one-line
+// message, 2 (1 for an unreadable file), when it cannot be built.
+inline std::unique_ptr<runtime::Run> build(
+    const runtime::RunSpec& spec, const runtime::RunSettings& settings) {
+  runtime::BuildError error;
+  auto run = runtime::build_run(spec, settings, &error);
+  if (run == nullptr) {
+    std::cerr << error.message << "\n";
+    std::exit(error.file ? 1 : 2);
   }
-  return std::move(*spec);
+  return run;
 }
 
-// Uniform per-site source rates (the §8.4 setup distributes the YSB evenly
-// over the 8 edge sites; the Twitter trace is replayed scaled).
-inline workload::SteppedWorkload uniform_rates(const workload::QuerySpec& spec,
-                                               double eps_per_site) {
-  workload::SteppedWorkload pattern;
-  workload::set_base_rates(pattern, spec, eps_per_site);
-  return pattern;
+// The deployed plan's last window aggregate in topological order: the
+// merge when deployment pushed partial aggregates below the union, else the
+// query's only window. Deployment renumbers operators, so a driver picks
+// from engine().logical(), never from the query spec.
+inline OperatorId window_aggregate(const engine::Engine& engine) {
+  OperatorId window;
+  for (OperatorId id : engine.logical().topological_order()) {
+    if (engine.logical().op(id).kind == query::OperatorKind::kWindowAggregate) {
+      window = id;
+    }
+  }
+  return window;
 }
 
 inline void expected_shape(const std::string& note) {
   std::cout << "\n[expected shape] " << note << "\n";
+}
+
+// One claim of the paper that a driver checks against its own run: the
+// claim with its margin, whether the run bears it out, and the measured
+// values behind the verdict. EXPERIMENTS.md gives each margin's source.
+struct Claim {
+  std::string text;
+  bool ok = false;
+  std::string measured;
+};
+
+// Prints "[claim] <text>: ok|FAILED (<measured>)" per claim and returns the
+// driver's exit code: 1 if any claim failed. The claims are the paper's, on
+// its testbed: with another --topology nothing is checked.
+inline int check_claims(const BenchOptions& opts,
+                        const std::vector<Claim>& claims) {
+  if (opts.base.topology.kind != net::TopologySpec::Kind::kPaper) {
+    std::cout << "\n[claims] not checked: not the paper testbed\n";
+    return 0;
+  }
+  std::cout << "\n";
+  int failed = 0;
+  for (const Claim& claim : claims) {
+    std::cout << "[claim] " << claim.text << ": "
+              << (claim.ok ? "ok" : "FAILED") << " (" << claim.measured
+              << ")\n";
+    failed += claim.ok ? 0 : 1;
+  }
+  return failed == 0 ? 0 : 1;
+}
+
+// The highest value of a series; 0 when it is empty.
+inline double peak(const TimeSeries& s) {
+  constexpr double kAll = std::numeric_limits<double>::infinity();
+  return s.max_over(-kAll, kAll);
 }
 
 // Coarse time series (bucketed means) named for the legend.

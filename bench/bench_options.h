@@ -1,17 +1,20 @@
 // Shared command-line options for the bench drivers.
 //
-// Every driver is a zero-argument reproduction of one paper figure; the
-// runtime knobs they share are where (whether) to write the structured
-// observability trace and the final metrics snapshot, plus how many worker
-// threads to fan the driver's independent simulation runs across:
+// Every driver is a zero-argument reproduction of one paper figure. Each run
+// it makes copies `base` (the default runtime::RunSpec, on the topology
+// --topology=SPEC names), sets the run keys its figure varies, and goes
+// through runtime::build_run with `settings` (--threads, --profile,
+// --profile-every). The other flags say where the structured trace and the
+// metrics snapshots go and how many worker threads fan the driver's
+// independent runs out:
 //
 //   fig11_live_environment --jobs=4 --trace-out=fig11.jsonl --metrics=fig11.metrics.jsonl
 //
 // Parallel drivers follow the sweep determinism contract (DESIGN.md §9):
-// each run is shared-nothing (its own Testbed/WaspSystem), runs write only
-// to per-index result slots, and all printing / metrics writing happens
-// after the fan-in, walking the runs in their declaration order -- so the
-// stdout tables and the --metrics file are byte-identical for any --jobs.
+// each run is shared-nothing (its own build_run), runs write only to
+// per-index result slots, and all printing / metrics writing happens after
+// the fan-in, walking the runs in their declaration order -- so the stdout
+// tables and the --metrics file are byte-identical for any --jobs.
 //
 // Tracing composes with --jobs via sink_for(label): at --jobs=1 every traced
 // run shares the single --trace-out sink (the historical layout); at
@@ -19,14 +22,12 @@
 // "fig09.<label>.jsonl") so concurrent runs never interleave, mixing
 // neither lines nor seq streams.
 //
-// Drivers pass the sink into runtime::SystemConfig::trace_sink (null when
-// the flag is absent, which disables tracing entirely), collect
-// `system.metrics().snapshot()` into their per-run slot, call
-// `opts.write_metrics(label, snapshot)` per run after the fan-in, and call
-// `opts.flush()` before exiting.
+// A traced run builds with traced(label), an untraced one with `settings`;
+// drivers collect `system.metrics().snapshot()` into their per-run slot,
+// call `opts.write_metrics(label, snapshot)` per run after the fan-in, and
+// call `opts.flush()` before exiting.
 #pragma once
 
-#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
@@ -37,52 +38,19 @@
 #include <utility>
 #include <vector>
 
-#include "common/number.h"
-#include "net/topology_spec.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
-#include "runtime/wasp_system.h"
+#include "runtime/run_spec.h"
 
 namespace wasp::bench {
 
-// Process-wide topology for the bench Testbed: the paper's 16-site testbed
-// unless BenchOptions::parse saw `--topology=SPEC` (DESIGN.md §14). A
-// process-wide default -- rather than threading a spec through every
-// driver's Testbed constructions -- keeps the figure drivers' bodies
-// untouched while still letting each one re-run at planet scale.
-inline net::TopologySpec& default_topology_spec() {
-  static net::TopologySpec spec;  // Kind::kPaper
-  return spec;
-}
-
 struct BenchOptions {
+  runtime::RunSpec base;          // every run's spec before its figure's keys
+  runtime::RunSettings settings;  // every run's execution; no trace sink
   std::shared_ptr<obs::FileSink> sink;  // null unless --trace-out was given
   std::string trace_out;
   std::string metrics_out;  // empty unless --metrics was given
   int jobs = 1;             // worker threads for the driver's independent runs
-  int threads = 1;          // intra-run worker threads per simulation
-  bool profile = false;     // always-on phase profiler (DESIGN.md §13)
-  int profile_every = 60;   // profile-event cadence in ticks
-
-  // A run config carrying the execution settings (threads, profiler);
-  // drivers start every run's config from it so the flags cover all runs.
-  [[nodiscard]] runtime::SystemConfig system_config() const {
-    runtime::SystemConfig config;
-    config.threads = threads;
-    config.profile = profile;
-    config.profile_every = profile_every;
-    return config;
-  }
-
-  // `value` as a whole-string integer >= 1; exits 2 on anything else.
-  static int count_or_exit(const std::string& flag, const std::string& value) {
-    int count = 0;
-    if (!parse_number(value, &count) || count < 1) {
-      std::cerr << flag << " needs an integer >= 1, got '" << value << "'\n";
-      std::exit(2);
-    }
-    return count;
-  }
 
   // Parses argv; exits 2 on an unknown flag or a bad value, 1 on an
   // unopenable file.
@@ -93,31 +61,25 @@ struct BenchOptions {
       const std::string trace_prefix = "--trace-out=";
       const std::string metrics_prefix = "--metrics=";
       const std::string jobs_prefix = "--jobs=";
-      const std::string threads_prefix = "--threads=";
-      const std::string profile_every_prefix = "--profile-every=";
       const std::string topology_prefix = "--topology=";
+      std::string error;
       if (arg == "--help" || arg == "-h") {
         std::cout << argv[0] << R"( [--jobs=N] [--threads=N] [--profile]
-    [--trace-out=FILE] [--metrics=FILE] [--topology=SPEC]
-  --jobs=N          fan independent runs across N worker threads
-                    (results identical for any N)
-  --threads=N       intra-run worker threads sharing each run's tick
-                    (results identical for any N; keep jobs*threads
-                    within the machine's cores)
-  --trace-out=FILE  write the observability trace (JSONL) to FILE;
-                    with --jobs>1 each traced run gets FILE with its
-                    label inserted before the extension
-  --metrics=FILE    write per-run metrics snapshots (JSONL) to FILE
-  --profile         always-on phase profiler: emit periodic `profile`
-                    events into the trace (pure observer; results
-                    stay bit-identical)
-  --profile-every=N profile-event cadence in ticks (default 60;
-                    implies --profile)
-  --topology=SPEC   run on a generated topology instead of the 16-site
-                    paper testbed: paper | uniform:sites=,slots=,bw=,lat=
-                    | edge:sites=,regions=,core=,... (DESIGN.md §14).
-                    Without edge sites, site 0 hosts the sink and the
-                    other sites feed the sources
+    [--profile-every=N] [--trace-out=FILE] [--metrics=FILE] [--topology=SPEC]
+  --jobs=N                         fan independent runs across N worker
+                                   threads (results identical for any N))"
+                  << runtime::RunSettings::help() << R"(
+  --trace-out=FILE                 write the observability trace (JSONL);
+                                   with --jobs>1 each traced run gets FILE
+                                   with its label inserted before the
+                                   extension
+  --metrics=FILE                   write per-run metrics snapshots (JSONL)
+  --topology=SPEC                  run on a generated topology instead of the
+                                   16-site paper testbed: paper | uniform:...
+                                   | edge:... (DESIGN.md §14). Without edge
+                                   sites, site 0 hosts the sink and the other
+                                   sites feed the sources. The paper's claims
+                                   are checked on the paper testbed only
 )";
         std::exit(0);
       } else if (arg.rfind(trace_prefix, 0) == 0) {
@@ -125,25 +87,22 @@ struct BenchOptions {
       } else if (arg.rfind(metrics_prefix, 0) == 0) {
         opts.metrics_out = arg.substr(metrics_prefix.size());
       } else if (arg.rfind(jobs_prefix, 0) == 0) {
-        opts.jobs = count_or_exit("--jobs", arg.substr(jobs_prefix.size()));
-      } else if (arg.rfind(threads_prefix, 0) == 0) {
-        opts.threads =
-            count_or_exit("--threads", arg.substr(threads_prefix.size()));
-      } else if (arg.rfind(profile_every_prefix, 0) == 0) {
-        opts.profile_every = count_or_exit(
-            "--profile-every", arg.substr(profile_every_prefix.size()));
-        opts.profile = true;
-      } else if (arg == "--profile") {
-        opts.profile = true;
-      } else if (arg.rfind(topology_prefix, 0) == 0) {
-        std::string error;
-        const auto spec =
-            net::TopologySpec::parse(arg.substr(topology_prefix.size()), &error);
-        if (!spec.has_value()) {
-          std::cerr << "bad --topology spec: " << error << "\n";
+        if (!runtime::parse_count("--jobs", arg.substr(jobs_prefix.size()),
+                                  &opts.jobs, &error)) {
+          std::cerr << error << "\n";
           std::exit(2);
         }
-        default_topology_spec() = *spec;
+      } else if (opts.settings.parse_flag(arg, &error)) {
+        if (!error.empty()) {
+          std::cerr << error << "\n";
+          std::exit(2);
+        }
+      } else if (arg.rfind(topology_prefix, 0) == 0) {
+        if (!opts.base.set("topology", arg.substr(topology_prefix.size()),
+                           &error)) {
+          std::cerr << error << "\n";
+          std::exit(2);
+        }
       } else {
         std::cerr << "unknown argument: " << arg
                   << " (supported: --jobs=N --threads=N --profile "
@@ -198,6 +157,13 @@ struct BenchOptions {
       std::exit(1);
     }
     return private_sink;
+  }
+
+  // `settings` with sink_for(label) as the trace sink, for a traced run.
+  [[nodiscard]] runtime::RunSettings traced(std::string_view label) const {
+    runtime::RunSettings out = settings;
+    out.trace_sink = sink_for(label);
+    return out;
   }
 
   // Appends one flat JSON object {"run":"<label>", "<metric>":value, ...}

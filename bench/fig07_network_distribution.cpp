@@ -4,11 +4,14 @@
 // The paper configured DC links from a 1-day EC2 measurement and edge links
 // from Akamai public-Internet statistics; Fig. 7 shows the resulting CDFs.
 // We print the CDFs of the generated testbed.
+#include <algorithm>
 #include <iostream>
 
 #include "bench_common.h"
 #include "bench_options.h"
 #include "common/histogram.h"
+#include "common/rng.h"
+#include "net/topology.h"
 
 int main(int argc, char** argv) {
   using namespace wasp;
@@ -17,18 +20,23 @@ int main(int argc, char** argv) {
   // `--topology=SPEC` prints the generated topology's CDFs instead -- the
   // quickest way to eyeball a planet-scale spec against Fig. 7's shapes.
   const BenchOptions opts = BenchOptions::parse(argc, argv);
-  (void)opts;
-  Testbed bed;
+  Rng rng(opts.base.seed);
+  const net::Topology topology = opts.base.topology.build(rng);
   WeightedHistogram edge_bw, dc_bw, edge_lat, dc_lat;
-  for (const auto& a : bed.topology.sites()) {
-    for (const auto& b : bed.topology.sites()) {
+  double dc_bw_min = 1e300, dc_bw_max = 0.0, lat_min = 1e300, lat_max = 0.0;
+  for (const auto& a : topology.sites()) {
+    for (const auto& b : topology.sites()) {
       if (a.id == b.id) continue;
-      const double bw = bed.topology.base_bandwidth(a.id, b.id);
-      const double lat = bed.topology.latency_ms(a.id, b.id);
+      const double bw = topology.base_bandwidth(a.id, b.id);
+      const double lat = topology.latency_ms(a.id, b.id);
+      lat_min = std::min(lat_min, lat);
+      lat_max = std::max(lat_max, lat);
       if (a.type == net::SiteType::kDataCenter &&
           b.type == net::SiteType::kDataCenter) {
         dc_bw.add(bw);
         dc_lat.add(lat);
+        dc_bw_min = std::min(dc_bw_min, bw);
+        dc_bw_max = std::max(dc_bw_max, bw);
       } else {
         edge_bw.add(bw);
         edge_lat.add(lat);
@@ -59,5 +67,18 @@ int main(int argc, char** argv) {
       "edge links concentrate at low bandwidth (public Internet, ~1-25 Mbps, "
       "median below 10) while DC links spread to ~250 Mbps; latency spans "
       "two orders of magnitude across site pairs (paper: up to ~300 ms)");
-  return 0;
+  const auto mbps = [](double v) { return TextTable::fmt(v, 1) + " Mbps"; };
+  const auto ms = [](double v) { return TextTable::fmt(v, 1) + " ms"; };
+  return check_claims(
+      opts,
+      {{"data-center links span 25-250 Mbps",
+        dc_bw_min >= 25.0 && dc_bw_max <= 250.0,
+        mbps(dc_bw_min) + " to " + mbps(dc_bw_max)},
+       {"edge links are slower: their median is below the DC median",
+        edge_bw.percentile(50) < dc_bw.percentile(50),
+        "edge " + mbps(edge_bw.percentile(50)) + ", DC " +
+            mbps(dc_bw.percentile(50))},
+       {"latency spans over an order of magnitude, up to <= 300 ms",
+        lat_max >= 10.0 * lat_min && lat_max <= 300.0,
+        ms(lat_min) + " to " + ms(lat_max)}});
 }

@@ -8,8 +8,9 @@
 // The 9 runs (3 queries x 3 modes) are independent shared-nothing
 // simulations; --jobs=N fans them across N workers (exec::parallel_for)
 // with output identical to the serial run.
+#include <algorithm>
 #include <iostream>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -30,37 +31,39 @@ int main(int argc, char** argv) {
   const Query kQueries[] = {Query::kYsb, Query::kTopk,
                             Query::kEventsOfInterest};
 
+  runtime::RunSpec base = opts.base;
+  base.duration_sec = 1500.0;
+  base.workload_steps = {{300.0, 2.0}, {600.0, 1.0}};
+  base.bandwidth_steps = {{900.0, 0.5}, {1200.0, 1.0}};
+
   // One cell per (query, mode); each run fills only its own slot and all
   // printing happens after the fan-in, so --jobs does not change the output.
   struct Cell {
     TimeSeries ratio;
+    double processed = 0.0;  // fraction of generated events processed
     std::vector<std::pair<std::string, double>> metrics;  // Re-opt runs only
   };
   std::vector<Cell> cells(9);
   exec::parallel_for(opts.jobs, cells.size(), [&](std::size_t i) {
-    const Query q = kQueries[i / 3];
-    const int m = static_cast<int>(i % 3);
-    Testbed bed(std::make_shared<net::SteppedBandwidth>(
-        std::vector<std::pair<double, double>>{{900.0, 0.5}, {1200.0, 1.0}}));
-    auto spec = make_query(bed, q);
-    auto pattern = uniform_rates(spec, 10'000.0);
-    pattern.add_step(300.0, 2.0);
-    pattern.add_step(600.0, 1.0);
-    runtime::SystemConfig config = opts.system_config();
-    config.mode = kModes[m];
-    config.slo_sec = 10.0;
-    if (kModes[m] == runtime::AdaptationMode::kWasp) {
-      config.trace_sink = opts.sink_for(query_name(q));
-    }
-    runtime::WaspSystem system(bed.network, std::move(spec), pattern, config);
-    system.run_until(1500.0);
-    if (kModes[m] == runtime::AdaptationMode::kWasp) {
-      cells[i].metrics = system.metrics().snapshot();
-    }
-    cells[i].ratio =
-        bucketed(system.recorder().ratio(), 50.0, kModeNames[m]);
+    runtime::RunSpec spec = base;
+    spec.query = kQueries[i / 3];
+    spec.mode = kModes[i % 3];
+    const bool reopt = spec.mode == runtime::AdaptationMode::kWasp;
+    auto run = build(spec, reopt ? opts.traced(query_name(spec.query))
+                                 : opts.settings);
+    run->run_until(spec.duration_sec);
+    const runtime::Recorder& rec = run->system().recorder();
+    if (reopt) cells[i].metrics = run->system().metrics().snapshot();
+    cells[i].ratio = bucketed(rec.ratio(), 50.0, kModeNames[i % 3]);
+    cells[i].processed = rec.processed_fraction();
   });
 
+  // Per query: the baselines' lowest bucket and NoAdapt's highest where the
+  // dynamics constrain the query (at the default seed, YSB and Top-K: Events
+  // of Interest's deployment absorbs both windows), and Re-opt's share of
+  // events processed.
+  bool dips = true, drains = true, keeps = true;
+  std::string dip_text, drain_text, keep_text;
   for (std::size_t qi = 0; qi < 3; ++qi) {
     const Query q = kQueries[qi];
     print_section(std::cout,
@@ -71,6 +74,22 @@ int main(int argc, char** argv) {
     print_series(std::cout, "t(s)", series, 3);
     opts.write_metrics(std::string(query_name(q)) + "/Re-opt",
                        cells[qi * 3 + 2].metrics);
+
+    double low = 1.0, high = 0.0;
+    for (int m = 0; m < 2; ++m) {
+      for (const auto& [t, v] : series[m].points()) low = std::min(low, v);
+    }
+    for (const auto& [t, v] : series[0].points()) high = std::max(high, v);
+    const double processed = cells[qi * 3 + 2].processed;
+    const std::string sep = qi == 0 ? "" : ", ";
+    const std::string name = runtime::to_string(q);
+    keeps = keeps && processed >= 0.99;
+    keep_text += sep + name + " " + TextTable::fmt(100.0 * processed, 1) + "%";
+    if (q == Query::kEventsOfInterest) continue;
+    dips = dips && low < 0.99;
+    dip_text += sep + name + " " + TextTable::fmt(low, 3);
+    drains = drains && high > 1.01;
+    drain_text += sep + name + " " + TextTable::fmt(high, 3);
   }
   opts.flush();
 
@@ -79,6 +98,17 @@ int main(int argc, char** argv) {
       "NoAdapt rebounds above 1 afterwards (consuming queued events) while "
       "Degrade returns to 1 (dropped events are gone). Re-opt dips only "
       "momentarily during state-migration transitions and otherwise holds "
-      "~1 (no events lost)");
-  return 0;
+      "~1 (no events lost). The paper shows this for all three queries; at "
+      "this seed Events of Interest's deployment absorbs both windows and "
+      "holds 1");
+  return check_claims(
+      opts,
+      {{"YSB, Top-K: NoAdapt and Degrade fall below a ratio of 0.99 in the "
+        "constrained windows (paper: ~0.86)",
+        dips, dip_text},
+       {"YSB, Top-K: NoAdapt rebounds above 1.01 while draining its queues",
+        drains,
+        drain_text},
+       {"Re-opt processes >= 99% of the generated events", keeps,
+        keep_text}});
 }

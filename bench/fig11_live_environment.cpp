@@ -8,78 +8,67 @@
 // (b) average delay over time, (c) parallelism changes.
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "bench_options.h"
 #include "exec/thread_pool.h"
+#include "workload/patterns.h"
 
 namespace {
 
 struct LiveRun {
   wasp::TimeSeries delay;
   wasp::TimeSeries parallelism;
+  double late_delay = 0.0;    // mean delay over [700, 1500)
+  double failure_peak = 0.0;  // peak parallelism over [600, 900)
+  double settled = 0.0;       // mean parallelism over [1300, 1500)
   std::size_t adaptations = 0;
   std::vector<std::pair<std::string, double>> metrics;
 };
 
-LiveRun run_mode(wasp::runtime::AdaptationMode mode,
+// One mode's run of the §8.6 scenario: the live bandwidth walk (factors
+// 0.51-2.36) and workload walk (0.8-2.4), both re-drawn every 5 minutes over
+// 1800 s, and all compute revoked over [540, 600). `variation_out`, when
+// given, receives one link's bandwidth factor and one source site's
+// workload factor every minute.
+LiveRun run_mode(const wasp::runtime::RunSpec& base,
+                 wasp::runtime::AdaptationMode mode,
                  wasp::TimeSeries* variation_out,
-                 std::shared_ptr<wasp::obs::TraceSink> trace_sink,
-                 const wasp::bench::BenchOptions& opts) {
+                 const wasp::runtime::RunSettings& settings) {
   using namespace wasp;
   using namespace wasp::bench;
 
-  // Bandwidth: the paper's live trace range, re-drawn every 5 minutes.
-  Rng bw_rng(kSeed + 1);
-  net::RandomWalkBandwidth::Config bw_cfg;
-  bw_cfg.horizon_sec = 1800.0;
-  bw_cfg.period_sec = 300.0;
-  bw_cfg.min_factor = 0.51;
-  bw_cfg.max_factor = 2.36;
-  auto bw_model = std::make_shared<net::RandomWalkBandwidth>(16, bw_cfg,
-                                                             bw_rng);
-  Testbed bed(bw_model);
-
-  auto spec = make_query(bed, Query::kTopk);
-
-  // Workload: random per-site factors in [0.8, 2.4].
-  Rng wl_rng(kSeed + 2);
-  workload::RandomWalkWorkload::Config wl_cfg;
-  wl_cfg.horizon_sec = 1800.0;
-  workload::RandomWalkWorkload pattern(wl_cfg, wl_rng);
-  workload::set_base_rates(pattern, spec, 10'000.0);
+  runtime::RunSpec spec = base;
+  spec.mode = mode;
+  auto run = build(spec, settings);
 
   if (variation_out != nullptr) {
-    // Sample one link's bandwidth factor and one site's workload factor.
+    const net::Network& network = run->network();
+    const auto& live =
+        dynamic_cast<const workload::RandomWalkWorkload&>(run->workload());
+    const SiteId site = runtime::site_roles(network.topology()).edges.at(0);
     TimeSeries bw("bandwidth_factor"), wl("workload_factor");
-    for (double t = 0.0; t <= 1800.0; t += 60.0) {
-      bw.add(t, bw_model->factor(SiteId(0), SiteId(1), t));
-      wl.add(t, pattern.factor(bed.roles.edges[0], t));
+    for (double t = 0.0; t <= spec.duration_sec; t += 60.0) {
+      bw.add(t, network.capacity(SiteId(0), SiteId(1), t) /
+                    network.topology().base_bandwidth(SiteId(0), SiteId(1)));
+      wl.add(t, live.factor(site, t));
     }
     variation_out[0] = bw;
     variation_out[1] = wl;
   }
 
-  runtime::SystemConfig config = opts.system_config();
-  config.mode = mode;
-  config.slo_sec = 10.0;
-  config.trace_sink = std::move(trace_sink);
-  runtime::WaspSystem system(bed.network, std::move(spec), pattern, config);
-  // Failure at t=540: all compute revoked; restored 60 s later (§8.6).
-  system.run_until(540.0);
-  system.fail_all_sites();
-  system.run_until(600.0);
-  system.restore_all_sites();
-  system.run_until(1800.0);
-
+  run->run_until(spec.duration_sec);
+  const runtime::Recorder& rec = run->system().recorder();
   LiveRun out;
-  out.metrics = system.metrics().snapshot();
-  out.delay = bucketed(system.recorder().delay(), 60.0,
-                       to_string(mode));
-  out.parallelism = bucketed(system.recorder().parallelism(), 60.0,
-                             to_string(mode));
-  out.adaptations = system.recorder().events().size();
+  out.metrics = run->system().metrics().snapshot();
+  out.delay = bucketed(rec.delay(), 60.0, to_string(mode));
+  out.parallelism = bucketed(rec.parallelism(), 60.0, to_string(mode));
+  out.late_delay = rec.delay().mean_over(700.0, 1500.0);
+  out.failure_peak = rec.parallelism().max_over(600.0, 900.0);
+  out.settled = rec.parallelism().mean_over(1300.0, 1500.0);
+  out.adaptations = rec.events().size();
   return out;
 }
 
@@ -96,6 +85,12 @@ int main(int argc, char** argv) {
   // identical to the serial run.
   const BenchOptions opts = BenchOptions::parse(argc, argv);
 
+  runtime::RunSpec base = opts.base;
+  base.duration_sec = 1800.0;
+  base.bandwidth_trace = "live";
+  base.workload_trace = "live";
+  base.fail = {{540.0, 60.0}};
+
   const runtime::AdaptationMode kModes[] = {runtime::AdaptationMode::kNoAdapt,
                                             runtime::AdaptationMode::kDegrade,
                                             runtime::AdaptationMode::kWasp};
@@ -104,10 +99,10 @@ int main(int argc, char** argv) {
   exec::parallel_for(opts.jobs, runs.size(), [&](std::size_t i) {
     const auto mode = kModes[i];
     runs[i] = run_mode(
-        mode, mode == runtime::AdaptationMode::kNoAdapt ? variations : nullptr,
-        mode == runtime::AdaptationMode::kWasp ? opts.sink_for("wasp")
-                                               : nullptr,
-        opts);
+        base, mode,
+        mode == runtime::AdaptationMode::kNoAdapt ? variations : nullptr,
+        mode == runtime::AdaptationMode::kWasp ? opts.traced("wasp")
+                                               : opts.settings);
   });
   for (std::size_t i = 0; i < runs.size(); ++i) {
     opts.write_metrics(to_string(kModes[i]), runs[i].metrics);
@@ -141,5 +136,26 @@ int main(int argc, char** argv) {
       "explodes after the failure (queued events never drain). Degrade "
       "keeps delay near the SLO by sacrificing events; its parallelism "
       "stays flat at 1.0x");
-  return 0;
+  const auto delay = [](double v) { return TextTable::fmt(v, 2) + " s"; };
+  return check_claims(
+      opts,
+      {{"after the failure WASP drains the backlog: mean delay 700-1500 s "
+        "below 1 s",
+        wasp_run.late_delay < 1.0, "wasp " + delay(wasp_run.late_delay)},
+       {"NoAdapt never recovers: its mean delay 700-1500 s is >= 10x WASP's",
+        noadapt.late_delay >= 10.0 * wasp_run.late_delay,
+        "no-adapt " + delay(noadapt.late_delay) + ", wasp " +
+            delay(wasp_run.late_delay)},
+       {"Degrade holds the 10 s SLO after the failure (mean 700-1500 s "
+        "within 1.5x) at a flat 1.0x parallelism",
+        degrade.late_delay <= 1.5 * base.slo_sec &&
+            peak(degrade.parallelism) < 1.01,
+        "degrade " + delay(degrade.late_delay) + ", peak parallelism " +
+            TextTable::fmt(peak(degrade.parallelism), 2) + "x"},
+       {"WASP scales out after the failure (parallelism above 1.0x in "
+        "600-900 s) and back down (lower over 1300-1500 s)",
+        wasp_run.failure_peak > 1.0 &&
+            wasp_run.settled < wasp_run.failure_peak,
+        "peak " + TextTable::fmt(wasp_run.failure_peak, 3) + "x, then " +
+            TextTable::fmt(wasp_run.settled, 3) + "x"}});
 }

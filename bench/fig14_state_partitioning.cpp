@@ -9,51 +9,51 @@
 // sites and links. Reported: (a) the 95th-percentile delay per state size,
 // (b) the overhead breakdown (transition + stabilization).
 #include <algorithm>
+#include <cmath>
 #include <iostream>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "bench_options.h"
 #include "common/units.h"
-#include "state/migration.h"
 
 namespace {
 
 constexpr double kTmaxSec = 30.0;
 
-struct Run {
+struct Outcome {
   double p95_delay = 0.0;
   double transition_sec = 0.0;
   double stabilize_sec = 0.0;
   int partitions = 1;
+  std::string op;  // the migrated operator of the deployed plan
 };
 
-Run run_case(double state_mb, bool partitioned,
-             const wasp::bench::BenchOptions& opts) {
+Outcome run_case(double state_mb, bool partitioned,
+                 const wasp::bench::BenchOptions& opts) {
   using namespace wasp;
   using namespace wasp::bench;
 
-  Testbed bed;
-  auto spec = make_query(bed, Query::kTopk);
-  OperatorId window_op;
-  for (const auto& op : spec.plan.operators()) {
-    if (op.kind == query::OperatorKind::kWindowAggregate) window_op = op.id;
-  }
-  auto pattern = uniform_rates(spec, 10'000.0);
-
-  runtime::SystemConfig config = opts.system_config();
-  config.mode = runtime::AdaptationMode::kNoAdapt;
-  config.migration = state::MigrationStrategy::kNetworkAware;
-  config.trace_sink = opts.sink;  // forced migrations still emit spans
-  runtime::WaspSystem system(bed.network, std::move(spec), pattern, config);
+  runtime::RunSpec spec = opts.base;
+  spec.mode = runtime::AdaptationMode::kNoAdapt;
+  spec.duration_sec = 600.0;
+  const std::string label = TextTable::fmt(state_mb, 0) + "MB/" +
+                            (partitioned ? "partitioned" : "default");
+  // Forced migrations still emit spans.
+  auto run = build(spec, opts.traced(label));
+  runtime::WaspSystem& system = run->system();
+  const net::Network& network = run->network();
+  const runtime::SiteRoles roles = runtime::site_roles(network.topology());
+  const OperatorId window_op = window_aggregate(system.engine());
   system.mutable_engine().set_state_override_mb(window_op, state_mb);
-  system.run_until(180.0);
+  run->run_until(180.0);
 
   // Candidate destination sites: data centers without window tasks.
   const auto current = system.engine().placement(window_op);
   std::vector<SiteId> candidates;
-  for (SiteId dc : bed.roles.dcs) {
-    if (current.at(dc) == 0 && dc != bed.roles.sink) candidates.push_back(dc);
+  for (SiteId dc : roles.dcs) {
+    if (current.at(dc) == 0 && dc != roles.sink) candidates.push_back(dc);
   }
 
   // Default: the whole stage (and state) to one site. Partitioned: estimate
@@ -66,7 +66,7 @@ Run run_case(double state_mb, bool partitioned,
     // it exceeds t_max so each share fits within the threshold.
     const double est_sec = transfer_seconds(
         state_mb,
-        bed.network.capacity(current.sites().at(0), candidates[0], 180.0));
+        network.capacity(current.sites().at(0), candidates[0], 180.0));
     if (est_sec > kTmaxSec) {
       partitions = std::clamp<int>(
           static_cast<int>(std::ceil(est_sec / kTmaxSec)), 1,
@@ -75,22 +75,21 @@ Run run_case(double state_mb, bool partitioned,
   }
 
   physical::StagePlacement target;
-  target.per_site.assign(bed.topology.num_sites(), 0);
+  target.per_site.assign(network.topology().num_sites(), 0);
   for (int k = 0; k < partitions; ++k) {
     target.per_site[static_cast<std::size_t>(candidates[k].value())] = 1;
   }
   system.force_reassign(window_op, target);
-  system.run_until(600.0);
-  opts.write_metrics(TextTable::fmt(state_mb, 0) + "MB/" +
-                         (partitioned ? "partitioned" : "default"),
-                     system.metrics());
+  run->run_until(spec.duration_sec);
+  opts.write_metrics(label, system.metrics());
 
-  Run out;
+  Outcome out;
   out.p95_delay = system.recorder().delay_histogram().percentile(95);
   const auto& event = system.recorder().events().at(0);
   out.transition_sec = event.transition_sec();
   out.stabilize_sec = event.stabilize_sec();
   out.partitions = partitions;
+  out.op = system.engine().logical().op(window_op).name;
   return out;
 }
 
@@ -104,16 +103,25 @@ int main(int argc, char** argv) {
 
   const double kStateSizes[] = {0.0, 32.0, 64.0, 128.0, 256.0, 512.0};
 
+  std::vector<Outcome> defaults, parts;
+  for (double mb : kStateSizes) {
+    defaults.push_back(run_case(mb, /*partitioned=*/false, opts));
+    parts.push_back(run_case(mb, /*partitioned=*/true, opts));
+  }
+  opts.flush();
+
+  std::cout << "migrated operator: " << defaults.front().op << "\n";
   print_section(std::cout,
                 "Figure 14: state partitioning (t_max = 30 s, migration at "
                 "t=180)");
   TextTable table({"state(MB)", "default p95(s)", "part p95(s)",
                    "default trans(s)", "part trans(s)", "default stab(s)",
                    "part stab(s)", "partitions"});
-  for (double mb : kStateSizes) {
-    const Run def = run_case(mb, /*partitioned=*/false, opts);
-    const Run part = run_case(mb, /*partitioned=*/true, opts);
-    table.add_row({TextTable::fmt(mb, 0), TextTable::fmt(def.p95_delay, 1),
+  for (std::size_t i = 0; i < defaults.size(); ++i) {
+    const Outcome& def = defaults[i];
+    const Outcome& part = parts[i];
+    table.add_row({TextTable::fmt(kStateSizes[i], 0),
+                   TextTable::fmt(def.p95_delay, 1),
                    TextTable::fmt(part.p95_delay, 1),
                    TextTable::fmt(def.transition_sec, 1),
                    TextTable::fmt(part.transition_sec, 1),
@@ -122,7 +130,6 @@ int main(int argc, char** argv) {
                    std::to_string(part.partitions)});
   }
   table.print(std::cout);
-  opts.flush();
 
   expected_shape(
       "Default's overhead and 95th-percentile delay grow with the state "
@@ -131,5 +138,36 @@ int main(int argc, char** argv) {
       "for large states (256-512 MB) by scaling out and splitting the state "
       "across multiple links -- the paper reports >120 s overhead savings "
       "at 512 MB");
-  return 0;
+  bool grows = true, matches = true;
+  std::string growth = TextTable::fmt(defaults.front().transition_sec, 0);
+  for (std::size_t i = 1; i < defaults.size(); ++i) {
+    grows = grows &&
+            defaults[i].transition_sec > defaults[i - 1].transition_sec;
+    growth += "/" + TextTable::fmt(defaults[i].transition_sec, 0);
+  }
+  std::string unsplit;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (parts[i].partitions > 1) continue;
+    matches = matches &&
+              parts[i].transition_sec == defaults[i].transition_sec;
+    unsplit += (unsplit.empty() ? "" : ", ") +
+               TextTable::fmt(kStateSizes[i], 0) + " MB";
+  }
+  const double total_def =
+      defaults.back().transition_sec + defaults.back().stabilize_sec;
+  const double total_part =
+      parts.back().transition_sec + parts.back().stabilize_sec;
+  return check_claims(
+      opts,
+      {{"Default's transition grows with every state size step", grows,
+        growth + " s over 0-512 MB"},
+       {"Partitioned matches Default where it does not split", matches,
+        unsplit.empty() ? "no unsplit size" : unsplit},
+       {"at 512 MB Partitioned's overhead is at most half of Default's (>= 2 "
+        "partitions; paper: >120 s saved)",
+        parts.back().partitions >= 2 && total_part <= 0.5 * total_def,
+        TextTable::fmt(total_part, 0) + " s vs " +
+            TextTable::fmt(total_def, 0) + " s, " +
+            std::to_string(parts.back().partitions) + " partitions, " +
+            TextTable::fmt(total_def - total_part, 0) + " s saved"}});
 }

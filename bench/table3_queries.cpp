@@ -5,7 +5,6 @@
 // from a short run), and the dataset stand-in (synthetic YSB events /
 // synthetic geo-tagged tweet trace).
 #include <iostream>
-#include <memory>
 #include <set>
 
 #include "bench_common.h"
@@ -24,17 +23,16 @@ QueryInfo inspect(wasp::bench::Query q,
   using namespace wasp;
   using namespace wasp::bench;
 
-  Testbed bed;
-  auto spec = make_query(bed, q);
-  auto pattern = uniform_rates(spec, 10'000.0);
-  runtime::SystemConfig config = opts.system_config();
-  config.mode = runtime::AdaptationMode::kNoAdapt;
-  config.trace_sink = opts.sink;
-  runtime::WaspSystem system(bed.network, std::move(spec), pattern, config);
+  runtime::RunSpec spec = opts.base;
+  spec.query = q;
+  spec.mode = runtime::AdaptationMode::kNoAdapt;
   // Sample late in an open window (both 10 s and 30 s windows are ~90%
   // full at t=118) so the reported state reflects the working footprint,
   // not the instant after a tumbling reset.
-  system.run_until(118.0);
+  spec.duration_sec = 118.0;
+  auto run = build(spec, opts.traced(query_name(q)));
+  run->run_until(spec.duration_sec);
+  const runtime::WaspSystem& system = run->system();
   opts.write_metrics(query_name(q), system.metrics());
 
   QueryInfo info;
@@ -88,5 +86,14 @@ int main(int argc, char** argv) {
       "window); Top-K holds on the order of 100 MB (filter, map, union, "
       "window, top-k reduce); Events of Interest is stateless (filter, "
       "union, project)");
-  return 0;
+  const auto mb = [](const QueryInfo& info) {
+    return TextTable::fmt(info.state_mb, 1) + " MB";
+  };
+  return check_claims(
+      opts, {{"Advertising Campaign holds < 10 MB of state",
+              ysb.state_mb > 0.0 && ysb.state_mb < 10.0, mb(ysb)},
+             {"Top-K holds on the order of 100 MB (50-200 MB)",
+              topk.state_mb >= 50.0 && topk.state_mb <= 200.0, mb(topk)},
+             {"Events of Interest is stateless", interest.state_mb == 0.0,
+              mb(interest)}});
 }

@@ -5,49 +5,37 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
 #include <iostream>
-#include <memory>
 
 #include "common/log.h"
-#include "common/rng.h"
 #include "common/table.h"
-#include "net/bandwidth_model.h"
-#include "net/network.h"
-#include "net/topology.h"
 #include "runtime/run_spec.h"
-#include "runtime/wasp_system.h"
-#include "workload/patterns.h"
-#include "workload/queries.h"
 
 int main() {
   using namespace wasp;
   set_log_level(LogLevel::kInfo);  // show adaptation decisions
 
-  // 1. The wide-area substrate: 8 edge sites + 8 data centers with EC2/
-  //    Akamai-like links (paper §8.2), static bandwidth for the quickstart.
-  Rng rng(7);
-  net::Topology topo = net::Topology::make_paper_testbed(rng);
-  net::Network network(topo, std::make_shared<net::ConstantBandwidth>());
+  // 1. The run: the Top-K popular-topics query (stateful windowed
+  //    aggregation) under the full WASP policy, on the 8 edge + 8 data-center
+  //    testbed with EC2/Akamai-like links (paper §8.2) and static bandwidth.
+  //    Edge sites host the sources at 10k events/s each; one data center
+  //    hosts the sink. Every default of runtime::RunSpec is the paper's.
+  runtime::RunSpec spec;
+  spec.query = runtime::QueryKind::kTopk;
+  spec.mode = runtime::AdaptationMode::kWasp;
+  spec.duration_sec = 600.0;                 // 10 simulated minutes
+  spec.workload_steps = {{300.0, 2.0}};      // the workload doubles at 300 s
 
-  // Edge sites host the sources; one data center hosts the sink.
-  const runtime::SiteRoles roles = runtime::site_roles(topo);
+  // 2. Build it (topology, network, query, workload, deployment) and run.
+  runtime::BuildError error;
+  const auto run = runtime::build_run(spec, runtime::RunSettings{}, &error);
+  if (run == nullptr) {
+    std::cerr << error.message << "\n";
+    return 2;
+  }
+  run->run_until(spec.duration_sec);
 
-  // 2. The query: Top-K popular topics (stateful windowed aggregation).
-  workload::QuerySpec query =
-      workload::make_topk_topics(roles.east, roles.west, roles.sink);
-
-  // 3. The workload: 10k events/s per source site, doubling at t=300 s.
-  workload::SteppedWorkload pattern;
-  workload::set_base_rates(pattern, query, 10'000.0);
-  pattern.add_step(300.0, 2.0);
-
-  // 4. Deploy with the full WASP policy and run 10 simulated minutes.
-  runtime::SystemConfig config;
-  config.mode = runtime::AdaptationMode::kWasp;
-  runtime::WaspSystem system(network, std::move(query), pattern, config);
-  system.run_until(600.0);
-
-  // 5. Report.
-  const auto& rec = system.recorder();
+  // 3. Report.
+  const auto& rec = run->system().recorder();
   TextTable table({"window", "avg delay (s)", "avg ratio", "parallelism x"});
   for (double t0 = 0.0; t0 < 600.0; t0 += 100.0) {
     table.add_row({TextTable::fmt(t0, 0) + "-" + TextTable::fmt(t0 + 100, 0),

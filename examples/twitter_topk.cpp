@@ -8,6 +8,10 @@
 // shifting load, scaling the aggregation out toward the peak and back down
 // at night.
 //
+// The one example that composes the library by hand (topology, network,
+// query, workload pattern, system) rather than through runtime::build_run:
+// a diurnal, Zipf-split workload is not a RunSpec value.
+//
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/twitter_topk

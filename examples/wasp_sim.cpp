@@ -23,7 +23,6 @@
 #include <string>
 
 #include "common/log.h"
-#include "common/number.h"
 #include "common/table.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -57,28 +56,16 @@ void print_usage() {
                "runner\n\nRun keys:\n"
             << runtime::RunSpec::help(runtime::RunSpec{}) <<
       R"(
-Execution and output (results and traces are identical for any value):
-  --threads=N                      intra-run worker threads sharing one run's
-                                   tick (default 1; keep jobs x threads within
-                                   the machine's cores)
-  --profile                        phase profiler (DESIGN.md §13): a table at
-                                   exit and, with --trace-out, periodic
-                                   `profile` events for `wasp_trace profile`
-  --profile-every=N                profile cadence in ticks (default 60;
-                                   implies --profile)
+Execution and output (results and traces are identical for any value):)"
+            << runtime::RunSettings::help() << R"(
   --trace-out=FILE                 write the observability trace (JSONL)
   --metrics=FILE                   write the final metrics snapshot (JSON)
   --csv                            print t,delay_s,ratio,parallelism_x as CSV
   --verbose                        narrate adaptation decisions
   --help                           this text
-)";
-}
 
-// Whole-string integer >= 1 for a count flag.
-bool parse_count(const std::string& flag, const std::string& value, int* out) {
-  if (parse_number(value, out) && *out >= 1) return true;
-  std::cerr << flag << " needs an integer >= 1, got '" << value << "'\n";
-  return false;
+With --profile, wasp_sim also prints the phase table at exit.
+)";
 }
 
 bool parse_args(int argc, char** argv, Flags* opts) {
@@ -97,16 +84,11 @@ bool parse_args(int argc, char** argv, Flags* opts) {
       opts->trace_out = *v;
     } else if (auto v = value_of("--metrics")) {
       opts->metrics_out = *v;
-    } else if (auto v = value_of("--threads")) {
-      if (!parse_count("--threads", *v, &opts->settings.threads)) return false;
-    } else if (auto v = value_of("--profile-every")) {
-      if (!parse_count("--profile-every", *v,
-                       &opts->settings.profile_every)) {
+    } else if (opts->settings.parse_flag(arg, &error)) {
+      if (!error.empty()) {
+        std::cerr << error << "\n";
         return false;
       }
-      opts->settings.profile = true;
-    } else if (arg == "--profile") {
-      opts->settings.profile = true;
     } else if (arg == "--csv") {
       opts->csv = true;
     } else if (arg == "--verbose") {

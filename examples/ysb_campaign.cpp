@@ -9,18 +9,12 @@
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/ysb_campaign
+#include <algorithm>
+#include <cstdlib>
 #include <iostream>
-#include <memory>
 
-#include "common/rng.h"
 #include "common/table.h"
-#include "net/bandwidth_model.h"
-#include "net/network.h"
-#include "net/topology.h"
 #include "runtime/run_spec.h"
-#include "runtime/wasp_system.h"
-#include "workload/patterns.h"
-#include "workload/queries.h"
 
 namespace {
 
@@ -34,25 +28,24 @@ struct Outcome {
 Outcome run(wasp::runtime::AdaptationMode mode) {
   using namespace wasp;
 
-  Rng rng(11);
-  net::Topology topo = net::Topology::make_paper_testbed(rng);
-  net::Network network(topo, std::make_shared<net::ConstantBandwidth>());
+  // 10k events/s per edge site, x2.5 over [200, 700), on the paper testbed
+  // drawn from seed 11.
+  runtime::RunSpec spec;
+  spec.query = runtime::QueryKind::kYsb;
+  spec.mode = mode;
+  spec.seed = 11;
+  spec.duration_sec = 900.0;
+  spec.slo_sec = 10.0;
+  spec.workload_steps = {{200.0, 2.5}, {700.0, 1.0}};  // sustained overload
+  runtime::BuildError error;
+  const auto built = runtime::build_run(spec, runtime::RunSettings{}, &error);
+  if (built == nullptr) {
+    std::cerr << error.message << "\n";
+    std::exit(2);
+  }
+  built->run_until(spec.duration_sec);
 
-  const runtime::SiteRoles roles = runtime::site_roles(topo);
-  workload::QuerySpec query =
-      workload::make_ysb_campaign(roles.edges, roles.sink);
-  workload::SteppedWorkload pattern;
-  workload::set_base_rates(pattern, query, 10'000.0);
-  pattern.add_step(200.0, 2.5);  // sustained overload
-  pattern.add_step(700.0, 1.0);
-
-  runtime::SystemConfig config;
-  config.mode = mode;
-  config.slo_sec = 10.0;
-  runtime::WaspSystem system(network, std::move(query), pattern, config);
-  system.run_until(900.0);
-
-  const auto& rec = system.recorder();
+  const auto& rec = built->system().recorder();
   Outcome out;
   for (const auto& [t, v] : rec.delay().points()) {
     out.peak_delay = std::max(out.peak_delay, v);

@@ -12,7 +12,9 @@ temporary directory (CARGO_TARGET_DIR).
 Pair i runs `run.py --workload W --seed 7919+i --trace 0` for every workload
 on both sides back to back, the side that goes first alternating from pair
 to pair, then a layer run (`--trace 1`) of uniform128_steady on both sides.
-After the pairs, the other workloads' layer runs run once, on the head.
+After the pairs, the other workloads' layer runs run on the head only, at
+seeds 7919-7921: a layer check reads the median of three runs, since one
+slow stretch of the host moves a single run's ratio by a tenth.
 
 Checks (exit 1 if any fails):
   - per workload and end-to-end metric: the head's median is worse than the
@@ -20,11 +22,12 @@ Checks (exit 1 if any fails):
     the direction);
   - a head run is not `correct`, or its failed/attempted share exceeds the
     base's;
-  - the layer run: obs.profile.coverage_frac >= 0.9 on every workload,
+  - the layer runs, each on the median of a workload's runs:
+    obs.profile.coverage_frac >= 0.9 on every workload,
     obs.profile.overhead_frac < 0.05 on paper16_traced (a traced workload),
     physical.placement.us_per_call on uniform128_steady under 64x that on
     paper16_chaos (quadratic in the 8x site ratio), and exec.t4_over_t1 on
-    uniform128_steady at least 0.8x the base's (medians over the pairs).
+    uniform128_steady at least 0.8x the base's.
 Every sim_* value that differs between the sides is printed with both
 values; the simulated metrics repeat exactly for a seed.
 
@@ -53,6 +56,7 @@ from pathlib import Path
 PAIRS = 5
 SEED = 7919
 PAIR_LAYER_WORKLOAD = "uniform128_steady"
+HEAD_LAYER_RUNS = 3  # per other workload, at seeds SEED .. SEED + 2
 
 COVERAGE_MIN = 0.9
 OVERHEAD_MAX = 0.05
@@ -81,6 +85,13 @@ def worse_by(better, base, head):
         return math.inf if (head > base) == (better == "lower") else -math.inf
     change = (head - base) / abs(base)
     return change if better == "lower" else -change
+
+
+def head_layer_runs(workloads):
+    """(workload, seed) of the head-only layer runs after the pairs: every
+    workload but the pairs' own layer workload, HEAD_LAYER_RUNS times."""
+    return [(w, SEED + i) for w in workloads if w != PAIR_LAYER_WORKLOAD
+            for i in range(HEAD_LAYER_RUNS)]
 
 
 def failed_share(results):
@@ -269,9 +280,8 @@ def main():
                 for s in order:
                     layer[s][PAIR_LAYER_WORKLOAD].append(
                         run(s, PAIR_LAYER_WORKLOAD, seed, 1))
-            for w in workloads:
-                if w != PAIR_LAYER_WORKLOAD:
-                    layer["head"][w] = [run("head", w, SEED, 1)]
+            for w, seed in head_layer_runs(workloads):
+                layer["head"].setdefault(w, []).append(run("head", w, seed, 1))
         finally:
             write_results(results_path, base, head, seeds, runs)
             log("perfbench pair: %d run results in %s" % (

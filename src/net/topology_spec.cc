@@ -174,16 +174,4 @@ std::string TopologySpec::to_string() const {
   return out.str();
 }
 
-int TopologySpec::expected_sites() const {
-  switch (kind) {
-    case Kind::kPaper:
-      return 16;
-    case Kind::kUniform:
-      return uniform_sites;
-    case Kind::kEdgeHierarchy:
-      return edge.total_sites();
-  }
-  return 0;
-}
-
 }  // namespace wasp::net

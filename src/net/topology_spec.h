@@ -50,8 +50,6 @@ struct TopologySpec {
   // print in shortest round-trip form.
   [[nodiscard]] std::string to_string() const;
 
-  [[nodiscard]] int expected_sites() const;
-
   bool operator==(const TopologySpec&) const = default;
 };
 

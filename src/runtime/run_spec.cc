@@ -179,8 +179,9 @@ const Key kKeys[] = {
      },
      [](const RunSpec& s) { return or_none(s.workload_trace); }},
     {"workload-step", "", "T:F[+T:F...]", "T:F, '+'-joined, or none",
-     "scale the constant workload by F at time T;\n"
-     "repeating appends, none clears",
+     "scale the constant workload by F at time T\n"
+     "(not with workload-trace); repeating\n"
+     "appends, none clears",
      [](RunSpec& s, std::string_view v, std::string*) {
        return append_steps(v, &s.workload_steps);
      },
@@ -324,6 +325,46 @@ std::string RunSpec::help(const RunSpec& defaults) {
   return out;
 }
 
+bool parse_count(std::string_view flag, std::string_view value, int* out,
+                 std::string* error) {
+  int count = 0;
+  if (!parse_number(value, &count) || count < 1) {
+    return reject(error, std::string(flag) + " needs an integer >= 1, got '" +
+                             std::string(value) + "'");
+  }
+  *out = count;
+  return true;
+}
+
+bool RunSettings::parse_flag(std::string_view arg, std::string* error) {
+  const auto eq = arg.find('=');
+  const std::string_view flag = arg.substr(0, eq);
+  const std::string_view value =
+      eq == std::string_view::npos ? "" : arg.substr(eq + 1);
+  if (arg == "--profile") {
+    profile = true;
+  } else if (flag == "--threads" && eq != std::string_view::npos) {
+    parse_count(flag, value, &threads, error);
+  } else if (flag == "--profile-every" && eq != std::string_view::npos) {
+    if (parse_count(flag, value, &profile_every, error)) profile = true;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+std::string RunSettings::help() {
+  return R"(
+  --threads=N                      intra-run worker threads sharing each run's
+                                   tick; keep jobs x threads within the
+                                   machine's cores (default 1)
+  --profile                        phase profiler (DESIGN.md §13): periodic
+                                   `profile` events in the trace for
+                                   `wasp_trace profile`
+  --profile-every=N                profile-event cadence in ticks; implies
+                                   --profile (default 60))";
+}
+
 SiteRoles site_roles(const net::Topology& topology) {
   const auto& sites = topology.sites();
   const bool hub = std::none_of(sites.begin(), sites.end(), [](const auto& s) {
@@ -403,12 +444,36 @@ void Run::run_until(double t, const volatile std::sig_atomic_t* stop) {
   while ((stop == nullptr || *stop == 0) && tick_fits(t)) step();
 }
 
+SystemConfig system_config(const RunSpec& spec, const RunSettings& settings) {
+  SystemConfig config;
+  config.mode = spec.mode;
+  config.slo_sec = spec.slo_sec;
+  config.slo = spec.slo_watchdog;
+  config.scheduler.alpha = spec.alpha;
+  config.seed = spec.seed;
+  config.standby_replicas = spec.standby_replicas;
+  // Planet-scale runs re-plan a localized failure per failure domain
+  // (DESIGN.md §14) instead of re-solving the whole placement.
+  config.policy.region_decomposition =
+      spec.topology.kind == net::TopologySpec::Kind::kEdgeHierarchy;
+  config.threads = std::max(1, settings.threads);
+  config.profile = settings.profile;
+  config.profile_every = std::max(1, settings.profile_every);
+  config.trace_sink = settings.trace_sink;
+  return config;
+}
+
 std::unique_ptr<Run> build_run(const RunSpec& spec, const RunSettings& settings,
                                BuildError* error) {
   auto failed = [&](std::string message, bool file) {
     if (error != nullptr) *error = BuildError{std::move(message), file};
     return nullptr;
   };
+  if (!spec.workload_steps.empty() && !spec.workload_trace.empty()) {
+    return failed("workload-step scales the constant workload only; it "
+                  "cannot apply to workload-trace=" + spec.workload_trace,
+                  false);
+  }
   std::unique_ptr<Run> run(new Run(spec.fail));
 
   Rng rng(spec.seed);
@@ -484,26 +549,11 @@ std::unique_ptr<Run> build_run(const RunSpec& spec, const RunSettings& settings,
     run->pattern_ = std::move(stepped);
   }
 
-  SystemConfig config;
-  config.mode = spec.mode;
-  config.slo_sec = spec.slo_sec;
-  config.slo = spec.slo_watchdog;
-  config.scheduler.alpha = spec.alpha;
-  config.seed = spec.seed;
-  config.standby_replicas = spec.standby_replicas;
-  // Planet-scale runs re-plan a localized failure per failure domain
-  // (DESIGN.md §14) instead of re-solving the whole placement.
-  config.policy.region_decomposition =
-      spec.topology.kind == net::TopologySpec::Kind::kEdgeHierarchy;
-  config.threads = std::max(1, settings.threads);
-  config.profile = settings.profile;
-  config.profile_every = std::max(1, settings.profile_every);
-  config.trace_sink = settings.trace_sink;
-
   run->network_ =
       std::make_unique<net::Network>(std::move(topology), bandwidth);
   run->system_ = std::make_unique<WaspSystem>(*run->network_, std::move(*query),
-                                              *run->pattern_, config);
+                                              *run->pattern_,
+                                              system_config(spec, settings));
   if (schedule.has_value()) {
     // Link faults go to the Network directly; site, straggler and stall
     // faults through the system, whose control plane learns of them only via

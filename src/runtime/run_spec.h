@@ -1,7 +1,7 @@
 // One run description (DESIGN.md §9): `RunSpec` holds everything a run
 // simulates, `RunSpec::set` is the only place a run value is parsed, and
 // `build_run` is the only place a spec becomes a running system. wasp_sim,
-// every wasp_sweep cell and the bench testbed's site roles go through here.
+// every wasp_sweep cell, the figure drivers and the examples go through here.
 //
 // Keys, in to_string() order (RunSpec::help prints the same table):
 //   query mode seed duration rate alpha slo topology trace workload-trace
@@ -51,7 +51,7 @@ struct RunSpec {
   net::TopologySpec topology;           // the paper testbed by default
   std::string bandwidth_trace;  // key `trace`: "" = constant, "live", or CSV
   std::string workload_trace;   // "" = constant, "live", or CSV
-  Steps workload_steps;         // scale the constant workload only
+  Steps workload_steps;         // the constant workload only: no trace
   Steps bandwidth_steps;
   int standby_replicas = 0;
   std::optional<std::pair<double, double>> fail;  // (t, duration)
@@ -100,6 +100,11 @@ std::optional<workload::QuerySpec> make_query(QueryKind query,
                                               const SiteRoles& roles,
                                               std::string* error);
 
+// `value` as a whole-string integer >= 1 for the count flag `flag` (--jobs,
+// --threads, --profile-every); false with a one-line *error otherwise.
+bool parse_count(std::string_view flag, std::string_view value, int* out,
+                 std::string* error);
+
 // How a run executes and is observed, never what it simulates: results are
 // identical for any value of these (DESIGN.md §9, §11, §13), so they stay
 // out of RunSpec and its string form.
@@ -108,6 +113,16 @@ struct RunSettings {
   bool profile = false;
   int profile_every = 60;
   std::shared_ptr<obs::TraceSink> trace_sink;  // null = no trace
+
+  // The one parser of the execution flags --threads=N, --profile and
+  // --profile-every=N (which implies --profile). Returns whether `arg` is one
+  // of them; when it is but N is bad, sets a one-line *error and leaves the
+  // settings unchanged.
+  bool parse_flag(std::string_view arg, std::string* error);
+
+  // Their help lines in RunSpec::help's layout, each line starting with a
+  // newline.
+  static std::string help();
 };
 
 struct BuildError {
@@ -129,6 +144,9 @@ class Run {
 
   [[nodiscard]] WaspSystem& system() { return *system_; }
   [[nodiscard]] const net::Network& network() const { return *network_; }
+  [[nodiscard]] const workload::WorkloadPattern& workload() const {
+    return *pattern_;
+  }
   // Null when the spec has no fault schedule.
   [[nodiscard]] const faults::FaultInjector* injector() const {
     return injector_.get();
@@ -150,10 +168,16 @@ class Run {
   std::unique_ptr<faults::FaultInjector> injector_;
 };
 
+// The system configuration of `spec` run with `settings`; build_run deploys
+// with it, and a runtime::Cluster tenant can start from it.
+[[nodiscard]] SystemConfig system_config(const RunSpec& spec,
+                                         const RunSettings& settings);
+
 // Builds `spec`: topology Rng(seed), bandwidth walk Rng(seed + 1), workload
 // walk Rng(seed + 2), fault injector Rng(seed ^ 0xFA17). Returns null with
 // *error when an input file cannot be read, the query needs more sites than
-// the topology has, or the fault schedule names a site or domain outside it.
+// the topology has, the fault schedule names a site or domain outside it,
+// or workload-step is set beside a workload trace.
 std::unique_ptr<Run> build_run(const RunSpec& spec, const RunSettings& settings,
                                BuildError* error);
 

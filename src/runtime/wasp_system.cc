@@ -131,7 +131,8 @@ WaspSystem::WaspSystem(net::Network& network, workload::QuerySpec spec,
   }
   policy_ = std::make_unique<adapt::AdaptationPolicy>(
       pc, scheduler_, planner_,
-      state::MigrationPlanner(config_.migration, rng_.fork()),
+      state::MigrationPlanner(state::MigrationStrategy::kNetworkAware,
+                              rng_.fork()),
       adapt::Diagnoser(config_.diagnoser));
 
   // Observability wiring: one emitter over the configured sink, shared (as a
@@ -1106,10 +1107,11 @@ void WaspSystem::stall_control_for(double sec) {
 }
 
 void WaspSystem::force_reassign(OperatorId op,
-                                const physical::StagePlacement& placement) {
+                                const physical::StagePlacement& placement,
+                                state::MigrationStrategy strategy) {
   assert(!transition_.has_value());
   const MonitorView view(*this);
-  state::MigrationPlanner planner(config_.migration, rng_.fork());
+  state::MigrationPlanner planner(strategy, rng_.fork());
   planner.set_trace(&trace_);
 
   // Forced reassignments get an episode root too, so their migration-planning

@@ -103,7 +103,6 @@ struct SystemConfig {
   physical::Scheduler::Config scheduler;
   engine::EngineConfig engine;
   net::WanMonitor::Config wan_monitor;
-  state::MigrationStrategy migration = state::MigrationStrategy::kNetworkAware;
   // Heartbeat failure detection: the control plane learns about failures
   // through this detector (fed by the network's delivery truth), never by
   // reading the engine's failure flags directly.
@@ -240,9 +239,11 @@ class WaspSystem {
   }
 
   // Force a one-off migration of `op` to `placement` (used by the §8.7
-  // controlled-overhead experiments). Uses the configured migration
-  // strategy; bypasses the policy.
-  void force_reassign(OperatorId op, const physical::StagePlacement& placement);
+  // controlled-overhead experiments), planned with `strategy`; bypasses the
+  // policy, whose own planner is always network-aware.
+  void force_reassign(OperatorId op, const physical::StagePlacement& placement,
+                      state::MigrationStrategy strategy =
+                          state::MigrationStrategy::kNetworkAware);
 
  private:
   struct Transition {

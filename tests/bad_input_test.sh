@@ -73,21 +73,28 @@ expect 2 "${SIM}" --query=ysbb
 expect 2 "${SIM}" --mode=warp
 expect 2 "${SIM}" --duration=10x
 expect 2 "${SIM}" --threads=abc
+expect 2 "${SIM}" --live-workload --workload-step=60:2 --duration=10
+expect_failed_cell --grid workload-step=60:2 --workload-trace=live \
+  --duration=10
 expect 2 "${SWEEP}" --seed=abc --grid seeds=1
 expect 2 "${SWEEP}" --jobs=abc --grid seeds=1
+expect 2 "${SWEEP}" --threads=abc --grid seeds=1
 expect 2 "${SWEEP}" --grid seeds=1 --query=nope
 expect 2 "${SWEEP}" --grid seeds=1 duration=10x
 expect 2 "${FIG09}" --threads=abc
+expect 2 "${FIG09}" --profile-every=0
 
 # Unreadable files.
 expect 1 "${SIM}" --trace="${WORK}/missing.csv"
 expect 1 "${SIM}" --fault-schedule="${WORK}/missing.fsched"
 
-# A uniform topology has no edge sites: the bench testbed falls back to the
-# hub layout instead of aborting.
-"${FIG08}" --topology=uniform:sites=8 > /dev/null
+# A uniform topology has no edge sites: the bench drivers fall back to the
+# hub layout instead of aborting, and check no paper claim off the paper
+# testbed.
+"${FIG08}" --topology=uniform:sites=8 > "${WORK}/out"
 got=$?
-if [ "${got}" -ne 0 ]; then
+if [ "${got}" -ne 0 ] ||
+   ! grep -q '^\[claims\] not checked: not the paper testbed$' "${WORK}/out"; then
   echo "FAIL: fig08_delay_dynamics --topology=uniform:sites=8 exit ${got}" >&2
   FAILURES=$((FAILURES + 1))
 fi

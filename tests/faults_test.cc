@@ -292,11 +292,16 @@ SiteId task_hosting_dc(const runtime::WaspSystem& system) {
   return SiteId(-1);
 }
 
-OperatorId window_op_of(const workload::QuerySpec& spec) {
-  for (const auto& op : spec.plan.operators()) {
-    if (op.kind == query::OperatorKind::kWindowAggregate) return op.id;
+// The deployed plan's last window aggregate in topological order: the merge
+// when deployment pushed partial aggregates below the union. The query
+// spec's operator ids do not survive deployment's rewrites.
+OperatorId window_op_of(const runtime::WaspSystem& system) {
+  const query::LogicalPlan& plan = system.engine().logical();
+  OperatorId window;
+  for (OperatorId id : plan.topological_order()) {
+    if (plan.op(id).kind == query::OperatorKind::kWindowAggregate) window = id;
   }
-  return OperatorId(-1);
+  return window;
 }
 
 TEST(FaultSystemTest, CrashTriggersSuspectConfirmReplanStabilizedChain) {
@@ -411,12 +416,14 @@ TEST(FaultSystemTest, TwoSitesConfirmedInSameWindowRecoverWithoutClobbering) {
 TEST(FaultSystemTest, MidMigrationDestinationFailureAbortsAndRollsBack) {
   Testbed bed;
   auto spec = bed.topk();
-  const OperatorId window_op = window_op_of(spec);
-  ASSERT_TRUE(window_op.valid());
   auto pattern = bed.uniform_rates(spec, 10'000.0);
   runtime::SystemConfig config;
   config.mode = runtime::AdaptationMode::kNoAdapt;  // only the forced action
   runtime::WaspSystem system(bed.network, std::move(spec), pattern, config);
+  const OperatorId window_op = window_op_of(system);
+  ASSERT_TRUE(window_op.valid());
+  ASSERT_EQ(system.engine().logical().op(window_op).kind,
+            query::OperatorKind::kWindowAggregate);
   system.mutable_engine().set_state_override_mb(window_op, 200.0);
   system.run_until(100.0);
 
@@ -475,14 +482,16 @@ TEST(FaultSystemTest, MidMigrationDestinationFailureAbortsAndRollsBack) {
 TEST(FaultSystemTest, ExhaustedRetryBudgetAbandonsAndOptionallySheds) {
   Testbed bed;
   auto spec = bed.topk();
-  const OperatorId window_op = window_op_of(spec);
-  ASSERT_TRUE(window_op.valid());
   auto pattern = bed.uniform_rates(spec, 10'000.0);
   runtime::SystemConfig config;
   config.mode = runtime::AdaptationMode::kNoAdapt;
   config.transition_retry_budget = 0;  // first abort exhausts the budget
   config.shed_on_recovery_stall = true;
   runtime::WaspSystem system(bed.network, std::move(spec), pattern, config);
+  const OperatorId window_op = window_op_of(system);
+  ASSERT_TRUE(window_op.valid());
+  ASSERT_EQ(system.engine().logical().op(window_op).kind,
+            query::OperatorKind::kWindowAggregate);
   system.mutable_engine().set_state_override_mb(window_op, 200.0);
   system.run_until(100.0);
 

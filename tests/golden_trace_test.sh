@@ -48,7 +48,7 @@ run_scenario() {
       ;;
     fig11)
       "${SIM}" --query=topk --mode=wasp --duration=150 --live-bandwidth \
-        --live-workload --workload-step=60:2.0 --bandwidth-step=100:0.5 \
+        --live-workload --bandwidth-step=100:0.5 \
         --seed=11 --threads="${threads}" --trace-out="${out}" >/dev/null
       ;;
     chaos_smoke)

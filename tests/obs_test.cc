@@ -580,13 +580,6 @@ TEST(SpanIntegrationTest, MidMigrationAbortAndRetryStayBalanced) {
   {
     Testbed bed;
     auto spec = workload::make_topk_topics(bed.east, bed.west, bed.sink);
-    OperatorId window_op;
-    for (const auto& op : spec.plan.operators()) {
-      if (op.kind == query::OperatorKind::kWindowAggregate) {
-        window_op = op.id;
-      }
-    }
-    ASSERT_TRUE(window_op.valid());
     workload::SteppedWorkload pattern;
     for (OperatorId src : spec.sources) {
       for (SiteId s : spec.plan.op(src).pinned_sites) {
@@ -599,6 +592,17 @@ TEST(SpanIntegrationTest, MidMigrationAbortAndRetryStayBalanced) {
     config.trace_sink = sink;
     runtime::WaspSystem system(bed.network, std::move(spec), pattern,
                                config);
+    // The deployed plan's last window aggregate (the merge when deployment
+    // pushed partial aggregates below the union): the spec's operator ids
+    // do not survive deployment's rewrites.
+    const query::LogicalPlan& plan = system.engine().logical();
+    OperatorId window_op;
+    for (OperatorId id : plan.topological_order()) {
+      if (plan.op(id).kind == query::OperatorKind::kWindowAggregate) {
+        window_op = id;
+      }
+    }
+    ASSERT_TRUE(window_op.valid());
     system.mutable_engine().set_state_override_mb(window_op, 200.0);
     system.run_until(100.0);
 

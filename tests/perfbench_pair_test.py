@@ -99,9 +99,14 @@ def layer(coverage=0.98, overhead=0.01, placement_us=10.0, t4=0.6):
 
 
 def layers(uniform=None, chaos=None, traced=None):
-    return {"uniform128_steady": [uniform or layer(placement_us=400.0)],
-            "paper16_chaos": [chaos or layer()],
-            "paper16_traced": [traced or layer()]}
+    """One layer run per workload, or the given list of runs."""
+    def runs(given, default):
+        if given is None:
+            return [default]
+        return given if isinstance(given, list) else [given]
+    return {"uniform128_steady": runs(uniform, layer(placement_us=400.0)),
+            "paper16_chaos": runs(chaos, layer()),
+            "paper16_traced": runs(traced, layer())}
 
 
 def failed_checks(base, head):
@@ -119,6 +124,22 @@ class LayerChecksTest(unittest.TestCase):
     def test_traced_profiler_overhead_fails(self):
         self.assertTrue(failed_checks(layers(),
                                       layers(traced=layer(overhead=0.06))))
+
+    def test_traced_profiler_overhead_is_the_median_of_three_runs(self):
+        one_slow = [layer(overhead=0.112), layer(overhead=0.017),
+                    layer(overhead=0.02)]
+        self.assertEqual(failed_checks(layers(), layers(traced=one_slow)), [])
+        two_slow = [layer(overhead=0.112), layer(overhead=0.06),
+                    layer(overhead=0.02)]
+        self.assertTrue(failed_checks(layers(), layers(traced=two_slow)))
+
+    def test_other_workloads_run_three_head_layer_runs(self):
+        self.assertEqual(
+            pair.head_layer_runs(["paper16_chaos", "uniform128_steady",
+                                  "paper16_traced"]),
+            [("paper16_chaos", 7919), ("paper16_chaos", 7920),
+             ("paper16_chaos", 7921), ("paper16_traced", 7919),
+             ("paper16_traced", 7920), ("paper16_traced", 7921)])
 
     def test_superquadratic_placement_fails(self):
         head = layers(uniform=layer(placement_us=700.0))  # 70x paper16

@@ -266,6 +266,59 @@ TEST(BuildRunTest, TooFewSitesIsAnInputError) {
   }
 }
 
+TEST(BuildRunTest, WorkloadStepBesideAWorkloadTraceIsAnInputError) {
+  // workload-step scales the constant workload only: beside a trace it
+  // would be silently ignored, so the pair does not build.
+  BuildError error;
+  EXPECT_EQ(build_run(spec_of("workload-trace=live workload-step=60:2"), {},
+                      &error),
+            nullptr);
+  EXPECT_FALSE(error.file);
+  EXPECT_NE(error.message.find("workload-step"), std::string::npos)
+      << error.message;
+  // Either key alone builds.
+  EXPECT_NE(build_run(spec_of("workload-trace=live duration=10"), {}, &error),
+            nullptr);
+  EXPECT_NE(build_run(spec_of("workload-step=60:2 duration=10"), {}, &error),
+            nullptr);
+}
+
+TEST(RunSettingsTest, OneParserForTheExecutionFlags) {
+  RunSettings settings;
+  std::string error;
+  EXPECT_TRUE(settings.parse_flag("--threads=4", &error));
+  EXPECT_TRUE(settings.parse_flag("--profile-every=10", &error));
+  EXPECT_TRUE(error.empty()) << error;
+  EXPECT_EQ(settings.threads, 4);
+  EXPECT_EQ(settings.profile_every, 10);
+  EXPECT_TRUE(settings.profile);  // --profile-every implies --profile
+
+  RunSettings plain;
+  EXPECT_TRUE(plain.parse_flag("--profile", &error));
+  EXPECT_TRUE(plain.profile);
+  EXPECT_FALSE(plain.parse_flag("--seed=3", &error));
+  EXPECT_FALSE(plain.parse_flag("--threads", &error));
+  EXPECT_TRUE(error.empty()) << error;
+
+  // A bad count is one of the flags, with an error and nothing changed.
+  for (const char* arg : {"--threads=abc", "--threads=0", "--threads=2x",
+                          "--profile-every=-1"}) {
+    SCOPED_TRACE(arg);
+    RunSettings bad;
+    error.clear();
+    EXPECT_TRUE(bad.parse_flag(arg, &error));
+    EXPECT_NE(error.find("needs an integer >= 1"), std::string::npos) << error;
+    EXPECT_EQ(bad.threads, 1);
+    EXPECT_EQ(bad.profile_every, 60);
+    EXPECT_FALSE(bad.profile);
+  }
+  int jobs = 3;
+  EXPECT_FALSE(parse_count("--jobs", "", &jobs, &error));
+  EXPECT_EQ(jobs, 3);
+  EXPECT_TRUE(parse_count("--jobs", "8", &jobs, &error));
+  EXPECT_EQ(jobs, 8);
+}
+
 TEST(BuildRunTest, FaultScheduleIdsOutsideTheTopologyAreInputErrors) {
   for (const auto& [name, text] :
        std::vector<std::pair<std::string, std::string>>{

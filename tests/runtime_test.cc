@@ -62,6 +62,18 @@ struct Testbed {
   SiteId sink;
 };
 
+// The deployed plan's last window aggregate in topological order: the merge
+// when deployment pushed partial aggregates below the union. The query
+// spec's operator ids do not survive deployment's rewrites.
+OperatorId deployed_window(const WaspSystem& system) {
+  const query::LogicalPlan& plan = system.engine().logical();
+  OperatorId window;
+  for (OperatorId id : plan.topological_order()) {
+    if (plan.op(id).kind == query::OperatorKind::kWindowAggregate) window = id;
+  }
+  return window;
+}
+
 TEST(WaspSystemTest, DeploysAllStagesWithinSlotLimits) {
   Testbed bed;
   auto spec = bed.topk();
@@ -210,16 +222,15 @@ TEST(WaspSystemTest, ReassignOnlyModeKeepsParallelism) {
 TEST(WaspSystemTest, ForcedReassignMigratesStateAndRecords) {
   Testbed bed;
   auto spec = bed.topk();
-  // Find the windowed aggregation (large state).
-  OperatorId window_op;
-  for (const auto& op : spec.plan.operators()) {
-    if (op.kind == query::OperatorKind::kWindowAggregate) window_op = op.id;
-  }
-  ASSERT_TRUE(window_op.valid());
   auto pattern = bed.uniform_rates(spec, 10'000.0);
   SystemConfig config;
   config.mode = AdaptationMode::kNoAdapt;  // only the forced action
   WaspSystem system(bed.network, std::move(spec), pattern, config);
+  // The windowed aggregation (large state) of the deployed plan.
+  const OperatorId window_op = deployed_window(system);
+  ASSERT_TRUE(window_op.valid());
+  ASSERT_EQ(system.engine().logical().op(window_op).kind,
+            query::OperatorKind::kWindowAggregate);
   system.mutable_engine().set_state_override_mb(window_op, 60.0);
   system.run_until(100.0);
 
@@ -252,14 +263,14 @@ TEST(WaspSystemTest, ForcedReassignMigratesStateAndRecords) {
 TEST(WaspSystemTest, TransitionSuspendsOnlyAffectedStage) {
   Testbed bed;
   auto spec = bed.topk();
-  OperatorId window_op;
-  for (const auto& op : spec.plan.operators()) {
-    if (op.kind == query::OperatorKind::kWindowAggregate) window_op = op.id;
-  }
   auto pattern = bed.uniform_rates(spec, 10'000.0);
   SystemConfig config;
   config.mode = AdaptationMode::kNoAdapt;
   WaspSystem system(bed.network, std::move(spec), pattern, config);
+  const OperatorId window_op = deployed_window(system);
+  ASSERT_TRUE(window_op.valid());
+  ASSERT_EQ(system.engine().logical().op(window_op).kind,
+            query::OperatorKind::kWindowAggregate);
   system.mutable_engine().set_state_override_mb(window_op, 200.0);
   system.run_until(50.0);
   const auto current = system.engine().placement(window_op);
@@ -284,14 +295,14 @@ TEST(WaspSystemTest, TransitionSuspendsOnlyAffectedStage) {
 TEST(WaspSystemTest, StabilizationIsMeasuredAfterTransition) {
   Testbed bed;
   auto spec = bed.topk();
-  OperatorId window_op;
-  for (const auto& op : spec.plan.operators()) {
-    if (op.kind == query::OperatorKind::kWindowAggregate) window_op = op.id;
-  }
   auto pattern = bed.uniform_rates(spec, 10'000.0);
   SystemConfig config;
   config.mode = AdaptationMode::kNoAdapt;
   WaspSystem system(bed.network, std::move(spec), pattern, config);
+  const OperatorId window_op = deployed_window(system);
+  ASSERT_TRUE(window_op.valid());
+  ASSERT_EQ(system.engine().logical().op(window_op).kind,
+            query::OperatorKind::kWindowAggregate);
   system.mutable_engine().set_state_override_mb(window_op, 100.0);
   system.run_until(50.0);
   const auto current = system.engine().placement(window_op);

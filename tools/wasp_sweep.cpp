@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/number.h"
 #include "common/table.h"
 #include "exec/sweep.h"
 #include "exec/thread_pool.h"
@@ -53,20 +52,16 @@ void print_usage(const runtime::RunSpec& base) {
                             axis fastest
   --sweep-file=FILE         read axes from FILE (one per line, # comments)
   --jobs=N                  worker threads (default: hardware cores; results
-                            are byte-identical for any N)
-  --threads=N               intra-run worker threads per cell (default 1;
-                            results are byte-identical for any N); clamped
-                            with a warning when jobs*threads exceeds the
-                            machine's cores
+                            are byte-identical for any N); --threads is
+                            clamped with a warning when jobs*threads exceeds
+                            the machine's cores
   --out=FILE                merged JSONL (default sweep.jsonl; "-" = stdout)
   --trace-dir=DIR           per-run observability traces DIR/run_<cell>.jsonl
-  --profile                 always-on phase profiler: each traced cell emits
-                            periodic `profile` events (pure observer; the
-                            merged stream is bit-identical either way)
-  --profile-every=N         profile-event cadence in ticks (default 60;
-                            implies --profile)
   --quiet                   suppress the summary table and progress lines
   --help                    this text
+
+Execution (the merged stream is byte-identical for any value):)"
+            << runtime::RunSettings::help() << R"(
 
 Run keys: --key=value sets the base spec of every cell; an axis overrides it.
 Without a seeds axis each cell's seed is forked from --seed by cell index.
@@ -78,13 +73,6 @@ canonical spec as "run", and the summary; obs trace-event encoding, seq = cell
 index + 1); `wasp_trace validate|diff` accept it. Wall-clock timings never
 enter the merged stream.
 )";
-}
-
-// Whole-string integer >= 1 for a count flag.
-bool parse_count(const std::string& flag, const std::string& value, int* out) {
-  if (parse_number(value, out) && *out >= 1) return true;
-  std::cerr << flag << " needs an integer >= 1, got '" << value << "'\n";
-  return false;
 }
 
 bool parse_args(int argc, char** argv, Options* opts) {
@@ -114,23 +102,19 @@ bool parse_args(int argc, char** argv, Options* opts) {
         return false;
       }
     } else if (auto v = value_of("--jobs")) {
-      if (!parse_count("--jobs", *v, &opts->jobs)) return false;
-    } else if (auto v = value_of("--threads")) {
-      if (!parse_count("--threads", *v, &opts->settings.threads)) {
+      if (!runtime::parse_count("--jobs", *v, &opts->jobs, &error)) {
+        std::cerr << error << "\n";
+        return false;
+      }
+    } else if (opts->settings.parse_flag(arg, &error)) {
+      if (!error.empty()) {
+        std::cerr << error << "\n";
         return false;
       }
     } else if (auto v = value_of("--out")) {
       opts->out = *v;
     } else if (auto v = value_of("--trace-dir")) {
       opts->trace_dir = *v;
-    } else if (auto v = value_of("--profile-every")) {
-      if (!parse_count("--profile-every", *v,
-                       &opts->settings.profile_every)) {
-        return false;
-      }
-      opts->settings.profile = true;
-    } else if (arg == "--profile") {
-      opts->settings.profile = true;
     } else if (arg == "--quiet") {
       opts->quiet = true;
     } else if (!opts->base.set_arg(arg, &error)) {
