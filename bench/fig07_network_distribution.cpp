@@ -64,9 +64,9 @@ int main(int argc, char** argv) {
             dc_lat);
 
   expected_shape(
-      "edge links concentrate at low bandwidth (public Internet, ~1-25 Mbps, "
-      "median below 10) while DC links spread to ~250 Mbps; latency spans "
-      "two orders of magnitude across site pairs (paper: up to ~300 ms)");
+      "DC links span the paper's 25-250 Mbps; edge links (public Internet) "
+      "are slower, their median below the DC median; latency spans over an "
+      "order of magnitude across site pairs, up to ~300 ms as in the paper");
   const auto mbps = [](double v) { return TextTable::fmt(v, 1) + " Mbps"; };
   const auto ms = [](double v) { return TextTable::fmt(v, 1) + " ms"; };
   return check_claims(

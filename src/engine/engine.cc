@@ -24,6 +24,11 @@ constexpr double kMaxDelaySec = 1e5;
 // function of the worker count: chunk boundaries (and therefore which data
 // each chunk touches) must be identical for --threads 1 and --threads N.
 constexpr std::size_t kChanChunk = 512;
+// Channels from which run_region hands its chunks to the pool: two full
+// chunks. Below it a fork/join costs more than the tick's chunkable work,
+// so the chunks run inline in index order -- bit-identical to a pooled run
+// by construction, and a layout constant like kChanChunk.
+constexpr std::size_t kPoolMinChannels = 2 * kChanChunk;
 
 // Bounded buffers. A channel accepts new output only while its queue is
 // below kChannelBufferSec seconds of its observed drain rate plus a floor --
@@ -148,15 +153,9 @@ void Engine::build_runtime() {
 
   teardown_channels();
   for (const auto& op : logical_.operators()) {
-    const auto from_idx = static_cast<std::size_t>(op.id.value());
     for (OperatorId d : logical_.downstream(op.id)) {
-      const auto to_idx = static_cast<std::size_t>(d.value());
-      for (SiteId su : stage_placement_[from_idx].sites()) {
-        for (SiteId sd : stage_placement_[to_idx].sites()) {
-          append_channel(from_idx, to_idx, su, sd, op.output_event_bytes, 0.0,
-                         0.0, 0.0);
-        }
-      }
+      append_edge(static_cast<std::size_t>(op.id.value()),
+                  static_cast<std::size_t>(d.value()), 0.0, 0.0);
     }
   }
   rebuild_channel_indexes();
@@ -194,6 +193,38 @@ void Engine::teardown_channels() {
   c_share_.clear();
   c_flow_.clear();
   c_to_stage_.clear();
+}
+
+void Engine::append_edge(std::size_t from_stage, std::size_t to_stage,
+                         double queue, double drain) {
+  const physical::StagePlacement& fp = stage_placement_[from_stage];
+  const physical::StagePlacement& tp = stage_placement_[to_stage];
+  const int p_from = fp.parallelism();
+  const int p_to = tp.parallelism();
+  if (p_from == 0 || p_to == 0) return;
+  const double event_bytes =
+      logical_.op(OperatorId(static_cast<std::int64_t>(from_stage)))
+          .output_event_bytes;
+  // Seed both delivery fields: tick() derives delivered_prev from
+  // `delivered` at the start of the next tick when the receiver is live (so
+  // a seed in delivered_prev alone would be clobbered by the fresh channel's
+  // zero), while a still-suspended receiver skips that update and reads
+  // delivered_prev directly.
+  const auto append = [&](SiteId su, SiteId sd, double share) {
+    append_channel(from_stage, to_stage, su, sd, event_bytes, queue * share,
+                   drain * share, drain * share);
+  };
+  const std::vector<SiteId> to_sites = tp.sites();
+  for (SiteId su : fp.sites()) {
+    const double from_share = static_cast<double>(fp.at(su)) / p_from;
+    if (chained(from_stage, to_stage, static_cast<std::size_t>(su.value()))) {
+      append(su, su, from_share);
+      continue;
+    }
+    for (SiteId sd : to_sites) {
+      append(su, sd, from_share * (static_cast<double>(tp.at(sd)) / p_to));
+    }
+  }
 }
 
 void Engine::append_channel(std::size_t from_stage, std::size_t to_stage,
@@ -273,18 +304,18 @@ void Engine::rebuild_channel_indexes() {
 
 double Engine::compute_channel_share(std::size_t ci) const {
   // Share of the sending group's output routed through channel `ci`:
-  // task-local for forward partitioning (when a co-located downstream group
-  // exists), hash partitioning otherwise -- balanced by task count, except
-  // that an injected key skew over-weights the pinned hot site.
+  // all of it on a chained edge (whose only channel at the sender's site is
+  // the local one), hash partitioning otherwise -- balanced by task count,
+  // except that an injected key skew over-weights the pinned hot site.
   const ChannelDesc& c = chan_[ci];
   const auto down = static_cast<std::size_t>(c.to_stage);
   const physical::StagePlacement& dp = stage_placement_[down];
   const int p_down = stage_parallelism_[down];
   if (p_down == 0) return 0.0;
-  const auto from_site = static_cast<std::size_t>(c.from_site);
-  if (stage_forward_[static_cast<std::size_t>(c.from_stage)] != 0 &&
-      dp.per_site[from_site] > 0) {
-    return c.to_site == c.from_site ? 1.0 : 0.0;
+  if (chained(static_cast<std::size_t>(c.from_stage), down,
+              static_cast<std::size_t>(c.from_site))) {
+    assert(c.to_site == c.from_site);
+    return 1.0;
   }
   // Hot site: the pinned skew site while it still hosts tasks, else the
   // lowest-indexed hosting site (also the unpinned default, which matches
@@ -424,7 +455,7 @@ void Engine::apply_degrade_drops(double t) {
 
 void Engine::run_region(std::size_t n,
                         const std::function<void(std::size_t)>& fn) {
-  if (config_.pool != nullptr) {
+  if (config_.pool != nullptr && chan_.size() >= kPoolMinChannels) {
     config_.pool->parallel_for(n, fn);
   } else {
     for (std::size_t i = 0; i < n; ++i) fn(i);
@@ -1096,30 +1127,8 @@ void Engine::rebuild_adjacent_channels(std::size_t stage_idx) {
   c_to_stage_.resize(kept);
 
   auto make_edge = [&](std::size_t from_idx, std::size_t to_idx) {
-    const physical::StagePlacement& fp = stage_placement_[from_idx];
-    const physical::StagePlacement& tp = stage_placement_[to_idx];
     const EdgeCarry carry = carry_of({from_idx, to_idx});
-    const int p_from = fp.parallelism();
-    const int p_to = tp.parallelism();
-    if (p_from == 0 || p_to == 0) return;
-    const double event_bytes =
-        logical_.op(OperatorId(static_cast<std::int64_t>(from_idx)))
-            .output_event_bytes;
-    for (SiteId su : fp.sites()) {
-      for (SiteId sd : tp.sites()) {
-        const double share =
-            (static_cast<double>(fp.at(su)) / p_from) *
-            (static_cast<double>(tp.at(sd)) / p_to);
-        // Seed both delivery fields: tick() derives delivered_prev from
-        // `delivered` at the start of the next tick when the receiver is
-        // live (so a seed in delivered_prev alone would be clobbered by the
-        // fresh channel's zero), while a still-suspended receiver skips that
-        // update and reads delivered_prev directly.
-        append_channel(from_idx, to_idx, su, sd, event_bytes,
-                       carry.queue * share, carry.drain * share,
-                       carry.drain * share);
-      }
-    }
+    append_edge(from_idx, to_idx, carry.queue, carry.drain);
   };
 
   const OperatorId op(static_cast<std::int64_t>(stage_idx));

@@ -15,7 +15,9 @@
 //  - Channels connect (stage, site) groups along logical edges. Cross-site
 //    channels ride Network stream flows and share link capacity with other
 //    traffic (including state-migration bulk flows). Intra-site channels are
-//    unconstrained.
+//    unconstrained. A forward edge is chained at every sender site that
+//    hosts a receiver task (Flink operator chaining): it gets only the
+//    local channel there, never a cross-site one.
 //  - Buffers are bounded (per-channel and per-input-queue), so sustained
 //    bottlenecks propagate backpressure up to the sources, where backlog
 //    accumulates -- mirroring Flink's credit-based flow control feeding
@@ -77,13 +79,14 @@ struct EngineConfig {
   // observer by contract: it reads the steady clock and nothing else, so it
   // cannot move a byte of any trace or metric (DESIGN.md §13).
   obs::Profiler* profiler = nullptr;
-  // Optional intra-run executor (non-owning; may be null = serial). When set,
-  // the per-tick element sweeps and per-site update loops are chunked across
-  // the pool. Chunk boundaries are fixed by the data layout -- never by the
-  // worker count -- and every cross-chunk floating-point reduction is
-  // recombined serially in the legacy operand order, so results (and traces)
-  // are bit-identical to the serial engine for any thread count
-  // (DESIGN.md §11).
+  // Optional intra-run executor (non-owning; may be null = serial). When set
+  // and the query has at least 1,024 channels, the per-tick element sweeps
+  // and per-site update loops are chunked across the pool (a smaller query
+  // runs the same chunks inline). Chunk boundaries are fixed by the data
+  // layout -- never by the worker count -- and every cross-chunk
+  // floating-point reduction is recombined serially in the legacy operand
+  // order, so results (and traces) are bit-identical to the serial engine
+  // for any thread count (DESIGN.md §11).
   exec::ThreadPool* pool = nullptr;
 };
 
@@ -310,6 +313,24 @@ class Engine {
 
   void build_runtime();
   void teardown_channels();
+  // Whether the edge from_stage -> to_stage is chained at sender site `su`:
+  // the sender's output is forward-partitioned and the receiver has a task
+  // at su, so everything the sender emits at su stays at su. The channel
+  // builder gives a chained (edge, su) only its local channel, and
+  // compute_channel_share routes all of su's output onto it. Its inputs
+  // change only with a placement, which rebuilds the edge.
+  [[nodiscard]] bool chained(std::size_t from_stage, std::size_t to_stage,
+                             std::size_t su) const {
+    return stage_forward_[from_stage] != 0 &&
+           stage_placement_[to_stage].per_site[su] > 0;
+  }
+  // Appends the channels of one logical edge for the current placements:
+  // the local channel of each chained sender site, every (su, sd) pair of
+  // the others. The edge's queued events and drain are spread over them by
+  // routing share: `queue * fp(su)/p_from` onto a chained su's local
+  // channel, `queue * fp(su)/p_from * tp(sd)/p_to` onto each hash pair.
+  void append_edge(std::size_t from_stage, std::size_t to_stage, double queue,
+                   double drain);
   // Appends one channel (creating its network flow when cross-site) to the
   // parallel arrays. Indexes are stale until rebuild_channel_indexes().
   void append_channel(std::size_t from_stage, std::size_t to_stage, SiteId su,
@@ -439,7 +460,8 @@ class Engine {
   // order -- so any thread count, including the no-pool serial path, yields
   // bit-identical state and traces.
   //
-  // Runs fn(0..n-1) on the pool, or inline (in index order) without one.
+  // Runs fn(0..n-1) on the pool, or inline (in index order) without one or
+  // below kPoolMinChannels channels.
   void run_region(std::size_t n, const std::function<void(std::size_t)>& fn);
   // Region chunk bodies. Each is shared-nothing across its index domain;
   // `par_stage_` carries the stage index into per-site chunks so the region

@@ -16,6 +16,10 @@ namespace {
 // a function of the worker count): chunk boundaries must be identical for
 // --threads 1 and --threads N.
 constexpr std::size_t kLinkChunk = 16;
+// Flows from which step() hands its fills to the pool. Below it a fork/join
+// costs more than the fills, so the chunks run inline in index order --
+// bit-identical to a pooled step by construction. A layout constant too.
+constexpr std::size_t kPoolMinFlows = 1024;
 
 }  // namespace
 
@@ -265,7 +269,7 @@ void Network::step(double t, double dt) {
       link.capacity_mbps = capacity_mbps;
     }
   };
-  if (pool_ != nullptr) {
+  if (pool_ != nullptr && link_flows_.size() >= kPoolMinFlows) {
     pool_->parallel_for(n_chunks, fill_chunk);
   } else {
     for (std::size_t c = 0; c < n_chunks; ++c) fill_chunk(c);

@@ -151,8 +151,9 @@ class Network {
   void set_trace(obs::TraceEmitter* trace) { trace_ = trace; }
   [[nodiscard]] obs::TraceEmitter* trace() const { return trace_; }
 
-  // Optional intra-run executor (non-owning; null = serial). step() chunks
-  // its per-link waterfills across the pool, traced or not: links are
+  // Optional intra-run executor (non-owning; null = serial). From 1,024
+  // flows on, step() chunks its per-link waterfills across the pool, traced
+  // or not (fewer run their chunks inline, in order): links are
   // independent (each flow belongs to exactly one link group), and each
   // link's fill is computed by exactly one chunk over its flows in ascending
   // id, so allocations are bit-identical for any thread count. Trace events

@@ -1,13 +1,16 @@
 #include "obs/trace_analysis.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
@@ -503,6 +506,63 @@ bool nums_equal(double a, double b) {
   return a == b;
 }
 
+template <typename V>
+const V* find_field(const std::vector<std::pair<std::string, V>>& fields,
+                    std::string_view key) {
+  for (const auto& [k, v] : fields) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
+// One non-ignored field on which two paired events differ. `numeric` marks
+// a number held by both sides (values in a and b); otherwise the field is a
+// string that differs, or is absent on one side (in_a / in_b).
+struct FieldDelta {
+  std::string_view key;
+  bool numeric = false;
+  bool in_a = true, in_b = true;
+  double a = 0.0, b = 0.0;
+  std::string_view a_str, b_str;
+};
+
+// Calls fn(FieldDelta) for every non-ignored field on which a and b differ:
+// strings, then numbers, each in A's field order and then B's extras.
+template <typename Fn>
+void for_each_delta(const TraceEvent& a, const TraceEvent& b,
+                    const DiffOptions& options, Fn&& fn) {
+  for (const auto& [key, value] : a.strs) {
+    if (key_ignored(key, options)) continue;
+    const std::string* other = find_field(b.strs, key);
+    if (other == nullptr) {
+      fn(FieldDelta{key, false, true, false, 0.0, 0.0, value, {}});
+    } else if (*other != value) {
+      fn(FieldDelta{key, false, true, true, 0.0, 0.0, value, *other});
+    }
+  }
+  for (const auto& [key, value] : b.strs) {
+    if (key_ignored(key, options) || find_field(a.strs, key) != nullptr) {
+      continue;
+    }
+    fn(FieldDelta{key, false, false, true, 0.0, 0.0, {}, value});
+  }
+  for (const auto& [key, value] : a.nums) {
+    if (key_ignored(key, options)) continue;
+    const double* other = find_field(b.nums, key);
+    if (other == nullptr) {
+      fn(FieldDelta{key, false, true, false, value, 0.0, {}, {}});
+    } else if (!nums_equal(value, *other)) {
+      fn(FieldDelta{key, true, true, true, value, *other, {}, {}});
+    }
+  }
+  for (const auto& [key, value] : b.nums) {
+    if (key_ignored(key, options) || find_field(a.nums, key) != nullptr) {
+      continue;
+    }
+    fn(FieldDelta{key, false, false, true, 0.0, value, {}, {}});
+  }
+}
+
 std::string describe(const TraceEvent& event, std::size_t index) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "event %zu (t=%.6g, type=%s)", index,
@@ -510,50 +570,119 @@ std::string describe(const TraceEvent& event, std::size_t index) {
   return buf;
 }
 
-// Returns the first differing field between two events, or empty string.
-std::string first_field_difference(const TraceEvent& a, const TraceEvent& b,
-                                   const DiffOptions& options) {
-  if (a.type != b.type) return "type '" + a.type + "' vs '" + b.type + "'";
-  if (!nums_equal(a.t, b.t)) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "t %.12g vs %.12g", a.t, b.t);
-    return buf;
+std::string describe_delta(const FieldDelta& d) {
+  const std::string key(d.key);
+  if (!d.in_b) return "field '" + key + "' only in A";
+  if (!d.in_a) return "field '" + key + "' only in B";
+  if (!d.numeric) {
+    return "field '" + key + "': '" + std::string(d.a_str) + "' vs '" +
+           std::string(d.b_str) + "'";
   }
-  for (const auto& [key, value] : a.strs) {
-    if (key_ignored(key, options)) continue;
-    const std::string_view other = b.str(key, "\x01<absent>");
-    if (other == "\x01<absent>") return "field '" + key + "' only in A";
-    if (other != value) {
-      return "field '" + key + "': '" + value + "' vs '" +
-             std::string(other) + "'";
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "field '%s': %.12g vs %.12g", key.c_str(),
+                d.a, d.b);
+  return buf;
+}
+
+// Mismatch of a candidate pair in [0, 1]: its differing fields over its
+// fields. Below the cost of leaving both events unpaired (2), so the
+// alignment pairs as many events as the order allows and picks the most
+// alike ones.
+double pair_cost(const TraceEvent& a, const TraceEvent& b,
+                 const DiffOptions& options) {
+  std::size_t deltas = 0;
+  for_each_delta(a, b, options, [&deltas](const FieldDelta&) { ++deltas; });
+  const std::size_t fields = std::max<std::size_t>(
+      {a.nums.size() + a.strs.size(), b.nums.size() + b.strs.size(), 1});
+  return std::min(1.0, static_cast<double>(deltas) /
+                           static_cast<double>(fields));
+}
+
+// Past this many candidate pairs a run's events of one type pair by
+// position instead of by alignment (the alignment table is quadratic).
+constexpr std::size_t kMaxAlignCells = std::size_t{1} << 20;
+
+// Aligns two same-type event lists in order: equal leading and trailing
+// events pair directly, the rest by an edit-distance table whose
+// substitution cost is pair_cost. Returns (a index, b index) pairs in
+// stream order, npos marking an event on one side only.
+std::vector<std::pair<std::size_t, std::size_t>> align_events(
+    const std::vector<TraceEvent>& a, const std::vector<std::size_t>& ia,
+    const std::vector<TraceEvent>& b, const std::vector<std::size_t>& ib,
+    const DiffOptions& options) {
+  constexpr std::size_t npos = std::string::npos;
+  const auto cost_of = [&](std::size_t i, std::size_t j) {
+    return pair_cost(a[ia[i]], b[ib[j]], options);
+  };
+  std::size_t lo = 0, hi_a = ia.size(), hi_b = ib.size();
+  while (lo < hi_a && lo < hi_b && cost_of(lo, lo) == 0.0) ++lo;
+  while (hi_a > lo && hi_b > lo && cost_of(hi_a - 1, hi_b - 1) == 0.0) {
+    --hi_a;
+    --hi_b;
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (std::size_t k = 0; k < lo; ++k) out.emplace_back(ia[k], ib[k]);
+  const std::size_t n = hi_a - lo, m = hi_b - lo;
+  if (n * m > kMaxAlignCells) {
+    for (std::size_t k = 0; k < std::max(n, m); ++k) {
+      out.emplace_back(k < n ? ia[lo + k] : npos, k < m ? ib[lo + k] : npos);
     }
-  }
-  for (const auto& [key, value] : b.strs) {
-    if (key_ignored(key, options)) continue;
-    if (a.str(key, "\x01<absent>") == "\x01<absent>") {
-      return "field '" + key + "' only in B";
+  } else {
+    // cost[i * w + j]: aligning the middle's first i A and first j B events.
+    const std::size_t w = m + 1;
+    std::vector<double> cost((n + 1) * w, 0.0);
+    for (std::size_t i = 0; i <= n; ++i) cost[i * w] = static_cast<double>(i);
+    for (std::size_t j = 0; j <= m; ++j) cost[j] = static_cast<double>(j);
+    for (std::size_t i = 1; i <= n; ++i) {
+      for (std::size_t j = 1; j <= m; ++j) {
+        cost[i * w + j] = std::min(
+            {cost[(i - 1) * w + j - 1] + cost_of(lo + i - 1, lo + j - 1),
+             cost[(i - 1) * w + j] + 1.0, cost[i * w + j - 1] + 1.0});
+      }
     }
-  }
-  for (const auto& [key, value] : a.nums) {
-    if (key_ignored(key, options)) continue;
-    const double other = b.num(key, kNan);
-    const bool present = !std::isnan(other) ||
-                         std::isnan(b.num(key, 0.0));  // NaN field vs absent
-    if (!present) return "field '" + key + "' only in A";
-    if (!nums_equal(value, other)) {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "field '%s': %.12g vs %.12g",
-                    key.c_str(), value, other);
-      return buf;
+    // Walk back from the corner, preferring a pair, then an A-only event.
+    std::vector<std::pair<std::size_t, std::size_t>> middle;
+    std::size_t i = n, j = m;
+    while (i > 0 || j > 0) {
+      if (i > 0 && j > 0 &&
+          cost[i * w + j] == cost[(i - 1) * w + j - 1] +
+                                 cost_of(lo + i - 1, lo + j - 1)) {
+        --i;
+        --j;
+        middle.emplace_back(ia[lo + i], ib[lo + j]);
+      } else if (i > 0 && cost[i * w + j] == cost[(i - 1) * w + j] + 1.0) {
+        middle.emplace_back(ia[lo + --i], npos);
+      } else {
+        middle.emplace_back(npos, ib[lo + --j]);
+      }
     }
+    out.insert(out.end(), middle.rbegin(), middle.rend());
   }
-  for (const auto& [key, value] : b.nums) {
-    if (key_ignored(key, options)) continue;
-    const bool present = !std::isnan(a.num(key, kNan)) ||
-                         std::isnan(a.num(key, 0.0));
-    if (!present) return "field '" + key + "' only in B";
+  for (std::size_t k = 0; k < ia.size() - hi_a; ++k) {
+    out.emplace_back(ia[hi_a + k], ib[hi_b + k]);
   }
-  return {};
+  return out;
+}
+
+// A stream cut into runs of consecutive events with the same t, each keyed
+// by (t's bits, how many earlier runs had that t).
+struct TimeRun {
+  std::uint64_t t_bits = 0;
+  std::size_t occurrence = 0;
+  std::size_t begin = 0, end = 0;
+};
+
+std::vector<TimeRun> time_runs(const std::vector<TraceEvent>& events) {
+  std::vector<TimeRun> runs;
+  std::unordered_map<std::uint64_t, std::size_t> seen;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto bits = std::bit_cast<std::uint64_t>(events[i].t);
+    if (runs.empty() || runs.back().t_bits != bits) {
+      runs.push_back(TimeRun{bits, seen[bits]++, i, i});
+    }
+    runs.back().end = i + 1;
+  }
+  return runs;
 }
 
 }  // namespace
@@ -561,29 +690,133 @@ std::string first_field_difference(const TraceEvent& a, const TraceEvent& b,
 TraceDiff diff_traces(const std::vector<TraceEvent>& a,
                       const std::vector<TraceEvent>& b,
                       const DiffOptions& options) {
+  constexpr std::size_t npos = std::string::npos;
   TraceDiff diff;
-  const std::size_t common = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < common; ++i) {
-    const std::string delta = first_field_difference(a[i], b[i], options);
-    if (delta.empty()) continue;
-    ++diff.differing_events;
-    if (diff.reports.size() < options.max_reports) {
-      diff.reports.push_back(describe(a[i], i) + ": " + delta);
+  const auto summary_of = [&diff](const std::string& type) -> TypeDiffSummary& {
+    for (TypeDiffSummary& s : diff.types) {
+      if (s.type == type) return s;
     }
-  }
-  for (std::size_t i = common; i < a.size(); ++i) {
+    diff.types.emplace_back().type = type;
+    return diff.types.back();
+  };
+  const auto report = [&](std::string line) {
     ++diff.differing_events;
     if (diff.reports.size() < options.max_reports) {
-      diff.reports.push_back(describe(a[i], i) + ": only in A");
+      diff.reports.push_back(std::move(line));
     }
+  };
+  const auto compare_pair = [&](std::size_t i, std::size_t j) {
+    TypeDiffSummary& s = summary_of(a[i].type);
+    std::string line;
+    for_each_delta(a[i], b[j], options, [&](const FieldDelta& d) {
+      line += (line.empty() ? "" : "; ") + describe_delta(d);
+      FieldChangeSummary* field = nullptr;
+      for (FieldChangeSummary& f : s.fields) {
+        if (f.key == d.key) field = &f;
+      }
+      if (field == nullptr) {
+        field = &s.fields.emplace_back();
+        field->key = d.key;
+      }
+      ++field->events;
+      if (!d.numeric) {
+        ++field->non_numeric;
+        return;
+      }
+      const double scale = std::max(std::abs(d.a), std::abs(d.b));
+      const double rel = std::isnan(d.a) || std::isnan(d.b)
+                             ? std::numeric_limits<double>::infinity()
+                             : std::abs(d.a - d.b) / scale;
+      field->max_rel = std::max(field->max_rel, rel);
+    });
+    if (line.empty()) return;
+    ++s.changed;
+    report(describe(a[i], i) + ": " + line);
+  };
+  const auto only_in = [&](const std::vector<TraceEvent>& events,
+                           std::size_t i, bool in_a) {
+    TypeDiffSummary& s = summary_of(events[i].type);
+    ++(in_a ? s.only_a : s.only_b);
+    report(describe(events[i], i) + (in_a ? ": only in A" : ": only in B"));
+  };
+
+  for (const TraceEvent& e : a) ++summary_of(e.type).in_a;
+  for (const TraceEvent& e : b) ++summary_of(e.type).in_b;
+
+  // Aligns the events of each type in a pair of runs (either may be null).
+  const auto diff_runs = [&](const TimeRun* ra, const TimeRun* rb) {
+    const auto of_type = [](const std::vector<TraceEvent>& events,
+                            const TimeRun* run, std::string_view type) {
+      std::vector<std::size_t> out;
+      if (run == nullptr) return out;
+      for (std::size_t i = run->begin; i < run->end; ++i) {
+        if (events[i].type == type) out.push_back(i);
+      }
+      return out;
+    };
+    std::vector<std::string_view> types;  // in order of appearance
+    const auto note_types = [&types](const std::vector<TraceEvent>& events,
+                                     const TimeRun* run) {
+      if (run == nullptr) return;
+      for (std::size_t i = run->begin; i < run->end; ++i) {
+        if (std::find(types.begin(), types.end(), events[i].type) ==
+            types.end()) {
+          types.push_back(events[i].type);
+        }
+      }
+    };
+    note_types(a, ra);
+    note_types(b, rb);
+    for (const std::string_view type : types) {
+      for (const auto& [i, j] : align_events(a, of_type(a, ra, type), b,
+                                             of_type(b, rb, type), options)) {
+        if (i == npos) {
+          only_in(b, j, false);
+        } else if (j == npos) {
+          only_in(a, i, true);
+        } else {
+          compare_pair(i, j);
+        }
+      }
+    }
+  };
+
+  const std::vector<TimeRun> runs_a = time_runs(a);
+  const std::vector<TimeRun> runs_b = time_runs(b);
+  std::map<std::pair<std::uint64_t, std::size_t>, const TimeRun*> unpaired_b;
+  for (const TimeRun& rb : runs_b) unpaired_b[{rb.t_bits, rb.occurrence}] = &rb;
+  for (const TimeRun& ra : runs_a) {
+    const auto it = unpaired_b.find({ra.t_bits, ra.occurrence});
+    diff_runs(&ra, it == unpaired_b.end() ? nullptr : it->second);
+    if (it != unpaired_b.end()) unpaired_b.erase(it);
   }
-  for (std::size_t i = common; i < b.size(); ++i) {
-    ++diff.differing_events;
-    if (diff.reports.size() < options.max_reports) {
-      diff.reports.push_back(describe(b[i], i) + ": only in B");
+  for (const TimeRun& rb : runs_b) {
+    if (unpaired_b.contains({rb.t_bits, rb.occurrence})) {
+      diff_runs(nullptr, &rb);
     }
   }
   return diff;
+}
+
+std::string format_type_summary(const TypeDiffSummary& s) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "%s: A %zu, B %zu; only in A %zu, only in B %zu; changed %zu",
+                s.type.c_str(), s.in_a, s.in_b, s.only_a, s.only_b, s.changed);
+  std::string line = buf;
+  for (std::size_t k = 0; k < s.fields.size(); ++k) {
+    const FieldChangeSummary& f = s.fields[k];
+    line += k == 0 ? ": " : ", ";
+    if (f.non_numeric == f.events) {
+      std::snprintf(buf, sizeof(buf), "%s (%zu, not numeric)", f.key.c_str(),
+                    f.events);
+    } else {
+      std::snprintf(buf, sizeof(buf), "%s (%zu, max rel %.3g)", f.key.c_str(),
+                    f.events, f.max_rel);
+    }
+    line += buf;
+  }
+  return line;
 }
 
 // ---- Chrome trace-event export ----------------------------------------

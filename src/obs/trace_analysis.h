@@ -162,18 +162,48 @@ struct DiffOptions {
   std::size_t max_reports = 25;  // cap on human-readable difference lines
 };
 
+// What moved in one field over the changed pairs of one event type.
+struct FieldChangeSummary {
+  std::string key;
+  std::size_t events = 0;  // changed pairs on which this field differs
+  // Largest |a - b| / max(|a|, |b|) over the pairs where both sides hold a
+  // number (infinite when one of them is NaN).
+  double max_rel = 0.0;
+  // Pairs where the field is a string that differs, or is on one side only.
+  std::size_t non_numeric = 0;
+};
+
+struct TypeDiffSummary {
+  std::string type;
+  std::size_t in_a = 0, in_b = 0;          // events of this type per side
+  std::size_t only_a = 0, only_b = 0;      // unpaired events
+  std::size_t changed = 0;                 // paired events that differ
+  std::vector<FieldChangeSummary> fields;  // in order of first change
+};
+
 struct TraceDiff {
-  std::size_t differing_events = 0;  // event pairs (or unmatched tails)
-  std::vector<std::string> reports;  // first max_reports differences
+  // Changed pairs plus events on one side only.
+  std::size_t differing_events = 0;
+  std::vector<std::string> reports;    // first max_reports differences
+  std::vector<TypeDiffSummary> types;  // every type, in order of appearance
   [[nodiscard]] bool identical() const { return differing_events == 0; }
 };
 
-// Compares two event streams pairwise in order: type, t, and every field
-// not ignored. Extra trailing events in either stream count as differences.
-// seq is compared implicitly by position, not value.
+// Compares two event streams by pairing their events. Each stream is cut
+// into runs of consecutive events with the same t; the k-th run at a given t
+// in A pairs with the k-th run at that t in B (a stream may restart its
+// clock). Within a run pair, the events of each type are aligned in order,
+// choosing the alignment that pairs the most alike events (the fewest
+// differing fields), so an event removed from the middle of a run is one
+// "only in A" difference and does not shift its successors. A paired event
+// differs when any non-ignored field does; seq is not compared.
 [[nodiscard]] TraceDiff diff_traces(const std::vector<TraceEvent>& a,
                                     const std::vector<TraceEvent>& b,
                                     const DiffOptions& options = {});
+
+// One line per event type: its counts on each side, its unpaired events, and
+// each changed field with its largest relative change.
+[[nodiscard]] std::string format_type_summary(const TypeDiffSummary& summary);
 
 // ---- Chrome trace-event export ----------------------------------------
 

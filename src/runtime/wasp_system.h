@@ -212,6 +212,8 @@ class WaspSystem {
   }
   // The tick-phase profiler (disabled unless SystemConfig::profile).
   [[nodiscard]] const obs::Profiler& profiler() const { return profiler_; }
+  // The intra-run worker pool; null unless SystemConfig::threads > 1.
+  [[nodiscard]] exec::ThreadPool* pool() { return pool_.get(); }
   // Copies the profiler's phase totals and the thread pool's counters into
   // the MetricsRegistry (profiler.* / pool.* entries). Deliberately NOT done
   // during the run: the registry's content must be bit-identical with

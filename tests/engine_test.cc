@@ -827,5 +827,160 @@ TEST(EngineTest, ReplanResetsDegradeBudgetAndReplayAccounting) {
   EXPECT_DOUBLE_EQ(f.engine->replay_pending_events(), 0.0);
 }
 
+// ---------------------------------------------------------------------------
+// Chained forward edges
+// ---------------------------------------------------------------------------
+
+// Two forward-partitioned sources, a at site 0 and b at site 1, feed a join
+// whose placement each test picks; the sink is at site 3 of six.
+struct ForwardFixture {
+  using Pairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+  explicit ForwardFixture(StagePlacement join_placement)
+      : network(net::Topology::make_uniform(6, 4, 1000.0, 10.0),
+                std::make_shared<net::ConstantBandwidth>()) {
+    const auto add = [this](const char* name, OperatorKind kind,
+                            std::vector<SiteId> pinned) {
+      LogicalOperator op;
+      op.name = name;
+      op.kind = kind;
+      op.events_per_sec_per_slot = 1e6;
+      op.pinned_sites = std::move(pinned);
+      if (kind == OperatorKind::kSource) {
+        op.output_partitioning = query::Partitioning::kForward;
+      }
+      return plan.add_operator(std::move(op));
+    };
+    src_a = add("a", OperatorKind::kSource, {SiteId(0)});
+    src_b = add("b", OperatorKind::kSource, {SiteId(1)});
+    join = add("join", OperatorKind::kJoin, {});
+    sink = add("sink", OperatorKind::kSink, {SiteId(3)});
+    plan.connect(src_a, join);
+    plan.connect(src_b, join);
+    plan.connect(join, sink);
+    physical.add_stage(src_a, StagePlacement{.per_site = {1, 0, 0, 0, 0, 0}});
+    physical.add_stage(src_b, StagePlacement{.per_site = {0, 1, 0, 0, 0, 0}});
+    physical.add_stage(join, std::move(join_placement));
+    physical.add_stage(sink, StagePlacement{.per_site = {0, 0, 0, 1, 0, 0}});
+    engine = std::make_unique<Engine>(plan, physical, network, EngineConfig{});
+  }
+
+  void run(int ticks) {
+    for (int k = 0; k < ticks; ++k) {
+      t += 1.0;
+      engine->set_source_rate(src_a, SiteId(0), 4'000.0);
+      engine->set_source_rate(src_b, SiteId(1), 6'000.0);
+      network.step(t, 1.0);
+      engine->tick(t);
+    }
+  }
+
+  // The (from site, to site) of each channel from `src` into the join.
+  [[nodiscard]] Pairs edge(OperatorId src) const {
+    Pairs out;
+    for (const ChannelMetrics& c : engine->channels_into(join)) {
+      if (c.from_op == src) out.emplace_back(c.from.value(), c.to.value());
+    }
+    return out;
+  }
+  [[nodiscard]] double edge_queue(OperatorId src) const {
+    double total = 0.0;
+    for (const ChannelMetrics& c : engine->channels_into(join)) {
+      if (c.from_op == src) total += c.queue_events;
+    }
+    return total;
+  }
+
+  net::Network network;
+  LogicalPlan plan;
+  PhysicalPlan physical;
+  OperatorId src_a, src_b, join, sink;
+  std::unique_ptr<Engine> engine;
+  double t = 0.0;
+};
+
+TEST(ChainedChannelTest, ForwardEdgeFallsBackToHashUntilTheReceiverIsLocal) {
+  using Pairs = ForwardFixture::Pairs;
+  // No join task at either source's site: both edges hash over the WAN.
+  ForwardFixture f(StagePlacement{.per_site = {0, 0, 0, 0, 1, 1}});
+  EXPECT_EQ(f.edge(f.src_a), (Pairs{{0, 4}, {0, 5}}));
+  EXPECT_EQ(f.edge(f.src_b), (Pairs{{1, 4}, {1, 5}}));
+  EXPECT_EQ(f.network.num_flows(), 6u);  // plus 4->3 and 5->3
+  f.run(30);
+  EXPECT_NEAR(f.engine->last_tick().sink_eps, 10'000.0, 100.0);
+
+  // A suspended join (a migration) leaves events queued on both edges.
+  f.engine->suspend_stage(f.join);
+  f.run(5);
+  double queued_a = f.edge_queue(f.src_a);
+  double queued_b = f.edge_queue(f.src_b);
+  ASSERT_GT(queued_a, 1'000.0);
+  ASSERT_GT(queued_b, 1'000.0);
+
+  // A join task at a's site chains a's edge: only the local channel
+  // remains, and it carries all of a's queued events (half of the join's
+  // tasks are elsewhere, so a hash split would strand half of them).
+  f.engine->apply_placement(f.join,
+                            StagePlacement{.per_site = {1, 0, 0, 0, 1, 0}});
+  EXPECT_EQ(f.edge(f.src_a), (Pairs{{0, 0}}));
+  EXPECT_EQ(f.edge(f.src_b), (Pairs{{1, 0}, {1, 4}}));
+  EXPECT_EQ(f.network.num_flows(), 4u);  // 1->0, 1->4, 0->3, 4->3
+  EXPECT_NEAR(f.edge_queue(f.src_a), queued_a, 1e-9 * queued_a);
+  EXPECT_NEAR(f.edge_queue(f.src_b), queued_b, 1e-9 * queued_b);
+
+  // Moving the join away again splits the local queue over the new sites.
+  f.run(3);
+  queued_a = f.edge_queue(f.src_a);
+  queued_b = f.edge_queue(f.src_b);
+  f.engine->apply_placement(f.join,
+                            StagePlacement{.per_site = {0, 0, 1, 0, 0, 2}});
+  EXPECT_EQ(f.edge(f.src_a), (Pairs{{0, 2}, {0, 5}}));
+  EXPECT_EQ(f.edge(f.src_b), (Pairs{{1, 2}, {1, 5}}));
+  EXPECT_NEAR(f.edge_queue(f.src_a), queued_a, 1e-9 * queued_a);
+  EXPECT_NEAR(f.edge_queue(f.src_b), queued_b, 1e-9 * queued_b);
+
+  // Every event still reaches the sink once the join resumes.
+  f.engine->resume_stage(f.join);
+  f.run(60);
+  EXPECT_NEAR(f.engine->last_tick().sink_eps, 10'000.0, 100.0);
+  EXPECT_LT(f.engine->source_backlog_events(), 1.0);
+}
+
+TEST(ChainedChannelTest, ChainedEdgeRoutesEverythingLocally) {
+  using Pairs = ForwardFixture::Pairs;
+  // Join tasks at both source sites, two of them at b's: both edges chain.
+  ForwardFixture f(StagePlacement{.per_site = {1, 2, 0, 0, 0, 0}});
+  EXPECT_EQ(f.edge(f.src_a), (Pairs{{0, 0}}));
+  EXPECT_EQ(f.edge(f.src_b), (Pairs{{1, 1}}));
+  EXPECT_EQ(f.network.num_flows(), 2u);  // 0->3 and 1->3
+  f.run(30);
+  for (const ChannelMetrics& c : f.engine->channels_into(f.join)) {
+    EXPECT_NEAR(c.offered_eps, c.from_op == f.src_a ? 4'000.0 : 6'000.0,
+                1e-6);
+  }
+  EXPECT_NEAR(f.engine->last_tick().sink_eps, 10'000.0, 100.0);
+}
+
+TEST(ChainedChannelTest, FailingAChainedReceiverSiteBuildsNoFallback) {
+  using Pairs = ForwardFixture::Pairs;
+  ForwardFixture f(StagePlacement{.per_site = {1, 1, 0, 0, 0, 0}});
+  f.run(10);
+  // A failure changes no placement, so the chained edges keep their one
+  // local channel and the network gains no flow.
+  f.engine->fail_site(SiteId(0));
+  f.run(10);
+  EXPECT_EQ(f.edge(f.src_a), (Pairs{{0, 0}}));
+  EXPECT_EQ(f.edge(f.src_b), (Pairs{{1, 1}}));
+  EXPECT_EQ(f.network.num_flows(), 2u);
+  // Promoting a standby moves the join task off a's site, which ends the
+  // chaining there: a's edge falls back to hash over the join's sites.
+  f.engine->promote_standby(f.join, SiteId(0), SiteId(2), 0.0);
+  EXPECT_EQ(f.edge(f.src_a), (Pairs{{0, 1}, {0, 2}}));
+  EXPECT_EQ(f.edge(f.src_b), (Pairs{{1, 1}}));
+  f.engine->restore_site(SiteId(0));
+  f.run(60);
+  EXPECT_NEAR(f.engine->last_tick().sink_eps, 10'000.0, 100.0);
+}
+
 }  // namespace
 }  // namespace wasp::engine

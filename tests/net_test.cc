@@ -506,13 +506,13 @@ std::vector<FlowId> build_scenario(Network& net,
 }
 
 TEST(NetworkTest, TracedStepFollowsLinkAndIdOrder) {
-  constexpr int kSites = 6;  // 36 links: more than one parallel fill chunk
+  constexpr int kSites = 16;  // 256 links: sixteen parallel fill chunks
   Rng rng(2026);
   // Random links, so created out of link order; about six flows a link, so
   // a fill or sum that walks a link's flows out of id order moves result
-  // bits.
+  // bits. 1,600 flows: above step()'s pool dispatch floor (1,024).
   std::vector<FlowSpec> specs;
-  for (int i = 0; i < 200; ++i) specs.push_back(random_spec(rng, kSites));
+  for (int i = 0; i < 1600; ++i) specs.push_back(random_spec(rng, kSites));
 
   struct Run {
     Network net = make_net(kSites, 1, 100.0, 10.0);
@@ -581,6 +581,7 @@ TEST(NetworkTest, TracedStepFollowsLinkAndIdOrder) {
   }
 
   // A 4-worker pool writes the same trace bytes as no pool.
+  EXPECT_GT(pool.stats().regions, 0u);
   ASSERT_EQ(pooled.sink->events().size(), churned.sink->events().size());
   for (std::size_t i = 0; i < churned.sink->events().size(); ++i) {
     EXPECT_EQ(obs::to_json_line(pooled.sink->events()[i]),
@@ -704,16 +705,21 @@ std::string skip_rule_diff(const Network& net,
       return out.str();
     }
   }
+  // Each link's allocations summed in ascending id, one pass over flows.
+  const auto key = [sites](SiteId from, SiteId to) {
+    return static_cast<std::size_t>(from.value() * sites + to.value());
+  };
+  std::vector<double> sums(static_cast<std::size_t>(sites * sites), 0.0);
+  std::vector<char> has_flows(sums.size(), 0);
+  for (const RefFlow& f : flows) {
+    sums[key(f.from, f.to)] += f.allocated_mbps;
+    has_flows[key(f.from, f.to)] = 1;
+  }
   for (int i = 0; i < sites; ++i) {
     for (int j = 0; j < sites; ++j) {
       const SiteId from(i), to(j);
-      double sum = 0.0;
-      bool has_flow = false;
-      for (const RefFlow& f : flows) {
-        if (f.from != from || f.to != to) continue;
-        sum += f.allocated_mbps;
-        has_flow = true;
-      }
+      const double sum = sums[key(from, to)];
+      const bool has_flow = has_flows[key(from, to)] != 0;
       if (bits(net.link_allocated(from, to)) != bits(sum)) {
         out << "link " << i << "->" << j << " allocated "
             << net.link_allocated(from, to) << ", reference " << sum;
@@ -735,8 +741,9 @@ std::string skip_rule_diff(const Network& net,
 // with the same value and changed (to 0 and to a negative value that clamps),
 // partitions and site-down flags toggled, flows added and removed, bulk
 // transfers finishing, and bandwidth steps that include a factor of 0 (with
-// it, a local link's capacity reads 0 whether or not its site is down).
-void run_skip_rule_walk(exec::ThreadPool* pool) {
+// it, a local link's capacity reads 0 whether or not its site is down). It
+// starts from `initial_flows` flows.
+void run_skip_rule_walk(exec::ThreadPool* pool, int initial_flows) {
   constexpr int kSites = 6;
   constexpr int kSteps = 2000;
   auto model = std::make_shared<SteppedBandwidth>(
@@ -779,7 +786,7 @@ void run_skip_rule_walk(exec::ThreadPool* pool) {
     return nullptr;
   };
 
-  for (int i = 0; i < 40; ++i) add();
+  for (int i = 0; i < initial_flows; ++i) add();
   int finished = 0, toggles = 0, churn = 0;
   for (int step = 1; step <= kSteps; ++step) {
     const double t = static_cast<double>(step);
@@ -835,11 +842,15 @@ void run_skip_rule_walk(exec::ThreadPool* pool) {
   EXPECT_GT(churn, 80);
 }
 
-TEST(NetworkTest, SkippedLinksMatchAFullRefill) { run_skip_rule_walk(nullptr); }
+TEST(NetworkTest, SkippedLinksMatchAFullRefill) {
+  run_skip_rule_walk(nullptr, 40);
+}
 
+// 1,500 flows: above step()'s pool dispatch floor (1,024) all walk long.
 TEST(NetworkTest, SkippedLinksMatchAFullRefillOnAPool) {
   exec::ThreadPool pool(4);
-  run_skip_rule_walk(&pool);
+  run_skip_rule_walk(&pool, 1500);
+  EXPECT_GT(pool.stats().regions, 0u);
 }
 
 // Property: waterfilling never exceeds capacity and never over-allocates a

@@ -8,15 +8,18 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
 
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 #include "net/bandwidth_model.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "runtime/run_spec.h"
 #include "workload/patterns.h"
 #include "workload/queries.h"
 
@@ -378,33 +381,94 @@ TEST(WaspSystemTest, TracingIsAPureObserver) {
   }
 }
 
+// A query whose one hash edge fans 40 filter sites into 40 map sites of a
+// 48-site clique: 1,600 channels and ~1.6k flows, above the engine's and the
+// network's pool dispatch floors (1,024 each), so a pooled run hands the
+// tick's regions to the pool. Sources chain into their filters; the window
+// aggregate is the stage adaptation moves.
+workload::QuerySpec wide_fan_in_query(SiteId sink) {
+  std::vector<SiteId> filter_sites, map_sites;
+  for (int s = 0; s < 40; ++s) filter_sites.push_back(SiteId(s));
+  for (int s = 8; s < 48; ++s) map_sites.push_back(SiteId(s));
+  workload::QuerySpec spec;
+  query::LogicalPlan& plan = spec.plan;
+  const auto add = [&](const char* name, query::OperatorKind kind,
+                       double selectivity, std::vector<SiteId> pinned) {
+    query::LogicalOperator op;
+    op.name = name;
+    op.kind = kind;
+    op.selectivity = selectivity;
+    op.events_per_sec_per_slot = 100'000.0;
+    op.pinned_sites = std::move(pinned);
+    if (kind == query::OperatorKind::kSource) {
+      op.output_partitioning = query::Partitioning::kForward;
+    }
+    if (kind == query::OperatorKind::kWindowAggregate) {
+      op.window = query::WindowSpec{10.0};
+      op.state = query::StateSpec::windowed(1.0, 0.05);
+    }
+    return plan.add_operator(std::move(op));
+  };
+  const OperatorId src =
+      add("events", query::OperatorKind::kSource, 1.0, filter_sites);
+  const OperatorId filter =
+      add("filter", query::OperatorKind::kFilter, 0.5, filter_sites);
+  const OperatorId map = add("spread", query::OperatorKind::kMap, 1.0,
+                             map_sites);
+  const OperatorId window =
+      add("window", query::OperatorKind::kWindowAggregate, 0.01, {});
+  const OperatorId snk = add("sink", query::OperatorKind::kSink, 1.0, {sink});
+  plan.connect(src, filter);
+  plan.connect(filter, map);
+  plan.connect(map, window);
+  plan.connect(window, snk);
+  spec.sources = {src};
+  spec.stateful = true;
+  return spec;
+}
+
 // The intra-run worker count is a pure throughput knob: chunk boundaries are
 // layout constants and every reduction is a serial fixed-order combine, so
 // --threads N must not change a single bit of any metric.
 TEST(WaspSystemTest, ThreadCountCannotChangeAnyMetricBit) {
   auto run = [](int threads) {
-    Testbed bed(13);
-    auto spec = bed.topk();
-    auto pattern = bed.uniform_rates(spec, 10'000.0);
+    net::Network network(net::Topology::make_uniform(48, 4, 1.2, 20.0),
+                         std::make_shared<net::ConstantBandwidth>());
+    auto spec = wide_fan_in_query(SiteId(47));
+    workload::SteppedWorkload pattern;
+    for (SiteId s : spec.plan.op(spec.sources[0]).pinned_sites) {
+      pattern.set_base_rate(spec.sources[0], s, 2'000.0);
+    }
     pattern.add_step(100.0, 2.0);
     SystemConfig config;
     config.seed = 13;
     config.threads = threads;
-    WaspSystem system(bed.network, std::move(spec), pattern, config);
+    WaspSystem system(network, std::move(spec), pattern, config);
     system.run_until(300.0);
-    return std::make_pair(system.metrics().snapshot(),
-                          system.recorder().events().size());
+    if (threads > 1) {
+      EXPECT_GT(system.pool()->stats().regions, 0u) << "threads=" << threads;
+    }
+    return std::make_tuple(system.metrics().snapshot(),
+                           system.recorder().events().size(),
+                           network.num_flows());
   };
   const auto serial = run(1);
+  // The pool is not idle for lack of data, and the run adapts.
+  EXPECT_GT(std::get<2>(serial), 1200u);
+  EXPECT_GT(std::get<1>(serial), 0u);
   for (int threads : {2, 4}) {
     const auto parallel = run(threads);
-    EXPECT_EQ(serial.second, parallel.second) << "threads=" << threads;
-    ASSERT_EQ(serial.first.size(), parallel.first.size());
-    for (std::size_t i = 0; i < serial.first.size(); ++i) {
-      EXPECT_EQ(serial.first[i].first, parallel.first[i].first);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.first[i].second),
-                std::bit_cast<std::uint64_t>(parallel.first[i].second))
-          << "threads=" << threads << " metric " << serial.first[i].first;
+    EXPECT_EQ(std::get<1>(serial), std::get<1>(parallel))
+        << "threads=" << threads;
+    EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel));
+    const auto& ms = std::get<0>(serial);
+    const auto& mp = std::get<0>(parallel);
+    ASSERT_EQ(ms.size(), mp.size());
+    for (std::size_t i = 0; i < ms.size(); ++i) {
+      EXPECT_EQ(ms[i].first, mp[i].first);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ms[i].second),
+                std::bit_cast<std::uint64_t>(mp[i].second))
+          << "threads=" << threads << " metric " << ms[i].first;
     }
   }
 }
@@ -540,6 +604,105 @@ TEST(WaspSystemTest, JoinQueryCanReplan) {
   system.run_until(300.0);
   // Regardless of whether a re-plan fired, the query must be running.
   EXPECT_GT(system.recorder().ratio().mean_over(200.0, 300.0), 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// Chained forward edges
+// ---------------------------------------------------------------------------
+
+// The chaining invariant over the engine's current channels, or the first
+// violation: on an edge whose sender is forward-partitioned, every sender
+// site that hosts a receiver task has exactly one channel, the local one.
+std::string chaining_violation(const engine::Engine& eng) {
+  const query::LogicalPlan& plan = eng.logical();
+  for (const auto& op : plan.operators()) {
+    std::map<std::pair<std::int64_t, std::int64_t>, int> local;
+    for (const engine::ChannelMetrics& c : eng.channels_into(op.id)) {
+      if (plan.op(c.from_op).output_partitioning !=
+              query::Partitioning::kForward ||
+          eng.placement(op.id).at(c.from) == 0) {
+        continue;
+      }
+      if (c.to != c.from) {
+        return plan.op(c.from_op).name + " -> " + op.name +
+               " is chained at site " + std::to_string(c.from.value()) +
+               " but has a channel to site " + std::to_string(c.to.value());
+      }
+      ++local[{c.from_op.value(), c.from.value()}];
+    }
+    for (OperatorId u : plan.upstream(op.id)) {
+      if (plan.op(u).output_partitioning != query::Partitioning::kForward) {
+        continue;
+      }
+      for (SiteId su : eng.placement(u).sites()) {
+        if (eng.placement(op.id).at(su) == 0) continue;
+        const int n = local[{u.value(), su.value()}];
+        if (n != 1) {
+          return plan.op(u).name + " -> " + op.name + " has " +
+                 std::to_string(n) + " local channels at chained site " +
+                 std::to_string(su.value());
+        }
+      }
+    }
+  }
+  return "";
+}
+
+std::unique_ptr<Run> build(const std::string& text) {
+  std::string error;
+  const auto spec = RunSpec::parse(text, &error);
+  EXPECT_TRUE(spec.has_value()) << error;
+  BuildError build_error;
+  auto run = build_run(*spec, RunSettings{}, &build_error);
+  EXPECT_NE(run, nullptr) << build_error.message;
+  return run;
+}
+
+// Top-K on a small clique: each source chains into its filter, so every
+// source edge has one local channel per source site and no network flow;
+// the only flows are the hash edges' cross-site pairs.
+TEST(ChainedChannelsTest, SourcesChainIntoTheirFiltersWithoutAFlow) {
+  auto run = build("query=topk topology=uniform:sites=8");
+  ASSERT_NE(run, nullptr);
+  for (const double t : {0.0, 30.0}) {
+    run->run_until(t);
+    const engine::Engine& eng = run->system().engine();
+    const query::LogicalPlan& plan = eng.logical();
+    std::size_t cross_site = 0, source_channels = 0, source_sites = 0;
+    for (const auto& op : plan.operators()) {
+      for (const engine::ChannelMetrics& c : eng.channels_into(op.id)) {
+        if (c.from != c.to) ++cross_site;
+        if (!plan.op(c.from_op).is_source()) continue;
+        ++source_channels;
+        EXPECT_EQ(c.from, c.to) << plan.op(c.from_op).name << " at t=" << t;
+      }
+      if (op.is_source()) source_sites += eng.placement(op.id).sites().size();
+    }
+    EXPECT_EQ(source_sites, 7u);  // every site but the sink's
+    EXPECT_EQ(source_channels, source_sites) << "t=" << t;
+    EXPECT_GT(cross_site, 0u);
+    EXPECT_EQ(run->network().num_flows(), cross_site) << "t=" << t;
+    EXPECT_EQ(chaining_violation(eng), "") << "t=" << t;
+  }
+}
+
+// No deployment of any query builds a cross-site channel on a chained edge,
+// through deployment, adaptation to a workload step and a compute failure.
+TEST(ChainedChannelsTest, NoDeploymentRoutesAChainedEdgeAcrossSites) {
+  for (const char* query : {"topk", "ysb", "interest", "join"}) {
+    for (const int seed : {3, 7, 11}) {
+      const std::string text = std::string("query=") + query +
+                                " seed=" + std::to_string(seed) +
+                                " workload-step=60:2.5 fail=150:20";
+      auto run = build(text);
+      ASSERT_NE(run, nullptr) << text;
+      for (double t = 0.0; t <= 240.0; t += 20.0) {
+        run->run_until(t);
+        ASSERT_EQ(chaining_violation(run->system().engine()), "")
+            << text << " at t=" << t;
+      }
+    }
+  }
 }
 
 }  // namespace

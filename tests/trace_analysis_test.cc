@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -303,6 +304,96 @@ TEST(DiffTracesTest, ReportsFieldAndLengthDifferences) {
   DiffOptions ignore;
   ignore.ignore_keys.push_back("delay_sec");
   EXPECT_EQ(diff_traces(a, b, ignore).differing_events, 1u);
+}
+
+// Ticks of one tick event and five link_alloc events each, one per link.
+std::vector<TraceEvent> link_stream() {
+  std::vector<TraceEvent> events;
+  for (int t = 0; t < 4; ++t) {
+    TraceEvent tick;
+    tick.t = t;
+    tick.type = "tick";
+    tick.nums.emplace_back("delay_sec", 0.5 + t);
+    events.push_back(tick);
+    for (int link = 0; link < 5; ++link) {
+      TraceEvent e;
+      e.t = t;
+      e.type = "link_alloc";
+      e.nums.emplace_back("from_site", 0.0);
+      e.nums.emplace_back("to_site", 1.0 + link);
+      e.nums.emplace_back("stream_mbps", 10.0 * link + t);
+      e.nums.emplace_back("num_flows", 2.0);
+      events.push_back(e);
+    }
+  }
+  for (std::size_t i = 0; i < events.size(); ++i) events[i].seq = i;
+  return events;
+}
+
+TEST(DiffTracesTest, RemovingOneEventIsOneDifference) {
+  const auto a = link_stream();
+  auto b = a;
+  // A link_alloc from the middle of t=1: its successors must not shift.
+  const auto removed = b.begin() + 9;
+  ASSERT_EQ(removed->type, "link_alloc");
+  ASSERT_EQ(removed->t, 1.0);
+  b.erase(removed);
+  for (std::size_t i = 0; i < b.size(); ++i) b[i].seq = i;
+
+  const TraceDiff diff = diff_traces(a, b);
+  EXPECT_EQ(diff.differing_events, 1u);
+  ASSERT_EQ(diff.reports.size(), 1u);
+  EXPECT_NE(diff.reports[0].find("event 9 (t=1, type=link_alloc): only in A"),
+            std::string::npos)
+      << diff.reports[0];
+  ASSERT_EQ(diff.types.size(), 2u);
+  EXPECT_EQ(diff.types[0].type, "tick");
+  EXPECT_EQ(diff.types[0].changed + diff.types[0].only_a +
+                diff.types[0].only_b,
+            0u);
+  const TypeDiffSummary& links = diff.types[1];
+  EXPECT_EQ(links.type, "link_alloc");
+  EXPECT_EQ(links.in_a, 20u);
+  EXPECT_EQ(links.in_b, 19u);
+  EXPECT_EQ(links.only_a, 1u);
+  EXPECT_EQ(links.only_b, 0u);
+  EXPECT_EQ(links.changed, 0u);
+  EXPECT_EQ(format_type_summary(links),
+            "link_alloc: A 20, B 19; only in A 1, only in B 0; changed 0");
+}
+
+TEST(DiffTracesTest, SummarizesEachChangedFieldByItsLargestRelativeChange) {
+  const auto a = link_stream();
+  auto b = a;
+  // Every link_alloc at t=2 loses a flow, and one link loses its event.
+  b.erase(std::remove_if(b.begin(), b.end(),
+                         [](const TraceEvent& e) {
+                           return e.t == 2.0 && e.type == "link_alloc" &&
+                                  e.num("to_site") == 3.0;
+                         }),
+          b.end());
+  for (TraceEvent& e : b) {
+    if (e.t == 2.0 && e.type == "link_alloc") e.nums[3].second = 1.0;
+  }
+  b[0].nums[0].second = 0.4;  // tick delay 0.5 -> 0.4 at t=0
+
+  const TraceDiff diff = diff_traces(a, b);
+  EXPECT_EQ(diff.differing_events, 6u);  // 4 changed links, 1 gone, 1 tick
+  ASSERT_EQ(diff.types.size(), 2u);
+  EXPECT_EQ(format_type_summary(diff.types[0]),
+            "tick: A 4, B 4; only in A 0, only in B 0; changed 1: "
+            "delay_sec (1, max rel 0.2)");
+  EXPECT_EQ(format_type_summary(diff.types[1]),
+            "link_alloc: A 20, B 19; only in A 1, only in B 0; changed 4: "
+            "num_flows (4, max rel 0.5)");
+
+  // --ignore drops the field from the pairing and from the summary.
+  DiffOptions ignore;
+  ignore.ignore_keys.push_back("num_flows");
+  const TraceDiff ignored = diff_traces(a, b, ignore);
+  EXPECT_EQ(ignored.differing_events, 2u);
+  EXPECT_EQ(ignored.types[1].changed, 0u);
+  EXPECT_EQ(ignored.types[1].only_a, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 //   wasp_trace summary FILE                  per-type counts, span percentiles
 //   wasp_trace spans [--id=N] [--op=N] FILE  span forest with critical path
 //   wasp_trace diff A B [--ignore=k1,k2] [--include-wall]
-//                                            field-level comparison
+//                                            events paired per t and type,
+//                                            then a summary per type
 //   wasp_trace profile FILE [--diff=B] [--chrome [-o OUT]]
 //                                            phase-profiler breakdown
 //   wasp_trace export --chrome FILE [-o OUT] Chrome trace-event JSON
@@ -45,7 +46,9 @@ int usage(const char* argv0) {
                "                           print the reconstructed span forest"
                " (critical path marked *)\n"
                "  diff A B [--ignore=k1,k2] [--include-wall]\n"
-               "                           field-level trace comparison"
+               "                           field-level trace comparison:"
+               " events paired per t and type,\n"
+               "                           then one summary line per type"
                " (wall_* ignored by default)\n"
                "  profile FILE [--diff=B] [--chrome [-o OUT]]\n"
                "                           phase-profiler breakdown from"
@@ -283,6 +286,9 @@ int cmd_diff(const std::vector<std::string>& args) {
   }
   std::printf("%zu differing event(s) between %s and %s\n",
               diff.differing_events, paths[0].c_str(), paths[1].c_str());
+  for (const wasp::obs::TypeDiffSummary& type : diff.types) {
+    std::printf("  %s\n", wasp::obs::format_type_summary(type).c_str());
+  }
   return 1;
 }
 
