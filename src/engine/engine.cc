@@ -24,10 +24,14 @@ constexpr double kMaxDelaySec = 1e5;
 // function of the worker count: chunk boundaries (and therefore which data
 // each chunk touches) must be identical for --threads 1 and --threads N.
 constexpr std::size_t kChanChunk = 512;
-// Channels from which run_region hands its chunks to the pool: two full
-// chunks. Below it a fork/join costs more than the tick's chunkable work,
-// so the chunks run inline in index order -- bit-identical to a pooled run
-// by construction, and a layout constant like kChanChunk.
+// Channels from which run_region hands its chunks to the pool (two full
+// chunks); below it the chunks run inline in index order, bit-identical to
+// a pooled run by construction. This is not a cost crossover: on a 4-core
+// host the pool at 4 threads was slower than inline at every size measured,
+// from 37 to 14.6k channels (t4/t1 0.18-0.65, DESIGN.md §11). The floor
+// keeps every shipped workload inline and leaves the pooled path to the
+// tests that build data planes above it, until tick-level threads go
+// (ROADMAP item 5). A layout constant like kChanChunk.
 constexpr std::size_t kPoolMinChannels = 2 * kChanChunk;
 
 // Bounded buffers. A channel accepts new output only while its queue is

@@ -16,9 +16,12 @@ namespace {
 // a function of the worker count): chunk boundaries must be identical for
 // --threads 1 and --threads N.
 constexpr std::size_t kLinkChunk = 16;
-// Flows from which step() hands its fills to the pool. Below it a fork/join
-// costs more than the fills, so the chunks run inline in index order --
-// bit-identical to a pooled step by construction. A layout constant too.
+// Flows from which step() hands its fills to the pool; below it the chunks
+// run inline in index order, bit-identical to a pooled step by
+// construction. Like the engine's kPoolMinChannels this is not a cost
+// crossover (the pool lost at every measured size, DESIGN.md §11): it keeps
+// every shipped workload inline and the pooled path reachable by tests.
+// A layout constant too.
 constexpr std::size_t kPoolMinFlows = 1024;
 
 }  // namespace

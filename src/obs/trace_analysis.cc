@@ -742,6 +742,7 @@ TraceDiff diff_traces(const std::vector<TraceEvent>& a,
 
   for (const TraceEvent& e : a) ++summary_of(e.type).in_a;
   for (const TraceEvent& e : b) ++summary_of(e.type).in_b;
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;  // (a, b) indices
 
   // Aligns the events of each type in a pair of runs (either may be null).
   const auto diff_runs = [&](const TimeRun* ra, const TimeRun* rb) {
@@ -776,6 +777,7 @@ TraceDiff diff_traces(const std::vector<TraceEvent>& a,
           only_in(a, i, true);
         } else {
           compare_pair(i, j);
+          pairs.emplace_back(i, j);
         }
       }
     }
@@ -794,6 +796,16 @@ TraceDiff diff_traces(const std::vector<TraceEvent>& a,
     if (unpaired_b.contains({rb.t_bits, rb.occurrence})) {
       diff_runs(nullptr, &rb);
     }
+  }
+  // Types and runs were aligned one at a time; in A's order the pairs' B
+  // indices rise unless B runs some of them in another order.
+  std::sort(pairs.begin(), pairs.end());
+  for (std::size_t k = 1; k < pairs.size(); ++k) {
+    if (pairs[k].second > pairs[k - 1].second) continue;
+    ++diff.reordered;
+    report(describe(a[pairs[k].first], pairs[k].first) +
+           ": order differs (in B it runs before the pair of event " +
+           std::to_string(pairs[k - 1].first) + ")");
   }
   return diff;
 }

@@ -182,8 +182,11 @@ struct TypeDiffSummary {
 };
 
 struct TraceDiff {
-  // Changed pairs plus events on one side only.
+  // Changed pairs, events on one side only, and order changes.
   std::size_t differing_events = 0;
+  // Places where B runs paired events in a different order than A: pairs
+  // taken in A's order whose B index steps back.
+  std::size_t reordered = 0;
   std::vector<std::string> reports;    // first max_reports differences
   std::vector<TypeDiffSummary> types;  // every type, in order of appearance
   [[nodiscard]] bool identical() const { return differing_events == 0; }
@@ -196,7 +199,10 @@ struct TraceDiff {
 // choosing the alignment that pairs the most alike events (the fewest
 // differing fields), so an event removed from the middle of a run is one
 // "only in A" difference and does not shift its successors. A paired event
-// differs when any non-ignored field does; seq is not compared.
+// differs when any non-ignored field does. seq is not compared, but the
+// pairs' order is: events of two types that swap places are one order
+// change (two events of one type that swap are two changed pairs, since
+// each type aligns in order).
 [[nodiscard]] TraceDiff diff_traces(const std::vector<TraceEvent>& a,
                                     const std::vector<TraceEvent>& b,
                                     const DiffOptions& options = {});

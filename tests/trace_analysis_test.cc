@@ -362,6 +362,31 @@ TEST(DiffTracesTest, RemovingOneEventIsOneDifference) {
             "link_alloc: A 20, B 19; only in A 1, only in B 0; changed 0");
 }
 
+TEST(DiffTracesTest, EventsThatSwapPlacesWithinATickAreAnOrderChange) {
+  const auto a = link_stream();
+  auto b = a;
+  // t=2's tick now runs after its first link_alloc; every event still pairs
+  // with an identical one.
+  ASSERT_EQ(b[12].type, "tick");
+  ASSERT_EQ(b[13].type, "link_alloc");
+  std::swap(b[12], b[13]);
+  for (std::size_t i = 0; i < b.size(); ++i) b[i].seq = i;
+
+  const TraceDiff diff = diff_traces(a, b);
+  EXPECT_FALSE(diff.identical());
+  EXPECT_EQ(diff.reordered, 1u);
+  EXPECT_EQ(diff.differing_events, 1u);
+  ASSERT_EQ(diff.reports.size(), 1u);
+  EXPECT_NE(diff.reports[0].find("event 13 (t=2, type=link_alloc): order "
+                                 "differs (in B it runs before the pair of "
+                                 "event 12)"),
+            std::string::npos)
+      << diff.reports[0];
+  for (const TypeDiffSummary& type : diff.types) {
+    EXPECT_EQ(type.changed + type.only_a + type.only_b, 0u) << type.type;
+  }
+}
+
 TEST(DiffTracesTest, SummarizesEachChangedFieldByItsLargestRelativeChange) {
   const auto a = link_stream();
   auto b = a;

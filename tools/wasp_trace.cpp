@@ -289,6 +289,9 @@ int cmd_diff(const std::vector<std::string>& args) {
   for (const wasp::obs::TypeDiffSummary& type : diff.types) {
     std::printf("  %s\n", wasp::obs::format_type_summary(type).c_str());
   }
+  if (diff.reordered > 0) {
+    std::printf("  order differs at %zu place(s)\n", diff.reordered);
+  }
   return 1;
 }
 
