@@ -30,8 +30,7 @@ constexpr std::size_t kChanChunk = 512;
 // host the pool at 4 threads was slower than inline at every size measured,
 // from 37 to 14.6k channels (t4/t1 0.18-0.65, DESIGN.md §11). The floor
 // keeps every shipped workload inline and leaves the pooled path to the
-// tests that build data planes above it, until tick-level threads go
-// (ROADMAP item 5). A layout constant like kChanChunk.
+// tests that build data planes above it. A layout constant like kChanChunk.
 constexpr std::size_t kPoolMinChannels = 2 * kChanChunk;
 
 // Bounded buffers. A channel accepts new output only while its queue is
