@@ -187,8 +187,15 @@ struct BenchOptions {
     write_metrics(label, registry.snapshot());
   }
 
+  // Flushes the shared --trace-out sink; exits 1 when the trace could not
+  // be written.
   void flush() const {
-    if (sink != nullptr) sink->flush();
+    if (sink == nullptr) return;
+    sink->flush();
+    if (!sink->ok()) {
+      std::cerr << "cannot write trace output '" << trace_out << "'\n";
+      std::exit(1);
+    }
   }
 };
 

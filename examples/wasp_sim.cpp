@@ -132,7 +132,13 @@ int main(int argc, char** argv) {
   // Tick at a time so SIGINT/SIGTERM stop at a tick boundary and still reach
   // the normal finish path below.
   run->run_until(spec.duration_sec, &g_interrupted);
-  if (trace_sink != nullptr) trace_sink->flush();
+  if (trace_sink != nullptr) {
+    trace_sink->flush();
+    if (!trace_sink->ok()) {
+      std::cerr << "cannot write trace output '" << opts.trace_out << "'\n";
+      return 1;
+    }
+  }
 
   // Profiler gauges enter the registry only here, after the run: the
   // registry contents stay bit-identical with profiling on or off for the

@@ -2,16 +2,17 @@
 """Runs perfbench on a base and a head checkout, interleaved on one host,
 and fails when the head is worse than the base by more than a bound.
 
-    python3 scripts/perfbench_pair.py --base DIR --head DIR
+    python3 scripts/perfbench_pair.py --base DIR --head DIR [--pairs N]
 
 Both sides run the head's perfbench/ and BENCHMARK.json: they are copied
 over the base tree first (so DIR given as --base is modified), and only
 src/, examples/, tools/ and bench/ differ. Each side builds into its own
 temporary directory (CARGO_TARGET_DIR).
 
-Pair i runs `run.py --workload W --seed 7919+i --trace 0` for every workload
-on both sides back to back, the side that goes first alternating from pair
-to pair, then a layer run (`--trace 1`) of uniform128_steady on both sides.
+Pair i of N (--pairs, default 5) runs `run.py --workload W --seed 7919+i
+--trace 0` for every workload on both sides back to back, the side that goes
+first alternating from pair to pair, then a layer run (`--trace 1`) of
+uniform128_steady on both sides.
 After the pairs, the other workloads' layer runs run on the head only, at
 seeds 7919-7921: a layer check reads the median of three runs, since one
 slow stretch of the host moves a single run's ratio by a tenth.
@@ -28,6 +29,8 @@ Checks (exit 1 if any fails):
     physical.placement.us_per_call on uniform128_steady under 64x that on
     paper16_chaos (quadratic in the 8x site ratio), and exec.t4_over_t1 on
     uniform128_steady at least 0.8x the base's.
+Every row also says in how many pairs the head's run beat the base's on
+that metric (a tie counts for neither side); the checks do not read it.
 Every sim_* value that differs between the sides is printed with both
 values; the simulated metrics repeat exactly for a seed.
 
@@ -51,8 +54,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-# Three pairs failed an A/A run (identical code on both sides) when two
-# runs of one side hit a slow stretch of the host; five need three.
+# The default of --pairs. Three pairs failed an A/A run (identical code on
+# both sides) when two runs of one side hit a slow stretch of the host; five
+# need three.
 PAIRS = 5
 SEED = 7919
 PAIR_LAYER_WORKLOAD = "uniform128_steady"
@@ -85,6 +89,13 @@ def worse_by(better, base, head):
         return math.inf if (head > base) == (better == "lower") else -math.inf
     change = (head - base) / abs(base)
     return change if better == "lower" else -change
+
+
+def head_wins(better, base_vals, head_vals):
+    """In how many pairs the head's value beat the base's; a tie counts for
+    neither side."""
+    return sum(1 for b, h in zip(base_vals, head_vals)
+               if worse_by(better, b, h) < 0)
 
 
 def head_layer_runs(workloads):
@@ -125,7 +136,9 @@ def compare(contract, base, head):
             ok = worse <= m["bound"]
             rows.append({"workload": name, "metric": key, "unit": m["unit"],
                          "base": b_q, "head": h_q, "worse": worse,
-                         "bound": m["bound"], "ok": ok})
+                         "bound": m["bound"], "ok": ok,
+                         "wins": head_wins(m["better"], b_vals, h_vals),
+                         "pairs": len(h_vals)})
             if not ok:
                 failures.append(
                     "%s %s: head median %.6g is %.1f%% worse than base "
@@ -177,17 +190,18 @@ def layer_checks(base, head):
 
 def report(plain, layer, seeds):
     """Prints both verdicts; returns the number of failed checks."""
-    print("%-18s %-20s %-32s %-32s %8s %6s" % (
+    print("%-18s %-20s %-32s %-32s %8s %9s %6s" % (
         "workload", "metric", "base median [q1, q3]", "head median [q1, q3]",
-        "head/base", "bound"))
+        "head/base", "head wins", "bound"))
     for r in plain["rows"]:
         b, h = r["base"], r["head"]
         ratio = h[1] / b[1] if b[1] else math.nan
-        print("%-18s %-20s %-32s %-32s %8.3f %5.0f%%%s" % (
+        print("%-18s %-20s %-32s %-32s %8.3f %9s %5.0f%%%s" % (
             r["workload"], r["metric"],
             "%.5g [%.5g, %.5g]" % (b[1], b[0], b[2]),
             "%.5g [%.5g, %.5g]" % (h[1], h[0], h[2]),
-            ratio, 100 * r["bound"], "" if r["ok"] else "  FAIL"))
+            ratio, "%d of %d" % (r["wins"], r["pairs"]), 100 * r["bound"],
+            "" if r["ok"] else "  FAIL"))
     for c in plain["sim_changes"]:
         print("sim change: %s %s seed %d: base %.17g head %.17g" % (
             c["workload"], c["metric"], seeds[c["pair"]], c["base"],
@@ -236,15 +250,29 @@ def run_side(side, tree, target_dir, workload, seed, trace):
     return result
 
 
-def main():
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1: %r" % text)
+    return value
+
+
+def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--base", required=True, type=Path)
     p.add_argument("--head", required=True, type=Path)
+    p.add_argument("--pairs", type=positive_int, default=PAIRS,
+                   help="interleaved pairs, at seeds %d, %d, ... "
+                   "(default: %%(default)s)" % (SEED, SEED + 1))
     p.add_argument("--results", type=Path,
                    default=Path("perfbench_pair_results.json"),
                    help="JSON file for every run's result (default: "
                    "%(default)s in the working directory)")
-    args = p.parse_args()
+    return p.parse_args(argv)
+
+
+def main():
+    args = parse_args(sys.argv[1:])
     base, head = args.base.resolve(), args.head.resolve()
     results_path = args.results.resolve()
     if base != head:
@@ -255,9 +283,9 @@ def main():
     with open(head / "BENCHMARK.json") as f:
         contract = json.load(f)
     workloads = [w["name"] for w in contract["workloads"]]
-    seeds = [SEED + i for i in range(PAIRS)]
+    seeds = [SEED + i for i in range(args.pairs)]
     log("perfbench pair: %d pairs, seeds %s, %d cores" % (
-        PAIRS, seeds, os.cpu_count() or 1))
+        args.pairs, seeds, os.cpu_count() or 1))
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="perfbench_pair_") as tmp:
@@ -273,7 +301,7 @@ def main():
         try:
             for i, seed in enumerate(seeds):
                 order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
-                log("pair %d of %d (%s first)" % (i + 1, PAIRS, order[0]))
+                log("pair %d of %d (%s first)" % (i + 1, len(seeds), order[0]))
                 for w in workloads:
                     for s in order:
                         plain[s][w].append(run(s, w, seed, 0))

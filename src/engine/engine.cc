@@ -1692,15 +1692,21 @@ std::unordered_map<std::int64_t, double> Engine::all_link_mbps() const {
 }
 
 std::vector<int> Engine::slots_in_use() const {
+  std::vector<int> used(num_sites_, 0);
+  for (std::size_t s = 0; s < num_sites_; ++s) {
+    used[s] = slots_in_use(SiteId(static_cast<std::int64_t>(s)));
+  }
+  return used;
+}
+
+int Engine::slots_in_use(SiteId site) const {
   // Sources are adapters onto the external streams (Kafka-style readers at
   // the data's site) and do not occupy computing slots; every other task
   // takes one.
-  std::vector<int> used(num_sites_, 0);
+  const auto s = static_cast<std::size_t>(site.value());
+  int used = 0;
   for (std::size_t i = 0; i < num_stages_; ++i) {
-    if (stage_is_source_[i] != 0) continue;
-    for (std::size_t s = 0; s < num_sites_; ++s) {
-      used[s] += g_tasks_[gid(i, s)];
-    }
+    if (stage_is_source_[i] == 0) used += g_tasks_[gid(i, s)];
   }
   return used;
 }

@@ -257,6 +257,8 @@ class Engine {
 
   // Slots in use per site (for slot accounting by the scheduler view).
   [[nodiscard]] std::vector<int> slots_in_use() const;
+  // The same count at one site, without building the table.
+  [[nodiscard]] int slots_in_use(SiteId site) const;
 
   // Allocated stream bandwidth (Mbps) per directed link, keyed
   // from*num_sites+to, for channels adjacent to `op`'s stage. The adaptation

@@ -206,7 +206,13 @@ RunResult run_one(const SweepCell& cell, runtime::RunSettings settings,
     return result;
   }
   run->run_until(spec.duration_sec);
-  if (trace_sink != nullptr) trace_sink->flush();
+  if (trace_sink != nullptr) {
+    trace_sink->flush();
+    if (!trace_sink->ok()) {
+      result.error = "cannot write trace output '" + trace_path + "'";
+      return result;
+    }
+  }
 
   // ---- summarize ---------------------------------------------------------
   const auto& rec = run->system().recorder();

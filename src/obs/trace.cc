@@ -1,16 +1,56 @@
 #include "obs/trace.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 namespace wasp::obs {
 namespace {
 
-// True for a byte append_json_string copies as it is: printable ASCII other
-// than the quote and the backslash.
-bool plain_byte(unsigned char ch) {
-  return ch >= 0x20 && ch < 0x80 && ch != '"' && ch != '\\';
+constexpr std::uint64_t kOnes = 0x0101010101010101;
+constexpr std::uint64_t kHighBits = 0x8080808080808080;
+
+// The n <= 8 bytes at `p`, padded with plain bytes, as a word whose least
+// significant byte is p[0].
+std::uint64_t load_word(const char* p, std::size_t n) {
+  std::uint64_t word = kOnes * 'a';
+  std::memcpy(&word, p, n);
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+// The high bit of every byte of `word` that append_json_string cannot copy
+// as it is: < 0x20, '"', '\\' or >= 0x80. The subtractions borrow only out
+// of such a byte, so a false flag can sit above a real one but never below
+// it: the lowest flag marks the first byte that needs work.
+std::uint64_t escape_flags(std::uint64_t word) {
+  const std::uint64_t quote = word ^ (kOnes * '"');
+  const std::uint64_t backslash = word ^ (kOnes * '\\');
+  return (((word - kOnes * 0x20) & ~word) | ((quote - kOnes) & ~quote) |
+          ((backslash - kOnes) & ~backslash) | word) &
+         kHighBits;
+}
+
+// Length of the run of bytes at the start of `text` that append_json_string
+// copies as it is (printable ASCII other than the quote and the backslash),
+// found eight bytes at a time.
+std::size_t plain_run(std::string_view text) {
+  const char* p = text.data();
+  const std::size_t n = text.size();
+  for (std::size_t i = 0; i < n; i += 8) {
+    const std::size_t len = std::min<std::size_t>(8, n - i);
+    if (const std::uint64_t flags = escape_flags(load_word(p + i, len));
+        flags != 0) {
+      return i + static_cast<std::size_t>(std::countr_zero(flags)) / 8;
+    }
+  }
+  return n;
 }
 
 // Length of the valid UTF-8 sequence that starts at text[i] (a byte >= 0x80),
@@ -54,6 +94,179 @@ bool prints_as_integer(double value) {
          !(whole == 0 && std::signbit(value));
 }
 
+using u128 = unsigned __int128;
+
+constexpr std::uint64_t k1e11 = 100'000'000'000;
+constexpr std::uint64_t k1e12 = 1'000'000'000'000;
+
+// 10^0 .. 10^22; 10^22 < 2^74, so any 53-bit significand times one of them
+// stays below 2^127.
+constexpr std::array<u128, 23> kPow10 = [] {
+  std::array<u128, 23> pow{};
+  pow[0] = 1;
+  for (std::size_t i = 1; i < pow.size(); ++i) pow[i] = pow[i - 1] * 10;
+  return pow;
+}();
+
+// "00" "01" ... "99": the two digits of i at 2 * i.
+constexpr std::array<char, 200> kDigitPairs = [] {
+  std::array<char, 200> pairs{};
+  for (std::size_t i = 0; i < 100; ++i) {
+    pairs[2 * i] = static_cast<char>('0' + i / 10);
+    pairs[2 * i + 1] = static_cast<char>('0' + i % 10);
+  }
+  return pairs;
+}();
+
+// Room for any number write_json_number writes; the longest,
+// "-1.23456789012e-308", takes 19 bytes.
+constexpr std::size_t kNumberChars = 32;
+
+// Writes the %.12g bytes of a finite `value` that is not a whole number,
+// with 1e-11 <= |value| < 1e12, at `p`; returns the end. The value is
+// m * 2^-s with m its 53-bit significand and 13 <= s <= 89, and its 12
+// significant digits are N = round(m * 10^(11 - x) / 2^s) for its decimal
+// exponent x, found in exact integer arithmetic.
+char* write_g12(char* p, double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  if ((bits >> 63) != 0) *p++ = '-';
+  const int biased = static_cast<int>((bits >> 52) & 0x7FF);
+  const std::uint64_t m = (bits & ((std::uint64_t{1} << 52) - 1)) |
+                          (std::uint64_t{1} << 52);
+  const int s = 1075 - biased;
+  // 2^e <= |value| < 2^(e + 1) with e = biased - 1023, so
+  // floor((e + 1) * log10(2)) is x or x + 1 (1233 / 4096 gives the exact
+  // floor for every e here); |value| < 1e12 caps x at 11.
+  int x = std::min(((biased - 1022) * 1233) >> 12, 11);
+  const u128 q = u128{m} * kPow10[static_cast<std::size_t>(11 - x)];
+  const u128 low_mask = (u128{1} << s) - 1;
+  auto n = static_cast<std::uint64_t>(q >> s);
+  u128 rem = q & low_mask;
+  if (n < k1e11) {
+    // The estimate was one too high: take one more digit from the remainder.
+    rem *= 10;  // < 10 * 2^89
+    n = n * 10 + static_cast<std::uint64_t>(rem >> s);
+    rem &= low_mask;
+    --x;
+  }
+  // printf rounds an exact tie to even.
+  const u128 half = u128{1} << (s - 1);
+  if (rem > half || (rem == half && (n & 1) != 0)) ++n;
+  if (n == k1e12) {  // rounded up into the next decade
+    n = k1e11;
+    ++x;
+  }
+
+  char digits[12];
+  for (int i = 10; i >= 0; i -= 2) {
+    std::memcpy(digits + i, kDigitPairs.data() + 2 * (n % 100), 2);
+    n /= 100;
+  }
+  // %g drops trailing zeros after the point; digits[0] is never '0'.
+  int len = 12;
+  while (digits[len - 1] == '0') --len;
+  if (x < -4 || x >= 12) {
+    *p++ = digits[0];
+    if (len > 1) {
+      *p++ = '.';
+      std::memcpy(p, digits + 1, static_cast<std::size_t>(len - 1));
+      p += len - 1;
+    }
+    *p++ = 'e';
+    *p++ = x < 0 ? '-' : '+';
+    const int exp = x < 0 ? -x : x;  // at most 12: always two digits
+    std::memcpy(p, kDigitPairs.data() + 2 * exp, 2);
+    return p + 2;
+  }
+  if (x >= 0) {
+    std::memcpy(p, digits, static_cast<std::size_t>(x + 1));
+    p += x + 1;
+    if (len > x + 1) {
+      *p++ = '.';
+      std::memcpy(p, digits + x + 1, static_cast<std::size_t>(len - x - 1));
+      p += len - x - 1;
+    }
+    return p;
+  }
+  *p++ = '0';
+  *p++ = '.';
+  for (int zeros = -x - 1; zeros > 0; --zeros) *p++ = '0';
+  std::memcpy(p, digits, static_cast<std::size_t>(len));
+  return p + len;
+}
+
+// Writes append_json_number's bytes at `p`, which has kNumberChars of room;
+// returns the end.
+char* write_json_number(char* p, double value) {
+  if (!std::isfinite(value)) {
+    std::memcpy(p, "null", 4);
+    return p + 4;
+  }
+  // Most trace numbers are integers (seq, ids, sites, counts, whole-second
+  // timestamps), and the integer conversion is the cheapest. Everything
+  // else between 1e-11 and 1e12 takes the integer kernel; the rest (tiny,
+  // huge and subnormal values) takes to_chars, which with a precision is
+  // defined as printf with that precision.
+  if (prints_as_integer(value)) {
+    return std::to_chars(p, p + kNumberChars,
+                         static_cast<std::int64_t>(value))
+        .ptr;
+  }
+  const double magnitude = std::fabs(value);
+  if (magnitude >= 1e-11 && magnitude < 1e12) return write_g12(p, value);
+  return std::to_chars(p, p + kNumberChars, value,
+                       std::chars_format::general, 12)
+      .ptr;
+}
+
+// Longest key or string value a line writes from its stack buffer; a longer
+// one takes append_json_string.
+constexpr std::size_t kStackChars = 64;
+
+// Writes `"text"` at `p` when `text` is plain and at most kStackChars long;
+// returns the end, or null when append_json_string has to write it.
+char* write_plain_string(char* p, std::string_view text) {
+  if (text.size() > kStackChars || plain_run(text) != text.size()) {
+    return nullptr;
+  }
+  *p++ = '"';
+  std::memcpy(p, text.data(), text.size());
+  p += text.size();
+  *p++ = '"';
+  return p;
+}
+
+void append_num_field(std::string& out, std::string_view key, double value) {
+  char buf[kStackChars + 4 + kNumberChars];
+  buf[0] = ',';
+  if (char* p = write_plain_string(buf + 1, key); p != nullptr) {
+    *p++ = ':';
+    out.append(buf, write_json_number(p, value));
+    return;
+  }
+  out.push_back(',');
+  append_json_string(out, key);
+  out.push_back(':');
+  append_json_number(out, value);
+}
+
+void append_str_field(std::string& out, std::string_view key,
+                      std::string_view value) {
+  char buf[2 * kStackChars + 6];
+  buf[0] = ',';
+  if (char* p = write_plain_string(buf + 1, key); p != nullptr) {
+    *p++ = ':';
+    if (char* end = write_plain_string(p, value); end != nullptr) {
+      out.append(buf, end);
+      return;
+    }
+  }
+  out.push_back(',');
+  append_json_string(out, key);
+  out.push_back(':');
+  append_json_string(out, value);
+}
+
 }  // namespace
 
 // Repairing bad UTF-8 keeps every line valid JSON even when a free-text
@@ -65,13 +278,9 @@ void append_json_string(std::string& out, std::string_view text) {
   while (i < text.size()) {
     // Copy each run of plain bytes in one call; in practice the first run
     // is the whole text.
-    std::size_t run_end = i;
-    while (run_end < text.size() &&
-           plain_byte(static_cast<unsigned char>(text[run_end]))) {
-      ++run_end;
-    }
-    out.append(text.data() + i, run_end - i);
-    i = run_end;
+    const std::size_t run = plain_run(text.substr(i));
+    out.append(text.data() + i, run);
+    i += run;
     if (i == text.size()) break;
 
     const unsigned char ch = static_cast<unsigned char>(text[i]);
@@ -103,26 +312,8 @@ void append_json_string(std::string& out, std::string_view text) {
 }
 
 void append_json_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "null";
-    return;
-  }
-  // Most trace numbers are integers (seq, ids, sites, counts, whole-second
-  // timestamps), and the integer conversion is several times cheaper than
-  // the floating one. to_chars with a precision is defined as printf with
-  // that precision, so both branches print exactly the %.12g bytes.
-  char buf[32];
-  char* end = buf;
-  if (prints_as_integer(value)) {
-    end = std::to_chars(buf, buf + sizeof(buf),
-                        static_cast<std::int64_t>(value))
-              .ptr;
-  } else {
-    end = std::to_chars(buf, buf + sizeof(buf), value,
-                        std::chars_format::general, 12)
-              .ptr;
-  }
-  out.append(buf, end);
+  char buf[kNumberChars];
+  out.append(buf, write_json_number(buf, value));
 }
 
 double TraceEvent::num(std::string_view key, double fallback) const {
@@ -141,25 +332,28 @@ std::string_view TraceEvent::str(std::string_view key,
 }
 
 void append_json_line(std::string& out, const TraceEvent& event) {
-  out += "{\"schema\":";
-  append_json_number(out, kTraceSchemaVersion);
-  out += ",\"seq\":";
-  append_json_number(out, static_cast<double>(event.seq));
-  out += ",\"t\":";
-  append_json_number(out, event.t);
-  out += ",\"type\":";
-  append_json_string(out, event.type);
+  static_assert(kTraceSchemaVersion == 2, "the header below spells it");
+  static constexpr std::string_view kHeader = R"({"schema":2,"seq":)";
+  static constexpr std::string_view kT = R"(,"t":)";
+  static constexpr std::string_view kType = R"(,"type":)";
+  char buf[kHeader.size() + kT.size() + kType.size() + 2 * kNumberChars +
+           kStackChars + 2];
+  char* p = std::copy(kHeader.begin(), kHeader.end(), buf);
+  p = write_json_number(p, static_cast<double>(event.seq));
+  p = std::copy(kT.begin(), kT.end(), p);
+  p = write_json_number(p, event.t);
+  p = std::copy(kType.begin(), kType.end(), p);
+  if (char* end = write_plain_string(p, event.type); end != nullptr) {
+    out.append(buf, end);
+  } else {
+    out.append(buf, p);
+    append_json_string(out, event.type);
+  }
   for (const auto& [key, value] : event.strs) {
-    out.push_back(',');
-    append_json_string(out, key);
-    out.push_back(':');
-    append_json_string(out, value);
+    append_str_field(out, key, value);
   }
   for (const auto& [key, value] : event.nums) {
-    out.push_back(',');
-    append_json_string(out, key);
-    out.push_back(':');
-    append_json_number(out, value);
+    append_num_field(out, key, value);
   }
   out.push_back('}');
 }
@@ -218,18 +412,6 @@ TraceEmitter::Event::Event(TraceEmitter* emitter, double t,
 
 TraceEmitter::Event::~Event() {
   if (emitter_ != nullptr) emitter_->commit(event_);
-}
-
-TraceEmitter::Event& TraceEmitter::Event::num(std::string_view key,
-                                              double value) {
-  if (emitter_ != nullptr) event_.nums.emplace_back(key, value);
-  return *this;
-}
-
-TraceEmitter::Event& TraceEmitter::Event::str(std::string_view key,
-                                              std::string_view value) {
-  if (emitter_ != nullptr) event_.strs.emplace_back(key, value);
-  return *this;
 }
 
 std::uint64_t TraceEmitter::begin_span(std::string_view name,

@@ -127,8 +127,10 @@ class MemorySink final : public TraceSink {
   std::uint64_t dropped_ = 0;
 };
 
-// JSONL file sink. Check ok() after construction; a sink that failed to open
-// swallows writes.
+// JSONL file sink. ok() turns false when the file fails to open or a write
+// or flush fails, and a sink that is not ok swallows further writes. Check
+// it after construction and again after the final flush(): writes are
+// buffered, so a full disk may show only when they are flushed.
 //
 // Thread safety: write() and flush() serialize on an internal mutex, and a
 // line is fully serialized (into a buffer each thread reuses) before the lock
@@ -181,8 +183,14 @@ class TraceEmitter {
     Event& operator=(Event&&) = delete;
     ~Event();
 
-    Event& num(std::string_view key, double value);
-    Event& str(std::string_view key, std::string_view value);
+    Event& num(std::string_view key, double value) {
+      if (emitter_ != nullptr) event_.nums.emplace_back(key, value);
+      return *this;
+    }
+    Event& str(std::string_view key, std::string_view value) {
+      if (emitter_ != nullptr) event_.strs.emplace_back(key, value);
+      return *this;
+    }
     Event& flag(std::string_view key, bool value) {
       return str(key, value ? "true" : "false");
     }

@@ -67,9 +67,7 @@ class WaspSystem::MonitorView final : public physical::NetworkView {
     // are never read here).
     if (!system_.detector_.trusted(site)) return 0;
     int used = 0;
-    if (system_.engine_ != nullptr) {
-      used = system_.engine_->slots_in_use()[s];
-    }
+    if (system_.engine_ != nullptr) used = system_.engine_->slots_in_use(site);
     if (system_.config_.peer_slot_usage) {
       const auto peers = system_.config_.peer_slot_usage();
       if (s < peers.size()) used += peers[s];

@@ -634,6 +634,30 @@ TEST(EngineTest, SlotsInUseTracksPlacements) {
   EXPECT_EQ(used[1], 2);
 }
 
+TEST(EngineTest, OneSitesSlotCountMatchesTheTable) {
+  Fixture f;
+  const auto expect_every_site_matches = [&f](const char* when) {
+    const std::vector<int> table = f.engine->slots_in_use();
+    ASSERT_EQ(table.size(), 3u) << when;
+    for (std::size_t s = 0; s < table.size(); ++s) {
+      EXPECT_EQ(f.engine->slots_in_use(SiteId(static_cast<std::int64_t>(s))),
+                table[s])
+          << when << ", site " << s;
+    }
+  };
+  f.engine->apply_placement(f.map_id, StagePlacement{.per_site = {1, 2, 1}});
+  expect_every_site_matches("after a placement");
+  EXPECT_EQ(f.engine->slots_in_use(SiteId(1)), 2);
+
+  PhysicalPlan replanned;
+  replanned.add_stage(f.src_id, StagePlacement{.per_site = {1, 0, 0}});
+  replanned.add_stage(f.map_id, StagePlacement{.per_site = {0, 1, 3}});
+  replanned.add_stage(f.sink_id, StagePlacement{.per_site = {0, 0, 1}});
+  f.engine->apply_replan(f.plan, std::move(replanned));
+  expect_every_site_matches("after a re-plan");
+  EXPECT_EQ(f.engine->slots_in_use(SiteId(2)), 4);
+}
+
 TEST(EngineTest, SourceGenerationReflectsActualWorkloadUnderBackpressure) {
   Fixture f(/*bandwidth=*/5.0);  // heavily constrained
   f.run(0.0, 60.0, 10'000.0);

@@ -232,6 +232,36 @@ TEST(TraceJsonTest, Rfc8259EscapingCoversControlCharsAndBadUtf8) {
   EXPECT_NE(line.find("\"surrogate\":\"\xEF\xBF\xBD\xEF\xBF\xBD\xEF\xBF\xBD\""),
             std::string::npos)
       << line;
+
+  // Each byte that needs work, at every offset 0-16 of a 21-byte key (and
+  // of the string value beside it): every position in the plain-run scan's
+  // first two 8-byte blocks and the first byte of the third.
+  struct Special {
+    std::string raw;
+    std::string escaped;
+  };
+  const std::vector<Special> specials = {
+      {"\"", "\\\""},
+      {"\\", "\\\\"},
+      {"\x01", "\\u0001"},
+      {"\xC3\xA9", "\xC3\xA9"},  // a UTF-8 lead byte that starts é
+      {"\xC3", "\xEF\xBF\xBD"}};  // the same lead byte alone
+  for (const Special& special : specials) {
+    for (std::size_t offset = 0; offset <= 16; ++offset) {
+      const std::string head(offset, 'k');
+      const std::string tail(20 - offset, 'v');
+      const std::string key = head + special.raw + tail;
+      const std::string want = head + special.escaped + tail;
+      TraceEvent keyed;
+      keyed.type = "x";
+      keyed.strs.emplace_back(key, key);
+      keyed.nums.emplace_back(key, 1.0);
+      EXPECT_EQ(to_json_line(keyed),
+                R"({"schema":2,"seq":0,"t":0,"type":"x",")" + want +
+                    R"(":")" + want + R"(",")" + want + R"(":1})")
+          << "offset " << offset;
+    }
+  }
 }
 
 TEST(TraceJsonTest, NonFiniteNumbersSerializeAsNull) {
@@ -278,6 +308,77 @@ std::vector<double> number_edge_cases() {
   return cases;
 }
 
+// The cases the exact integer kernel (finite non-integers with 1e-11 <=
+// |v| < 1e12) could get wrong, each with its negation:
+//   - exact ties at the 12th digit, which printf rounds to even: n + 0.5
+//     for 12-digit n, the same values scaled by 2^-k, and j * 2^(x-12)
+//     for odd j in decade x (the form every tie below 1e11 takes);
+//   - +-3 ulps around a 12-digit rounding boundary at every decimal
+//     exponent from -11 to 11;
+//   - values that round up into the next decade (9.999999999995e x);
+//   - both range edges, 1e-11 and 1e12, with three neighbours each way.
+std::vector<double> kernel_hard_cases() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> cases;
+  const auto with_ulps = [&cases](double v) {
+    double below = v, above = v;
+    cases.push_back(v);
+    for (int k = 0; k < 3; ++k) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, kInf);
+      cases.push_back(below);
+      cases.push_back(above);
+    }
+  };
+  const auto decimal = [](const std::string& text) {
+    return std::strtod(text.c_str(), nullptr);  // correctly rounded
+  };
+  std::mt19937_64 rng(0x71E5);
+  std::vector<std::uint64_t> twelve_digit = {100'000'000'000,
+                                             100'000'000'001,
+                                             999'999'999'998,
+                                             999'999'999'999};
+  for (int i = 0; i < 60; ++i) {
+    twelve_digit.push_back(100'000'000'000 + rng() % 900'000'000'000);
+  }
+  for (std::uint64_t n : twelve_digit) {
+    const double tie = static_cast<double>(n) + 0.5;  // exact below 2^52
+    for (int k = 0; k <= 80; ++k) cases.push_back(std::ldexp(tie, -k));
+  }
+  for (int x = -6; x <= 10; ++x) {
+    // Odd j with j * 2^(x-12) in [10^x, 10^(x+1)): the first, the last
+    // and some between.
+    const double lo = std::ceil(std::ldexp(decimal("1e" + std::to_string(x)),
+                                           12 - x));
+    const double hi = std::floor(
+        std::ldexp(decimal("1e" + std::to_string(x + 1)), 12 - x));
+    const auto first = static_cast<std::uint64_t>(lo) | 1;
+    const auto last = (static_cast<std::uint64_t>(hi) - 1) | 1;
+    std::vector<std::uint64_t> odd = {first, last};
+    for (int i = 0; i < 20 && last > first; ++i) {
+      odd.push_back((first + rng() % (last - first)) | 1);
+    }
+    for (std::uint64_t j : odd) {
+      cases.push_back(std::ldexp(static_cast<double>(j), x - 12));
+    }
+  }
+  for (int x = -11; x <= 11; ++x) {
+    for (int i = 0; i < 8; ++i) {
+      // Halfway between the 12-digit neighbours n and n + 1 at exponent x.
+      const std::uint64_t n =
+          i == 0 ? 999'999'999'999 : 100'000'000'000 + rng() % 900'000'000'000;
+      with_ulps(decimal(std::to_string(n) + "5e" + std::to_string(x - 12)));
+    }
+    with_ulps(decimal("9.999999999995e" + std::to_string(x)));
+    with_ulps(decimal("9.9999999999999e" + std::to_string(x)));
+  }
+  with_ulps(1e-11);
+  with_ulps(1e12);
+  const std::size_t n = cases.size();
+  for (std::size_t i = 0; i < n; ++i) cases.push_back(-cases[i]);
+  return cases;
+}
+
 // Seeded doubles: raw bit patterns over the whole exponent range (NaNs,
 // infinities and subnormals included), integers of every magnitude up to
 // 2^63 of both signs, short decimals like the trace's rates and seconds,
@@ -318,6 +419,8 @@ std::vector<double> seeded_doubles(std::size_t count) {
 
 TEST(TraceJsonTest, NumbersAreThePrintfPrecision12Bytes) {
   std::vector<double> values = number_edge_cases();
+  const std::vector<double> hard = kernel_hard_cases();
+  values.insert(values.end(), hard.begin(), hard.end());
   const std::vector<double> seeded = seeded_doubles(1'000'000);
   values.insert(values.end(), seeded.begin(), seeded.end());
 
@@ -405,6 +508,18 @@ TEST(FileSinkTest, FourThreadsSharingOneSinkWriteWholeLinesInSeqOrder) {
   EXPECT_EQ(lines, kThreads * kEvents);
   for (int w = 0; w < kThreads; ++w) EXPECT_EQ(next_seq[w], kEvents);
   std::remove(path.c_str());
+}
+
+TEST(FileSinkTest, AFullDiskShowsAtTheFlush) {
+  // /dev/full opens like any file but fails every write with ENOSPC; the
+  // sink buffers the line, so only the flush finds out.
+  FileSink sink("/dev/full");
+  ASSERT_TRUE(sink.ok());
+  TraceEvent event;
+  event.type = "tick";
+  sink.write(event);
+  sink.flush();
+  EXPECT_FALSE(sink.ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Offline tests of scripts/perfbench_pair.py's verdict and results file:
-canned run.py results go through `compare`, `layer_checks`, `record` and
-`write_results`; nothing is built or run.
+"""Offline tests of scripts/perfbench_pair.py's verdict, its win counts,
+its command line and its results file: canned run.py results go through
+`compare`, `layer_checks`, `record` and `write_results`; nothing is built or
+run.
 
     python3 tests/perfbench_pair_test.py
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import tempfile
 import unittest
@@ -77,6 +80,36 @@ class CompareTest(unittest.TestCase):
     def test_higher_failed_share_fails(self):
         self.assertTrue(failures(runs(failed=1), runs(failed=2)))
         self.assertEqual(failures(runs(failed=2), runs(failed=1)), [])
+
+    def test_head_wins_count_each_pair_and_ties_for_neither(self):
+        base = {"w": [result(tick_us=100.0, ticks_per_s=1000.0)
+                      for _ in range(4)]}
+        head = {"w": [result(tick_us=90.0, ticks_per_s=1100.0),
+                      result(tick_us=100.0, ticks_per_s=1000.0),
+                      result(tick_us=110.0, ticks_per_s=900.0),
+                      result(tick_us=80.0, ticks_per_s=1000.0)]}
+        verdict = pair.compare(CONTRACT, base, head)
+        rows = {r["metric"]: r for r in verdict["rows"]}
+        self.assertEqual(rows["tick_us_p50"]["wins"], 2)  # lower is better
+        self.assertEqual(rows["ticks_per_s"]["wins"], 1)  # higher is better
+        self.assertEqual(rows["sim_delay_p99_s"]["wins"], 0)  # all ties
+        for row in rows.values():
+            self.assertEqual(row["pairs"], 4)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            pair.report(verdict, [], [7919, 7920, 7921, 7922])
+        lines = printed.getvalue().splitlines()
+        self.assertIn("head wins", lines[0])
+        self.assertIn(" 2 of 4 ", next(l for l in lines
+                                       if "tick_us_p50" in l))
+
+    def test_win_count_does_not_change_the_verdict(self):
+        # A head that loses every pair by less than the bound still passes.
+        head = runs(ticks_per_s=990.0)
+        verdict = pair.compare(CONTRACT, runs(), head)
+        self.assertEqual(verdict["failures"], [])
+        rows = {r["metric"]: r for r in verdict["rows"]}
+        self.assertEqual(rows["ticks_per_s"]["wins"], 0)
 
     def test_sim_change_is_reported_with_both_values(self):
         head = runs()
@@ -151,6 +184,25 @@ class LayerChecksTest(unittest.TestCase):
         low = layers(uniform=layer(placement_us=400.0, t4=0.45))
         self.assertEqual(failed_checks(base, ok), [])
         self.assertTrue(failed_checks(base, low))
+
+
+class CommandLineTest(unittest.TestCase):
+    def test_pairs_default_to_five(self):
+        args = pair.parse_args(["--base", "b", "--head", "h"])
+        self.assertEqual(args.pairs, 5)
+        self.assertEqual(args.pairs, pair.PAIRS)
+
+    def test_pairs_flag_sets_the_count(self):
+        args = pair.parse_args(["--base", "b", "--head", "h", "--pairs",
+                                "10"])
+        self.assertEqual(args.pairs, 10)
+
+    def test_pairs_below_one_or_not_a_number_exit(self):
+        for bad in ("0", "-3", "ten"):
+            with self.assertRaises(SystemExit):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    pair.parse_args(["--base", "b", "--head", "h",
+                                     "--pairs", bad])
 
 
 class ResultsFileTest(unittest.TestCase):
