@@ -33,6 +33,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -51,6 +52,15 @@ struct BenchOptions {
   std::string trace_out;
   std::string metrics_out;  // empty unless --metrics was given
   int jobs = 1;             // worker threads for the driver's independent runs
+
+  // The per-label files sink_for() opened at --jobs>1, which flush() checks.
+  // sink_for runs on the fan-out's worker threads; shared so the options
+  // stay copyable.
+  struct LabelSinks {
+    std::mutex mu;
+    std::vector<std::pair<std::string, std::shared_ptr<obs::FileSink>>> opened;
+  };
+  std::shared_ptr<LabelSinks> label_sinks = std::make_shared<LabelSinks>();
 
   // Parses argv; exits 2 on an unknown flag or a bad value, 1 on an
   // unopenable file.
@@ -156,6 +166,8 @@ struct BenchOptions {
       std::cerr << "cannot open trace output '" << path << "'\n";
       std::exit(1);
     }
+    const std::lock_guard<std::mutex> lock(label_sinks->mu);
+    label_sinks->opened.emplace_back(path, private_sink);
     return private_sink;
   }
 
@@ -169,7 +181,8 @@ struct BenchOptions {
   // Appends one flat JSON object {"run":"<label>", "<metric>":value, ...}
   // to the --metrics file; a no-op when the flag is absent. Parallel drivers
   // collect snapshots during the fan-out and call this after the fan-in, in
-  // run-declaration order, so the file is identical for any --jobs.
+  // run-declaration order, so the file is identical for any --jobs. Exits 1
+  // when the line could not be written.
   void write_metrics(
       std::string_view label,
       const std::vector<std::pair<std::string, double>>& snapshot) const {
@@ -180,6 +193,11 @@ struct BenchOptions {
       out << ",\"" << name << "\":" << value;
     }
     out << "}\n";
+    out.close();
+    if (!out) {
+      std::cerr << "cannot write metrics output '" << metrics_out << "'\n";
+      std::exit(1);
+    }
   }
 
   void write_metrics(std::string_view label,
@@ -187,14 +205,22 @@ struct BenchOptions {
     write_metrics(label, registry.snapshot());
   }
 
-  // Flushes the shared --trace-out sink; exits 1 when the trace could not
-  // be written.
+  // Flushes the shared --trace-out sink, or at --jobs>1 every per-label
+  // file; exits 1 when a trace could not be written.
   void flush() const {
-    if (sink == nullptr) return;
-    sink->flush();
-    if (!sink->ok()) {
-      std::cerr << "cannot write trace output '" << trace_out << "'\n";
-      std::exit(1);
+    std::vector<std::pair<std::string, std::shared_ptr<obs::FileSink>>> sinks;
+    if (sink != nullptr) sinks.emplace_back(trace_out, sink);
+    {
+      const std::lock_guard<std::mutex> lock(label_sinks->mu);
+      sinks.insert(sinks.end(), label_sinks->opened.begin(),
+                   label_sinks->opened.end());
+    }
+    for (const auto& [path, s] : sinks) {
+      s->flush();
+      if (!s->ok()) {
+        std::cerr << "cannot write trace output '" << path << "'\n";
+        std::exit(1);
+      }
     }
   }
 };

@@ -128,7 +128,7 @@ class TopologyView final : public physical::NetworkView {
 struct FigScaleSuite {
   struct Case {
     workload::QuerySpec spec;
-    std::unordered_map<OperatorId, query::OperatorRates> rates;
+    query::OperatorTable<query::OperatorRates> rates;
     double eps_per_source = 0.0;
   };
 
@@ -139,7 +139,7 @@ struct FigScaleSuite {
     const auto& [east, west, edges, dcs, sink] = roles;
     const std::vector<SiteId> four(edges.begin(), edges.begin() + 4);
     auto add = [&](workload::QuerySpec spec, double eps) {
-      std::unordered_map<OperatorId, double> src;
+      query::OperatorTable<double> src(spec.plan.num_operators());
       for (OperatorId s : spec.sources) src[s] = eps;
       Case c{std::move(spec), {}, eps};
       c.rates = c.spec.plan.estimate_rates(src);
@@ -159,19 +159,16 @@ struct FigScaleSuite {
                    const physical::NetworkView& view) const {
     double total = 0.0;
     for (const Case& c : cases) {
-      std::unordered_map<OperatorId, int> parallelism;
-      for (std::size_t id = 0; id < c.spec.plan.num_operators(); ++id) {
-        parallelism[OperatorId(static_cast<std::int64_t>(id))] = 1;
-      }
+      const std::size_t num_ops = c.spec.plan.num_operators();
       for (int p = 1; p <= 3; ++p) {
-        for (auto& [op, par] : parallelism) par = p;
+        const query::OperatorTable<int> uniform(num_ops, p);
         const auto placed = physical::place_plan(c.spec.plan, c.rates,
-                                                 parallelism, view, scheduler,
+                                                 uniform, view, scheduler,
                                                  /*max_parallelism_fallback=*/4);
         if (placed.has_value()) total += placed->objective;
       }
-      for (auto& [op, par] : parallelism) par = 1;
-      for (std::size_t id = 0; id < c.spec.plan.num_operators(); ++id) {
+      query::OperatorTable<int> parallelism(num_ops, 1);
+      for (std::size_t id = 0; id < num_ops; ++id) {
         const OperatorId op(static_cast<std::int64_t>(id));
         if (!c.spec.plan.op(op).pinned_sites.empty()) continue;
         parallelism[op] = 2;  // scale-out candidate: bump one operator
@@ -184,13 +181,10 @@ struct FigScaleSuite {
       // Re-plan pricing (try_replan): every planner-enumerated candidate
       // plan is placed against the same view.
       for (const query::LogicalPlan& cand : planner.enumerate(c.spec.plan)) {
-        std::unordered_map<OperatorId, double> src;
+        query::OperatorTable<double> src(cand.num_operators());
         for (OperatorId s : cand.sources()) src[s] = c.eps_per_source;
         const auto cand_rates = cand.estimate_rates(src);
-        std::unordered_map<OperatorId, int> cand_par;
-        for (std::size_t id = 0; id < cand.num_operators(); ++id) {
-          cand_par[OperatorId(static_cast<std::int64_t>(id))] = 1;
-        }
+        const query::OperatorTable<int> cand_par(cand.num_operators(), 1);
         const auto placed = physical::place_plan(cand, cand_rates, cand_par,
                                                  view, scheduler,
                                                  /*max_parallelism_fallback=*/4);

@@ -158,6 +158,12 @@ int main(int argc, char** argv) {
               << (i + 1 < snap.size() ? ",\n" : "\n");
     }
     metrics << "}\n";
+    metrics.close();
+    if (!metrics) {
+      std::cerr << "cannot write metrics output '" << opts.metrics_out
+                << "'\n";
+      return 1;
+    }
   }
 
   // --- report ---------------------------------------------------------------------

@@ -73,29 +73,28 @@ double GlobalMetricMonitor::actual_source_eps(OperatorId source) const {
   return source_eps_sum_[i] / static_cast<double>(ticks_);
 }
 
-std::unordered_map<OperatorId, query::OperatorRates>
+query::OperatorTable<query::OperatorRates>
 GlobalMetricMonitor::estimate_actual_rates(
     const query::LogicalPlan& plan) const {
   // §3.3: λ̂_P = λ̂_I = Σ_u λ̂_O[u] (or λ_O[src] at sources); λ̂_O = σ · λ̂_I.
   // σ is the measured selectivity where the operator has processed anything
   // this window, else the configured one.
-  std::unordered_map<OperatorId, query::OperatorRates> rates;
+  query::OperatorTable<query::OperatorRates> rates(plan.num_operators());
   for (OperatorId id : plan.topological_order()) {
     const query::LogicalOperator& op = plan.op(id);
-    query::OperatorRates r;
+    query::OperatorRates& r = rates[id];
     if (op.is_source()) {
       r.input_eps = actual_source_eps(id);
       r.output_eps = r.input_eps;  // sources pass events through
     } else {
       for (OperatorId u : plan.upstream(id)) {
-        r.input_eps += rates.at(u).output_eps;
+        r.input_eps += rates[u].output_eps;
       }
       const OperatorWindowStats s = stats(id);
       const double sigma =
           s.lambda_p > 1.0 ? s.selectivity : op.selectivity;
       r.output_eps = sigma * r.input_eps;
     }
-    rates.emplace(id, r);
   }
   return rates;
 }

@@ -10,7 +10,6 @@
 //     the observed rates.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -53,7 +52,7 @@ class GlobalMetricMonitor {
   // §3.3 recursion: expected input/output rates per operator, computed from
   // the actual source workload and *measured* selectivities (falling back
   // to the configured selectivity for operators with no throughput yet).
-  [[nodiscard]] std::unordered_map<OperatorId, query::OperatorRates>
+  [[nodiscard]] query::OperatorTable<query::OperatorRates>
   estimate_actual_rates(const query::LogicalPlan& plan) const;
 
  private:

@@ -14,65 +14,11 @@
 namespace wasp::adapt {
 namespace {
 
-// NetworkView decorator adding back slots the reconfiguration will release
-// (the old execution's own tasks).
-class ReleasedSlotsView final : public physical::NetworkView {
- public:
-  ReleasedSlotsView(const physical::NetworkView& base,
-                    std::vector<int> released)
-      : base_(base), released_(std::move(released)) {}
-
-  [[nodiscard]] std::size_t num_sites() const override {
-    return base_.num_sites();
-  }
-  [[nodiscard]] double available_mbps(SiteId from, SiteId to) const override {
-    return base_.available_mbps(from, to);
-  }
-  [[nodiscard]] double latency_ms(SiteId from, SiteId to) const override {
-    return base_.latency_ms(from, to);
-  }
-  [[nodiscard]] int available_slots(SiteId site) const override {
-    const auto s = static_cast<std::size_t>(site.value());
-    return base_.available_slots(site) +
-           (s < released_.size() ? released_[s] : 0);
-  }
-
- private:
-  const physical::NetworkView& base_;
-  std::vector<int> released_;
-};
-
-// NetworkView decorator adding a stage's (or the whole query's) own stream
-// traffic back onto the monitor's availability estimates: that traffic moves
-// with the stage being re-placed, so the links it occupies are effectively
-// free for the new placement.
-class BandwidthAddbackView final : public physical::NetworkView {
- public:
-  BandwidthAddbackView(const physical::NetworkView& base,
-                       std::unordered_map<std::int64_t, double> addback)
-      : base_(base), addback_(std::move(addback)) {}
-
-  [[nodiscard]] std::size_t num_sites() const override {
-    return base_.num_sites();
-  }
-  [[nodiscard]] double available_mbps(SiteId from, SiteId to) const override {
-    const auto it = addback_.find(
-        from.value() * static_cast<std::int64_t>(base_.num_sites()) +
-        to.value());
-    return base_.available_mbps(from, to) +
-           (it != addback_.end() ? it->second : 0.0);
-  }
-  [[nodiscard]] double latency_ms(SiteId from, SiteId to) const override {
-    return base_.latency_ms(from, to);
-  }
-  [[nodiscard]] int available_slots(SiteId site) const override {
-    return base_.available_slots(site);
-  }
-
- private:
-  const physical::NetworkView& base_;
-  std::unordered_map<std::int64_t, double> addback_;
-};
+// A stage is not scaled down within this long of its last scale-up/out or
+// re-assignment (prevents grow-trim oscillation around a dynamic), nor while
+// the source backlog exceeds ~this many seconds of workload.
+constexpr double kScaleDownCooldownSec = 180.0;
+constexpr double kScaleDownMaxBacklogSec = 5.0;
 
 bool query_is_stateless(const query::LogicalPlan& plan) {
   return std::none_of(
@@ -95,10 +41,11 @@ void AdaptationPolicy::set_profiler(obs::Profiler* profiler) {
 
 void AdaptationPolicy::on_replan_applied(const query::LogicalPlan& old_plan,
                                          const query::LogicalPlan& new_plan) {
-  std::unordered_map<OperatorId, double> remapped;
+  last_grown_.resize(old_plan.num_operators());
+  query::OperatorTable<std::optional<double>> remapped(
+      new_plan.num_operators());
   for (const auto& [old_op, new_op] : new_plan.matching_operators(old_plan)) {
-    const auto it = last_grown_.find(old_op);
-    if (it != last_grown_.end()) remapped[new_op] = it->second;
+    remapped[new_op] = last_grown_[old_op];
   }
   last_grown_ = std::move(remapped);
 }
@@ -123,7 +70,7 @@ const char* to_string(ActionKind kind) {
 
 double estimate_plan_cost(
     const query::LogicalPlan& logical, const physical::PhysicalPlan& physical,
-    const std::unordered_map<OperatorId, query::OperatorRates>& rates,
+    const query::OperatorTable<query::OperatorRates>& rates,
     const physical::NetworkView& view, double alpha) {
   // Traffic-weighted latency across all edges plus a steep penalty for every
   // link whose demand exceeds α of the estimated availability; overloaded
@@ -142,8 +89,7 @@ double estimate_plan_cost(
     const physical::Stage& up = physical.stage_for(op.id);
     const int p_up = up.parallelism();
     if (p_up == 0) continue;
-    const auto rit = rates.find(op.id);
-    const double out_eps = rit != rates.end() ? rit->second.output_eps : 0.0;
+    const double out_eps = rates[op.id].output_eps;
     for (OperatorId d : logical.downstream(op.id)) {
       if (!physical.has_stage_for(d)) continue;
       const physical::Stage& down = physical.stage_for(d);
@@ -200,7 +146,7 @@ std::vector<AdaptationPolicy::OpDiagnosis> AdaptationPolicy::diagnose_all(
   // drain-target horizon.
   double total_source_eps = 0.0;
   for (OperatorId src : logical.sources()) {
-    total_source_eps += rates.at(src).output_eps;
+    total_source_eps += rates[src].output_eps;
   }
   const double backlog_factor =
       total_source_eps > 0.0
@@ -210,13 +156,13 @@ std::vector<AdaptationPolicy::OpDiagnosis> AdaptationPolicy::diagnose_all(
   for (const auto& op : logical.operators()) {
     if (op.is_source()) continue;
     const OperatorWindowStats stats = monitor.stats(op.id);
-    double expected_input = rates.at(op.id).input_eps * backlog_factor;
+    double expected_input = rates[op.id].input_eps * backlog_factor;
     // Plus the operator's own parked queues, cleared on the same horizon.
     expected_input += stats.input_queue_events / drain;
     expected_input += stats.channel_backlog_events / drain;
     double upstream_output = 0.0;
     for (OperatorId u : logical.upstream(op.id)) {
-      upstream_output += rates.at(u).output_eps;
+      upstream_output += rates[u].output_eps;
     }
     const double capacity = static_cast<double>(stats.parallelism) *
                             op.events_per_sec_per_slot;
@@ -234,44 +180,6 @@ std::vector<AdaptationPolicy::OpDiagnosis> AdaptationPolicy::diagnose_all(
   return out;
 }
 
-namespace {
-
-// View decorator threading slot consumption between successive per-operator
-// decisions in one round.
-class AdjustedSlotsView final : public physical::NetworkView {
- public:
-  explicit AdjustedSlotsView(const physical::NetworkView& base)
-      : base_(base), delta_(base.num_sites(), 0) {}
-
-  [[nodiscard]] std::size_t num_sites() const override {
-    return base_.num_sites();
-  }
-  [[nodiscard]] double available_mbps(SiteId from, SiteId to) const override {
-    return base_.available_mbps(from, to);
-  }
-  [[nodiscard]] double latency_ms(SiteId from, SiteId to) const override {
-    return base_.latency_ms(from, to);
-  }
-  [[nodiscard]] int available_slots(SiteId site) const override {
-    return base_.available_slots(site) +
-           delta_[static_cast<std::size_t>(site.value())];
-  }
-
-  // Accounts for an action that moves `op` from `from` to `to`.
-  void consume(const physical::StagePlacement& from,
-               const physical::StagePlacement& to) {
-    for (std::size_t s = 0; s < to.per_site.size(); ++s) {
-      delta_[s] += from.per_site[s] - to.per_site[s];
-    }
-  }
-
- private:
-  const physical::NetworkView& base_;
-  std::vector<int> delta_;
-};
-
-}  // namespace
-
 AdaptationAction AdaptationPolicy::decide(const engine::Engine& engine,
                                           const GlobalMetricMonitor& monitor,
                                           const physical::NetworkView& view) {
@@ -285,6 +193,7 @@ std::vector<AdaptationAction> AdaptationPolicy::decide_all(
     const physical::NetworkView& view, std::size_t max_actions) {
   std::vector<AdaptationAction> actions;
   if (!monitor.has_data() || max_actions == 0) return actions;
+  last_grown_.resize(engine.logical().num_operators());
 
   std::vector<OpDiagnosis> diags;
   {
@@ -343,7 +252,8 @@ std::vector<AdaptationAction> AdaptationPolicy::decide_all(
     }
   }
 
-  AdjustedSlotsView working_view(view);
+  // Threads slot consumption between successive per-operator decisions.
+  physical::AdjustedView working_view(view);
   auto run_handlers = [&](const std::vector<const OpDiagnosis*>& list) {
     for (const OpDiagnosis* d : list) {
       if (actions.size() >= max_actions) break;
@@ -374,7 +284,8 @@ std::vector<AdaptationAction> AdaptationPolicy::decide_all(
         if (actions.empty()) actions.push_back(std::move(action));
         break;
       }
-      working_view.consume(engine.placement(action.op), action.new_placement);
+      working_view.release_slots(engine.placement(action.op));
+      working_view.claim_slots(action.new_placement);
       last_grown_[action.op] = now_;
       actions.push_back(std::move(action));
     }
@@ -442,13 +353,12 @@ std::vector<AdaptationAction> AdaptationPolicy::decide_all(
   if (actions.empty() && waste != nullptr) {
     // Gradual scale-down (§4.2), suppressed right after growing the same
     // stage and while queued events still need the extra capacity.
-    const auto grown_it = last_grown_.find(waste->op);
+    const std::optional<double> grown = last_grown_[waste->op];
     const bool cooling =
-        grown_it != last_grown_.end() &&
-        now_ - grown_it->second < config_.scale_down_cooldown_sec;
+        grown.has_value() && now_ - *grown < kScaleDownCooldownSec;
     const bool backlogged =
         engine.source_backlog_events() >
-        config_.scale_down_max_backlog_sec * std::max(source_eps, 1.0);
+        kScaleDownMaxBacklogSec * std::max(source_eps, 1.0);
     if (!cooling && !backlogged) {
       AdaptationAction action;
       {
@@ -482,7 +392,7 @@ std::vector<AdaptationAction> AdaptationPolicy::decide_all(
 
 physical::StageContext AdaptationPolicy::stage_context(
     const engine::Engine& engine,
-    const std::unordered_map<OperatorId, query::OperatorRates>& rates,
+    const query::OperatorTable<query::OperatorRates>& rates,
     OperatorId op) const {
   const query::LogicalPlan& logical = engine.logical();
   physical::StageContext ctx;
@@ -492,7 +402,7 @@ physical::StageContext AdaptationPolicy::stage_context(
     const physical::StagePlacement& pl = engine.placement(u);
     const int p = pl.parallelism();
     if (p == 0) continue;
-    const double out_eps = rates.at(u).output_eps;
+    const double out_eps = rates[u].output_eps;
     for (SiteId s : pl.sites()) {
       ctx.upstream.push_back(physical::TrafficEndpoint{
           s, out_eps * pl.at(s) / p, up.output_event_bytes});
@@ -503,7 +413,7 @@ physical::StageContext AdaptationPolicy::stage_context(
     const physical::StagePlacement& pl = engine.placement(d);
     const int p = pl.parallelism();
     if (p == 0) continue;
-    const double out_eps = rates.at(op).output_eps;
+    const double out_eps = rates[op].output_eps;
     for (SiteId s : pl.sites()) {
       ctx.downstream.push_back(physical::TrafficEndpoint{
           s, out_eps * pl.at(s) / p, me.output_event_bytes});
@@ -561,8 +471,9 @@ AdaptationAction AdaptationPolicy::handle_compute_bottleneck(
                : none;
   }
 
-  const BandwidthAddbackView self_view(view,
-                                       engine.adjacent_link_mbps(diag.op));
+  // The stage's own traffic moves with it: its links count as free.
+  const physical::AdjustedView self_view(view, {},
+                                         engine.adjacent_link_mbps(diag.op));
   const OperatorWindowStats stats = monitor.stats(diag.op);
   const physical::StagePlacement& current = engine.placement(diag.op);
   const int p = current.parallelism();
@@ -655,8 +566,9 @@ AdaptationAction AdaptationPolicy::handle_network_bottleneck(
     if (replan.kind != ActionKind::kNone) return replan;
   }
 
-  const BandwidthAddbackView self_view(view,
-                                       engine.adjacent_link_mbps(diag.op));
+  // The stage's own traffic moves with it: its links count as free.
+  const physical::AdjustedView self_view(view, {},
+                                         engine.adjacent_link_mbps(diag.op));
   const auto rates = monitor.estimate_actual_rates(logical);
   const physical::StagePlacement& current = engine.placement(diag.op);
   const int p = current.parallelism();
@@ -666,10 +578,9 @@ AdaptationAction AdaptationPolicy::handle_network_bottleneck(
   // Escalation: a stage re-assigned (or scaled) within the cooldown that is
   // bottlenecked *again* gains nothing from another re-assignment -- move
   // straight to the next technique.
-  const auto grown_it = last_grown_.find(diag.op);
+  const std::optional<double> grown = last_grown_[diag.op];
   const bool recently_adapted =
-      grown_it != last_grown_.end() &&
-      now_ - grown_it->second < config_.scale_down_cooldown_sec;
+      grown.has_value() && now_ - *grown < kScaleDownCooldownSec;
 
   if (config_.allow_reassign && !recently_adapted) {
     physical::StageContext ctx = stage_context(engine, rates, diag.op);
@@ -681,7 +592,7 @@ AdaptationAction AdaptationPolicy::handle_network_bottleneck(
       // table (and when it is not, a feasible-with-headroom scale-out is
       // preferred below, so only accept the relaxed placement here if it
       // is the only option).
-      if (!config_.allow_scale || p >= config_.p_max) {
+      if (!config_.allow_scale || p >= kPMax) {
         const physical::Scheduler relaxed = scheduler_.with_alpha(
             std::min(0.95, scheduler_.config().alpha + 0.15));
         outcome = relaxed.place_stage(ctx, self_view, current.per_site);
@@ -731,12 +642,12 @@ AdaptationAction AdaptationPolicy::handle_network_bottleneck(
 
   // 2) Scale out: more tasks spread the stream (and the state partitions)
   // over more links.
-  if (config_.allow_scale && p < config_.p_max) {
+  if (config_.allow_scale && p < kPMax) {
     physical::StageContext ctx = stage_context(engine, rates, diag.op);
     // The stage's own vacated slots stay countable at every candidate
     // parallelism (threaded through to each place_stage probe).
     auto outcome = scheduler_.place_with_min_parallelism(
-        ctx, self_view, p + 1, config_.p_max, current.per_site);
+        ctx, self_view, p + 1, kPMax, current.per_site);
     if (outcome.has_value()) {
       AdaptationAction action;
       action.kind = ActionKind::kScaleOut;
@@ -794,8 +705,9 @@ AdaptationAction AdaptationPolicy::handle_overprovisioning(
                             neighbor_sites.contains(b.value());
                    });
 
-  const BandwidthAddbackView self_view(view,
-                                       engine.adjacent_link_mbps(diag.op));
+  // The stage's own traffic moves with it: its links count as free.
+  const physical::AdjustedView self_view(view, {},
+                                         engine.adjacent_link_mbps(diag.op));
   const auto rates = monitor.estimate_actual_rates(logical);
   const double alpha = scheduler_.config().alpha;
   for (SiteId victim : candidates) {
@@ -854,6 +766,7 @@ std::vector<AdaptationAction> AdaptationPolicy::plan_recovery(
   if (dead_sites.empty()) return actions;
 
   const query::LogicalPlan& logical = engine.logical();
+  last_grown_.resize(logical.num_operators());
   std::vector<bool> dead(view.num_sites(), false);
   std::string dead_list;
   for (SiteId s : dead_sites) {
@@ -864,16 +777,9 @@ std::vector<AdaptationAction> AdaptationPolicy::plan_recovery(
 
   // Recovery may fire before the first monitoring window closes: fall back
   // to the engine's configured source rates when no observations exist yet.
-  std::unordered_map<OperatorId, query::OperatorRates> rates;
-  if (monitor.has_data()) {
-    rates = monitor.estimate_actual_rates(logical);
-  } else {
-    std::unordered_map<OperatorId, double> src_rates;
-    for (OperatorId src : logical.sources()) {
-      src_rates[src] = engine.source_generation_eps(src);
-    }
-    rates = logical.estimate_rates(src_rates);
-  }
+  const query::OperatorTable<query::OperatorRates> rates =
+      monitor.has_data() ? monitor.estimate_actual_rates(logical)
+                         : engine.generation_rates();
 
   // Region decomposition applies when every dead site falls in one failure
   // domain (the localized-failure case: one region lost). A mixed-domain
@@ -897,7 +803,7 @@ std::vector<AdaptationAction> AdaptationPolicy::plan_recovery(
     }
   }
 
-  AdjustedSlotsView working_view(view);
+  physical::AdjustedView working_view(view);
   for (OperatorId id : logical.topological_order()) {
     const auto& op = logical.op(id);
     const physical::StagePlacement& current = engine.placement(id);
@@ -922,8 +828,8 @@ std::vector<AdaptationAction> AdaptationPolicy::plan_recovery(
       continue;
     }
 
-    const BandwidthAddbackView self_view(working_view,
-                                         engine.adjacent_link_mbps(id));
+    const physical::AdjustedView self_view(working_view, {},
+                                           engine.adjacent_link_mbps(id));
     physical::StageContext ctx = stage_context(engine, rates, id);
     // The vacated slots on *surviving* sites stay usable by the re-placed
     // stage; slots on the dead site must not be offered back to the ILP.
@@ -1025,7 +931,8 @@ std::vector<AdaptationAction> AdaptationPolicy::plan_recovery(
     for (std::size_t s = 0; s < vacated.per_site.size(); ++s) {
       if (dead[s]) vacated.per_site[s] = 0;
     }
-    working_view.consume(vacated, action.new_placement);
+    working_view.release_slots(vacated);
+    working_view.claim_slots(action.new_placement);
     last_grown_[id] = now_;
     actions.push_back(std::move(action));
   }
@@ -1075,8 +982,8 @@ AdaptationAction AdaptationPolicy::try_replan(const engine::Engine& engine,
   }
 
   // The whole execution vacates: its traffic and slots are available again.
-  const BandwidthAddbackView bw_view(view, engine.all_link_mbps());
-  const ReleasedSlotsView replan_view(bw_view, engine.slots_in_use());
+  const physical::AdjustedView bw_view(view, {}, engine.all_link_mbps());
+  const physical::AdjustedView replan_view(bw_view, engine.slots_in_use());
   const double alpha = scheduler_.config().alpha;
   const double current_cost =
       estimate_plan_cost(current_logical, engine.physical_plan(),
@@ -1092,20 +999,22 @@ AdaptationAction AdaptationPolicy::try_replan(const engine::Engine& engine,
        planner_.enumerate_replans(current_logical)) {
     ++candidates;
     query::LogicalPlan& candidate = rc.plan;
-    std::unordered_map<OperatorId, double> src_rates;
+    query::OperatorTable<double> src_rates(candidate.num_operators());
     for (OperatorId src : candidate.sources()) {
       const auto it = source_eps_by_name.find(candidate.op(src).name);
-      src_rates[src] = it != source_eps_by_name.end() ? it->second : 0.0;
+      if (it != source_eps_by_name.end()) src_rates[src] = it->second;
     }
     const auto rates = candidate.estimate_rates(src_rates);
-    std::unordered_map<OperatorId, int> parallelism;
+    query::OperatorTable<int> parallelism(candidate.num_operators(), 1);
     for (const auto& op : candidate.operators()) {
       const auto it = parallelism_by_sig.find(candidate.signature(op.id));
-      parallelism[op.id] = it != parallelism_by_sig.end() ? it->second : 1;
+      if (it != parallelism_by_sig.end()) parallelism[op.id] = it->second;
     }
-    auto placed =
-        physical::place_plan(candidate, rates, parallelism, replan_view,
-                             scheduler_, config_.p_max);
+    // Without scaling a candidate keeps its carried parallelism: no
+    // scale-out search when it does not fit.
+    auto placed = physical::place_plan(candidate, rates, parallelism,
+                                       replan_view, scheduler_,
+                                       config_.allow_scale ? kPMax : 0);
     if (!placed.has_value()) continue;
     const double cost =
         estimate_plan_cost(candidate, placed->plan, rates, replan_view, alpha);

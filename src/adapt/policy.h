@@ -74,24 +74,21 @@ struct AdaptationAction {
 // Used to compare the current deployment against re-plan candidates.
 [[nodiscard]] double estimate_plan_cost(
     const query::LogicalPlan& logical, const physical::PhysicalPlan& physical,
-    const std::unordered_map<OperatorId, query::OperatorRates>& rates,
+    const query::OperatorTable<query::OperatorRates>& rates,
     const physical::NetworkView& view, double alpha);
 
 class AdaptationPolicy {
  public:
+  // Re-plan instead of scaling a stage past this parallelism (§6.2).
+  static constexpr int kPMax = 3;
+
   struct Config {
-    int p_max = 3;            // re-plan instead of scaling past this (§6.2)
     double t_max_sec = 30.0;  // migration-time threshold (§6.2)
     bool allow_reassign = true;
     bool allow_scale = true;
     bool allow_replan = true;
     // A re-plan must beat the current plan's estimated cost by this factor.
     double replan_improvement = 0.9;
-    // A stage is not scaled down within this long of its last scale-up/out
-    // or re-assignment (prevents grow-trim oscillation around a dynamic),
-    // nor while the source backlog exceeds ~this many seconds of workload.
-    double scale_down_cooldown_sec = 180.0;
-    double scale_down_max_backlog_sec = 5.0;
     // Region decomposition for failure recovery (DESIGN.md §14): when every
     // dead site shares one failure domain, re-plans pin each out-of-region
     // site to its current task count (min == max per-site bounds) so the
@@ -132,7 +129,7 @@ class AdaptationPolicy {
 
   // Must be called when a kReplan action is applied to the engine. The new
   // plan can reuse OperatorIds for different operators, so the scale-down
-  // cooldown map is remapped: operators matched between plans keep their
+  // cooldown table is remapped: operators matched between plans keep their
   // timestamps under their new ids, everything else is dropped. (Without
   // this a fresh operator inherits a stale cooldown -- or escapes one.)
   void on_replan_applied(const query::LogicalPlan& old_plan,
@@ -220,7 +217,7 @@ class AdaptationPolicy {
   // the *current* neighbor placements.
   [[nodiscard]] physical::StageContext stage_context(
       const engine::Engine& engine,
-      const std::unordered_map<OperatorId, query::OperatorRates>& rates,
+      const query::OperatorTable<query::OperatorRates>& rates,
       OperatorId op) const;
 
   Config config_;
@@ -230,8 +227,9 @@ class AdaptationPolicy {
   Diagnoser diagnoser_;
   obs::TraceEmitter* trace_ = nullptr;
   double now_ = 0.0;
-  // Last time each operator was grown/re-placed (scale-down cooldown).
-  std::unordered_map<OperatorId, double> last_grown_;
+  // Last time each operator was grown/re-placed (scale-down cooldown); sized
+  // to the engine's plan by decide_all and plan_recovery.
+  query::OperatorTable<std::optional<double>> last_grown_;
   // Source-backlog trend across decision rounds (query-level guard).
   double prev_backlog_events_ = 0.0;
   double prev_backlog_time_ = -1.0;

@@ -8,7 +8,6 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <ostream>
 
@@ -50,12 +49,3 @@ using QueryId = Id<QueryTag>;
 using FlowId = Id<FlowTag>;
 
 }  // namespace wasp
-
-namespace std {
-template <typename Tag>
-struct hash<wasp::Id<Tag>> {
-  size_t operator()(wasp::Id<Tag> id) const noexcept {
-    return std::hash<std::int64_t>{}(id.value());
-  }
-};
-}  // namespace std

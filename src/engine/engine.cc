@@ -1158,15 +1158,7 @@ void Engine::apply_replan(query::LogicalPlan logical,
   std::unordered_map<std::string, std::pair<double, std::int32_t>> skews;
   double inflight_source_units = 0.0;
 
-  // Rates to convert mid-pipeline events back into source units.
-  std::unordered_map<OperatorId, double> src_rates;
-  double total_src_eps = 0.0;
-  for (OperatorId src : logical_.sources()) {
-    const double eps = source_generation_eps(src);
-    src_rates.emplace(src, eps);
-    total_src_eps += eps;
-  }
-  const auto rates = logical_.estimate_rates(src_rates);
+  const auto units_per_event = source_units_per_event();
 
   for (std::size_t i = 0; i < num_stages_; ++i) {
     const OperatorId op_id(static_cast<std::int64_t>(i));
@@ -1196,11 +1188,8 @@ void Engine::apply_replan(query::LogicalPlan logical,
         inbound_channels += c_queue_[ci];
       }
     }
-    const double op_eps = rates.at(op_id).input_eps;
-    if (op_eps > 0.0 && total_src_eps > 0.0) {
-      inflight_source_units +=
-          (queue + inbound_channels) * (total_src_eps / op_eps);
-    }
+    inflight_source_units +=
+        (queue + inbound_channels) * units_per_event[op_id];
   }
 
   // 2. Capture per-site source rates keyed by source *name* (names identify
@@ -1294,38 +1283,7 @@ void Engine::apply_replan(query::LogicalPlan logical,
   recompute_channel_shares();
 
   // 5. Re-inject in-flight events as replayed source work.
-  if (inflight_source_units > 0.0) {
-    double total_rate = 0.0;
-    for (OperatorId src : logical_.sources()) {
-      total_rate += source_generation_eps(src);
-    }
-    for (OperatorId src : logical_.sources()) {
-      const std::size_t i = stage_index(src);
-      const double rate = source_generation_eps(src);
-      const double share =
-          total_rate > 0.0
-              ? rate / total_rate
-              : 1.0 / static_cast<double>(logical_.sources().size());
-      const double units = inflight_source_units * share;
-      int active_sites = 0;
-      for (std::size_t s = 0; s < num_sites_; ++s) {
-        if (g_tasks_[gid(i, s)] > 0) ++active_sites;
-      }
-      if (active_sites == 0) continue;
-      for (std::size_t s = 0; s < num_sites_; ++s) {
-        const std::size_t gi = gid(i, s);
-        if (g_tasks_[gi] > 0) g_input_queue_[gi] += units / active_sites;
-      }
-      // Replayed events re-enter the generation curve "now"; their original
-      // generation times are unknown to the new execution (documented
-      // approximation -- slightly undercounts delay during the transition).
-      stage_tracker_[i]->record_generated(now_, units);
-      // The replayed events will be admitted a second time; surface them as
-      // generated work too so cumulative processed/generated accounting
-      // stays balanced.
-      replay_pending_events_ += units;
-    }
-  }
+  replay_at_sources(inflight_source_units);
 
   if (config_.trace != nullptr && config_.trace->enabled()) {
     config_.trace->event("replan")
@@ -1354,16 +1312,9 @@ void Engine::restore_site(SiteId site) {
   if (!failed_sites_[s]) return;
   failed_sites_[s] = false;
 
-  // Rates to convert events lost at an operator back into source units, the
-  // same way apply_replan re-injects in-flight work.
-  std::unordered_map<OperatorId, double> src_rates;
-  double total_src_eps = 0.0;
-  for (OperatorId src : logical_.sources()) {
-    const double eps = source_generation_eps(src);
-    src_rates.emplace(src, eps);
-    total_src_eps += eps;
-  }
-  const auto rates = logical_.estimate_rates(src_rates);
+  // Converts events lost at an operator back into source units, the same
+  // way apply_replan re-injects in-flight work.
+  const auto units_per_event = source_units_per_event();
 
   // Groups at the site replay their local checkpoint before processing
   // resumes; the pause is proportional to the checkpointed state size (§5).
@@ -1394,10 +1345,9 @@ void Engine::restore_site(SiteId site) {
         g_input_queue_[gi];
     g_window_events_[gi] = checkpointed_window_[gi];
     g_input_queue_[gi] = 0.0;
-    const double op_eps =
-        rates.at(OperatorId(static_cast<std::int64_t>(i))).input_eps;
-    if (lost > 0.0 && op_eps > 0.0 && total_src_eps > 0.0) {
-      lost_source_units += lost * (total_src_eps / op_eps);
+    if (lost > 0.0) {
+      lost_source_units +=
+          lost * units_per_event[OperatorId(static_cast<std::int64_t>(i))];
     }
   }
 
@@ -1441,9 +1391,39 @@ void Engine::replay_at_sources(double units) {
       const std::size_t gi = gid(i, st);
       if (g_tasks_[gi] > 0) g_input_queue_[gi] += src_units / active_sites;
     }
+    // Replayed events re-enter the generation curve "now"; their original
+    // generation times are unknown to the new execution (documented
+    // approximation -- slightly undercounts delay during the transition).
     stage_tracker_[i]->record_generated(now_, src_units);
+    // The replayed events will be admitted a second time; surface them as
+    // generated work too so cumulative processed/generated accounting
+    // stays balanced.
     replay_pending_events_ += src_units;
   }
+}
+
+query::OperatorTable<query::OperatorRates> Engine::generation_rates() const {
+  query::OperatorTable<double> src_rates(logical_.num_operators());
+  for (OperatorId src : logical_.sources()) {
+    src_rates[src] = source_generation_eps(src);
+  }
+  return logical_.estimate_rates(src_rates);
+}
+
+query::OperatorTable<double> Engine::source_units_per_event() const {
+  const auto rates = generation_rates();
+  double total_src_eps = 0.0;
+  for (OperatorId src : logical_.sources()) {
+    total_src_eps += rates[src].input_eps;
+  }
+  query::OperatorTable<double> units(logical_.num_operators());
+  for (const auto& op : logical_.operators()) {
+    const double op_eps = rates[op.id].input_eps;
+    if (op_eps > 0.0 && total_src_eps > 0.0) {
+      units[op.id] = total_src_eps / op_eps;
+    }
+  }
+  return units;
 }
 
 Engine::PromotionResult Engine::promote_standby(OperatorId op,
@@ -1500,19 +1480,8 @@ Engine::PromotionResult Engine::promote_standby(OperatorId op,
 
   double lost_source_units = 0.0;
   if (lost > 0.0) {
-    std::unordered_map<OperatorId, double> src_rates;
-    double total_src_eps = 0.0;
-    for (OperatorId src : logical_.sources()) {
-      const double eps = source_generation_eps(src);
-      src_rates.emplace(src, eps);
-      total_src_eps += eps;
-    }
-    const auto rates = logical_.estimate_rates(src_rates);
-    const double op_eps = rates.at(op).input_eps;
-    if (op_eps > 0.0 && total_src_eps > 0.0) {
-      lost_source_units = lost * (total_src_eps / op_eps);
-      replay_at_sources(lost_source_units);
-    }
+    lost_source_units = lost * source_units_per_event()[op];
+    replay_at_sources(lost_source_units);
   }
 
   rebuild_stage_sites();

@@ -251,6 +251,10 @@ class Engine {
   // The *actual* workload: current generation rate of `source` (events/s),
   // independent of backpressure (§3.3's λ_O[src]).
   [[nodiscard]] double source_generation_eps(OperatorId source) const;
+  // §3.3 expected rates of the running plan at the sources' current
+  // generation rates.
+  [[nodiscard]] query::OperatorTable<query::OperatorRates> generation_rates()
+      const;
 
   // Total events waiting in source backlogs (source-time units).
   [[nodiscard]] double source_backlog_events() const;
@@ -359,6 +363,10 @@ class Engine {
   // source's hosting sites) -- the common tail of restore_site, replan
   // replay, and standby promotion.
   void replay_at_sources(double units);
+  // Source units one event at each operator stands for: the total source
+  // rate over the operator's expected input rate (0 where either is 0).
+  // Converts in-flight or lost events back into replayable source work.
+  [[nodiscard]] query::OperatorTable<double> source_units_per_event() const;
   void set_flow_demands(double dt);
   void update_delay_metric(double t);
   [[nodiscard]] double stage_total_state_mb(std::size_t stage) const;

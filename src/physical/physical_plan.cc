@@ -10,7 +10,10 @@ namespace wasp::physical {
 StageId PhysicalPlan::add_stage(OperatorId op, StagePlacement placement) {
   const StageId id(static_cast<std::int64_t>(stages_.size()));
   stages_.push_back(Stage{id, op, std::move(placement)});
-  by_op_.emplace(op, id);
+  if (by_op_.size() <= static_cast<std::size_t>(op.value())) {
+    by_op_.resize(static_cast<std::size_t>(op.value()) + 1);
+  }
+  by_op_[op] = id;
   return id;
 }
 
@@ -23,19 +26,18 @@ Stage& PhysicalPlan::mutable_stage(StageId id) {
 }
 
 const Stage& PhysicalPlan::stage_for(OperatorId op) const {
-  const auto it = by_op_.find(op);
-  assert(it != by_op_.end());
-  return stage(it->second);
+  assert(has_stage_for(op));
+  return stage(by_op_[op]);
 }
 
 Stage& PhysicalPlan::mutable_stage_for(OperatorId op) {
-  const auto it = by_op_.find(op);
-  assert(it != by_op_.end());
-  return mutable_stage(it->second);
+  assert(has_stage_for(op));
+  return mutable_stage(by_op_[op]);
 }
 
 bool PhysicalPlan::has_stage_for(OperatorId op) const {
-  return by_op_.contains(op);
+  return static_cast<std::size_t>(op.value()) < by_op_.size() &&
+         by_op_[op].valid();
 }
 
 int PhysicalPlan::total_tasks() const {
@@ -46,63 +48,28 @@ int PhysicalPlan::total_tasks() const {
 
 namespace {
 
-// NetworkView decorator that deducts slots AND link bandwidth as stages are
-// placed: stage k+1 must not count on capacity stage k's streams already
-// claimed (stages of one plan share links).
-class DeductingView final : public NetworkView {
- public:
-  explicit DeductingView(const NetworkView& base)
-      : base_(base), used_(base.num_sites(), 0) {}
-
-  [[nodiscard]] std::size_t num_sites() const override {
-    return base_.num_sites();
-  }
-  [[nodiscard]] double available_mbps(SiteId from, SiteId to) const override {
-    const auto it = used_mbps_.find(
-        from.value() * static_cast<std::int64_t>(base_.num_sites()) +
-        to.value());
-    const double used = it != used_mbps_.end() ? it->second : 0.0;
-    return std::max(0.0, base_.available_mbps(from, to) - used);
-  }
-  [[nodiscard]] double latency_ms(SiteId from, SiteId to) const override {
-    return base_.latency_ms(from, to);
-  }
-  [[nodiscard]] int available_slots(SiteId site) const override {
-    return base_.available_slots(site) -
-           used_[static_cast<std::size_t>(site.value())];
-  }
-
-  void consume(const StagePlacement& placement) {
-    for (std::size_t s = 0; s < placement.per_site.size(); ++s) {
-      used_[s] += placement.per_site[s];
-    }
-  }
-
-  // Claims the WAN bandwidth of the traffic each endpoint sends to (or
-  // receives from) the newly-placed stage, split per the placement shares.
-  void consume_traffic(const std::vector<TrafficEndpoint>& endpoints,
-                       const StagePlacement& placement, bool inbound) {
-    const int p = placement.parallelism();
-    if (p == 0) return;
-    const auto n = static_cast<std::int64_t>(base_.num_sites());
-    for (const auto& e : endpoints) {
-      for (SiteId s : placement.sites()) {
-        if (s == e.site) continue;
-        const double share = static_cast<double>(placement.at(s)) / p;
-        const double mbps = stream_mbps(e.events_per_sec * share,
-                                        e.event_bytes);
-        const std::int64_t key = inbound ? e.site.value() * n + s.value()
-                                         : s.value() * n + e.site.value();
-        used_mbps_[key] += mbps;
+// Claims the WAN bandwidth of the traffic each endpoint sends to (or
+// receives from) the newly-placed stage, split per the placement shares:
+// stage k+1 must not count on capacity stage k's streams already claimed
+// (stages of one plan share links).
+void claim_traffic(AdjustedView& view,
+                   const std::vector<TrafficEndpoint>& endpoints,
+                   const StagePlacement& placement, bool inbound) {
+  const int p = placement.parallelism();
+  if (p == 0) return;
+  for (const auto& e : endpoints) {
+    for (SiteId s : placement.sites()) {
+      if (s == e.site) continue;
+      const double share = static_cast<double>(placement.at(s)) / p;
+      const double mbps = stream_mbps(e.events_per_sec * share, e.event_bytes);
+      if (inbound) {
+        view.claim_mbps(e.site, s, mbps);
+      } else {
+        view.claim_mbps(s, e.site, mbps);
       }
     }
   }
-
- private:
-  const NetworkView& base_;
-  std::vector<int> used_;
-  std::unordered_map<std::int64_t, double> used_mbps_;
-};
+}
 
 // Per-site emission rates of a placed stage: balanced partitioning splits
 // the operator's output evenly over its tasks (§7).
@@ -124,50 +91,46 @@ std::vector<TrafficEndpoint> stage_endpoints(const Stage& stage,
 
 std::optional<PlanPlacement> place_plan(
     const query::LogicalPlan& logical,
-    const std::unordered_map<OperatorId, query::OperatorRates>& rates,
-    const std::unordered_map<OperatorId, int>& parallelism,
+    const query::OperatorTable<query::OperatorRates>& rates,
+    const query::OperatorTable<int>& parallelism,
     const NetworkView& view, const Scheduler& scheduler,
     int max_parallelism_fallback) {
   PlanPlacement result;
-  DeductingView working_view(view);
+  // Slots and bandwidth are deducted as stages land.
+  AdjustedView working_view(view);
 
   // Pinned stages occupy their slots unconditionally; reserve them up front
   // so no unpinned stage is placed into a slot a later pinned stage needs.
   // Sources are external-stream adapters and take no slot (matching
   // Engine::slots_in_use).
-  std::unordered_map<OperatorId, StagePlacement> pinned;
+  query::OperatorTable<StagePlacement> pinned(logical.num_operators());
   for (const auto& op : logical.operators()) {
     if (op.pinned_sites.empty()) continue;
-    StagePlacement placement;
+    StagePlacement& placement = pinned[op.id];
     placement.per_site.resize(view.num_sites(), 0);
     for (SiteId s : op.pinned_sites) {
       ++placement.per_site[static_cast<std::size_t>(s.value())];
     }
-    if (!op.is_source()) working_view.consume(placement);
-    pinned.emplace(op.id, std::move(placement));
+    if (!op.is_source()) working_view.claim_slots(placement);
   }
 
   for (OperatorId op_id : logical.topological_order()) {
     const query::LogicalOperator& op = logical.op(op_id);
 
-    if (const auto it = pinned.find(op_id); it != pinned.end()) {
-      result.plan.add_stage(op_id, it->second);
+    if (!op.pinned_sites.empty()) {
+      result.plan.add_stage(op_id, pinned[op_id]);
       continue;
     }
 
     StageContext ctx;
-    ctx.parallelism = 1;
-    if (const auto it = parallelism.find(op_id); it != parallelism.end()) {
-      ctx.parallelism = std::max(1, it->second);
-    }
-    ctx.pinned_sites = op.pinned_sites;
+    ctx.parallelism = std::max(1, parallelism[op_id]);
 
     // Upstream endpoints come from already-placed stages (topological order
     // guarantees they exist).
     for (OperatorId u : logical.upstream(op_id)) {
       const query::LogicalOperator& up_op = logical.op(u);
       const Stage& up_stage = result.plan.stage_for(u);
-      for (auto& e : stage_endpoints(up_stage, rates.at(u).output_eps,
+      for (auto& e : stage_endpoints(up_stage, rates[u].output_eps,
                                      up_op.output_event_bytes)) {
         ctx.upstream.push_back(e);
       }
@@ -177,7 +140,7 @@ std::optional<PlanPlacement> place_plan(
     for (OperatorId d : logical.downstream(op_id)) {
       const query::LogicalOperator& down_op = logical.op(d);
       if (down_op.pinned_sites.empty()) continue;
-      const double out_eps = rates.at(op_id).output_eps /
+      const double out_eps = rates[op_id].output_eps /
                              static_cast<double>(down_op.pinned_sites.size());
       for (SiteId s : down_op.pinned_sites) {
         ctx.downstream.push_back(
@@ -186,17 +149,16 @@ std::optional<PlanPlacement> place_plan(
     }
 
     auto outcome = scheduler.place_stage(ctx, working_view);
-    if (!outcome.has_value() && ctx.pinned_sites.empty() &&
-        max_parallelism_fallback > ctx.parallelism) {
+    if (!outcome.has_value() && max_parallelism_fallback > ctx.parallelism) {
       outcome = scheduler.place_with_min_parallelism(
           ctx, working_view, ctx.parallelism + 1, max_parallelism_fallback);
     }
     if (!outcome.has_value()) return std::nullopt;
-    working_view.consume(outcome->placement);
-    working_view.consume_traffic(ctx.upstream, outcome->placement,
-                                 /*inbound=*/true);
-    working_view.consume_traffic(ctx.downstream, outcome->placement,
-                                 /*inbound=*/false);
+    working_view.claim_slots(outcome->placement);
+    claim_traffic(working_view, ctx.upstream, outcome->placement,
+                  /*inbound=*/true);
+    claim_traffic(working_view, ctx.downstream, outcome->placement,
+                  /*inbound=*/false);
     result.plan.add_stage(op_id, outcome->placement);
     result.objective += outcome->objective;
   }
@@ -207,7 +169,7 @@ std::optional<PlanPlacement> place_plan(
     const query::LogicalOperator& op = logical.op(stage.op);
     for (OperatorId d : logical.downstream(stage.op)) {
       const Stage& down = result.plan.stage_for(d);
-      const double out_eps = rates.at(stage.op).output_eps;
+      const double out_eps = rates[stage.op].output_eps;
       const int p_up = stage.parallelism();
       const int p_down = down.parallelism();
       if (p_up == 0 || p_down == 0) continue;

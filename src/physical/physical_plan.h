@@ -10,7 +10,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -48,7 +47,7 @@ class PhysicalPlan {
 
  private:
   std::vector<Stage> stages_;
-  std::unordered_map<OperatorId, StageId> by_op_;
+  query::OperatorTable<StageId> by_op_;  // invalid: no stage
 };
 
 struct PlanPlacement {
@@ -60,16 +59,16 @@ struct PlanPlacement {
 };
 
 // Places every stage of `logical` with the given per-operator parallelism
-// (operators absent from the map get parallelism 1; pinned operators get one
-// task per pinned site). Slot availability is deducted stage by stage.
+// (entries below 1 count as 1; pinned operators get one task per pinned
+// site). Slot availability is deducted stage by stage.
 // If a stage is infeasible at its requested parallelism and
 // `max_parallelism_fallback` > 0, the scheduler searches upward to that
 // limit before giving up (deployment-time scale-out). Returns nullopt if any
 // stage remains infeasible.
 [[nodiscard]] std::optional<PlanPlacement> place_plan(
     const query::LogicalPlan& logical,
-    const std::unordered_map<OperatorId, query::OperatorRates>& rates,
-    const std::unordered_map<OperatorId, int>& parallelism,
+    const query::OperatorTable<query::OperatorRates>& rates,
+    const query::OperatorTable<int>& parallelism,
     const NetworkView& view, const Scheduler& scheduler,
     int max_parallelism_fallback = 0);
 

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
+#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -61,6 +63,53 @@ struct StagePlacement {
 
   friend bool operator==(const StagePlacement&, const StagePlacement&) =
       default;
+};
+
+// A NetworkView shifted by the slots and bandwidth a reconfiguration frees or
+// claims: per-site slot deltas, and sparse per-link deltas in Mbps keyed
+// from * num_sites + to (the engine's link-allocation maps, handed over
+// whole). A link with a delta reads max(0, base + delta); every other link
+// reads the base unchanged. One layer per role, each reading the layer
+// beneath it: a re-placement adds back what it vacates, a decision round
+// threads the slots its earlier actions claimed, and whole-plan placement
+// deducts what its earlier stages claimed.
+class AdjustedView final : public NetworkView {
+ public:
+  // `slots` is indexed by site id; missing entries are 0.
+  explicit AdjustedView(const NetworkView& base, std::vector<int> slots = {},
+                        std::unordered_map<std::int64_t, double> mbps = {});
+  // Not copyable: AdjustedView(layer) would copy the layer (reading its
+  // base) instead of nesting on it. Nest through a NetworkView reference.
+  AdjustedView(const AdjustedView&) = delete;
+  AdjustedView& operator=(const AdjustedView&) = delete;
+
+  [[nodiscard]] std::size_t num_sites() const override { return num_sites_; }
+  [[nodiscard]] double available_mbps(SiteId from, SiteId to) const override;
+  [[nodiscard]] double latency_ms(SiteId from, SiteId to) const override {
+    return base_.latency_ms(from, to);
+  }
+  [[nodiscard]] int available_slots(SiteId site) const override {
+    return base_.available_slots(site) +
+           slots_[static_cast<std::size_t>(site.value())];
+  }
+
+  // Frees the slots `tasks` occupies (per-site task counts).
+  void release_slots(const StagePlacement& tasks);
+  // Claims the slots `tasks` needs.
+  void claim_slots(const StagePlacement& tasks);
+  // Claims `mbps` of the link from -> to.
+  void claim_mbps(SiteId from, SiteId to, double mbps);
+
+ private:
+  [[nodiscard]] std::int64_t link_key(SiteId from, SiteId to) const {
+    return from.value() * static_cast<std::int64_t>(num_sites_) + to.value();
+  }
+
+  const NetworkView& base_;
+  // Read once: asking the base would walk every layer beneath this one.
+  std::size_t num_sites_;
+  std::vector<int> slots_;
+  std::unordered_map<std::int64_t, double> mbps_;
 };
 
 // A solved placement together with its Eq. 1 objective value.

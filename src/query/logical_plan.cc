@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <sstream>
+#include <unordered_map>
 
 namespace wasp::query {
 
@@ -140,20 +141,19 @@ std::string LogicalPlan::validate() const {
   return "";
 }
 
-std::unordered_map<OperatorId, OperatorRates> LogicalPlan::estimate_rates(
-    const std::unordered_map<OperatorId, double>& source_rates) const {
-  std::unordered_map<OperatorId, OperatorRates> rates;
+OperatorTable<OperatorRates> LogicalPlan::estimate_rates(
+    const OperatorTable<double>& source_rates) const {
+  assert(source_rates.size() == ops_.size());
+  OperatorTable<OperatorRates> rates(ops_.size());
   for (OperatorId id : topological_order()) {
     const LogicalOperator& o = op(id);
-    OperatorRates r;
+    OperatorRates& r = rates[id];
     if (o.is_source()) {
-      const auto it = source_rates.find(id);
-      r.input_eps = it != source_rates.end() ? it->second : 0.0;
+      r.input_eps = source_rates[id];
     } else {
-      for (OperatorId u : upstream(id)) r.input_eps += rates.at(u).output_eps;
+      for (OperatorId u : upstream(id)) r.input_eps += rates[u].output_eps;
     }
     r.output_eps = o.selectivity * r.input_eps;
-    rates.emplace(id, r);
   }
   return rates;
 }

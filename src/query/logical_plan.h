@@ -14,11 +14,11 @@
 
 #include <cstddef>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
 #include "query/operator.h"
+#include "query/operator_table.h"
 
 namespace wasp::query {
 
@@ -58,9 +58,9 @@ class LogicalPlan {
   [[nodiscard]] std::string validate() const;
 
   // §3.3 workload estimation: propagates per-source output rates (events/s,
-  // keyed by source operator id) through selectivities.
-  [[nodiscard]] std::unordered_map<OperatorId, OperatorRates> estimate_rates(
-      const std::unordered_map<OperatorId, double>& source_rates) const;
+  // at each source's id; other entries are ignored) through selectivities.
+  [[nodiscard]] OperatorTable<OperatorRates> estimate_rates(
+      const OperatorTable<double>& source_rates) const;
 
   // Canonical structural signature of the sub-plan rooted at `id` (the
   // operator plus everything upstream of it). Commutative operators (join,

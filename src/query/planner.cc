@@ -3,34 +3,32 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace wasp::query {
 namespace {
 
-// Rebuilds `plan` keeping only operators for which `keep` is true, copying
-// all edges between kept operators. Returns the new plan and the old->new id
-// mapping.
+// Rebuilds `plan` without the operators marked in `removed`, copying all
+// edges between kept operators. Returns the new plan and the old->new id
+// mapping (removed operators map to an invalid id).
 struct RebuiltPlan {
   LogicalPlan plan;
-  std::unordered_map<OperatorId, OperatorId> remap;
+  OperatorTable<OperatorId> remap;
 };
 
-RebuiltPlan rebuild_without(
-    const LogicalPlan& plan,
-    const std::unordered_set<OperatorId>& removed) {
+RebuiltPlan rebuild_without(const LogicalPlan& plan,
+                            const OperatorTable<bool>& removed) {
   RebuiltPlan out;
+  out.remap.resize(plan.num_operators());
   for (const auto& op : plan.operators()) {
-    if (removed.contains(op.id)) continue;
+    if (removed[op.id]) continue;
     LogicalOperator copy = op;
-    out.remap.emplace(op.id, out.plan.add_operator(std::move(copy)));
+    out.remap[op.id] = out.plan.add_operator(std::move(copy));
   }
   for (const auto& op : plan.operators()) {
-    if (removed.contains(op.id)) continue;
+    if (removed[op.id]) continue;
     for (OperatorId d : plan.downstream(op.id)) {
-      if (removed.contains(d)) continue;
-      out.plan.connect(out.remap.at(op.id), out.remap.at(d));
+      if (removed[d]) continue;
+      out.plan.connect(out.remap[op.id], out.remap[d]);
     }
   }
   return out;
@@ -109,25 +107,26 @@ LogicalPlan QueryPlanner::push_down_filters(const LogicalPlan& plan) {
       const LogicalOperator filter_template = op;
       const std::vector<OperatorId> union_downstream =
           current.downstream(op.id);  // filter's consumers move to the union
-      std::unordered_set<OperatorId> removed{op.id};
+      OperatorTable<bool> removed(current.num_operators(), false);
+      removed[op.id] = true;
       RebuiltPlan rebuilt = rebuild_without(current, removed);
       LogicalPlan& next = rebuilt.plan;
-      const OperatorId new_union = rebuilt.remap.at(union_id);
+      const OperatorId new_union = rebuilt.remap[union_id];
 
       // The union's inputs currently connect straight to it; reroute each
       // through a filter clone. Rebuild edges: remove handled by rebuilding
       // again is overkill -- instead we rebuilt without the filter, so the
       // union's consumers are missing (they were the filter's consumers).
       for (OperatorId d : union_downstream) {
-        next.connect(new_union, rebuilt.remap.at(d));
+        next.connect(new_union, rebuilt.remap[d]);
       }
       // Insert filter clones on each union input edge. LogicalPlan has no
       // edge removal, so rebuild once more without the union's direct input
       // edges by reconstructing from scratch.
       LogicalPlan final_plan;
-      std::unordered_map<OperatorId, OperatorId> remap2;
+      OperatorTable<OperatorId> remap2(next.num_operators());
       for (const auto& o : next.operators()) {
-        remap2.emplace(o.id, final_plan.add_operator(o));
+        remap2[o.id] = final_plan.add_operator(o);
       }
       for (const auto& o : next.operators()) {
         for (OperatorId d : next.downstream(o.id)) {
@@ -135,10 +134,10 @@ LogicalPlan QueryPlanner::push_down_filters(const LogicalPlan& plan) {
             LogicalOperator clone = filter_template;
             clone.name = filter_template.name + "@" + o.name;
             const OperatorId f = final_plan.add_operator(std::move(clone));
-            final_plan.connect(remap2.at(o.id), f);
-            final_plan.connect(f, remap2.at(new_union));
+            final_plan.connect(remap2[o.id], f);
+            final_plan.connect(f, remap2[new_union]);
           } else {
-            final_plan.connect(remap2.at(o.id), remap2.at(d));
+            final_plan.connect(remap2[o.id], remap2[d]);
           }
         }
       }
@@ -165,7 +164,8 @@ std::vector<LogicalPlan> QueryPlanner::reorder_joins(const LogicalPlan& plan,
     return out;
   }();
 
-  std::unordered_set<OperatorId> removed(tree.joins.begin(), tree.joins.end());
+  OperatorTable<bool> removed(plan.num_operators(), false);
+  for (OperatorId j : tree.joins) removed[j] = true;
 
   // Enumerate left-deep orders over leaf *indices*; the bottom join is
   // commutative, so enforce perm[0] < perm[1] to halve duplicates.
@@ -178,17 +178,17 @@ std::vector<LogicalPlan> QueryPlanner::reorder_joins(const LogicalPlan& plan,
     if (perm[0] > perm[1]) continue;
     RebuiltPlan rebuilt = rebuild_without(plan, removed);
     LogicalPlan& p = rebuilt.plan;
-    OperatorId left = rebuilt.remap.at(tree.leaves[perm[0]]);
+    OperatorId left = rebuilt.remap[tree.leaves[perm[0]]];
     for (std::size_t i = 1; i < perm.size(); ++i) {
       LogicalOperator j = root_template;
       j.name = root_template.name + "#" + std::to_string(i - 1);
       const OperatorId join_id = p.add_operator(std::move(j));
       p.connect(left, join_id);
-      p.connect(rebuilt.remap.at(tree.leaves[perm[i]]), join_id);
+      p.connect(rebuilt.remap[tree.leaves[perm[i]]], join_id);
       left = join_id;
     }
     for (OperatorId d : root_downstream) {
-      p.connect(left, rebuilt.remap.at(d));
+      p.connect(left, rebuilt.remap[d]);
     }
     // Signature-level dedupe (different perms can yield isomorphic trees).
     const std::string sig = p.signature(left);
@@ -224,10 +224,10 @@ std::optional<LogicalPlan> QueryPlanner::push_down_aggregation(
     // Rebuild without the aggregation; splice partial aggs onto the union's
     // inputs and a merge aggregation after it.
     LogicalPlan next;
-    std::unordered_map<OperatorId, OperatorId> remap;
+    OperatorTable<OperatorId> remap(plan.num_operators());
     for (const auto& op : plan.operators()) {
       if (op.id == agg.id) continue;
-      remap.emplace(op.id, next.add_operator(op));
+      remap[op.id] = next.add_operator(op);
     }
     // Partial aggregation per branch: same window/state semantics, higher
     // selectivity (duplicate partials), smaller per-branch state share.
@@ -248,16 +248,16 @@ std::optional<LogicalPlan> QueryPlanner::push_down_aggregation(
           partial.selectivity =
               std::min(1.0, agg.selectivity * kPartialDuplication);
           const OperatorId pid = next.add_operator(std::move(partial));
-          next.connect(remap.at(op.id), pid);
-          next.connect(pid, remap.at(union_id));
+          next.connect(remap[op.id], pid);
+          next.connect(pid, remap[union_id]);
         } else {
-          next.connect(remap.at(op.id), remap.at(d));
+          next.connect(remap[op.id], remap[d]);
         }
       }
     }
-    next.connect(remap.at(union_id), merge_id);
+    next.connect(remap[union_id], merge_id);
     for (OperatorId d : plan.downstream(agg.id)) {
-      next.connect(merge_id, remap.at(d));
+      next.connect(merge_id, remap[d]);
     }
     if (!next.validate().empty()) continue;
     return next;

@@ -27,6 +27,14 @@ constexpr std::pair<std::string_view, AdaptationMode> kModeNames[] = {
     {"static", AdaptationMode::kNoAdapt},
 };
 
+// The adaptation loop's monitoring interval (§8.2: 40 s).
+constexpr double kMonitoringIntervalSec = 40.0;
+// Minimum transition pause even with nothing to migrate (task teardown/
+// deploy round-trips).
+constexpr double kRedeploySec = 2.0;
+// Cap of a transition retry's capped exponential backoff.
+constexpr double kTransitionBackoffMaxSec = 60.0;
+
 }  // namespace
 
 const char* to_string(AdaptationMode mode) {
@@ -229,16 +237,13 @@ void WaspSystem::deploy(workload::QuerySpec spec) {
 
   // Source rates at t = 0 drive the deployment-time cost model.
   auto initial_source_rates = [&](const query::LogicalPlan& plan) {
-    std::unordered_map<OperatorId, double> rates;
+    query::OperatorTable<double> rates(plan.num_operators());
     for (OperatorId src : plan.sources()) {
       const auto it = pattern_source_ids_.find(plan.op(src).name);
-      double total = 0.0;
-      if (it != pattern_source_ids_.end()) {
-        for (SiteId site : plan.op(src).pinned_sites) {
-          total += pattern_.rate(it->second, site, 0.0);
-        }
+      if (it == pattern_source_ids_.end()) continue;
+      for (SiteId site : plan.op(src).pinned_sites) {
+        rates[src] += pattern_.rate(it->second, site, 0.0);
       }
-      rates[src] = total;
     }
     return rates;
   };
@@ -249,11 +254,12 @@ void WaspSystem::deploy(workload::QuerySpec spec) {
   std::optional<physical::PlanPlacement> best_placed;
   double best_cost = 0.0;
   for (query::LogicalPlan& candidate : planner_.enumerate(spec.plan)) {
-    const auto src_rates = initial_source_rates(candidate);
-    const auto rates = candidate.estimate_rates(src_rates);
-    std::unordered_map<OperatorId, int> parallelism;  // default p = 1
-    auto placed = physical::place_plan(candidate, rates, parallelism, view,
-                                       scheduler_, config_.policy.p_max);
+    const auto rates =
+        candidate.estimate_rates(initial_source_rates(candidate));
+    const query::OperatorTable<int> parallelism(candidate.num_operators(), 1);
+    auto placed =
+        physical::place_plan(candidate, rates, parallelism, view, scheduler_,
+                             adapt::AdaptationPolicy::kPMax);
     if (!placed.has_value()) continue;
     const double cost =
         adapt::estimate_plan_cost(candidate, placed->plan, rates, view,
@@ -403,7 +409,7 @@ void WaspSystem::step(bool drive_network) {
       } else {
         // Migration complete when every bulk flow has drained and the
         // minimum redeploy pause elapsed.
-        bool done = now_ - transition_->started_at >= config_.redeploy_sec;
+        bool done = now_ - transition_->started_at >= kRedeploySec;
         for (FlowId f : transition_->bulk_flows) {
           if (network_.has_flow(f) && !network_.flow(f).done) done = false;
         }
@@ -455,7 +461,7 @@ void WaspSystem::maybe_adapt() {
       config_.mode == AdaptationMode::kDegrade) {
     return;
   }
-  if (now_ - last_decision_ < config_.monitoring_interval_sec) return;
+  if (now_ - last_decision_ < kMonitoringIntervalSec) return;
   last_decision_ = now_;
 
   // Root span of the decision episode: diagnose/plan/solver spans nest under
@@ -770,8 +776,7 @@ void WaspSystem::schedule_retry(const std::string& why) {
   retry_.backoff_sec =
       retry_.attempts == 1
           ? config_.transition_backoff_initial_sec
-          : std::min(config_.transition_backoff_max_sec,
-                     2.0 * retry_.backoff_sec);
+          : std::min(kTransitionBackoffMaxSec, 2.0 * retry_.backoff_sec);
   // The doubling chain above stays un-jittered (so caps are exact); only the
   // actual wait is spread, desynchronizing retries that a shared fault
   // aborted in the same tick.
@@ -820,7 +825,7 @@ void WaspSystem::maybe_recover() {
       // The abort's cause cleared before the retry fired (site restored,
       // partition healed): let the regular policy round re-decide now.
       retry_.pending = false;
-      last_decision_ = now_ - config_.monitoring_interval_sec;
+      last_decision_ = now_ - kMonitoringIntervalSec;
     }
     return;
   }

@@ -89,11 +89,7 @@ enum class AdaptationMode {
 struct SystemConfig {
   AdaptationMode mode = AdaptationMode::kWasp;
   double tick_sec = 1.0;
-  double monitoring_interval_sec = 40.0;
   double slo_sec = 10.0;  // Degrade's SLO
-  // Minimum transition pause even with nothing to migrate (task teardown/
-  // deploy round-trips).
-  double redeploy_sec = 2.0;
   // §6.2 long-term dynamics: re-evaluate the query plan in the background
   // every this many seconds, even without a diagnosed bottleneck (for
   // predictable shifts like diurnal workloads). 0 disables.
@@ -113,7 +109,6 @@ struct SystemConfig {
   // abandoned.
   int transition_retry_budget = 4;
   double transition_backoff_initial_sec = 5.0;
-  double transition_backoff_max_sec = 60.0;
   // Seeded retry desynchronization: each backoff wait is jittered uniformly
   // by +/- this fraction (state::jittered_backoff_sec) from a dedicated RNG
   // stream, so retries aborted by one shared fault don't re-collide. 0

@@ -19,13 +19,17 @@ void TraceWorkload::add_sample(const std::string& source_name, SiteId site,
 }
 
 void TraceWorkload::bind_source(OperatorId source, const std::string& name) {
+  const auto needed = static_cast<std::size_t>(source.value()) + 1;
+  if (bindings_.size() < needed) bindings_.resize(needed);
   bindings_[source] = name;
 }
 
 double TraceWorkload::rate(OperatorId source, SiteId site, double t) const {
-  const auto binding = bindings_.find(source);
-  if (binding == bindings_.end()) return 0.0;
-  const auto it = samples_.find({binding->second, site.value()});
+  if (static_cast<std::size_t>(source.value()) >= bindings_.size() ||
+      !bindings_[source].has_value()) {
+    return 0.0;
+  }
+  const auto it = samples_.find({*bindings_[source], site.value()});
   if (it == samples_.end() || it->second.empty()) return 0.0;
   const auto& series = it->second;
   auto pos = std::upper_bound(

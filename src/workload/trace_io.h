@@ -14,11 +14,12 @@
 
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
+#include "query/operator_table.h"
 #include "workload/patterns.h"
 
 namespace wasp::workload {
@@ -47,7 +48,7 @@ class TraceWorkload final : public WorkloadPattern {
   std::map<std::pair<std::string, std::int64_t>,
            std::vector<std::pair<double, double>>>
       samples_;
-  std::unordered_map<OperatorId, std::string> bindings_;
+  query::OperatorTable<std::optional<std::string>> bindings_;
 };
 
 // Parses a CSV workload trace; `error` is empty on success.

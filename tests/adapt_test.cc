@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "adapt/diagnosis.h"
@@ -107,6 +106,13 @@ struct Fixture {
     }
   }
 
+  // The plan's rates with the source at `eps` events/s.
+  query::OperatorTable<query::OperatorRates> rates_at(double eps) const {
+    query::OperatorTable<double> sources(plan.num_operators());
+    sources[src_id] = eps;
+    return plan.estimate_rates(sources);
+  }
+
   AdaptationPolicy make_policy(AdaptationPolicy::Config config = {}) {
     return AdaptationPolicy(
         config, physical::Scheduler(), query::QueryPlanner(),
@@ -154,7 +160,7 @@ TEST(MonitorTest, EstimateActualRatesIgnoresBackpressure) {
   GlobalMetricMonitor monitor;
   f.run(0.0, 40.0, 10'000.0, &monitor);
   const auto rates = monitor.estimate_actual_rates(f.engine->logical());
-  EXPECT_NEAR(rates.at(f.map_id).input_eps, 10'000.0, 1.0);
+  EXPECT_NEAR(rates[f.map_id].input_eps, 10'000.0, 1.0);
   EXPECT_LT(monitor.stats(f.map_id).lambda_i, 6'000.0);  // observed is lower
 }
 
@@ -168,7 +174,7 @@ TEST(MonitorTest, EstimateUsesMeasuredSelectivity) {
   GlobalMetricMonitor monitor;
   f.run(0.0, 20.0, 10'000.0, &monitor);
   const auto rates = monitor.estimate_actual_rates(f.engine->logical());
-  EXPECT_NEAR(rates.at(f.map_id).output_eps, 5'000.0, 300.0);
+  EXPECT_NEAR(rates[f.map_id].output_eps, 5'000.0, 300.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -468,6 +474,33 @@ TEST(PolicyTest, DisabledTechniquesYieldNoAction) {
   EXPECT_EQ(action.kind, ActionKind::kNone);
 }
 
+TEST(PolicyTest, ReplanOnlyKeepsTheCarriedParallelism) {
+  // Every link is 8 Mbps and the stream ~10 Mbps: one map task exceeds
+  // α = 0.8 of a link on either side, two tasks fit. A re-plan that may
+  // scale places the candidate with more tasks; the Re-plan baseline keeps
+  // its parallelism fixed, so the same candidate does not fit at all.
+  Fixture f(8.0, 100'000.0);
+  GlobalMetricMonitor monitor;
+  f.run(0.0, 20.0, 10'000.0, &monitor);
+  const TruthView view(f.network, f.engine.get());
+  const int tasks = f.engine->physical_plan().total_tasks();
+
+  const auto scaled =
+      f.make_policy().consider_replan(*f.engine, monitor, view, "test");
+  ASSERT_EQ(scaled.kind, ActionKind::kReplan);
+  EXPECT_GT(scaled.new_physical->total_tasks(), tasks);
+
+  AdaptationPolicy::Config replan_only;
+  replan_only.allow_reassign = false;
+  replan_only.allow_scale = false;
+  const auto fixed = f.make_policy(replan_only)
+                         .consider_replan(*f.engine, monitor, view, "test");
+  if (fixed.kind == ActionKind::kReplan) {
+    EXPECT_LE(fixed.new_physical->total_tasks(), tasks);
+  }
+  EXPECT_EQ(fixed.kind, ActionKind::kNone);
+}
+
 TEST(PolicyTest, OverprovisionedStageScalesDownByOne) {
   Fixture f(1000.0, 100'000.0);
   f.physical.mutable_stage_for(f.map_id).placement =
@@ -659,12 +692,10 @@ TEST(PolicyTest, NoDataNoAction) {
 TEST(PlanCostTest, PenalizesOverloadedLinks) {
   Fixture f(1000.0, 100'000.0);
   const TruthView view(f.network, nullptr);
-  const auto rates =
-      f.plan.estimate_rates({{f.src_id, 10'000.0}});  // 10 Mbps edges
+  const auto rates = f.rates_at(10'000.0);  // 10 Mbps edges
   const double ok_cost = estimate_plan_cost(f.plan, f.physical, rates, view,
                                             /*alpha=*/0.8);
-  const auto rates_hot =
-      f.plan.estimate_rates({{f.src_id, 10'000'000.0}});  // way over capacity
+  const auto rates_hot = f.rates_at(10'000'000.0);  // way over capacity
   const double hot_cost = estimate_plan_cost(f.plan, f.physical, rates_hot,
                                              view, 0.8);
   EXPECT_LT(ok_cost, 1e6);
@@ -674,7 +705,7 @@ TEST(PlanCostTest, PenalizesOverloadedLinks) {
 TEST(PlanCostTest, CoLocationIsCheaperThanWanHops) {
   Fixture f(1000.0, 100'000.0);
   const TruthView view(f.network, nullptr);
-  const auto rates = f.plan.estimate_rates({{f.src_id, 10'000.0}});
+  const auto rates = f.rates_at(10'000.0);
   const double spread = estimate_plan_cost(f.plan, f.physical, rates, view,
                                            0.8);
   PhysicalPlan colocated;
@@ -696,7 +727,7 @@ TEST(PlanCostTest, SumsOverloadPenaltiesInLinkOrder) {
   spread.add_stage(f.src_id, StagePlacement{.per_site = {1, 0, 0, 0}});
   spread.add_stage(f.map_id, StagePlacement{.per_site = {0, 1, 1, 0}});
   spread.add_stage(f.sink_id, StagePlacement{.per_site = {0, 0, 0, 1}});
-  std::unordered_map<OperatorId, query::OperatorRates> rates;
+  query::OperatorTable<query::OperatorRates> rates(f.plan.num_operators());
   rates[f.src_id].output_eps = 200'000.0;
   rates[f.map_id].output_eps = 200'000.0;
 

@@ -4,10 +4,11 @@
 #       <fig09_processing_ratio>
 # Every run below must end with the expected exit code -- 2 for a bad flag,
 # key or topology/query/fault-schedule combination, 1 for an unreadable
-# file or a trace that cannot be written -- and a one-line message on
-# stderr, never by a signal. A sweep cell that cannot be built or traced
-# must come back as an ok=0 cell (the sweep exits 1) instead of killing the
-# sweep.
+# file or an output file that cannot be written (wasp_sim's trace and
+# --metrics, wasp_sweep's --out, a driver's --metrics and its per-label
+# trace files at --jobs>1) -- and a one-line message on stderr, never by a
+# signal. A sweep cell that cannot be built or traced must come back as an
+# ok=0 cell (the sweep exits 1) instead of killing the sweep.
 set -u
 
 SIM="$1"
@@ -85,13 +86,22 @@ expect 2 "${SWEEP}" --grid seeds=1 duration=10x
 expect 2 "${FIG09}" --threads=abc
 expect 2 "${FIG09}" --profile-every=0
 
-# Unreadable files, and a trace that cannot be written.
+# Unreadable files, and output files that cannot be written.
 expect 1 "${SIM}" --trace="${WORK}/missing.csv"
 expect 1 "${SIM}" --fault-schedule="${WORK}/missing.fsched"
 expect 1 "${SIM}" --duration=10 --trace-out=/dev/full
+expect 1 "${SIM}" --duration=10 --metrics=/dev/full
+expect 1 "${SWEEP}" --quiet --grid seeds=1 --duration=10 --out=/dev/full
+expect 1 "${FIG09}" --metrics=/dev/full
 mkdir "${WORK}/full"
 ln -s /dev/full "${WORK}/full/run_0.jsonl"
 expect_failed_cell --grid seeds=1 --duration=10 --trace-dir="${WORK}/full"
+# At --jobs>1 each traced run writes FILE with its label inserted.
+for label in YSB-Advertising-Campaign Top-K-Popular-Topics \
+             Events-of-Interest; do
+  ln -s /dev/full "${WORK}/full/t.${label}.jsonl"
+done
+expect 1 "${FIG08}" --jobs=2 --trace-out="${WORK}/full/t.jsonl"
 
 # A uniform topology has no edge sites: the bench drivers fall back to the
 # hub layout instead of aborting, and check no paper claim off the paper

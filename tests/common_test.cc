@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <sstream>
-#include <unordered_set>
+#include <type_traits>
 
 #include "common/histogram.h"
 #include "common/ids.h"
@@ -29,12 +30,13 @@ TEST(IdsTest, ComparesByValue) {
   EXPECT_LT(SiteId(3), SiteId(4));
 }
 
-TEST(IdsTest, HashableInUnorderedSet) {
-  std::unordered_set<TaskId> set;
-  set.insert(TaskId(1));
-  set.insert(TaskId(1));
-  set.insert(TaskId(2));
-  EXPECT_EQ(set.size(), 2u);
+TEST(IdsTest, NotHashable) {
+  // Checked at compile time: ids have no std::hash, so an id-keyed hash
+  // container does not compile and no result can follow hash order (id-keyed
+  // tables are query::OperatorTable, indexed by id).
+  static_assert(!std::is_default_constructible_v<std::hash<TaskId>>);
+  static_assert(!std::is_invocable_v<std::hash<OperatorId>, OperatorId>);
+  static_assert(!std::is_invocable_v<std::hash<SiteId>, SiteId>);
 }
 
 TEST(UnitsTest, BandwidthDataRateRoundTrip) {

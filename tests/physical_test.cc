@@ -2,7 +2,10 @@
 // placement ILP (paper Eq. 1-5), and whole-plan placement.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -57,6 +60,19 @@ class FakeView final : public NetworkView {
   std::vector<int> slots_;
 };
 
+// The rates of `plan` with every source at `eps` events/s.
+query::OperatorTable<query::OperatorRates> rates_at(
+    const query::LogicalPlan& plan, double eps) {
+  query::OperatorTable<double> sources(plan.num_operators());
+  for (OperatorId s : plan.sources()) sources[s] = eps;
+  return plan.estimate_rates(sources);
+}
+
+// Parallelism 1 for every operator of `plan`.
+query::OperatorTable<int> ones(const query::LogicalPlan& plan) {
+  return query::OperatorTable<int>(plan.num_operators(), 1);
+}
+
 TEST(PlacementTest, ParallelismAndSites) {
   StagePlacement p{.per_site = {2, 0, 1}};
   EXPECT_EQ(p.parallelism(), 3);
@@ -79,6 +95,72 @@ TEST(PlacementTest, DiffIdentifiesDrainAndFill) {
   EXPECT_EQ(diff.fill[0].second, 2);
   EXPECT_EQ(diff.fill[1].first, SiteId(3));
   EXPECT_EQ(diff.fill[1].second, 1);
+}
+
+TEST(AdjustedViewTest, SlotDeltasAdd) {
+  const FakeView base(3, 100.0, 10.0, 4);
+  AdjustedView view(base, {1, 0, -2});
+  view.release_slots(StagePlacement{.per_site = {0, 2, 0}});
+  view.claim_slots(StagePlacement{.per_site = {1, 0, 1}});
+  EXPECT_EQ(view.available_slots(SiteId(0)), 4);
+  EXPECT_EQ(view.available_slots(SiteId(1)), 6);
+  EXPECT_EQ(view.available_slots(SiteId(2)), 1);
+  EXPECT_EQ(view.num_sites(), 3u);
+  EXPECT_EQ(view.latency_ms(SiteId(0), SiteId(1)), 10.0);
+}
+
+TEST(AdjustedViewTest, AClaimLargerThanTheBaseReadsZero) {
+  const FakeView base(3, 10.0, 10.0, 4);
+  AdjustedView view(base);
+  view.claim_mbps(SiteId(0), SiteId(1), 4.0);
+  view.claim_mbps(SiteId(0), SiteId(1), 21.0);
+  view.claim_mbps(SiteId(1), SiteId(2), 4.0);
+  const double over = view.available_mbps(SiteId(0), SiteId(1));
+  EXPECT_EQ(over, 0.0);
+  EXPECT_FALSE(std::signbit(over));
+  EXPECT_EQ(view.available_mbps(SiteId(1), SiteId(2)), 6.0);
+  // The claim is directed.
+  EXPECT_EQ(view.available_mbps(SiteId(2), SiteId(1)), 10.0);
+}
+
+TEST(AdjustedViewTest, ALinkWithoutADeltaReadsTheBaseBits) {
+  // Values a clamp or an added 0 would change: -0.0, a negative and a NaN.
+  FakeView base(3, 0.1 + 0.2, 10.0, 4);
+  base.set_bandwidth(SiteId(0), SiteId(2), -0.0);
+  base.set_bandwidth(SiteId(1), SiteId(0), -3.5);
+  base.set_bandwidth(SiteId(2), SiteId(0),
+                     std::numeric_limits<double>::quiet_NaN());
+  AdjustedView view(base, {}, {{0 * 3 + 1, 5.0}});
+  view.claim_mbps(SiteId(1), SiteId(2), 0.25);
+  EXPECT_EQ(view.available_mbps(SiteId(0), SiteId(1)), 0.1 + 0.2 + 5.0);
+  for (std::int64_t from = 0; from < 3; ++from) {
+    for (std::int64_t to = 0; to < 3; ++to) {
+      if ((from == 0 && to == 1) || (from == 1 && to == 2)) continue;
+      const SiteId a(from), b(to);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(view.available_mbps(a, b)),
+                std::bit_cast<std::uint64_t>(base.available_mbps(a, b)))
+          << from << " -> " << to;
+    }
+  }
+}
+
+TEST(AdjustedViewTest, TwoLayersApplyInOrder) {
+  // The inner layer adds 5 Mbps back onto 0 -> 1 and frees a slot at site
+  // 0; the outer one claims 12 Mbps and two slots. Read in that order the
+  // link has 10 + 5 - 12 = 3 left; the other order would clamp at the claim
+  // (max(0, 10 - 12) + 5 = 5).
+  const FakeView base(2, 10.0, 10.0, 4);
+  AdjustedView inner(base, {1, 0}, {{0 * 2 + 1, 5.0}});
+  const NetworkView& inner_view = inner;
+  AdjustedView outer(inner_view);
+  outer.claim_mbps(SiteId(0), SiteId(1), 12.0);
+  outer.claim_slots(StagePlacement{.per_site = {2, 0}});
+  EXPECT_EQ(outer.available_mbps(SiteId(0), SiteId(1)), 3.0);
+  EXPECT_EQ(outer.available_slots(SiteId(0)), 3);
+  EXPECT_EQ(outer.available_slots(SiteId(1)), 4);
+  // A claim on the inner layer after the fact shows through the outer one.
+  inner.claim_mbps(SiteId(0), SiteId(1), 1.0);
+  EXPECT_EQ(outer.available_mbps(SiteId(0), SiteId(1)), 2.0);
 }
 
 TEST(SchedulerTest, PinnedStageBypassesIlp) {
@@ -289,8 +371,8 @@ TEST(PlacePlanTest, PlacesAllStagesAndDeductsSlots) {
   FakeView view(3, 1000.0, 10.0, 1);
   Scheduler scheduler;
   const auto plan = simple_pipeline(SiteId(0), SiteId(2));
-  const auto rates = plan.estimate_rates({{plan.sources()[0], 1000.0}});
-  const auto placed = place_plan(plan, rates, {}, view, scheduler);
+  const auto placed =
+      place_plan(plan, rates_at(plan, 1000.0), ones(plan), view, scheduler);
   ASSERT_TRUE(placed.has_value());
   EXPECT_EQ(placed->plan.num_stages(), 3u);
   EXPECT_EQ(placed->plan.total_tasks(), 3);
@@ -310,8 +392,8 @@ TEST(PlacePlanTest, WanEstimateCountsCrossSiteTraffic) {
   FakeView view(2, 1000.0, 10.0, 4);
   Scheduler scheduler;
   const auto plan = simple_pipeline(SiteId(0), SiteId(1));
-  const auto rates = plan.estimate_rates({{plan.sources()[0], 10'000.0}});
-  const auto placed = place_plan(plan, rates, {}, view, scheduler);
+  const auto placed =
+      place_plan(plan, rates_at(plan, 10'000.0), ones(plan), view, scheduler);
   ASSERT_TRUE(placed.has_value());
   // src->map or map->sink must cross 0 -> 1 at least once: 10 Mbps.
   EXPECT_GE(placed->wan_mbps, 10.0 - 1e-6);
@@ -326,10 +408,11 @@ TEST(PlacePlanTest, FallbackScalesInfeasibleStage) {
   view.set_bandwidth(SiteId(0), SiteId(2), 8.0);
   Scheduler scheduler;
   const auto plan = simple_pipeline(SiteId(0), SiteId(2));
-  const auto rates = plan.estimate_rates({{plan.sources()[0], 10'000.0}});
-  EXPECT_FALSE(place_plan(plan, rates, {}, view, scheduler).has_value());
+  const auto rates = rates_at(plan, 10'000.0);
+  EXPECT_FALSE(
+      place_plan(plan, rates, ones(plan), view, scheduler).has_value());
   const auto placed =
-      place_plan(plan, rates, {}, view, scheduler, /*fallback=*/3);
+      place_plan(plan, rates, ones(plan), view, scheduler, /*fallback=*/3);
   ASSERT_TRUE(placed.has_value());
   const auto& map_stage = placed->plan.stage(StageId(1));
   EXPECT_GE(map_stage.parallelism(), 2);
@@ -374,9 +457,9 @@ TEST(PlacePlanTest, BandwidthIsDeductedAcrossStages) {
   plan.connect(maps[0], k);
   plan.connect(maps[1], k);
 
-  const auto rates = plan.estimate_rates({{s, 10'000.0}});  // 10 Mbps/edge
+  const auto rates = rates_at(plan, 10'000.0);  // 10 Mbps/edge
   Scheduler scheduler;
-  const auto placed = place_plan(plan, rates, {}, view, scheduler);
+  const auto placed = place_plan(plan, rates, ones(plan), view, scheduler);
   ASSERT_TRUE(placed.has_value());
   const SiteId site_a = placed->plan.stage_for(maps[0]).placement.sites().at(0);
   const SiteId site_b = placed->plan.stage_for(maps[1]).placement.sites().at(0);

@@ -29,6 +29,13 @@ LogicalOperator sink(const char* name) {
   return op;
 }
 
+// Every source of `plan` at `eps` events/s.
+OperatorTable<double> source_rates(const LogicalPlan& plan, double eps) {
+  OperatorTable<double> rates(plan.num_operators());
+  for (OperatorId s : plan.sources()) rates[s] = eps;
+  return rates;
+}
+
 LogicalOperator op_of(const char* name, OperatorKind kind,
                       double selectivity = 1.0) {
   LogicalOperator op;
@@ -146,20 +153,18 @@ TEST(LogicalPlanTest, SourcesAndSinks) {
 
 TEST(LogicalPlanTest, RateEstimationPropagatesSelectivity) {
   LogicalPlan plan = linear_plan();
-  const auto rates = plan.estimate_rates({{plan.sources()[0], 1000.0}});
+  const auto rates = plan.estimate_rates(source_rates(plan, 1000.0));
   const OperatorId f = plan.downstream(plan.sources()[0])[0];
-  EXPECT_DOUBLE_EQ(rates.at(f).input_eps, 1000.0);
-  EXPECT_DOUBLE_EQ(rates.at(f).output_eps, 500.0);
-  EXPECT_DOUBLE_EQ(rates.at(plan.sinks()[0]).input_eps, 500.0);
+  EXPECT_DOUBLE_EQ(rates[f].input_eps, 1000.0);
+  EXPECT_DOUBLE_EQ(rates[f].output_eps, 500.0);
+  EXPECT_DOUBLE_EQ(rates[plan.sinks()[0]].input_eps, 500.0);
 }
 
 TEST(LogicalPlanTest, RateEstimationSumsUnionInputs) {
   LogicalPlan plan = union_filter_plan();
-  std::unordered_map<OperatorId, double> src_rates;
-  for (OperatorId s : plan.sources()) src_rates[s] = 300.0;
-  const auto rates = plan.estimate_rates(src_rates);
+  const auto rates = plan.estimate_rates(source_rates(plan, 300.0));
   // union input = 600; filter output = 120.
-  EXPECT_DOUBLE_EQ(rates.at(plan.sinks()[0]).input_eps, 120.0);
+  EXPECT_DOUBLE_EQ(rates[plan.sinks()[0]].input_eps, 120.0);
 }
 
 TEST(SignatureTest, JoinIsCommutative) {
@@ -271,13 +276,10 @@ TEST(FilterPushdownTest, FilterMovesBelowUnion) {
 TEST(FilterPushdownTest, PushdownPreservesSinkRates) {
   const LogicalPlan plan = union_filter_plan();
   const LogicalPlan rewritten = QueryPlanner::push_down_filters(plan);
-  std::unordered_map<OperatorId, double> r1, r2;
-  for (OperatorId s : plan.sources()) r1[s] = 500.0;
-  for (OperatorId s : rewritten.sources()) r2[s] = 500.0;
-  const double out1 =
-      plan.estimate_rates(r1).at(plan.sinks()[0]).input_eps;
-  const double out2 =
-      rewritten.estimate_rates(r2).at(rewritten.sinks()[0]).input_eps;
+  const double out1 = plan.estimate_rates(source_rates(plan, 500.0))
+                          [plan.sinks()[0]].input_eps;
+  const double out2 = rewritten.estimate_rates(source_rates(rewritten, 500.0))
+                          [rewritten.sinks()[0]].input_eps;
   EXPECT_NEAR(out1, out2, 1e-9);
 }
 
@@ -389,18 +391,16 @@ TEST(AggregationPushdownTest, SplitsWindowAggOverUnion) {
   EXPECT_EQ(pushed->num_operators(), plan.num_operators() + 2);
 
   // Rate semantics preserved: the sink sees the same output rate.
-  std::unordered_map<OperatorId, double> r1, r2;
-  for (OperatorId s : plan.sources()) r1[s] = 10'000.0;
-  for (OperatorId s : pushed->sources()) r2[s] = 10'000.0;
-  const double out1 = plan.estimate_rates(r1).at(plan.sinks()[0]).input_eps;
-  const double out2 =
-      pushed->estimate_rates(r2).at(pushed->sinks()[0]).input_eps;
+  const OperatorTable<double> r2 = source_rates(*pushed, 10'000.0);
+  const double out1 = plan.estimate_rates(source_rates(plan, 10'000.0))
+                          [plan.sinks()[0]].input_eps;
+  const double out2 = pushed->estimate_rates(r2)[pushed->sinks()[0]].input_eps;
   EXPECT_NEAR(out1, out2, out1 * 0.01);
 
   // The union now carries aggregated traffic, far less than raw events.
   for (const auto& op : pushed->operators()) {
     if (op.kind == OperatorKind::kUnion) {
-      EXPECT_LT(pushed->estimate_rates(r2).at(op.id).input_eps, 2'000.0);
+      EXPECT_LT(pushed->estimate_rates(r2)[op.id].input_eps, 2'000.0);
     }
   }
 }

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -109,9 +108,9 @@ std::vector<Scenario> paper_scenarios(const net::Topology& topo) {
   return out;
 }
 
-std::unordered_map<OperatorId, query::OperatorRates> scenario_rates(
+query::OperatorTable<query::OperatorRates> scenario_rates(
     const Scenario& sc) {
-  std::unordered_map<OperatorId, double> src_rates;
+  query::OperatorTable<double> src_rates(sc.spec.plan.num_operators());
   for (OperatorId src : sc.spec.sources) src_rates[src] = sc.eps_per_source;
   return sc.spec.plan.estimate_rates(src_rates);
 }
@@ -134,7 +133,7 @@ TEST(SolverDeterminismTest, PaperScenariosPlaceIdenticallyToReference) {
     for (int p = 1; p <= 3; ++p) {
       SCOPED_TRACE("parallelism " + std::to_string(p));
       TopologyView view(topo);
-      std::unordered_map<OperatorId, StagePlacement> placed;
+      query::OperatorTable<StagePlacement> placed(logical.num_operators());
       for (OperatorId op_id : logical.topological_order()) {
         const query::LogicalOperator& op = logical.op(op_id);
         StageContext ctx;
@@ -144,11 +143,11 @@ TEST(SolverDeterminismTest, PaperScenariosPlaceIdenticallyToReference) {
           continue;
         }
         for (OperatorId u : logical.upstream(op_id)) {
-          const StagePlacement& up = placed.at(u);
+          const StagePlacement& up = placed[u];
           const double up_p = up.parallelism();
           for (SiteId site : up.sites()) {
             ctx.upstream.push_back(TrafficEndpoint{
-                site, rates.at(u).output_eps * up.at(site) / up_p,
+                site, rates[u].output_eps * up.at(site) / up_p,
                 logical.op(u).output_event_bytes});
           }
         }
@@ -156,7 +155,7 @@ TEST(SolverDeterminismTest, PaperScenariosPlaceIdenticallyToReference) {
           const auto& sinks = logical.op(d).pinned_sites;
           for (SiteId site : sinks) {
             ctx.downstream.push_back(TrafficEndpoint{
-                site, rates.at(op_id).output_eps / sinks.size(),
+                site, rates[op_id].output_eps / sinks.size(),
                 op.output_event_bytes});
           }
         }
@@ -186,8 +185,11 @@ TEST(SolverDeterminismTest, RepeatedEpochsAreSelfConsistent) {
   for (const Scenario& sc : paper_scenarios(topo)) {
     SCOPED_TRACE(sc.name);
     const auto rates = scenario_rates(sc);
-    const auto first = place_plan(sc.spec.plan, rates, {}, view, scheduler, 4);
-    const auto again = place_plan(sc.spec.plan, rates, {}, view, scheduler, 4);
+    const query::OperatorTable<int> ones(sc.spec.plan.num_operators(), 1);
+    const auto first =
+        place_plan(sc.spec.plan, rates, ones, view, scheduler, 4);
+    const auto again =
+        place_plan(sc.spec.plan, rates, ones, view, scheduler, 4);
     ASSERT_TRUE(first.has_value());
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(first->objective, again->objective);

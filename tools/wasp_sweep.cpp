@@ -229,6 +229,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     out << merged;
+    out.close();
+    if (!out) {
+      std::cerr << "cannot write output '" << opts.out << "'\n";
+      return 1;
+    }
   }
 
   if (!opts.quiet) print_summary(results);
