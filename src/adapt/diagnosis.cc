@@ -4,6 +4,27 @@
 #include <sstream>
 
 namespace wasp::adapt {
+namespace {
+
+// Relative slack on the rate equalities (absorbs fluid noise).
+constexpr double kTolerance = 0.08;
+// A stage is over-provisioned when expected input uses less than this
+// fraction of its capacity (and it has more than one task).
+constexpr double kUnderutilization = 0.45;
+// Require sustained queue growth (events/s) before declaring a bottleneck,
+// filtering transient spikes (§7).
+constexpr double kMinQueueGrowthEps = 1.0;
+// ... or an already-standing channel backlog of at least this many events
+// (saturated buffers stop growing under backpressure).
+constexpr double kMinBacklogEvents = 2'000.0;
+// A non-draining inbound-channel backlog worth this many seconds of upstream
+// traffic marks a network bottleneck even when the rate deficit is within
+// tolerance (a link pinned at ~100% utilization). Must sit below ~1.9 s:
+// saturated channel buffers cap at about twice their drain rate, so a higher
+// threshold can never be reached.
+constexpr double kStandingBacklogSec = 1.5;
+
+}  // namespace
 
 const char* to_string(Health health) {
   switch (health) {
@@ -19,28 +40,26 @@ const char* to_string(Health health) {
   return "?";
 }
 
-Diagnosis Diagnoser::diagnose(const OperatorWindowStats& stats,
-                              double expected_input_eps,
-                              double upstream_output_eps,
-                              double capacity_eps) const {
+Diagnosis diagnose(const OperatorWindowStats& stats,
+                   double expected_input_eps, double upstream_output_eps,
+                   double capacity_eps) {
   Diagnosis d;
   if (stats.ticks == 0) return d;
-  const double tol = config_.tolerance;
 
   // Compute bottleneck: the expected workload exceeds what the stage's
   // allocated slots can process (λ_P < λ̂_I), and the input queue confirms
   // it is actually falling behind.
   const bool capacity_exceeded =
-      expected_input_eps > capacity_eps * (1.0 + tol) &&
-      (stats.input_queue_growth_eps > config_.min_queue_growth_eps ||
-       stats.lambda_p < expected_input_eps * (1.0 - tol));
+      expected_input_eps > capacity_eps * (1.0 + kTolerance) &&
+      (stats.input_queue_growth_eps > kMinQueueGrowthEps ||
+       stats.lambda_p < expected_input_eps * (1.0 - kTolerance));
   // Straggler: events arrive and pile up in the *input* queue while the
   // nominal capacity claims headroom -- the tasks are simply slower than
   // advertised (§1). Network bottlenecks park backlog in the channels, not
   // the input queue, so this clause does not misfire on them.
   const bool straggling =
-      stats.lambda_p < expected_input_eps * (1.0 - tol) &&
-      stats.input_queue_growth_eps > config_.min_queue_growth_eps;
+      stats.lambda_p < expected_input_eps * (1.0 - kTolerance) &&
+      stats.input_queue_growth_eps > kMinQueueGrowthEps;
   if (capacity_exceeded || straggling) {
     d.health = Health::kComputeBottleneck;
     std::ostringstream os;
@@ -66,14 +85,14 @@ Diagnosis Diagnoser::diagnose(const OperatorWindowStats& stats,
   // backlog (onset) or an existing one (saturated buffers stop growing once
   // backpressure caps them, but the deficit persists).
   const bool rate_deficit =
-      upstream_output_eps > stats.lambda_i * (1.0 + tol) &&
-      (stats.channel_backlog_growth_eps > config_.min_queue_growth_eps ||
-       stats.channel_backlog_events > config_.min_backlog_events);
+      upstream_output_eps > stats.lambda_i * (1.0 + kTolerance) &&
+      (stats.channel_backlog_growth_eps > kMinQueueGrowthEps ||
+       stats.channel_backlog_events > kMinBacklogEvents);
   const bool standing_backlog =
       upstream_output_eps > 0.0 &&
       stats.channel_backlog_events >
-          config_.standing_backlog_sec * upstream_output_eps &&
-      stats.channel_backlog_growth_eps > -config_.min_queue_growth_eps;
+          kStandingBacklogSec * upstream_output_eps &&
+      stats.channel_backlog_growth_eps > -kMinQueueGrowthEps;
   const bool network_constrained = rate_deficit || standing_backlog;
   if (network_constrained) {
     d.health = Health::kNetworkBottleneck;
@@ -89,7 +108,7 @@ Diagnosis Diagnoser::diagnose(const OperatorWindowStats& stats,
   // Over-provisioning: capacity far above the expected workload with
   // parallelism to spare, and no residual backlog being drained.
   if (stats.parallelism > 1 && capacity_eps > 0.0 &&
-      expected_input_eps < config_.underutilization * capacity_eps &&
+      expected_input_eps < kUnderutilization * capacity_eps &&
       stats.input_queue_growth_eps <= 0.0 &&
       stats.channel_backlog_growth_eps <= 0.0 &&
       stats.input_queue_events < expected_input_eps + 1.0) {

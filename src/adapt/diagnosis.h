@@ -35,47 +35,17 @@ struct Diagnosis {
   std::string detail;
 };
 
-class Diagnoser {
- public:
-  struct Config {
-    // Relative slack on the rate equalities (absorbs fluid noise).
-    double tolerance = 0.08;
-    // A stage is over-provisioned when expected input uses less than this
-    // fraction of its capacity (and it has more than one task).
-    double underutilization = 0.45;
-    // Require sustained queue growth (events/s) before declaring a
-    // bottleneck, filtering transient spikes (§7).
-    double min_queue_growth_eps = 1.0;
-    // ... or an already-standing channel backlog of at least this many
-    // events (saturated buffers stop growing under backpressure).
-    double min_backlog_events = 2'000.0;
-    // A non-draining inbound-channel backlog worth this many seconds of
-    // upstream traffic marks a network bottleneck even when the rate
-    // deficit is within tolerance (a link pinned at ~100% utilization).
-    // Must sit below ~1.9 s: saturated channel buffers cap at about twice
-    // their drain rate, so a higher threshold can never be reached.
-    double standing_backlog_sec = 1.5;
-    // Accumulated backlog is folded into the expected workload as
-    // backlog / drain_target_sec: the stage should be provisioned to clear
-    // its backlog within this horizon (drives post-failure scale-out, §8.6).
-    double drain_target_sec = 60.0;
-  };
+// Accumulated backlog is folded into the expected workload as
+// backlog / kDrainTargetSec: the stage should be provisioned to clear its
+// backlog within this horizon (drives post-failure scale-out, §8.6).
+inline constexpr double kDrainTargetSec = 60.0;
 
-  [[nodiscard]] const Config& config() const { return config_; }
-
-  Diagnoser() = default;
-  explicit Diagnoser(Config config) : config_(config) {}
-
-  // Diagnoses one operator from its window stats, the §3.3 expected input
-  // rate, the upstream expected output sum, and the stage's aggregate
-  // processing capacity (events/s across its tasks).
-  [[nodiscard]] Diagnosis diagnose(const OperatorWindowStats& stats,
-                                   double expected_input_eps,
-                                   double upstream_output_eps,
-                                   double capacity_eps) const;
-
- private:
-  Config config_{};
-};
+// Diagnoses one operator from its window stats, the §3.3 expected input
+// rate, the upstream expected output sum, and the stage's aggregate
+// processing capacity (events/s across its tasks).
+[[nodiscard]] Diagnosis diagnose(const OperatorWindowStats& stats,
+                                 double expected_input_eps,
+                                 double upstream_output_eps,
+                                 double capacity_eps);
 
 }  // namespace wasp::adapt

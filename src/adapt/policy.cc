@@ -14,6 +14,9 @@
 namespace wasp::adapt {
 namespace {
 
+// Migration-time threshold (§6.2): a re-assignment whose state transfer
+// would take longer scales out instead.
+constexpr double kTMaxSec = 30.0;
 // A stage is not scaled down within this long of its last scale-up/out or
 // re-assignment (prevents grow-trim oscillation around a dynamic), nor while
 // the source backlog exceeds ~this many seconds of workload.
@@ -136,7 +139,6 @@ std::vector<AdaptationPolicy::OpDiagnosis> AdaptationPolicy::diagnose_all(
   std::vector<OpDiagnosis> out;
   const query::LogicalPlan& logical = engine.logical();
   const auto rates = monitor.estimate_actual_rates(logical);
-  const double drain = diagnoser_.config().drain_target_sec;
 
   // Source backlog inflates the whole pipeline's expected workload: every
   // operator will eventually process its (selectivity-scaled) share of the
@@ -150,7 +152,8 @@ std::vector<AdaptationPolicy::OpDiagnosis> AdaptationPolicy::diagnose_all(
   }
   const double backlog_factor =
       total_source_eps > 0.0
-          ? 1.0 + engine.source_backlog_events() / drain / total_source_eps
+          ? 1.0 + engine.source_backlog_events() / kDrainTargetSec /
+                      total_source_eps
           : 1.0;
 
   for (const auto& op : logical.operators()) {
@@ -158,8 +161,8 @@ std::vector<AdaptationPolicy::OpDiagnosis> AdaptationPolicy::diagnose_all(
     const OperatorWindowStats stats = monitor.stats(op.id);
     double expected_input = rates[op.id].input_eps * backlog_factor;
     // Plus the operator's own parked queues, cleared on the same horizon.
-    expected_input += stats.input_queue_events / drain;
-    expected_input += stats.channel_backlog_events / drain;
+    expected_input += stats.input_queue_events / kDrainTargetSec;
+    expected_input += stats.channel_backlog_events / kDrainTargetSec;
     double upstream_output = 0.0;
     for (OperatorId u : logical.upstream(op.id)) {
       upstream_output += rates[u].output_eps;
@@ -173,8 +176,7 @@ std::vector<AdaptationPolicy::OpDiagnosis> AdaptationPolicy::diagnose_all(
     d.observed_input_eps = stats.lambda_i;
     d.backpressure_frac = stats.backpressure_frac;
     d.actionable = op.pinned_sites.empty() && op.splittable;
-    d.diagnosis =
-        diagnoser_.diagnose(stats, expected_input, upstream_output, capacity);
+    d.diagnosis = diagnose(stats, expected_input, upstream_output, capacity);
     out.push_back(std::move(d));
   }
   return out;
@@ -422,22 +424,30 @@ physical::StageContext AdaptationPolicy::stage_context(
   return ctx;
 }
 
-state::MigrationPlan AdaptationPolicy::migration_for(
-    const engine::Engine& engine, OperatorId op,
-    const physical::StagePlacement& to, const physical::NetworkView& view) {
-  if (!engine.logical().op(op).stateful()) return {};
-  const physical::StagePlacement& from = engine.placement(op);
-  const double total_state = engine.total_state_mb(op);
+state::MigrationPlan plan_rebalance(const engine::Engine& engine,
+                                    OperatorId op,
+                                    const physical::StagePlacement& to,
+                                    const physical::NetworkView& view,
+                                    state::MigrationPlanner& planner,
+                                    const std::vector<bool>& dead) {
+  const std::size_t n = engine.placement(op).per_site.size();
+  const auto is_dead = [&](std::size_t s) {
+    return s < dead.size() && dead[s];
+  };
+  double total_state = 0.0;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (is_dead(s)) continue;
+    total_state += engine.state_mb(op, SiteId(static_cast<std::int64_t>(s)));
+  }
   const int p_to = to.parallelism();
   if (total_state <= 1e-9 || p_to == 0) return {};
 
-  // Sources: sites whose retained task count drops -> their excess state
-  // must leave. Destinations: sites whose count grows -> they must receive
-  // their balanced share. Balanced partitioning: each of the p' new tasks
-  // holds total/p'.
+  // Sources: sites holding more than their balanced share must send the
+  // excess. Destinations: sites holding less must receive the difference.
   std::vector<state::StateSource> sources;
   std::vector<state::StateDestination> destinations;
-  for (std::size_t s = 0; s < from.per_site.size(); ++s) {
+  for (std::size_t s = 0; s < n; ++s) {
+    if (is_dead(s)) continue;
     const SiteId site(static_cast<std::int64_t>(s));
     const double here = engine.state_mb(op, site);
     const double target = total_state * to.per_site[s] / p_to;
@@ -447,7 +457,14 @@ state::MigrationPlan AdaptationPolicy::migration_for(
       destinations.push_back(state::StateDestination{site, target - here});
     }
   }
-  return migration_planner_.plan(sources, destinations, view);
+  return planner.plan(sources, destinations, view);
+}
+
+state::MigrationPlan AdaptationPolicy::migration_for(
+    const engine::Engine& engine, OperatorId op,
+    const physical::StagePlacement& to, const physical::NetworkView& view) {
+  if (!engine.logical().op(op).stateful()) return {};
+  return plan_rebalance(engine, op, to, view, migration_planner_);
 }
 
 AdaptationAction AdaptationPolicy::handle_compute_bottleneck(
@@ -606,7 +623,7 @@ AdaptationAction AdaptationPolicy::handle_network_bottleneck(
     if (outcome.has_value() && !(outcome->placement == current)) {
       state::MigrationPlan migration =
           migration_for(engine, diag.op, outcome->placement, self_view);
-      if (migration.estimated_transition_sec <= config_.t_max_sec) {
+      if (migration.estimated_transition_sec <= kTMaxSec) {
         AdaptationAction action;
         action.kind = ActionKind::kReassign;
         action.op = diag.op;
@@ -624,7 +641,7 @@ AdaptationAction AdaptationPolicy::handle_network_bottleneck(
             .str("why", "migration would exceed t_max")
             .num("estimated_transition_sec",
                  migration.estimated_transition_sec)
-            .num("t_max_sec", config_.t_max_sec);
+            .num("t_max_sec", kTMaxSec);
       }
     } else if (trace_ != nullptr && trace_->enabled()) {
       trace_->event("policy_reject")
@@ -886,31 +903,8 @@ std::vector<AdaptationAction> AdaptationPolicy::plan_recovery(
     // lived on the dead site is not a migration source (nothing to read
     // there); it is recovered via checkpoint replay when the site returns.
     if (op.stateful()) {
-      double live_state = 0.0;
-      for (std::size_t s = 0; s < current.per_site.size(); ++s) {
-        if (dead[s]) continue;
-        live_state += engine.state_mb(id, SiteId(static_cast<std::int64_t>(s)));
-      }
-      const int p_to = action.new_placement.parallelism();
-      if (live_state > 1e-9 && p_to > 0) {
-        std::vector<state::StateSource> sources;
-        std::vector<state::StateDestination> destinations;
-        for (std::size_t s = 0; s < current.per_site.size(); ++s) {
-          if (dead[s]) continue;
-          const SiteId site(static_cast<std::int64_t>(s));
-          const double here = engine.state_mb(id, site);
-          const double target =
-              live_state * action.new_placement.per_site[s] / p_to;
-          if (here > target + 1e-9) {
-            sources.push_back(state::StateSource{site, here - target});
-          } else if (target > here + 1e-9) {
-            destinations.push_back(
-                state::StateDestination{site, target - here});
-          }
-        }
-        action.migration =
-            migration_planner_.plan(sources, destinations, self_view);
-      }
+      action.migration = plan_rebalance(engine, id, action.new_placement,
+                                        self_view, migration_planner_, dead);
     }
     action.estimated_transition_sec =
         action.migration.estimated_transition_sec;
@@ -966,8 +960,8 @@ AdaptationAction AdaptationPolicy::try_replan(const engine::Engine& engine,
   }
   const double backlog_factor =
       total_source_eps > 0.0
-          ? 1.0 + engine.source_backlog_events() /
-                      diagnoser_.config().drain_target_sec / total_source_eps
+          ? 1.0 + engine.source_backlog_events() / kDrainTargetSec /
+                      total_source_eps
           : 1.0;
   std::unordered_map<std::string, double> source_eps_by_name;
   for (OperatorId src : current_logical.sources()) {

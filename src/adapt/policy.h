@@ -77,13 +77,23 @@ struct AdaptationAction {
     const query::OperatorTable<query::OperatorRates>& rates,
     const physical::NetworkView& view, double alpha);
 
+// The state moves that re-partition `op`'s state in equal shares over `to`:
+// each of its p' tasks ends up holding total / p', where the total sums the
+// state on every live site in site order. A site marked in `dead` is neither
+// a source nor a destination and its state is not counted: nothing can be
+// read there, and it comes back through checkpoint replay. Empty when there
+// is no state to move or `to` has no task.
+[[nodiscard]] state::MigrationPlan plan_rebalance(
+    const engine::Engine& engine, OperatorId op,
+    const physical::StagePlacement& to, const physical::NetworkView& view,
+    state::MigrationPlanner& planner, const std::vector<bool>& dead = {});
+
 class AdaptationPolicy {
  public:
   // Re-plan instead of scaling a stage past this parallelism (§6.2).
   static constexpr int kPMax = 3;
 
   struct Config {
-    double t_max_sec = 30.0;  // migration-time threshold (§6.2)
     bool allow_reassign = true;
     bool allow_scale = true;
     bool allow_replan = true;
@@ -104,13 +114,11 @@ class AdaptationPolicy {
 
   AdaptationPolicy(Config config, physical::Scheduler scheduler,
                    query::QueryPlanner planner,
-                   state::MigrationPlanner migration_planner,
-                   Diagnoser diagnoser = Diagnoser{})
+                   state::MigrationPlanner migration_planner)
       : config_(config),
         scheduler_(std::move(scheduler)),
         planner_(std::move(planner)),
-        migration_planner_(std::move(migration_planner)),
-        diagnoser_(diagnoser) {}
+        migration_planner_(std::move(migration_planner)) {}
 
   // Informs the policy of the current time (drives the scale-down
   // cooldown). Call once per decision round.
@@ -208,7 +216,7 @@ class AdaptationPolicy {
       const physical::NetworkView& view, const std::string& why);
 
   // Builds the state-migration plan for moving `op` from its current
-  // placement to `to` (balanced shares at the destination).
+  // placement to `to` (plan_rebalance; empty for a stateless operator).
   [[nodiscard]] state::MigrationPlan migration_for(
       const engine::Engine& engine, OperatorId op,
       const physical::StagePlacement& to, const physical::NetworkView& view);
@@ -224,7 +232,6 @@ class AdaptationPolicy {
   physical::Scheduler scheduler_;
   query::QueryPlanner planner_;
   state::MigrationPlanner migration_planner_;
-  Diagnoser diagnoser_;
   obs::TraceEmitter* trace_ = nullptr;
   double now_ = 0.0;
   // Last time each operator was grown/re-placed (scale-down cooldown); sized

@@ -9,6 +9,12 @@ namespace {
 
 constexpr double kCapacityEps = 1e-9;
 
+static_assert(FailureDetector::kHeartbeatIntervalSec > 0.0);
+static_assert(FailureDetector::kSuspectTimeoutSec >=
+              FailureDetector::kHeartbeatIntervalSec);
+static_assert(FailureDetector::kConfirmTimeoutSec >=
+              FailureDetector::kSuspectTimeoutSec);
+
 }  // namespace
 
 const char* to_string(SiteHealth health) {
@@ -23,30 +29,23 @@ const char* to_string(SiteHealth health) {
   return "?";
 }
 
-FailureDetector::FailureDetector(const net::Network& network, Config config)
-    : network_(network), config_(config) {
+FailureDetector::FailureDetector(const net::Network& network)
+    : network_(network) {
   const std::size_t n = network_.topology().num_sites();
   assert(n > 0);
-  assert(config_.heartbeat_interval_sec > 0.0);
-  assert(config_.suspect_timeout_sec >= config_.heartbeat_interval_sec);
-  assert(config_.confirm_timeout_sec >= config_.suspect_timeout_sec);
-  if (config_.coordinator.valid()) {
-    coordinator_ = config_.coordinator;
-  } else {
-    // Deterministic leader stand-in: the site with the most slots, lowest id
-    // breaking ties.
-    int best_slots = -1;
-    for (const net::Site& site : network_.topology().sites()) {
-      if (site.slots > best_slots) {
-        best_slots = site.slots;
-        coordinator_ = site.id;
-      }
+  // Deterministic leader stand-in: the site with the most slots, lowest id
+  // breaking ties.
+  int best_slots = -1;
+  for (const net::Site& site : network_.topology().sites()) {
+    if (site.slots > best_slots) {
+      best_slots = site.slots;
+      coordinator_ = site.id;
     }
   }
   assert(static_cast<std::size_t>(coordinator_.value()) < n);
   health_.assign(n, SiteHealth::kTrusted);
   last_heartbeat_.assign(n, 0.0);
-  next_send_.assign(n, config_.heartbeat_interval_sec);
+  next_send_.assign(n, kHeartbeatIntervalSec);
   suspicion_span_.assign(n, obs::kNoSpan);
   suspicion_since_.assign(n, 0.0);
 }
@@ -70,10 +69,9 @@ void FailureDetector::tick(double t, const std::function<bool(SiteId)>& alive) {
     // suspects everyone, then re-trusts as the backlog of heartbeats lands,
     // instead of declaring the whole fleet dead off one stale table.
     const double gap = t - last_heartbeat_[i];
-    if (gap >= config_.confirm_timeout_sec &&
-        health_[i] == SiteHealth::kSuspected) {
+    if (gap >= kConfirmTimeoutSec && health_[i] == SiteHealth::kSuspected) {
       transition(t, site, SiteHealth::kConfirmedFailed);
-    } else if (gap >= config_.suspect_timeout_sec &&
+    } else if (gap >= kSuspectTimeoutSec &&
                health_[i] == SiteHealth::kTrusted) {
       transition(t, site, SiteHealth::kSuspected);
     }
@@ -81,7 +79,7 @@ void FailureDetector::tick(double t, const std::function<bool(SiteId)>& alive) {
     if (t >= next_send_[i]) {
       const bool delivered =
           alive(site) && network_.capacity(site, coordinator_, t) > kCapacityEps;
-      next_send_[i] = t + config_.heartbeat_interval_sec;
+      next_send_[i] = t + kHeartbeatIntervalSec;
       if (delivered) {
         last_heartbeat_[i] = t;
         if (health_[i] != SiteHealth::kTrusted) {

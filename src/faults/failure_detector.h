@@ -2,14 +2,14 @@
 //
 // WASP assumes failures are detected, not known (§1, §7): the coordinator
 // does not get to read the engine's ground-truth failure flag. Each site
-// sends a heartbeat to the coordinator every `heartbeat_interval_sec`; a
+// sends a heartbeat to the coordinator every `kHeartbeatIntervalSec`; a
 // heartbeat is delivered in a tick iff the site is alive *and* the directed
 // link site -> coordinator has non-zero capacity. The detector tracks, per
 // site, the time since the last delivered heartbeat:
 //
-//   gap >= suspect_timeout_sec  -> kSuspected       (trace "suspect")
-//   gap >= confirm_timeout_sec  -> kConfirmedFailed (trace "confirm_failure")
-//   a delivery at any state     -> kTrusted         (trace "trust")
+//   gap >= kSuspectTimeoutSec  -> kSuspected       (trace "suspect")
+//   gap >= kConfirmTimeoutSec  -> kConfirmedFailed (trace "confirm_failure")
+//   a delivery at any state    -> kTrusted         (trace "trust")
 //
 // This makes detection latency, false suspicion on partitioned/stalled links,
 // and re-trust on recovery observable dynamics instead of implementation
@@ -50,18 +50,15 @@ struct HealthTransition {
 
 class FailureDetector {
  public:
-  struct Config {
-    double heartbeat_interval_sec = 2.0;
-    // Gap after which a site is suspected (slots withheld from placement).
-    double suspect_timeout_sec = 6.0;
-    // Gap after which the failure is confirmed (recovery re-plan triggers).
-    double confirm_timeout_sec = 20.0;
-    // Coordinator site; -1 picks the site with the most slots (lowest id
-    // breaking ties), a deterministic stand-in for leader election.
-    SiteId coordinator{-1};
-  };
+  static constexpr double kHeartbeatIntervalSec = 2.0;
+  // Gap after which a site is suspected (slots withheld from placement).
+  static constexpr double kSuspectTimeoutSec = 6.0;
+  // Gap after which the failure is confirmed (recovery re-plan triggers).
+  static constexpr double kConfirmTimeoutSec = 20.0;
 
-  FailureDetector(const net::Network& network, Config config);
+  // The coordinator is the site with the most slots (lowest id breaking
+  // ties), a deterministic stand-in for leader election.
+  explicit FailureDetector(const net::Network& network);
 
   // Advances the detector to time `t`. `alive(site)` is the data-plane truth
   // the heartbeats sample: typically `!engine.site_failed(site)`. The
@@ -76,7 +73,6 @@ class FailureDetector {
     return health(site) == SiteHealth::kConfirmedFailed;
   }
   [[nodiscard]] SiteId coordinator() const { return coordinator_; }
-  [[nodiscard]] const Config& config() const { return config_; }
 
   // Seconds since `site`'s last delivered heartbeat, as of the last tick().
   [[nodiscard]] double heartbeat_gap(SiteId site) const;
@@ -96,7 +92,6 @@ class FailureDetector {
   void transition(double t, SiteId site, SiteHealth to);
 
   const net::Network& network_;
-  Config config_;
   SiteId coordinator_{-1};
   std::vector<SiteHealth> health_;
   std::vector<double> last_heartbeat_;  // delivery time, per site

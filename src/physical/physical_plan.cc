@@ -163,27 +163,6 @@ std::optional<PlanPlacement> place_plan(
     result.objective += outcome->objective;
   }
 
-  // Estimated WAN consumption: for every logical edge, traffic between
-  // non-co-located task sites.
-  for (const Stage& stage : result.plan.stages()) {
-    const query::LogicalOperator& op = logical.op(stage.op);
-    for (OperatorId d : logical.downstream(stage.op)) {
-      const Stage& down = result.plan.stage_for(d);
-      const double out_eps = rates[stage.op].output_eps;
-      const int p_up = stage.parallelism();
-      const int p_down = down.parallelism();
-      if (p_up == 0 || p_down == 0) continue;
-      for (SiteId su : stage.placement.sites()) {
-        for (SiteId sd : down.placement.sites()) {
-          if (su == sd) continue;
-          const double share =
-              (static_cast<double>(stage.placement.at(su)) / p_up) *
-              (static_cast<double>(down.placement.at(sd)) / p_down);
-          result.wan_mbps += stream_mbps(out_eps * share, op.output_event_bytes);
-        }
-      }
-    }
-  }
   return result;
 }
 

@@ -54,8 +54,6 @@ struct PlanPlacement {
   PhysicalPlan plan;
   // Sum of per-stage ILP objectives: traffic-weighted network delay (Eq. 1).
   double objective = 0.0;
-  // Estimated WAN bandwidth consumption (Mbps) across all cross-site edges.
-  double wan_mbps = 0.0;
 };
 
 // Places every stage of `logical` with the given per-operator parallelism

@@ -13,6 +13,14 @@ namespace {
 // a steady stream of this event size so constraint (2) verifies the standby
 // link can actually carry the replication load.
 constexpr double kSyncEventBytes = 100.0;
+// Delta-shipping cadence; also the background planning cadence.
+constexpr double kSyncIntervalSec = 30.0;
+// A replica whose last completed sync captured state older than this is not
+// promotable: replaying that much delta would cost more than the fallback
+// replan path saves.
+constexpr double kMaxStalenessSec = 300.0;
+// Floor on a sync flow's size (metadata, membership, manifests).
+constexpr double kMinSyncMb = 1.0;
 
 bool is_protected(const query::LogicalOperator& op) {
   return op.stateful() && op.splittable && op.pinned_sites.empty();
@@ -20,8 +28,8 @@ bool is_protected(const query::LogicalOperator& op) {
 
 }  // namespace
 
-StandbyManager::StandbyManager(net::Network& network, StandbyConfig config)
-    : network_(network), config_(config) {
+StandbyManager::StandbyManager(net::Network& network, int replicas)
+    : network_(network), replicas_(replicas) {
   reserved_.assign(network_.topology().num_sites(), 0);
 }
 
@@ -37,7 +45,7 @@ void StandbyManager::tick(double now, const engine::Engine& engine,
                           const physical::Scheduler& scheduler,
                           const physical::NetworkView& view,
                           const SiteOk& trusted) {
-  if (config_.replicas <= 0) return;
+  if (replicas_ <= 0) return;
   obs::Profiler::Scope profile_sync(profiler_, obs::Phase::kStandbySync);
   pump_syncs(now, trusted);
 
@@ -49,7 +57,7 @@ void StandbyManager::tick(double now, const engine::Engine& engine,
     }
   }
 
-  if (now - last_sync_ < config_.sync_interval_sec) return;
+  if (now - last_sync_ < kSyncIntervalSec) return;
   last_sync_ = now;
   plan_missing(now, engine, scheduler, view, trusted);
   launch_syncs(now, engine, trusted);
@@ -111,7 +119,7 @@ void StandbyManager::plan_missing(double now, const engine::Engine& engine,
     for (const Slot& slot : slots_) {
       if (slot.op == lop.id) ++existing;
     }
-    if (existing >= config_.replicas) continue;
+    if (existing >= replicas_) continue;
 
     const physical::StagePlacement& placement = engine.placement(lop.id);
     if (placement.parallelism() == 0) continue;
@@ -142,11 +150,10 @@ void StandbyManager::plan_missing(double now, const engine::Engine& engine,
         // Average replication rate: one full-state's worth of delta per sync
         // interval from this primary, expressed as an event stream so the
         // ILP's bandwidth constraint (2) prices it like any other edge.
-        const double mb = std::max(config_.min_sync_mb,
-                                   engine.state_mb(lop.id, site));
-        const double eps =
-            (mb * 8.0 * 1e6) /
-            (config_.sync_interval_sec * kSyncEventBytes * 8.0);
+        const double mb =
+            std::max(kMinSyncMb, engine.state_mb(lop.id, site));
+        const double eps = (mb * 8.0 * 1e6) /
+                           (kSyncIntervalSec * kSyncEventBytes * 8.0);
         context.upstream.push_back(
             physical::TrafficEndpoint{site, eps, kSyncEventBytes});
       }
@@ -157,7 +164,7 @@ void StandbyManager::plan_missing(double now, const engine::Engine& engine,
     }
     if (context.upstream.empty() || reserve == 0) continue;
 
-    for (int k = existing; k < config_.replicas; ++k) {
+    for (int k = existing; k < replicas_; ++k) {
       context.parallelism = reserve;
       const auto outcome = scheduler.place_stage(context, view);
       if (!outcome.has_value()) break;  // infeasible; retry next boundary
@@ -223,8 +230,7 @@ void StandbyManager::launch_syncs(double now, const engine::Engine& engine,
       sync.window_at_capture = engine.window_events(slot.op, primary);
       sync.state_mb_at_capture = state_now;
       sync.size_mb =
-          std::max(config_.min_sync_mb,
-                   slot.synced_at[s] < 0.0 ? state_now : delta);
+          std::max(kMinSyncMb, slot.synced_at[s] < 0.0 ? state_now : delta);
       sync.flow = network_.add_bulk_flow(primary, slot.site, sync.size_mb);
       slot.inflight.push_back(sync);
     }
@@ -241,7 +247,7 @@ std::optional<StandbyManager::Promotion> StandbyManager::viable_standby(
     if (f >= slot.synced_at.size() || slot.synced_at[f] < 0.0) continue;
     if (network_.site_down(slot.site) || !trusted(slot.site)) continue;
     const double staleness = now - slot.synced_at[f];
-    if (staleness > config_.max_staleness_sec) continue;
+    if (staleness > kMaxStalenessSec) continue;
     if (!best.has_value() || staleness < best->staleness_sec) {
       best = Promotion{slot.site, slot.synced_window[f], staleness};
     }

@@ -41,23 +41,11 @@ class TraceEmitter;
 
 namespace wasp::resilience {
 
-struct StandbyConfig {
-  // Passive replicas per protected stage. 0 disables the subsystem.
-  int replicas = 0;
-  // Delta-shipping cadence; also the background planning cadence.
-  double sync_interval_sec = 30.0;
-  // A replica whose last completed sync captured state older than this is
-  // not promotable: replaying that much delta would cost more than the
-  // fallback replan path saves.
-  double max_staleness_sec = 300.0;
-  // Floor on a sync flow's size (metadata, membership, manifests).
-  double min_sync_mb = 1.0;
-};
-
 class StandbyManager {
  public:
-  // The Network must outlive the manager (sync flows live in it).
-  StandbyManager(net::Network& network, StandbyConfig config);
+  // Keeps `replicas` passive replicas per protected stage (0 disables the
+  // subsystem). The Network must outlive the manager (sync flows live in it).
+  StandbyManager(net::Network& network, int replicas);
   ~StandbyManager();
 
   StandbyManager(const StandbyManager&) = delete;
@@ -147,7 +135,7 @@ class StandbyManager {
   void rebuild_reserved();
 
   net::Network& network_;
-  StandbyConfig config_;
+  int replicas_ = 0;
   obs::TraceEmitter* trace_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
   std::vector<Slot> slots_;

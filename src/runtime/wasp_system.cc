@@ -100,8 +100,9 @@ WaspSystem::WaspSystem(net::Network& network, workload::QuerySpec spec,
       pattern_(pattern),
       config_(config),
       rng_(config.seed),
-      wan_monitor_(network, config.wan_monitor, Rng(config.seed ^ 0x9E37)),
-      detector_(network, config.detector),
+      wan_monitor_(network, net::WanMonitor::Config{},
+                   Rng(config.seed ^ 0x9E37)),
+      detector_(network),
       scheduler_(config.scheduler),
       planner_(),
       backoff_rng_(config.seed ^ 0xB0FF) {
@@ -138,8 +139,7 @@ WaspSystem::WaspSystem(net::Network& network, workload::QuerySpec spec,
   policy_ = std::make_unique<adapt::AdaptationPolicy>(
       pc, scheduler_, planner_,
       state::MigrationPlanner(state::MigrationStrategy::kNetworkAware,
-                              rng_.fork()),
-      adapt::Diagnoser(config_.diagnoser));
+                              rng_.fork()));
 
   // Observability wiring: one emitter over the configured sink, shared (as a
   // raw pointer) by every layer. Recorder data flows through the registry
@@ -161,20 +161,12 @@ WaspSystem::WaspSystem(net::Network& network, workload::QuerySpec spec,
     slo_watchdog_.emplace(*config_.slo, &trace_, &metrics_);
   }
 
-  config_.engine.tick_sec = config_.tick_sec;
-  config_.engine.degrade = config_.mode == AdaptationMode::kDegrade ||
-                           config_.mode == AdaptationMode::kHybrid;
-  config_.engine.slo_sec = config_.slo_sec;
-  config_.engine.trace = &trace_;
-  config_.engine.metrics = &metrics_;
-  config_.engine.profiler = &profiler_;
   // Intra-run parallelism: one persistent pool shared by the engine's tick
   // regions and the network's per-link waterfills. The pool has threads-1
   // workers; the calling thread participates in every region, so total
   // concurrency is config_.threads.
   if (config_.threads > 1) {
     pool_ = std::make_unique<exec::ThreadPool>(config_.threads - 1);
-    config_.engine.pool = pool_.get();
     network_.set_pool(pool_.get());
     // Busy-time clock reads in the pool are profile-gated; the event counts
     // themselves are always on (relaxed increments).
@@ -185,9 +177,8 @@ WaspSystem::WaspSystem(net::Network& network, workload::QuerySpec spec,
   // background and keeps them warm with delta syncs; the promotion decision
   // itself lives in maybe_recover (promote_standbys).
   if (config_.standby_replicas > 0) {
-    config_.standby.replicas = config_.standby_replicas;
-    standby_ =
-        std::make_unique<resilience::StandbyManager>(network_, config_.standby);
+    standby_ = std::make_unique<resilience::StandbyManager>(
+        network_, config_.standby_replicas);
     standby_->set_trace(&trace_);
     standby_->set_profiler(&profiler_);
   }
@@ -299,12 +290,20 @@ void WaspSystem::deploy(workload::QuerySpec spec) {
       fallback.add_stage(id, placement);
     }
     best_logical = std::move(spec.plan);
-    best_placed = physical::PlanPlacement{std::move(fallback), 0.0, 0.0};
+    best_placed = physical::PlanPlacement{std::move(fallback), 0.0};
   }
 
   engine_ = std::make_unique<engine::Engine>(
       std::move(*best_logical), std::move(best_placed->plan), network_,
-      config_.engine);
+      engine::EngineConfig{
+          .tick_sec = config_.tick_sec,
+          .degrade = config_.mode == AdaptationMode::kDegrade ||
+                     config_.mode == AdaptationMode::kHybrid,
+          .slo_sec = config_.slo_sec,
+          .trace = &trace_,
+          .metrics = &metrics_,
+          .profiler = &profiler_,
+          .pool = pool_.get()});
   initial_tasks_ = engine_->physical_plan().total_tasks();
   apply_workload();
 }
@@ -775,14 +774,13 @@ void WaspSystem::schedule_retry(const std::string& why) {
   }
   retry_.backoff_sec =
       retry_.attempts == 1
-          ? config_.transition_backoff_initial_sec
+          ? kTransitionBackoffInitialSec
           : std::min(kTransitionBackoffMaxSec, 2.0 * retry_.backoff_sec);
   // The doubling chain above stays un-jittered (so caps are exact); only the
   // actual wait is spread, desynchronizing retries that a shared fault
   // aborted in the same tick.
   const double wait = state::jittered_backoff_sec(
-      retry_.backoff_sec, config_.transition_backoff_jitter_frac,
-      backoff_rng_);
+      retry_.backoff_sec, kTransitionBackoffJitterFrac, backoff_rng_);
   retry_.next_attempt_at = now_ + wait;
   retry_.pending = true;
   record_recovery("retry", -1, -1, retry_.attempts, wait, why);
@@ -1126,31 +1124,13 @@ void WaspSystem::force_reassign(OperatorId op,
   }
   obs::TraceEmitter::ParentScope in_episode(&trace_, root);
 
-  // Build the source/destination state inventory exactly as the policy does.
   adapt::AdaptationAction action;
   action.kind = adapt::ActionKind::kReassign;
   action.op = op;
   action.new_placement = placement;
-  const physical::StagePlacement& from = engine_->placement(op);
-  const double total_state = engine_->total_state_mb(op);
-  const int p_to = placement.parallelism();
-  if (total_state > 1e-9 && p_to > 0) {
-    std::vector<state::StateSource> sources;
-    std::vector<state::StateDestination> destinations;
-    for (std::size_t s = 0; s < from.per_site.size(); ++s) {
-      const SiteId site(static_cast<std::int64_t>(s));
-      const double here = engine_->state_mb(op, site);
-      const double target = total_state * placement.per_site[s] / p_to;
-      if (here > target + 1e-9) {
-        sources.push_back(state::StateSource{site, here - target});
-      } else if (target > here + 1e-9) {
-        destinations.push_back(state::StateDestination{site, target - here});
-      }
-    }
-    action.migration = planner.plan(sources, destinations, view);
-    action.estimated_transition_sec =
-        action.migration.estimated_transition_sec;
-  }
+  action.migration =
+      adapt::plan_rebalance(*engine_, op, placement, view, planner);
+  action.estimated_transition_sec = action.migration.estimated_transition_sec;
   action.reason = "forced re-assignment (experiment)";
   std::vector<adapt::AdaptationAction> actions;
   actions.push_back(std::move(action));

@@ -95,32 +95,18 @@ struct SystemConfig {
   // predictable shifts like diurnal workloads). 0 disables.
   double background_replan_interval_sec = 0.0;
   adapt::AdaptationPolicy::Config policy;
-  adapt::Diagnoser::Config diagnoser;
   physical::Scheduler::Config scheduler;
-  engine::EngineConfig engine;
-  net::WanMonitor::Config wan_monitor;
-  // Heartbeat failure detection: the control plane learns about failures
-  // through this detector (fed by the network's delivery truth), never by
-  // reading the engine's failure flags directly.
-  faults::FailureDetector::Config detector;
   // Transactional migrations: an in-flight transition whose bulk-transfer
   // endpoint fails (or whose link partitions) is aborted and retried with
   // capped exponential backoff, up to this many retries before the action is
   // abandoned.
   int transition_retry_budget = 4;
-  double transition_backoff_initial_sec = 5.0;
-  // Seeded retry desynchronization: each backoff wait is jittered uniformly
-  // by +/- this fraction (state::jittered_backoff_sec) from a dedicated RNG
-  // stream, so retries aborted by one shared fault don't re-collide. 0
-  // disables (pure capped-exponential, the pre-jitter behavior).
-  double transition_backoff_jitter_frac = 0.25;
   // Hot-standby replication (DESIGN.md §12): K passive replicas per
   // protected stateful stage, placed in distinct failure domains and kept
   // warm by periodic delta syncs. On a confirmed failure a fresh replica is
   // promoted instead of running the recovery ILP. 0 disables (replan-only
   // recovery, the paper's §8.6 behavior).
   int standby_replicas = 0;
-  resilience::StandbyConfig standby;
   // Graceful degradation: when recovery placement is infeasible (or the
   // retry budget is exhausted) with sites suspected, shed events past the
   // SLO until the sites re-trust. Off by default: modes other than Degrade/
@@ -161,6 +147,13 @@ struct SystemConfig {
 
 class WaspSystem {
  public:
+  // First wait of a transition retry's capped exponential backoff.
+  static constexpr double kTransitionBackoffInitialSec = 5.0;
+  // Seeded retry desynchronization: each backoff wait is jittered uniformly
+  // by +/- this fraction (state::jittered_backoff_sec) from a dedicated RNG
+  // stream, so retries aborted by one shared fault don't re-collide.
+  static constexpr double kTransitionBackoffJitterFrac = 0.25;
+
   // Deploys `spec` over `network` (which the system advances; one system per
   // network instance). The workload `pattern` outlives the system.
   WaspSystem(net::Network& network, workload::QuerySpec spec,
@@ -306,6 +299,9 @@ class WaspSystem {
   SystemConfig config_;
   Rng rng_;
   net::WanMonitor wan_monitor_;
+  // Heartbeat failure detection: the control plane learns about failures
+  // through this detector (fed by the network's delivery truth), never by
+  // reading the engine's failure flags directly.
   faults::FailureDetector detector_;
   std::function<bool(SiteId)> site_alive_;  // built once, reused per tick
   std::function<bool(SiteId)> site_trusted_;  // detector-trusted predicate

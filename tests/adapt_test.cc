@@ -1,6 +1,7 @@
 // Unit tests for the adaptation layer: monitoring aggregation, the §3.3
-// workload estimator, §3.2 health diagnosis, plan-cost estimation, and the
-// Fig. 6 policy decisions (driven through a real engine on small topologies).
+// workload estimator, §3.2 health diagnosis, the equal-share state
+// re-partition, plan-cost estimation, and the Fig. 6 policy decisions (driven
+// through a real engine on small topologies).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -178,29 +179,27 @@ TEST(MonitorTest, EstimateUsesMeasuredSelectivity) {
 }
 
 // ---------------------------------------------------------------------------
-// Diagnoser
+// Diagnosis
 // ---------------------------------------------------------------------------
 
 TEST(DiagnoserTest, HealthyWhenRatesBalance) {
-  Diagnoser diagnoser;
   OperatorWindowStats stats;
   stats.ticks = 40;
   stats.lambda_p = stats.lambda_i = 10'000.0;
   stats.lambda_o = 10'000.0;
   stats.parallelism = 1;
-  const auto d = diagnoser.diagnose(stats, 10'000.0, 10'000.0, 50'000.0);
+  const auto d = diagnose(stats, 10'000.0, 10'000.0, 50'000.0);
   EXPECT_EQ(d.health, Health::kHealthy);
 }
 
 TEST(DiagnoserTest, ComputeBottleneckWhenCapacityExceeded) {
-  Diagnoser diagnoser;
   OperatorWindowStats stats;
   stats.ticks = 40;
   stats.lambda_p = 48'000.0;  // pinned at capacity
   stats.lambda_i = 50'000.0;
   stats.input_queue_growth_eps = 2'000.0;
   stats.parallelism = 1;
-  const auto d = diagnoser.diagnose(stats, 100'000.0, 100'000.0, 50'000.0);
+  const auto d = diagnose(stats, 100'000.0, 100'000.0, 50'000.0);
   EXPECT_EQ(d.health, Health::kComputeBottleneck);
   EXPECT_GT(d.severity, 1.5);
 }
@@ -209,14 +208,13 @@ TEST(DiagnoserTest, StragglerIsComputeBottleneck) {
   // Nominal capacity claims headroom (50k for a 10k stream) but the
   // measured λ_P trails the expected input and the input queue piles up:
   // the tasks are slow, not the network.
-  Diagnoser diagnoser;
   OperatorWindowStats stats;
   stats.ticks = 40;
   stats.lambda_p = 5'000.0;
   stats.lambda_i = 5'200.0;
   stats.input_queue_growth_eps = 4'000.0;
   stats.parallelism = 1;
-  const auto d = diagnoser.diagnose(stats, 10'000.0, 10'000.0, 50'000.0);
+  const auto d = diagnose(stats, 10'000.0, 10'000.0, 50'000.0);
   EXPECT_EQ(d.health, Health::kComputeBottleneck);
   EXPECT_GT(d.severity, 1.5);
 }
@@ -239,64 +237,58 @@ TEST(PolicyTest, StragglerTriggersScaleUp) {
 }
 
 TEST(DiagnoserTest, NetworkBottleneckWhenArrivalsLag) {
-  Diagnoser diagnoser;
   OperatorWindowStats stats;
   stats.ticks = 40;
   stats.lambda_p = stats.lambda_i = 6'000.0;  // only 6k of 10k arrive
   stats.channel_backlog_growth_eps = 4'000.0;
   stats.channel_backlog_events = 80'000.0;
   stats.parallelism = 1;
-  const auto d = diagnoser.diagnose(stats, 10'000.0, 10'000.0, 50'000.0);
+  const auto d = diagnose(stats, 10'000.0, 10'000.0, 50'000.0);
   EXPECT_EQ(d.health, Health::kNetworkBottleneck);
 }
 
 TEST(DiagnoserTest, StandingBacklogIsNetworkBottleneck) {
-  Diagnoser diagnoser;
   OperatorWindowStats stats;
   stats.ticks = 40;
   stats.lambda_p = stats.lambda_i = 10'000.0;  // rates balance...
   stats.channel_backlog_events = 50'000.0;     // ...but 5 s of data is stuck
   stats.channel_backlog_growth_eps = 0.0;
   stats.parallelism = 1;
-  const auto d = diagnoser.diagnose(stats, 10'000.0, 10'000.0, 50'000.0);
+  const auto d = diagnose(stats, 10'000.0, 10'000.0, 50'000.0);
   EXPECT_EQ(d.health, Health::kNetworkBottleneck);
 }
 
 TEST(DiagnoserTest, OverprovisionedWhenUtilizationLow) {
-  Diagnoser diagnoser;
   OperatorWindowStats stats;
   stats.ticks = 40;
   stats.lambda_p = stats.lambda_i = 10'000.0;
   stats.parallelism = 4;  // 200k capacity for a 10k stream
-  const auto d = diagnoser.diagnose(stats, 10'000.0, 10'000.0, 200'000.0);
+  const auto d = diagnose(stats, 10'000.0, 10'000.0, 200'000.0);
   EXPECT_EQ(d.health, Health::kOverprovisioned);
   EXPECT_LT(d.severity, 0.1);
 }
 
 TEST(DiagnoserTest, SingleTaskIsNeverOverprovisioned) {
-  Diagnoser diagnoser;
   OperatorWindowStats stats;
   stats.ticks = 40;
   stats.lambda_p = stats.lambda_i = 100.0;
   stats.parallelism = 1;
-  const auto d = diagnoser.diagnose(stats, 100.0, 100.0, 50'000.0);
+  const auto d = diagnose(stats, 100.0, 100.0, 50'000.0);
   EXPECT_EQ(d.health, Health::kHealthy);
 }
 
 TEST(DiagnoserTest, TransientSpikesAreFiltered) {
   // Deficit within tolerance and no queue growth: stay healthy (§7).
-  Diagnoser diagnoser;
   OperatorWindowStats stats;
   stats.ticks = 40;
   stats.lambda_p = stats.lambda_i = 9'700.0;  // 3% off
   stats.parallelism = 1;
-  const auto d = diagnoser.diagnose(stats, 10'000.0, 10'000.0, 50'000.0);
+  const auto d = diagnose(stats, 10'000.0, 10'000.0, 50'000.0);
   EXPECT_EQ(d.health, Health::kHealthy);
 }
 
 TEST(DiagnoserTest, NoDataMeansHealthy) {
-  Diagnoser diagnoser;
-  const auto d = diagnoser.diagnose(OperatorWindowStats{}, 1e9, 1e9, 1.0);
+  const auto d = diagnose(OperatorWindowStats{}, 1e9, 1e9, 1.0);
   EXPECT_EQ(d.health, Health::kHealthy);
 }
 
@@ -452,9 +444,7 @@ TEST(PolicyTest, MigrationOverheadAboveTmaxPrefersScaleOut) {
   f.engine->set_state_override_mb(f.map_id, 3000.0);
   GlobalMetricMonitor monitor;
   f.run(0.0, 40.0, 10'000.0, &monitor);
-  AdaptationPolicy::Config config;
-  config.t_max_sec = 30.0;
-  auto policy = f.make_policy(config);
+  auto policy = f.make_policy();
   const auto action =
       policy.decide(*f.engine, monitor, TruthView(f.network, f.engine.get()));
   EXPECT_EQ(action.kind, ActionKind::kScaleOut);
@@ -683,6 +673,52 @@ TEST(PolicyTest, NoDataNoAction) {
   const auto action =
       policy.decide(*f.engine, monitor, TruthView(f.network, f.engine.get()));
   EXPECT_EQ(action.kind, ActionKind::kNone);
+}
+
+// ---------------------------------------------------------------------------
+// Equal-share state re-partition
+// ---------------------------------------------------------------------------
+
+// Per-site state after `plan`'s moves, starting from the engine's state.
+std::vector<double> state_after(const engine::Engine& engine, OperatorId op,
+                                const state::MigrationPlan& plan,
+                                std::size_t num_sites) {
+  std::vector<double> mb(num_sites);
+  for (std::size_t s = 0; s < num_sites; ++s) {
+    mb[s] = engine.state_mb(op, SiteId(static_cast<std::int64_t>(s)));
+  }
+  for (const state::Move& m : plan.moves) {
+    mb[static_cast<std::size_t>(m.from.value())] -= m.size_mb;
+    mb[static_cast<std::size_t>(m.to.value())] += m.size_mb;
+  }
+  return mb;
+}
+
+TEST(PlanRebalanceTest, ADeadSiteIsNeitherMovedNorCounted) {
+  // 30 MB over three tasks: 20 MB on site 1 (two tasks), 10 MB on site 2.
+  // Site 2 is dead, so the live total is 20 MB, split 10/10 over the new
+  // placement's sites 1 and 3. Counting site 2 would target 15/15.
+  Fixture f(1000.0, 100'000.0);
+  f.engine->apply_placement(f.map_id, StagePlacement{.per_site = {0, 2, 1, 0}});
+  f.engine->set_state_override_mb(f.map_id, 30.0);
+  state::MigrationPlanner planner(state::MigrationStrategy::kNetworkAware,
+                                  Rng(1));
+  const StagePlacement to{.per_site = {0, 1, 0, 1}};
+  const std::vector<bool> dead = {false, false, true, false};
+  const auto plan =
+      plan_rebalance(*f.engine, f.map_id, to,
+                     TruthView(f.network, f.engine.get()), planner, dead);
+
+  ASSERT_FALSE(plan.moves.empty());
+  for (const state::Move& m : plan.moves) {
+    EXPECT_NE(m.from, SiteId(2));
+    EXPECT_NE(m.to, SiteId(2));
+  }
+  const auto mb = state_after(*f.engine, f.map_id, plan, 4);
+  EXPECT_NEAR(mb[1], 10.0, 1e-9);
+  EXPECT_NEAR(mb[3], 10.0, 1e-9);
+  EXPECT_NEAR(mb[1] + mb[3], 20.0, 1e-9);
+  EXPECT_DOUBLE_EQ(mb[2], 10.0);  // untouched, recovered by replay
 }
 
 // ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@
 # Every run below must end with the expected exit code -- 2 for a bad flag,
 # key or topology/query/fault-schedule combination, 1 for an unreadable
 # file or an output file that cannot be written (wasp_sim's trace and
-# --metrics, wasp_sweep's --out, a driver's --metrics and its per-label
-# trace files at --jobs>1) -- and a one-line message on stderr, never by a
-# signal. A sweep cell that cannot be built or traced must come back as an
-# ok=0 cell (the sweep exits 1) instead of killing the sweep.
+# --metrics, wasp_sweep's --out to a file or to a full stdout with --out=-,
+# a driver's --metrics and its per-label trace files at --jobs>1) -- and a
+# one-line message on stderr, never by a signal. A sweep cell that cannot be
+# built or traced must come back as an ok=0 cell (the sweep exits 1) instead
+# of killing the sweep.
 set -u
 
 SIM="$1"
@@ -92,6 +93,8 @@ expect 1 "${SIM}" --fault-schedule="${WORK}/missing.fsched"
 expect 1 "${SIM}" --duration=10 --trace-out=/dev/full
 expect 1 "${SIM}" --duration=10 --metrics=/dev/full
 expect 1 "${SWEEP}" --quiet --grid seeds=1 --duration=10 --out=/dev/full
+expect 1 bash -c '"$0" --quiet --grid seeds=1 --duration=10 --out=- > /dev/full' \
+  "${SWEEP}"
 expect 1 "${FIG09}" --metrics=/dev/full
 mkdir "${WORK}/full"
 ln -s /dev/full "${WORK}/full/run_0.jsonl"

@@ -176,7 +176,7 @@ TEST(FaultInjectorTest, TickAppliesDueEventsInOrder) {
 
 TEST(FailureDetectorTest, DetectionLatencyIsBounded) {
   net::Network net = make_net(3);
-  FailureDetector detector(net, FailureDetector::Config{});
+  FailureDetector detector(net);
   const double fail_at = 30.0;
   bool site1_alive = true;
   double suspected_at = -1.0, confirmed_at = -1.0;
@@ -189,24 +189,26 @@ TEST(FailureDetectorTest, DetectionLatencyIsBounded) {
       if (ht.to == SiteHealth::kConfirmedFailed) confirmed_at = ht.t;
     }
   }
-  const auto& cfg = detector.config();
   ASSERT_GT(suspected_at, 0.0);
   ASSERT_GT(confirmed_at, 0.0);
   // Detection happens no earlier than the timeout and no later than the
   // timeout plus one heartbeat interval plus one tick.
-  EXPECT_GE(suspected_at - fail_at, cfg.suspect_timeout_sec -
-            cfg.heartbeat_interval_sec - 1.0);
+  EXPECT_GE(suspected_at - fail_at,
+            FailureDetector::kSuspectTimeoutSec -
+                FailureDetector::kHeartbeatIntervalSec - 1.0);
   EXPECT_LE(suspected_at - fail_at,
-            cfg.suspect_timeout_sec + cfg.heartbeat_interval_sec + 1.0);
+            FailureDetector::kSuspectTimeoutSec +
+                FailureDetector::kHeartbeatIntervalSec + 1.0);
   EXPECT_LE(confirmed_at - fail_at,
-            cfg.confirm_timeout_sec + cfg.heartbeat_interval_sec + 1.0);
+            FailureDetector::kConfirmTimeoutSec +
+                FailureDetector::kHeartbeatIntervalSec + 1.0);
   EXPECT_EQ(detector.health(SiteId(1)), SiteHealth::kConfirmedFailed);
   EXPECT_EQ(detector.health(SiteId(2)), SiteHealth::kTrusted);
 }
 
 TEST(FailureDetectorTest, ShortPartitionCausesFalseSuspicionThenRetrust) {
   net::Network net = make_net(3);
-  FailureDetector detector(net, FailureDetector::Config{});
+  FailureDetector detector(net);
   ASSERT_EQ(detector.coordinator(), SiteId(0));
   std::vector<SiteHealth> seen;
   for (double t = 1.0; t <= 60.0; t += 1.0) {
@@ -231,7 +233,7 @@ TEST(FailureDetectorTest, ReversePartitionDoesNotAffectDetection) {
   // Heartbeats ride site -> coordinator; cutting only the coordinator ->
   // site direction must not raise suspicion.
   net::Network net = make_net(3);
-  FailureDetector detector(net, FailureDetector::Config{});
+  FailureDetector detector(net);
   net.set_link_partitioned(SiteId(0), SiteId(1), true);
   for (double t = 1.0; t <= 40.0; t += 1.0) {
     detector.tick(t, [](SiteId) { return true; });
@@ -460,14 +462,14 @@ TEST(FaultSystemTest, MidMigrationDestinationFailureAbortsAndRollsBack) {
   EXPECT_FALSE(event.abort_reason.empty());
   // The abort and its backoff retry are in the recovery log. The recorded
   // wait is the seeded-jittered initial backoff: within the jitter band
-  // around transition_backoff_initial_sec (DESIGN.md §12).
+  // around kTransitionBackoffInitialSec (DESIGN.md §12).
   bool saw_abort = false, saw_retry = false;
   for (const auto& e : system.recorder().recovery_events()) {
     if (e.kind == "transition_abort") saw_abort = true;
     if (e.kind == "retry") {
       saw_retry = true;
-      const double base = config.transition_backoff_initial_sec;
-      const double frac = config.transition_backoff_jitter_frac;
+      const double base = runtime::WaspSystem::kTransitionBackoffInitialSec;
+      const double frac = runtime::WaspSystem::kTransitionBackoffJitterFrac;
       EXPECT_GE(e.backoff_sec, (1.0 - frac) * base);
       EXPECT_LT(e.backoff_sec, (1.0 + frac) * base);
     }

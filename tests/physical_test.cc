@@ -388,17 +388,6 @@ TEST(PlacePlanTest, PlacesAllStagesAndDeductsSlots) {
   for (int u : used) EXPECT_LE(u, 1);
 }
 
-TEST(PlacePlanTest, WanEstimateCountsCrossSiteTraffic) {
-  FakeView view(2, 1000.0, 10.0, 4);
-  Scheduler scheduler;
-  const auto plan = simple_pipeline(SiteId(0), SiteId(1));
-  const auto placed =
-      place_plan(plan, rates_at(plan, 10'000.0), ones(plan), view, scheduler);
-  ASSERT_TRUE(placed.has_value());
-  // src->map or map->sink must cross 0 -> 1 at least once: 10 Mbps.
-  EXPECT_GE(placed->wan_mbps, 10.0 - 1e-6);
-}
-
 TEST(PlacePlanTest, FallbackScalesInfeasibleStage) {
   FakeView view(3, 1000.0, 10.0, 1);
   view.set_slots(SiteId(0), 1);  // source takes it

@@ -221,7 +221,11 @@ int main(int argc, char** argv) {
       exec::merged_jsonl(opts.grid, opts.base, results);
 
   if (opts.out == "-") {
-    std::cout << merged;
+    std::cout << merged << std::flush;
+    if (!std::cout) {
+      std::cerr << "cannot write output '-'\n";
+      return 1;
+    }
   } else {
     std::ofstream out(opts.out);
     if (!out) {
