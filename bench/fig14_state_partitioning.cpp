@@ -143,7 +143,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 1; i < defaults.size(); ++i) {
     grows = grows &&
             defaults[i].transition_sec > defaults[i - 1].transition_sec;
-    growth += "/" + TextTable::fmt(defaults[i].transition_sec, 0);
+    growth += '/';
+    growth += TextTable::fmt(defaults[i].transition_sec, 0);
   }
   std::string unsplit;
   for (std::size_t i = 0; i < parts.size(); ++i) {

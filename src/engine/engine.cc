@@ -325,13 +325,7 @@ double Engine::compute_channel_share(std::size_t ci) const {
   // the neutral skew of 1.0 exactly).
   std::int32_t hot = stage_skew_site_[down];
   if (hot < 0 || dp.per_site[static_cast<std::size_t>(hot)] == 0) {
-    hot = -1;
-    for (std::size_t sd = 0; sd < dp.per_site.size(); ++sd) {
-      if (dp.per_site[sd] > 0) {
-        hot = static_cast<std::int32_t>(sd);
-        break;
-      }
-    }
+    hot = first_hosting_site(down);
   }
   double total = 0.0;
   double my_weight = 0.0;
@@ -344,6 +338,22 @@ double Engine::compute_channel_share(std::size_t ci) const {
     total += w;
   }
   return total > 0.0 ? my_weight / total : 0.0;
+}
+
+std::int32_t Engine::first_hosting_site(std::size_t stage) const {
+  const std::vector<int>& per_site = stage_placement_[stage].per_site;
+  for (std::size_t s = 0; s < per_site.size(); ++s) {
+    if (per_site[s] > 0) return static_cast<std::int32_t>(s);
+  }
+  return -1;
+}
+
+void Engine::reanchor_skew(std::size_t stage) {
+  std::int32_t& pin = stage_skew_site_[stage];
+  if (pin >= 0 &&
+      stage_placement_[stage].per_site[static_cast<std::size_t>(pin)] == 0) {
+    pin = first_hosting_site(stage);
+  }
 }
 
 void Engine::recompute_channel_shares() {
@@ -1041,16 +1051,7 @@ void Engine::apply_placement(OperatorId op,
   }
   // The pinned hot-key site survives reorderings of the placement's site
   // list; only losing the site entirely re-anchors the skew.
-  if (stage_skew_site_[i] >= 0 &&
-      placement.per_site[static_cast<std::size_t>(stage_skew_site_[i])] == 0) {
-    stage_skew_site_[i] = -1;
-    for (std::size_t s = 0; s < num_sites_; ++s) {
-      if (placement.per_site[s] > 0) {
-        stage_skew_site_[i] = static_cast<std::int32_t>(s);
-        break;
-      }
-    }
-  }
+  reanchor_skew(i);
   rebuild_stage_sites();
   rebuild_adjacent_channels(i);
 
@@ -1267,18 +1268,8 @@ void Engine::apply_replan(query::LogicalPlan logical,
     if (it == skews.end()) continue;
     const std::size_t i = stage_index(op.id);
     stage_skew_[i] = it->second.first;
-    std::int32_t site = it->second.second;
-    if (site >= 0 &&
-        stage_placement_[i].per_site[static_cast<std::size_t>(site)] == 0) {
-      site = -1;
-      for (std::size_t s = 0; s < num_sites_; ++s) {
-        if (stage_placement_[i].per_site[s] > 0) {
-          site = static_cast<std::int32_t>(s);
-          break;
-        }
-      }
-    }
-    stage_skew_site_[i] = site;
+    stage_skew_site_[i] = it->second.second;
+    reanchor_skew(i);
   }
   recompute_channel_shares();
 
@@ -1468,15 +1459,7 @@ Engine::PromotionResult Engine::promote_standby(OperatorId op,
 
   // Losing the hot-key site re-anchors partition skew, as in
   // apply_placement.
-  if (stage_skew_site_[i] == static_cast<std::int32_t>(sd)) {
-    stage_skew_site_[i] = -1;
-    for (std::size_t s = 0; s < num_sites_; ++s) {
-      if (placement.per_site[s] > 0) {
-        stage_skew_site_[i] = static_cast<std::int32_t>(s);
-        break;
-      }
-    }
-  }
+  reanchor_skew(i);
 
   double lost_source_units = 0.0;
   if (lost > 0.0) {
@@ -1524,13 +1507,7 @@ void Engine::set_partition_skew(OperatorId op, double hot_factor) {
   } else {
     // Pin the hot key to the lowest-indexed hosting site *at call time*; it
     // stays there across later placement changes (see header comment).
-    stage_skew_site_[i] = -1;
-    for (std::size_t s = 0; s < num_sites_; ++s) {
-      if (stage_placement_[i].per_site[s] > 0) {
-        stage_skew_site_[i] = static_cast<std::int32_t>(s);
-        break;
-      }
-    }
+    stage_skew_site_[i] = first_hosting_site(i);
   }
   recompute_channel_shares();
 }

@@ -349,6 +349,11 @@ class Engine {
   // Recomputes c_share_ only (placement/skew changed, channels did not).
   void recompute_channel_shares();
   [[nodiscard]] double compute_channel_share(std::size_t ci) const;
+  // The lowest-indexed site hosting a task of `stage`; -1 when none does.
+  [[nodiscard]] std::int32_t first_hosting_site(std::size_t stage) const;
+  // Keeps the hot-key pin of `stage` while its site hosts a task, else moves
+  // it to first_hosting_site(stage). An unpinned stage stays unpinned.
+  void reanchor_skew(std::size_t stage);
   // (Re)creates the per-source delay trackers, prunes trackers whose
   // signature no longer names a live source, and refreshes the per-stage
   // tracker pointer cache.

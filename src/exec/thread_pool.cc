@@ -4,8 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "common/log.h"
-
 namespace wasp::exec {
 namespace {
 
@@ -81,42 +79,6 @@ ThreadPool::~ThreadPool() {
   }
   work_available_.notify_all();
   for (std::thread& t : threads_) t.join();
-  if (first_error_ != nullptr) {
-    // Can't throw from a destructor, but a captured task error must not
-    // vanish either: surface it on the log before dropping it.
-    try {
-      std::rethrow_exception(first_error_);
-    } catch (const std::exception& e) {
-      log(LogLevel::kError,
-          "ThreadPool destroyed with an unretrieved task error "
-          "(call wait_idle() to rethrow it): ",
-          e.what());
-    } catch (...) {
-      log(LogLevel::kError,
-          "ThreadPool destroyed with an unretrieved non-std task error "
-          "(call wait_idle() to rethrow it)");
-    }
-  }
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-    queue_peak_ = std::max(queue_peak_, static_cast<std::uint64_t>(queue_.size()));
-    queue_has_work_.store(true, std::memory_order_release);
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-  if (first_error_ != nullptr) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
 }
 
 // Region claim protocol. region_claim_ packs (gen << 32) | next-index in
@@ -238,41 +200,6 @@ void ThreadPool::parallel_for(std::size_t n, const RegionFn& fn) {
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-bool ThreadPool::take_and_run_one_task(std::size_t stats_slot) {
-  std::function<void()> task;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (queue_.empty()) {
-      queue_has_work_.store(false, std::memory_order_release);
-      return false;
-    }
-    task = std::move(queue_.front());
-    queue_.pop_front();
-    queue_has_work_.store(!queue_.empty(), std::memory_order_release);
-    ++in_flight_;
-  }
-  ThreadCounters& counters = counters_[stats_slot];
-  const bool timing = stats_timing_.load(std::memory_order_relaxed);
-  const std::uint64_t start = timing ? stats_now_ns() : 0;
-  try {
-    task();
-  } catch (...) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (first_error_ == nullptr) first_error_ = std::current_exception();
-  }
-  counters.tasks.fetch_add(1, std::memory_order_relaxed);
-  if (timing) {
-    counters.busy_ns.fetch_add(stats_now_ns() - start,
-                               std::memory_order_relaxed);
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    --in_flight_;
-    if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
-  }
-  return true;
-}
-
 void ThreadPool::worker_loop(std::size_t stats_slot) {
   std::uint64_t seen_gen = 0;
   SpinWait spin;
@@ -287,28 +214,18 @@ void ThreadPool::worker_loop(std::size_t stats_slot) {
       spin.spins = 0;
       continue;
     }
-    if (queue_has_work_.load(std::memory_order_acquire)) {
-      if (take_and_run_one_task(stats_slot)) {
-        spin.spins = 0;
-        continue;
-      }
-    }
-    if (stopping_.load(std::memory_order_acquire)) {
-      // Drain outstanding tasks before exiting (regions cannot be in flight
-      // at destruction: parallel_for only returns completed).
-      std::unique_lock<std::mutex> lock(mu_);
-      if (queue_.empty()) return;
-      continue;
-    }
+    // No region can be in flight at destruction: parallel_for returns only
+    // once its region is done.
+    if (stopping_.load(std::memory_order_acquire)) return;
     if (spin.spins < 4096) {
-      // Fresh off a task or a region: the next tick phase is likely
-      // microseconds away. Spin briefly before paying the condvar sleep.
+      // Fresh off a region: the next tick phase is likely microseconds
+      // away. Spin briefly before paying the condvar sleep.
       spin.pause();
       continue;
     }
     std::unique_lock<std::mutex> lock(mu_);
     work_available_.wait(lock, [&] {
-      return stopping_.load(std::memory_order_relaxed) || !queue_.empty() ||
+      return stopping_.load(std::memory_order_relaxed) ||
              claim_gen(region_claim_.load(std::memory_order_relaxed)) !=
                  seen_gen;
     });
@@ -316,24 +233,18 @@ void ThreadPool::worker_loop(std::size_t stats_slot) {
   }
 }
 
-ThreadPool::PoolStats ThreadPool::stats() {
+ThreadPool::PoolStats ThreadPool::stats() const {
   PoolStats out;
   out.per_thread.reserve(counters_.size());
   for (const ThreadCounters& counters : counters_) {
     PoolStats::PerThread t;
     t.busy_ns = counters.busy_ns.load(std::memory_order_relaxed);
-    t.tasks = counters.tasks.load(std::memory_order_relaxed);
     t.chunks = counters.chunks.load(std::memory_order_relaxed);
-    out.tasks += t.tasks;
     out.chunks += t.chunks;
     out.busy_ns += t.busy_ns;
     out.per_thread.push_back(t);
   }
   out.regions = regions_;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    out.queue_peak = queue_peak_;
-  }
   return out;
 }
 
@@ -351,8 +262,7 @@ void parallel_for(int jobs, std::size_t n,
   }
   // Total concurrency is `jobs`: a pool of jobs-1 workers plus the calling
   // thread, which participates in the region. Indices are claimed in
-  // ascending order (one atomic counter), preserving the FIFO start-order
-  // property the sweep contract relies on.
+  // ascending order (one atomic counter), so cells start in index order.
   const std::size_t width = std::min(static_cast<std::size_t>(jobs), n);
   ThreadPool pool(static_cast<int>(width) - 1);
   pool.parallel_for(n, fn);

@@ -4,38 +4,33 @@
 // WASP simulations are embarrassingly parallel across configurations: every
 // run owns its whole world (Rng, Topology, Network, WaspSystem, Recorder,
 // MetricsRegistry, TraceEmitter) and touches nothing shared, so a grid of
-// runs can fan out across cores with no synchronization beyond the task
-// queue. What must NOT vary with the fan-out is the *result*: the sweep
+// runs can fan out across cores with no synchronization beyond one claim
+// counter. What must NOT vary with the fan-out is the *result*: the sweep
 // contract (DESIGN.md §9) is that `--jobs N` produces byte-identical merged
 // output to `--jobs 1`. The executor is therefore deliberately boring:
 //
 //   - a fixed worker count decided at construction (no elastic growth);
-//   - one FIFO task queue (no work stealing, no per-worker deques) -- tasks
-//     are *started* in submission order even though they may *finish* in any
-//     order;
-//   - no executor-provided randomness or time: anything a task needs that
-//     could differ between schedules (seeds above all) is derived from the
-//     task's index via `fork_seed`, never from which worker ran it or when.
+//   - one dispatch path, a fork/join region: parallel_for(n, fn) publishes
+//     a chunk count plus a chunk function, workers and the calling thread
+//     claim indices in ascending order from one atomic counter (no work
+//     stealing, no per-worker deques), and the caller returns once every
+//     index ran;
+//   - no executor-provided randomness or time: anything a chunk needs that
+//     could differ between schedules (seeds above all) is derived from its
+//     index via `fork_seed`, never from which worker ran it or when.
 //
-// Determinism then reduces to a caller-side rule: tasks write only to
-// per-index slots (results[i]) and the merge walks indices in order.
-//
-// Since PR 7 the pool doubles as the *intra-run* executor for the fluid
-// engine's tick phases (DESIGN.md §11). Those need a fork/join whose cost is
-// a few microseconds, not a queue round-trip per chunk, so the pool carries a
-// second dispatch path: parallel_for(n, fn) publishes one region (a chunk
-// count plus a chunk function), workers claim chunk indices from an atomic
-// counter, and the caller participates and then spin-waits for completion.
-// Chunk *indices* -- and therefore the data each chunk touches -- are fixed
-// by the caller independent of worker count; which worker runs which chunk
-// is immaterial because chunks are shared-nothing and any cross-chunk
-// reduction is the caller's (serial, fixed-order) job.
+// Determinism then reduces to a caller-side rule: chunks write only to
+// per-index slots (results[i]) and the merge walks indices in order. The
+// same region serves whole sweep cells (the free parallel_for below) and
+// the fluid engine's tick phases (DESIGN.md §11), whose dispatch must cost a
+// few microseconds: chunk *indices* -- and therefore the data each chunk
+// touches -- are fixed by the caller independent of worker count, and any
+// cross-chunk reduction is the caller's (serial, fixed-order) job.
 //
 // Threading guarantees:
-//   - ThreadPool is externally synchronized: submit()/wait_idle()/
-//     parallel_for() may be called from one controller thread (typically
-//     main). Tasks and chunks run on worker threads and must be
-//     shared-nothing with respect to each other.
+//   - ThreadPool is externally synchronized: parallel_for() may be called
+//     from one controller thread (typically main). Chunks run on worker
+//     threads and must be shared-nothing with respect to each other.
 //   - parallel_for is a self-contained fork/join: it returns only after
 //     every index ran (or, if any indices threw, after every index ran and
 //     the lowest-index exception is rethrown), so the caller's vectors are
@@ -47,7 +42,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -63,12 +57,11 @@ namespace wasp::exec {
 [[nodiscard]] std::uint64_t fork_seed(std::uint64_t base_seed,
                                       std::uint64_t index);
 
-// Fixed-size worker pool over one FIFO queue plus one fork/join region slot.
+// Fixed-size worker pool over one fork/join region slot.
 //
-// Lifecycle: constructing starts the workers; the destructor drains every
-// already-submitted task, then joins. A task that throws does not kill the
-// pool: the first exception (in completion order) is captured and rethrown
-// from the next wait_idle() call; subsequent tasks still run.
+// Lifecycle: constructing starts the workers; the destructor stops and joins
+// them. No region can be in flight then, because parallel_for returns only
+// once its region is done.
 class ThreadPool {
  public:
   using RegionFn = std::function<void(std::size_t)>;
@@ -76,22 +69,10 @@ class ThreadPool {
   // `workers` is clamped to >= 1.
   explicit ThreadPool(int workers);
 
-  // Drains the queue (runs every submitted task) and joins the workers.
-  // An exception still pending from a task (no wait_idle() call since it was
-  // captured) cannot propagate out of a destructor, but it is NOT silently
-  // dropped either: it is logged at Error level before being discarded.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Enqueues a task; tasks are started strictly in submission order.
-  void submit(std::function<void()> task);
-
-  // Blocks until the queue is empty and every worker is idle. If any task
-  // threw since the last wait_idle(), rethrows the first captured exception
-  // (the pool remains usable afterwards).
-  void wait_idle();
 
   // Fork/join parallel region: runs fn(0) .. fn(n-1) across the workers and
   // the calling thread, returning once every index ran. Designed for
@@ -103,8 +84,8 @@ class ThreadPool {
   // Chunks must be shared-nothing (distinct indices touch distinct data).
   // If one or more chunks throw, every index still runs and the exception of
   // the *lowest* index is rethrown (schedule-independent, matching the free
-  // parallel_for below). Must not be called concurrently with submit()/
-  // wait_idle()/itself, nor from inside a task or a chunk.
+  // parallel_for below); the pool stays usable. Must not be called
+  // concurrently with itself, nor from inside a chunk.
   void parallel_for(std::size_t n, const RegionFn& fn);
 
   [[nodiscard]] int workers() const { return static_cast<int>(threads_.size()); }
@@ -113,37 +94,33 @@ class ThreadPool {
   [[nodiscard]] static int hardware_workers();
 
   // --- observability (DESIGN.md §13) -------------------------------------
-  // Counters the pool maintains about its own scheduling. The task / chunk /
-  // region *totals* are deterministic (they are fixed by what callers
-  // submit); per-thread attribution, busy time, and the queue high-water
-  // mark depend on real scheduling and must only surface through wall_*
-  // trace fields or explicitly profile-gated exports.
+  // Counters the pool maintains about its own scheduling. The chunk / region
+  // *totals* are deterministic (they are fixed by what callers publish);
+  // per-thread attribution and busy time depend on real scheduling and must
+  // only surface through wall_* trace fields or explicitly profile-gated
+  // exports.
   struct PoolStats {
     struct PerThread {
-      std::uint64_t busy_ns = 0;  // time inside task/chunk bodies
-      std::uint64_t tasks = 0;
+      std::uint64_t busy_ns = 0;  // time inside chunk bodies
       std::uint64_t chunks = 0;
     };
-    std::uint64_t regions = 0;     // parallel_for regions published
-    std::uint64_t tasks = 0;       // queue tasks executed (total)
-    std::uint64_t chunks = 0;      // region chunks executed (total)
-    std::uint64_t queue_peak = 0;  // queue-depth high-water mark
-    std::uint64_t busy_ns = 0;     // sum of per_thread busy_ns
+    std::uint64_t regions = 0;  // parallel_for regions published
+    std::uint64_t chunks = 0;   // region chunks executed (total)
+    std::uint64_t busy_ns = 0;  // sum of per_thread busy_ns
     // [0] is the controller thread (it claims chunks inside parallel_for);
     // [1..] are the pool workers.
     std::vector<PerThread> per_thread;
   };
 
-  // Busy-time measurement costs two extra clock reads per task/chunk body,
-  // so it is off by default; `--profile` turns it on. Event counts are
-  // always maintained (relaxed increments, no clock involved).
+  // Busy-time measurement costs two extra clock reads per chunk body, so it
+  // is off by default; `--profile` turns it on. Event counts are always
+  // maintained (relaxed increments, no clock involved).
   void set_stats_timing(bool enabled) {
     stats_timing_.store(enabled, std::memory_order_relaxed);
   }
-  // Serial-merge of the per-thread counters. Call from the controller at a
-  // point where no region is in flight (between ticks); concurrently running
-  // queue tasks only make the snapshot slightly stale, never torn per-field.
-  [[nodiscard]] PoolStats stats();
+  // Serial merge of the per-thread counters. Call from the controller at a
+  // point where no region is in flight (between ticks).
+  [[nodiscard]] PoolStats stats() const;
 
  private:
   void worker_loop(std::size_t stats_slot);
@@ -152,24 +129,17 @@ class ThreadPool {
   // has been published -- which implies completion). Returns the generation
   // it processed so the caller can de-duplicate re-entry.
   std::uint64_t run_region_chunks(std::size_t stats_slot);
-  bool take_and_run_one_task(std::size_t stats_slot);
 
   // One cache line per thread so workers never contend on the counters;
   // updates are relaxed (totals are read serially between regions).
   struct alignas(64) ThreadCounters {
     std::atomic<std::uint64_t> busy_ns{0};
-    std::atomic<std::uint64_t> tasks{0};
     std::atomic<std::uint64_t> chunks{0};
   };
 
   std::mutex mu_;
   std::condition_variable work_available_;
-  std::condition_variable idle_;
-  std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;  // popped but not yet finished
-  std::atomic<bool> queue_has_work_{false};
   std::atomic<bool> stopping_{false};
-  std::exception_ptr first_error_;
   std::vector<std::thread> threads_;
 
   // --- parallel region slot (see thread_pool.cc for the claim protocol) ---
@@ -188,7 +158,6 @@ class ThreadPool {
   std::atomic<bool> stats_timing_{false};
   std::vector<ThreadCounters> counters_;  // [0] controller, [1..] workers
   std::uint64_t regions_ = 0;             // controller-only
-  std::uint64_t queue_peak_ = 0;          // guarded by mu_
 };
 
 // Fork/join helper: runs fn(0) .. fn(n-1) across up to `jobs` workers and

@@ -182,6 +182,15 @@ Topology Topology::make_edge_hierarchy(const EdgeHierarchyParams& params,
   // the ring so near/far pairs exist at every tier, like the paper's
   // region-index "distance" proxy).
   std::vector<int> region_pos;
+  // "r<region><kind><index>", built by appends: GCC 12 at -O3 flags
+  // -Wrestrict inside the inlined operator+ chain.
+  auto region_site_name = [](int region, const char* kind, int index) {
+    std::string name = "r";
+    name += std::to_string(region);
+    name += kind;
+    name += std::to_string(index);
+    return name;
+  };
 
   // Sites, in a fixed order: core DCs, then each region's regional DCs, then
   // each region's edge sites (region-major). Only the edge slot counts draw
@@ -195,8 +204,8 @@ Topology Topology::make_edge_hierarchy(const EdgeHierarchyParams& params,
   }
   for (int r = 0; r < regions; ++r) {
     for (int d = 0; d < params.regional_dcs_per_region; ++d) {
-      topo.add_site("r" + std::to_string(r) + "-dc-" + std::to_string(d),
-                    SiteType::kDataCenter, params.regional_slots, r * dpr);
+      topo.add_site(region_site_name(r, "-dc-", d), SiteType::kDataCenter,
+                    params.regional_slots, r * dpr);
       tier.push_back(Tier::kRegional);
       region_pos.push_back(r);
     }
@@ -210,8 +219,8 @@ Topology Topology::make_edge_hierarchy(const EdgeHierarchyParams& params,
     for (int e = 0; e < count; ++e) {
       const int slots = static_cast<int>(
           rng.uniform_int(params.edge_slots_min, params.edge_slots_max));
-      topo.add_site("r" + std::to_string(r) + "-edge-" + std::to_string(e),
-                    SiteType::kEdge, slots, r * dpr + e % dpr);
+      topo.add_site(region_site_name(r, "-edge-", e), SiteType::kEdge, slots,
+                    r * dpr + e % dpr);
       tier.push_back(Tier::kEdge);
       region_pos.push_back(r);
     }

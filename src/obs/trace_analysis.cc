@@ -984,14 +984,11 @@ ProfileSummary aggregate_profile(const TraceFile& file) {
       out.pool.present = true;
       out.pool.ticks += segment_pool.ticks;
       out.pool.threads = std::max(out.pool.threads, segment_pool.threads);
-      out.pool.tasks += segment_pool.tasks;
       out.pool.chunks += segment_pool.chunks;
       out.pool.regions += segment_pool.regions;
       out.pool.busy_us += segment_pool.busy_us;
       out.pool.busy_min_us += segment_pool.busy_min_us;
       out.pool.busy_max_us += segment_pool.busy_max_us;
-      out.pool.queue_peak =
-          std::max(out.pool.queue_peak, segment_pool.queue_peak);
       segment_pool = PoolProfile{};
     }
   };
@@ -1007,13 +1004,11 @@ ProfileSummary aggregate_profile(const TraceFile& file) {
       segment_pool.present = true;
       segment_pool.ticks = static_cast<std::uint64_t>(event.num("ticks"));
       segment_pool.threads = event.num("threads");
-      segment_pool.tasks = event.num("tasks");
       segment_pool.chunks = event.num("chunks");
       segment_pool.regions = event.num("regions");
       segment_pool.busy_us = event.num("wall_busy_us");
       segment_pool.busy_min_us = event.num("wall_busy_min_us");
       segment_pool.busy_max_us = event.num("wall_busy_max_us");
-      segment_pool.queue_peak = event.num("wall_queue_peak");
     } else {
       ProfilePhase& snap = snapshot_of(name);
       snap.ticks = static_cast<std::uint64_t>(event.num("ticks"));

@@ -124,13 +124,11 @@ struct PoolProfile {
   bool present = false;
   std::uint64_t ticks = 0;
   double threads = 0.0;  // max across segments (controller + workers)
-  double tasks = 0.0;
   double chunks = 0.0;
   double regions = 0.0;
   double busy_us = 0.0;
   double busy_min_us = 0.0;  // least-loaded slot (last snapshot folded)
   double busy_max_us = 0.0;  // most-loaded slot
-  double queue_peak = 0.0;   // max across segments
 };
 
 struct ProfileSummary {

@@ -319,15 +319,6 @@ void WaspSystem::apply_workload() {
   }
 }
 
-std::vector<int> WaspSystem::free_slots() const {
-  const auto used = engine_->slots_in_use();
-  std::vector<int> free(used.size(), 0);
-  for (std::size_t s = 0; s < used.size(); ++s) {
-    free[s] = network_.topology().sites()[s].slots - used[s];
-  }
-  return free;
-}
-
 void WaspSystem::step(bool drive_network) {
   // Tick-phase accounting (DESIGN.md §13): a root "step" frame plus a chain
   // of top-level segments, one clock read per boundary. Pure observer: the
@@ -631,7 +622,17 @@ void WaspSystem::finalize_transition() {
           .num("transition_sec", event.transition_sec());
     }
   }
-  // A new transition finishing supersedes any still-settling previous one
+  settle(transition_->root_span, transition_->event_indices.front(),
+         transition_->recovery);
+  // A completed recovery / retried transition closes the retry episode.
+  if (transition_->recovery || transition_->attempt > 0) {
+    retry_ = RetryState{};
+  }
+  transition_.reset();
+}
+
+void WaspSystem::settle(std::uint64_t root, std::size_t event, bool recovery) {
+  // A new episode finishing supersedes any still-settling previous one
   // (stabilizing_event_ is overwritten below): close its spans first.
   if (stabilize_span_ != obs::kNoSpan) {
     trace_.end_span(stabilize_span_).str("status", "superseded");
@@ -640,19 +641,14 @@ void WaspSystem::finalize_transition() {
   }
   // The episode root stays open while the deployment settles, with a
   // "stabilize" child covering the settling window.
-  stabilizing_root_ = transition_->root_span;
+  stabilizing_root_ = root;
   if (trace_.enabled() && stabilizing_root_ != obs::kNoSpan) {
     trace_.begin_span_event("stabilize", &stabilize_span_,
                             /*parent=*/stabilizing_root_)
         .num("pre_transition_delay_sec", pre_transition_delay_);
   }
-  stabilizing_event_ = transition_->event_indices.front();
-  stabilizing_recovery_ = transition_->recovery;
-  // A completed recovery / retried transition closes the retry episode.
-  if (transition_->recovery || transition_->attempt > 0) {
-    retry_ = RetryState{};
-  }
-  transition_.reset();
+  stabilizing_event_ = event;
+  stabilizing_recovery_ = recovery;
   metric_monitor_.reset_window();
   last_decision_ = now_;  // give the new deployment a full interval to settle
 }
@@ -964,24 +960,8 @@ void WaspSystem::promote_standbys(std::vector<SiteId>& dead) {
   if (!first_event.has_value()) {
     trace_.end_span(root).str("status", "no-op");
   } else {
-    // Same supersede-then-settle dance as finalize_transition: a new episode
-    // overwrites stabilizing_event_, so close the previous spans first.
-    if (stabilize_span_ != obs::kNoSpan) {
-      trace_.end_span(stabilize_span_).str("status", "superseded");
-      trace_.end_span(stabilizing_root_).str("status", "superseded");
-      stabilize_span_ = stabilizing_root_ = obs::kNoSpan;
-    }
-    stabilizing_root_ = root;
-    if (trace_.enabled() && stabilizing_root_ != obs::kNoSpan) {
-      trace_.begin_span_event("stabilize", &stabilize_span_,
-                              /*parent=*/stabilizing_root_)
-          .num("pre_transition_delay_sec", pre_transition_delay_);
-    }
-    stabilizing_event_ = *first_event;
-    stabilizing_recovery_ = true;
+    settle(root, *first_event, /*recovery=*/true);
     retry_ = RetryState{};
-    metric_monitor_.reset_window();
-    last_decision_ = now_;
   }
 
   // Re-census: sites fully evacuated by promotions exit the re-plan path.
@@ -1156,7 +1136,7 @@ void WaspSystem::emit_profile_events() {
         .num("wall_self_us", static_cast<double>(accum.self_ns) / 1000.0);
   }
   // One pool line (threads > 1 only): totals are deterministic, busy time
-  // and the queue high-water mark are scheduling facts and stay wall_*.
+  // is a scheduling fact and stays wall_*.
   if (pool_ != nullptr) {
     const exec::ThreadPool::PoolStats stats = pool_->stats();
     std::uint64_t busy_min = 0;
@@ -1169,13 +1149,11 @@ void WaspSystem::emit_profile_events() {
         .str("phase", "pool")
         .num("ticks", static_cast<double>(tick_count_))
         .num("threads", static_cast<double>(pool_->workers() + 1))
-        .num("tasks", static_cast<double>(stats.tasks))
         .num("chunks", static_cast<double>(stats.chunks))
         .num("regions", static_cast<double>(stats.regions))
         .num("wall_busy_us", static_cast<double>(stats.busy_ns) / 1000.0)
         .num("wall_busy_min_us", static_cast<double>(busy_min) / 1000.0)
-        .num("wall_busy_max_us", static_cast<double>(busy_max) / 1000.0)
-        .num("wall_queue_peak", static_cast<double>(stats.queue_peak));
+        .num("wall_busy_max_us", static_cast<double>(busy_max) / 1000.0);
   }
 }
 
@@ -1197,13 +1175,10 @@ void WaspSystem::export_profiler_metrics() {
     const exec::ThreadPool::PoolStats stats = pool_->stats();
     metrics_.gauge("pool.threads")
         .set(static_cast<double>(pool_->workers() + 1));
-    metrics_.gauge("pool.tasks").set(static_cast<double>(stats.tasks));
     metrics_.gauge("pool.chunks").set(static_cast<double>(stats.chunks));
     metrics_.gauge("pool.regions").set(static_cast<double>(stats.regions));
     metrics_.gauge("pool.wall_busy_us")
         .set(static_cast<double>(stats.busy_ns) / 1000.0);
-    metrics_.gauge("pool.wall_queue_peak")
-        .set(static_cast<double>(stats.queue_peak));
   }
 }
 

@@ -180,9 +180,6 @@ class WaspSystem {
     return metrics_;
   }
   [[nodiscard]] obs::TraceEmitter& trace() { return trace_; }
-  [[nodiscard]] const net::WanMonitor& wan_monitor() const {
-    return wan_monitor_;
-  }
   [[nodiscard]] int initial_total_tasks() const { return initial_tasks_; }
   [[nodiscard]] bool transition_in_progress() const {
     return transition_.has_value();
@@ -270,6 +267,12 @@ class WaspSystem {
   void begin_transition(std::vector<adapt::AdaptationAction> actions,
                         bool recovery = false);
   void finalize_transition();
+  // Opens the settling window of a finished episode (a transition or a
+  // standby promotion): supersedes a still-settling previous episode, keeps
+  // `root` open with a "stabilize" child span, marks recorder event `event`
+  // as the one stabilizing, and gives the new deployment a full decision
+  // interval. Callers reset their own retry state.
+  void settle(std::uint64_t root, std::size_t event, bool recovery);
   // Transactional-migration guard: true (with a reason) when an in-flight
   // bulk transfer's endpoint is dead/suspected or its link is partitioned.
   [[nodiscard]] bool transition_compromised(std::string* why) const;
@@ -292,7 +295,6 @@ class WaspSystem {
   // line) into the trace. Called every profile_every ticks and once from the
   // destructor so the final totals always reach the trace.
   void emit_profile_events();
-  [[nodiscard]] std::vector<int> free_slots() const;
 
   net::Network& network_;
   const workload::WorkloadPattern& pattern_;

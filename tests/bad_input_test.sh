@@ -9,7 +9,9 @@
 # a driver's --metrics and its per-label trace files at --jobs>1) -- and a
 # one-line message on stderr, never by a signal. A sweep cell that cannot be
 # built or traced must come back as an ok=0 cell (the sweep exits 1) instead
-# of killing the sweep.
+# of killing the sweep. Without --quiet, wasp_sweep --out=- writes the same
+# bytes to stdout as --out=FILE writes to FILE: the summary table and the
+# progress lines go to stderr.
 set -u
 
 SIM="$1"
@@ -96,6 +98,22 @@ expect 1 "${SWEEP}" --quiet --grid seeds=1 --duration=10 --out=/dev/full
 expect 1 bash -c '"$0" --quiet --grid seeds=1 --duration=10 --out=- > /dev/full' \
   "${SWEEP}"
 expect 1 "${FIG09}" --metrics=/dev/full
+
+# --out=- puts the merged JSONL alone on stdout, byte for byte the --out=FILE
+# output, summary table or not.
+"${SWEEP}" --jobs=2 --grid seeds=1..8 --duration=10 \
+  --out="${WORK}/sweep8.jsonl" > /dev/null 2>&1
+"${SWEEP}" --jobs=2 --grid seeds=1..8 --duration=10 --out=- \
+  > "${WORK}/sweep8.stdout" 2> /dev/null
+if ! cmp -s "${WORK}/sweep8.jsonl" "${WORK}/sweep8.stdout"; then
+  echo "FAIL: wasp_sweep --out=- stdout ($(wc -l < "${WORK}/sweep8.stdout")" \
+       "lines) differs from --out=FILE ($(wc -l < "${WORK}/sweep8.jsonl")" \
+       "lines)" >&2
+  FAILURES=$((FAILURES + 1))
+else
+  echo "ok: wasp_sweep --out=- stdout equals --out=FILE"
+fi
+
 mkdir "${WORK}/full"
 ln -s /dev/full "${WORK}/full/run_0.jsonl"
 expect_failed_cell --grid seeds=1 --duration=10 --trace-dir="${WORK}/full"

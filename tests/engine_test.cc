@@ -760,6 +760,26 @@ TEST(EngineTest, PartitionSkewStaysPinnedAcrossPlacementChanges) {
   f.engine->apply_replan(std::move(new_plan), std::move(new_physical));
   EXPECT_EQ(f.engine->partition_skew_site(f.map_id), 0);
 
+  // A re-plan whose placement drops the carried site re-anchors the pin.
+  PhysicalPlan moved_physical;
+  moved_physical.add_stage(f.src_id, StagePlacement{.per_site = {1, 0, 0}});
+  moved_physical.add_stage(f.map_id, StagePlacement{.per_site = {0, 1, 1}});
+  moved_physical.add_stage(f.sink_id, StagePlacement{.per_site = {0, 0, 1}});
+  f.engine->apply_replan(f.plan, std::move(moved_physical));
+  EXPECT_EQ(f.engine->partition_skew_site(f.map_id), 1);
+
+  // Promoting a standby off another site leaves the pin where it is, even
+  // though the promotion makes site 0 the lowest-indexed hosting site ...
+  f.engine->promote_standby(f.map_id, SiteId(2), SiteId(0), 0.0);
+  EXPECT_EQ(f.engine->placement(f.map_id).per_site,
+            (std::vector<int>{1, 1, 0}));
+  EXPECT_EQ(f.engine->partition_skew_site(f.map_id), 1);
+  // ... and promoting one off the pinned site re-anchors it.
+  f.engine->promote_standby(f.map_id, SiteId(1), SiteId(2), 0.0);
+  EXPECT_EQ(f.engine->placement(f.map_id).per_site,
+            (std::vector<int>{1, 0, 1}));
+  EXPECT_EQ(f.engine->partition_skew_site(f.map_id), 0);
+
   // Clearing the skew unpins.
   f.engine->set_partition_skew(f.map_id, 1.0);
   EXPECT_EQ(f.engine->partition_skew_site(f.map_id), -1);

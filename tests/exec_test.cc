@@ -1,20 +1,18 @@
 // src/exec: the deterministic parallel execution substrate.
 //
 // Covers the three layers the sweep harness stacks: the thread pool's
-// lifecycle (start / drain / destruct, including under task exceptions),
-// grid parsing + row-major expansion + index-based seed forking, and the
-// headline determinism contract -- a 16-cell grid merged at --jobs 1 and
-// --jobs 8 must be byte-identical (DESIGN.md §9).
+// fork/join regions (every index once, lowest-index rethrow, reuse after a
+// throwing region), grid parsing + row-major expansion + index-based seed
+// forking, and the headline determinism contract -- a 16-cell grid merged at
+// --jobs 1 and --jobs 8 must be byte-identical (DESIGN.md §9).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <fstream>
-#include <iostream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exec/sweep.h"
@@ -43,72 +41,13 @@ TEST(ForkSeed, DistinctAcrossAWideGrid) {
 
 // ---- ThreadPool --------------------------------------------------------
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  std::atomic<int> count{0};
-  ThreadPool pool(4);
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, SingleWorkerPreservesFifoOrder) {
-  std::vector<int> order;
-  ThreadPool pool(1);
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&order, i] { order.push_back(i); });
-  }
-  pool.wait_idle();
-  ASSERT_EQ(order.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
-    }
-    // No wait_idle: the destructor must finish the queue before joining.
-  }
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, WaitIdleRethrowsFirstTaskException) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([] { throw std::runtime_error("boom"); });
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The pool survived the exception: later tasks ran and new ones still run.
-  EXPECT_EQ(count.load(), 10);
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();  // no pending exception now
-  EXPECT_EQ(count.load(), 11);
-}
-
-TEST(ThreadPool, DestructsCleanlyWithUnretrievedException) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("never retrieved"); });
-    pool.submit([&count] { count.fetch_add(1); });
-    // Destructor must swallow the stored exception, not terminate.
-  }
-  EXPECT_EQ(count.load(), 1);
-}
-
 TEST(ThreadPool, WorkerCountClampedToAtLeastOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.workers(), 1);
-  std::atomic<int> count{0};
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
+  std::vector<std::atomic<int>> hits(8);
+  pool.parallel_for(hits.size(),
+                    [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
 // ---- parallel_for ------------------------------------------------------
@@ -203,39 +142,6 @@ TEST(ThreadPoolRegion, RethrowsLowestIndexExceptionAndStaysUsable) {
   pool.parallel_for(hits.size(),
                     [&hits](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ThreadPoolRegion, ComposesWithTheTaskQueue) {
-  ThreadPool pool(2);
-  std::atomic<int> tasks{0};
-  for (int i = 0; i < 20; ++i) pool.submit([&tasks] { tasks.fetch_add(1); });
-  std::vector<std::atomic<int>> hits(31);
-  pool.parallel_for(hits.size(),
-                    [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(tasks.load(), 20);
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-// Satellite regression: an exception captured from a submitted task and
-// never retrieved via wait_idle() must not vanish silently when the pool is
-// destroyed -- the destructor logs it at Error level.
-TEST(ThreadPool, DestructorLogsUnretrievedTaskError) {
-  std::ostringstream captured;
-  std::streambuf* old = std::cerr.rdbuf(captured.rdbuf());
-  {
-    ThreadPool pool(2);
-    std::atomic<bool> done{false};
-    pool.submit([] { throw std::runtime_error("lost-task-error"); });
-    pool.submit([&done] { done.store(true); });
-    while (!done.load()) std::this_thread::yield();
-    // No wait_idle(): destruction must surface the stored exception.
-  }
-  std::cerr.rdbuf(old);
-  EXPECT_NE(captured.str().find("unretrieved"), std::string::npos)
-      << "destructor output: " << captured.str();
-  EXPECT_NE(captured.str().find("lost-task-error"), std::string::npos)
-      << "destructor output: " << captured.str();
 }
 
 // ---- GridSpec parsing --------------------------------------------------

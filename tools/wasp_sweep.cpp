@@ -55,7 +55,8 @@ void print_usage(const runtime::RunSpec& base) {
                             are byte-identical for any N); --threads is
                             clamped with a warning when jobs*threads exceeds
                             the machine's cores
-  --out=FILE                merged JSONL (default sweep.jsonl; "-" = stdout)
+  --out=FILE                merged JSONL (default sweep.jsonl; "-" = stdout,
+                            and the summary table goes to stderr)
   --trace-dir=DIR           per-run observability traces DIR/run_<cell>.jsonl
   --quiet                   suppress the summary table and progress lines
   --help                    this text
@@ -135,7 +136,8 @@ std::string labels_of(const exec::SweepCell& cell) {
   return out;
 }
 
-void print_summary(const std::vector<exec::RunResult>& results) {
+void print_summary(const std::vector<exec::RunResult>& results,
+                   std::ostream& out) {
   TextTable table({"cell", "config", "seed", "p50(s)", "p95(s)", "p99(s)",
                    "ratio", "proc%", "adapt", "recov(s)"});
   for (const exec::RunResult& r : results) {
@@ -154,7 +156,7 @@ void print_summary(const std::vector<exec::RunResult>& results) {
                    std::to_string(r.adaptations),
                    TextTable::fmt(r.recovery_sec, 1)});
   }
-  table.print(std::cout);
+  table.print(out);
 }
 
 // Runs the whole grid once; wall time out-param.
@@ -240,7 +242,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!opts.quiet) print_summary(results);
+  // With --out=- stdout carries the merged JSONL alone.
+  if (!opts.quiet) {
+    print_summary(results, opts.out == "-" ? std::cerr : std::cout);
+  }
   std::cerr << "sweep: " << cells->size() << " cells, jobs=" << opts.jobs
             << ", wall " << static_cast<long>(wall_ms)
             << " ms (timings are not part of the merged output)\n";

@@ -410,11 +410,10 @@ int cmd_profile(const std::vector<std::string>& args) {
   if (profile.pool.present) {
     const auto& pool = profile.pool;
     std::printf(
-        "pool: threads=%.0f tasks=%.0f chunks=%.0f regions=%.0f "
-        "busy_ms=%.2f busy_min_ms=%.2f busy_max_ms=%.2f queue_peak=%.0f\n",
-        pool.threads, pool.tasks, pool.chunks, pool.regions,
-        pool.busy_us / 1e3, pool.busy_min_us / 1e3, pool.busy_max_us / 1e3,
-        pool.queue_peak);
+        "pool: threads=%.0f chunks=%.0f regions=%.0f busy_ms=%.2f "
+        "busy_min_ms=%.2f busy_max_ms=%.2f\n",
+        pool.threads, pool.chunks, pool.regions, pool.busy_us / 1e3,
+        pool.busy_min_us / 1e3, pool.busy_max_us / 1e3);
     // Worker utilization: busy time across workers over (workers x measured
     // tick time). A low figure is pool overhead, the cost perfbench reports
     // as exec.t4_over_t1 < 1.
