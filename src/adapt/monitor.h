@@ -41,7 +41,6 @@ class GlobalMetricMonitor {
   void reset_window();
 
   [[nodiscard]] bool has_data() const { return ticks_ > 0; }
-  [[nodiscard]] std::size_t window_ticks() const { return ticks_; }
 
   // Aggregated stats for `op`; zeros if never observed.
   [[nodiscard]] OperatorWindowStats stats(OperatorId op) const;

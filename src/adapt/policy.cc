@@ -17,6 +17,8 @@ namespace {
 // Migration-time threshold (§6.2): a re-assignment whose state transfer
 // would take longer scales out instead.
 constexpr double kTMaxSec = 30.0;
+// A re-plan must beat the current plan's estimated cost by this factor.
+constexpr double kReplanImprovement = 0.9;
 // A stage is not scaled down within this long of its last scale-up/out or
 // re-assignment (prevents grow-trim oscillation around a dynamic), nor while
 // the source backlog exceeds ~this many seconds of workload.
@@ -986,7 +988,7 @@ AdaptationAction AdaptationPolicy::try_replan(const engine::Engine& engine,
   std::optional<query::LogicalPlan> best_logical;
   std::optional<physical::PhysicalPlan> best_physical;
   double best_boundary = 0.0;
-  double best_cost = current_cost * config_.replan_improvement;
+  double best_cost = current_cost * kReplanImprovement;
   std::size_t candidates = 0;
 
   for (query::ReplanCandidate& rc :

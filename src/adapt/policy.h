@@ -97,8 +97,6 @@ class AdaptationPolicy {
     bool allow_reassign = true;
     bool allow_scale = true;
     bool allow_replan = true;
-    // A re-plan must beat the current plan's estimated cost by this factor.
-    double replan_improvement = 0.9;
     // Region decomposition for failure recovery (DESIGN.md §14): when every
     // dead site shares one failure domain, re-plans pin each out-of-region
     // site to its current task count (min == max per-site bounds) so the
@@ -108,7 +106,7 @@ class AdaptationPolicy {
     // absorb the lost tasks). Off by default; planet-scale runs enable it.
     bool region_decomposition = false;
     // Per-site failure-domain labels (indexed by site id), required by
-    // region_decomposition. WaspSystem defaults them from the topology.
+    // region_decomposition. WaspSystem takes them from the topology.
     std::vector<int> site_domains;
   };
 
@@ -182,8 +180,6 @@ class AdaptationPolicy {
   [[nodiscard]] AdaptationAction consider_replan(
       const engine::Engine& engine, const GlobalMetricMonitor& monitor,
       const physical::NetworkView& view, const std::string& why);
-
-  [[nodiscard]] const Config& config() const { return config_; }
 
  private:
   struct OpDiagnosis {

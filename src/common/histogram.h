@@ -32,7 +32,6 @@ class WeightedHistogram {
   [[nodiscard]] double total_weight() const { return total_weight_; }
   [[nodiscard]] double weighted_mean() const;
   [[nodiscard]] bool empty() const { return samples_.empty(); }
-  [[nodiscard]] std::size_t sample_count() const { return samples_.size(); }
 
   void clear();
 

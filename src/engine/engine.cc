@@ -434,7 +434,6 @@ double Engine::source_backlog_events() const {
 }
 
 void Engine::apply_degrade_drops(double t) {
-  const double dt = config_.tick_sec;
   for (const std::size_t idx : topo_order_) {
     if (stage_is_source_[idx] == 0) continue;
     DelayTracker& tracker = *stage_tracker_[idx];
@@ -462,7 +461,7 @@ void Engine::apply_degrade_drops(double t) {
       g_input_queue_[gi] -= share;
     }
     tracker.record_consumed(drop);
-    last_.dropped_eps += drop / dt;
+    last_.dropped_eps += drop / kTickSec;
   }
 }
 
@@ -489,7 +488,6 @@ void Engine::run_region(std::size_t n,
 void Engine::stage_site_chunk(std::size_t k) {
   const std::size_t stage_idx = par_stage_;
   const double t = now_;
-  const double dt = config_.tick_sec;
   const std::size_t s = ss_ids_[ss_off_[stage_idx] + k];
   const std::size_t gi = gid(stage_idx, s);
   proc_scratch_[gi] = 0.0;
@@ -506,7 +504,7 @@ void Engine::stage_site_chunk(std::size_t k) {
     // post-adaptation catch-up burst), while an overloaded stage parks at
     // most ~one second of capacity before backpressure walks upstream to
     // the sources.
-    const double input_cap = kInputBufferFloorEvents + capacity * dt;
+    const double input_cap = kInputBufferFloorEvents + capacity * kTickSec;
     const double space = std::max(0.0, input_cap - g_input_queue_[gi]);
     if (space > 0.0) {
       double total_want = 0.0;
@@ -515,9 +513,9 @@ void Engine::stage_site_chunk(std::size_t k) {
         double transferable = c_queue_[ci];
         if (c_flow_[ci] != nullptr) {
           const double mbps = c_flow_[ci]->allocated_mbps;
-          transferable =
-              std::min(transferable,
-                       events_per_sec_over(mbps, c_event_bytes_[ci]) * dt);
+          transferable = std::min(
+              transferable,
+              events_per_sec_over(mbps, c_event_bytes_[ci]) * kTickSec);
         }
         want_by_channel_[ci] = transferable;
         total_want += transferable;
@@ -541,7 +539,7 @@ void Engine::stage_site_chunk(std::size_t k) {
   if (capacity <= 0.0) return;
   const double sel = stage_selectivity_[stage_idx];
 
-  double proc = std::min(g_input_queue_[gi], capacity * dt);
+  double proc = std::min(g_input_queue_[gi], capacity * kTickSec);
 
   // Backpressure: output must fit the free space of every outbound
   // channel (CSR bucket of this group's channels, precomputed shares).
@@ -581,7 +579,7 @@ void Engine::stage_site_chunk(std::size_t k) {
         const double link_eps = std::max(
             events_per_sec_over(c_flow_[ci]->allocated_mbps + headroom,
                                 c_event_bytes_[ci]),
-            c_delivered_prev_[ci] / dt);
+            c_delivered_prev_[ci] / kTickSec);
         drain_eps = std::min(drain_eps, link_eps);
       }
       chan_cap = kChannelBufferFloorEvents + kChannelBufferSec * drain_eps;
@@ -602,7 +600,7 @@ void Engine::stage_site_chunk(std::size_t k) {
   // Window bookkeeping: state resets at tumbling-window boundaries.
   if (stage_windowed_[stage_idx] != 0) {
     const double w = stage_window_len_[stage_idx];
-    if (std::fmod(t, w) < dt) g_window_events_[gi] = 0.0;
+    if (std::fmod(t, w) < kTickSec) g_window_events_[gi] = 0.0;
     g_window_events_[gi] += proc;
   } else if (stage_stateful_[stage_idx] != 0) {
     g_window_events_[gi] += proc;  // running state driver (joins w/o window)
@@ -624,9 +622,8 @@ void Engine::flow_demand_chunk(std::size_t chunk) {
   const std::size_t begin = chunk * kChanChunk;
   const std::size_t end = std::min(n, begin + kChanChunk);
   const std::size_t len = end - begin;
-  const double dt = config_.tick_sec;
   kernels::flow_demand_mbps(len, c_queue_.data() + begin,
-                            c_event_bytes_.data() + begin, dt,
+                            c_event_bytes_.data() + begin, kTickSec,
                             demand_scratch_.data() + begin);
   // Each channel owns a distinct flow (1:1 at append_channel), so the writes
   // are shared-nothing: set_stream_demand stores the demand and the flow's
@@ -637,7 +634,7 @@ void Engine::flow_demand_chunk(std::size_t chunk) {
   }
 }
 
-void Engine::set_flow_demands(double /*dt*/) {
+void Engine::set_flow_demands() {
   const std::size_t n = chan_.size();
   demand_scratch_.resize(n);
   run_region((n + kChanChunk - 1) / kChanChunk,
@@ -710,7 +707,7 @@ void Engine::update_delay_metric(double t) {
         // links and the receiver could sustain -- a dead link keeps the
         // estimate near zero and the delay correctly explodes, while a
         // suspended-but-healthy path reports the post-resume drain rate.
-        double drain_rate = delivered / config_.tick_sec;
+        double drain_rate = delivered / kTickSec;
         if (drain_rate < 1.0) {
           double link_eps = 0.0;
           for (std::uint32_t k = eb; k < ee; ++k) {
@@ -779,7 +776,6 @@ void Engine::phase_reset_chunk(std::size_t i) {
 }
 
 void Engine::tick(double t) {
-  const double dt = config_.tick_sec;
   now_ = t;
 
   // Tick-phase accounting (DESIGN.md §13): one inclusive "engine" frame,
@@ -824,12 +820,12 @@ void Engine::tick(double t) {
       double generated = 0.0;
       for (std::size_t s = 0; s < num_sites_; ++s) {
         const std::size_t gi = gid(idx, s);
-        const double events = g_source_rate_[gi] * dt;
+        const double events = g_source_rate_[gi] * kTickSec;
         g_input_queue_[gi] += events;
         generated += events;
       }
       stage_tracker_[idx]->record_generated(t, generated);
-      last_.generated_eps += generated / dt;
+      last_.generated_eps += generated / kTickSec;
     }
     if (stage_suspended_[idx] != 0) continue;  // halted mid-transition
 
@@ -849,29 +845,30 @@ void Engine::tick(double t) {
       // (delivered was reset to zero this tick and written once, by the
       // receiving site's chunk).
       for (std::uint32_t k = in_off_[gi]; k < in_off_[gi + 1]; ++k) {
-        stage_arrived_[idx] += c_delivered_[in_ids_[k]] / dt;
+        stage_arrived_[idx] += c_delivered_[in_ids_[k]] / kTickSec;
       }
       total_processed += proc_scratch_[gi];
-      stage_emitted_[idx] += proc_scratch_[gi] * sel / dt;
+      stage_emitted_[idx] += proc_scratch_[gi] * sel / kTickSec;
       if (bp_scratch_[gi] != 0) stage_backpressured_[idx] = 1;
     }
-    stage_processed_[idx] += total_processed / dt;
+    stage_processed_[idx] += total_processed / kTickSec;
     if (stage_is_source_[idx] != 0) {
       stage_tracker_[idx]->record_consumed(total_processed);
-      last_.admitted_eps += total_processed / dt;
+      last_.admitted_eps += total_processed / kTickSec;
     }
     if (stage_is_sink_[idx] != 0) {
-      last_.sink_eps += total_processed / dt;
+      last_.sink_eps += total_processed / kTickSec;
     }
   }
   profile.next(obs::Phase::kEngineChannel);
-  set_flow_demands(dt);
+  set_flow_demands();
 
   // Periodic localized checkpoint (§5), tiered (DESIGN.md §12): every Nth
   // interval takes a full snapshot; the intervals between record only the
   // groups whose state moved since the last snapshot, so the written size
-  // (and the standby-sync traffic priced off it) scales with the change
-  // rate, not the total state. Either way the snapshot arrays end up
+  // scales with the change rate, not the total state. (Standby syncs do not
+  // read it: StandbyManager::launch_syncs prices each against the replica's
+  // last synced state.) Either way the snapshot arrays end up
   // identical -- clean groups already match -- so restore semantics do not
   // depend on the tier.
   profile.next(obs::Phase::kEngineCheckpoint);
@@ -898,7 +895,6 @@ void Engine::tick(double t) {
     }
     if (full) written_mb = checkpointed_mb;
     last_checkpoint_ = t;
-    last_checkpoint_written_mb_ = written_mb;
     if (config_.trace != nullptr && config_.trace->enabled()) {
       config_.trace->event_at(t, "checkpoint")
           .str("kind", full ? "full" : "delta")
@@ -912,7 +908,7 @@ void Engine::tick(double t) {
   profile.next(obs::Phase::kEngineDelay);
   update_delay_metric(t);
   if (replay_pending_events_ > 0.0) {
-    last_.generated_eps += replay_pending_events_ / dt;
+    last_.generated_eps += replay_pending_events_ / kTickSec;
     replay_pending_events_ = 0.0;
   }
   last_.processing_ratio =
@@ -920,10 +916,10 @@ void Engine::tick(double t) {
                                 : 1.0;
 
   profile.next(obs::Phase::kEngineEmit);
-  emit_tick_trace(t, dt);
+  emit_tick_trace(t);
 }
 
-void Engine::emit_tick_trace(double t, double dt) {
+void Engine::emit_tick_trace(double t) {
   if (config_.metrics != nullptr) {
     mh_.ticks->inc();
     mh_.delay_sec->set(last_.delay_sec);
@@ -938,7 +934,7 @@ void Engine::emit_tick_trace(double t, double dt) {
     }
     mh_.backpressured_stages->set(backpressured);
     if (last_.dropped_eps > 0.0) {
-      mh_.dropped_events->inc(last_.dropped_eps * dt);
+      mh_.dropped_events->inc(last_.dropped_eps * kTickSec);
     }
   }
 
@@ -988,8 +984,8 @@ void Engine::emit_tick_trace(double t, double dt) {
         .num("to_op", static_cast<double>(c.to_stage))
         .num("from_site", static_cast<double>(c.from_site))
         .num("to_site", static_cast<double>(c.to_site))
-        .num("offered_eps", c_offered_[ci] / dt)
-        .num("delivered_eps", c_delivered_[ci] / dt)
+        .num("offered_eps", c_offered_[ci] / kTickSec)
+        .num("delivered_eps", c_delivered_[ci] / kTickSec)
         .num("queue_events", c_queue_[ci]);
     if (c_flow_[ci] != nullptr) {
       event.num("allocated_mbps", c_flow_[ci]->allocated_mbps);
@@ -1593,7 +1589,6 @@ OperatorMetrics Engine::op_metrics(OperatorId op) const {
 std::vector<ChannelMetrics> Engine::channels_into(OperatorId op) const {
   std::vector<ChannelMetrics> out;
   const std::size_t idx = stage_index(op);
-  const double dt = config_.tick_sec;
   for (std::uint32_t k = sin_off_[idx]; k < sin_off_[idx + 1]; ++k) {
     const std::size_t ci = sin_ids_[k];
     ChannelMetrics m;
@@ -1601,8 +1596,8 @@ std::vector<ChannelMetrics> Engine::channels_into(OperatorId op) const {
     m.to_op = op;
     m.from = SiteId(chan_[ci].from_site);
     m.to = SiteId(chan_[ci].to_site);
-    m.offered_eps = c_offered_[ci] / dt;
-    m.delivered_eps = c_delivered_[ci] / dt;
+    m.offered_eps = c_offered_[ci] / kTickSec;
+    m.delivered_eps = c_delivered_[ci] / kTickSec;
     m.queue_events = c_queue_[ci];
     out.push_back(m);
   }

@@ -1,7 +1,7 @@
 // Fluid-level stream-engine simulator (the Flink substitute).
 //
 // The engine executes one deployed query -- a logical plan plus a physical
-// placement -- over the WAN substrate, at a fixed tick (default 1 s of
+// placement -- over the WAN substrate, at a fixed tick of kTickSec (1 s of
 // simulated time). It is a *fluid* model: event populations are real-valued
 // rates and queue levels, not individual records. That is exactly the
 // granularity WASP's adaptation layer observes (per-operator rates, queues,
@@ -65,8 +65,11 @@ class ThreadPool;
 
 namespace wasp::engine {
 
+// The simulation tick (simulated seconds): every engine, network and
+// control-plane step advances time by exactly this much.
+inline constexpr double kTickSec = 1.0;
+
 struct EngineConfig {
-  double tick_sec = 1.0;
   // Degrade baseline: shed source events older than the SLO.
   bool degrade = false;
   double slo_sec = 10.0;
@@ -237,12 +240,6 @@ class Engine {
   // replica snapshots when it syncs.
   [[nodiscard]] double window_events(OperatorId op, SiteId site) const;
 
-  // Size (MB) actually written by the most recent checkpoint: the full state
-  // for a full checkpoint, the dirty-group delta for an incremental one.
-  // Standby sync flows are priced off the same delta.
-  [[nodiscard]] double last_checkpoint_written_mb() const {
-    return last_checkpoint_written_mb_;
-  }
   // Checkpoint-replay deadline of `op`'s group at `site` (simulated seconds;
   // <= now means no replay in progress). Exposed for the fail-during-replay
   // regression tests.
@@ -362,7 +359,7 @@ class Engine {
   // queued events per logical edge.
   void rebuild_adjacent_channels(std::size_t stage_idx);
   void apply_degrade_drops(double t);
-  void emit_tick_trace(double t, double dt);
+  void emit_tick_trace(double t);
   // Re-injects `units` source-time events at the replayable sources
   // (rate-proportional shares across sources, equal split across each
   // source's hosting sites) -- the common tail of restore_site, replan
@@ -372,7 +369,7 @@ class Engine {
   // rate over the operator's expected input rate (0 where either is 0).
   // Converts in-flight or lost events back into replayable source work.
   [[nodiscard]] query::OperatorTable<double> source_units_per_event() const;
-  void set_flow_demands(double dt);
+  void set_flow_demands();
   void update_delay_metric(double t);
   [[nodiscard]] double stage_total_state_mb(std::size_t stage) const;
   [[nodiscard]] double group_state_mb(std::size_t stage,
@@ -531,7 +528,6 @@ class Engine {
   double now_ = 0.0;  // end time of the latest tick
   double last_checkpoint_ = 0.0;
   int checkpoint_seq_ = 0;  // full when seq % kFullCheckpointEvery == 0
-  double last_checkpoint_written_mb_ = 0.0;
   // Per-group state size / open-window contents at the last checkpoint,
   // indexed by gid. restore_site() rolls a recovered group's window back to
   // this snapshot and re-injects the lost delta at the replayable sources.

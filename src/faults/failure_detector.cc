@@ -51,7 +51,6 @@ FailureDetector::FailureDetector(const net::Network& network)
 }
 
 void FailureDetector::tick(double t, const std::function<bool(SiteId)>& alive) {
-  now_ = t;
   const std::size_t n = health_.size();
   for (std::size_t i = 0; i < n; ++i) {
     const SiteId site(static_cast<std::int64_t>(i));
@@ -94,12 +93,6 @@ SiteHealth FailureDetector::health(SiteId site) const {
   const auto i = static_cast<std::size_t>(site.value());
   assert(i < health_.size());
   return health_[i];
-}
-
-double FailureDetector::heartbeat_gap(SiteId site) const {
-  const auto i = static_cast<std::size_t>(site.value());
-  assert(i < last_heartbeat_.size());
-  return now_ - last_heartbeat_[i];
 }
 
 std::vector<HealthTransition> FailureDetector::take_transitions() {

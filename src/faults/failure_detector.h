@@ -74,9 +74,6 @@ class FailureDetector {
   }
   [[nodiscard]] SiteId coordinator() const { return coordinator_; }
 
-  // Seconds since `site`'s last delivered heartbeat, as of the last tick().
-  [[nodiscard]] double heartbeat_gap(SiteId site) const;
-
   // Returns and clears the state changes accumulated since the last call,
   // in detection order.
   std::vector<HealthTransition> take_transitions();
@@ -102,7 +99,6 @@ class FailureDetector {
   // open time, for the episode duration on close.
   std::vector<std::uint64_t> suspicion_span_;
   std::vector<double> suspicion_since_;
-  double now_ = 0.0;
   obs::TraceEmitter* trace_ = nullptr;
 };
 

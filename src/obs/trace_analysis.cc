@@ -719,6 +719,10 @@ TraceDiff diff_traces(const std::vector<TraceEvent>& a,
         field->key = d.key;
       }
       ++field->events;
+      if (!d.in_b || !d.in_a) {
+        ++(d.in_b ? field->only_b : field->only_a);
+        return;
+      }
       if (!d.numeric) {
         ++field->non_numeric;
         return;
@@ -818,15 +822,20 @@ std::string format_type_summary(const TypeDiffSummary& s) {
   std::string line = buf;
   for (std::size_t k = 0; k < s.fields.size(); ++k) {
     const FieldChangeSummary& f = s.fields[k];
-    line += k == 0 ? ": " : ", ";
-    if (f.non_numeric == f.events) {
-      std::snprintf(buf, sizeof(buf), "%s (%zu, not numeric)", f.key.c_str(),
-                    f.events);
-    } else {
-      std::snprintf(buf, sizeof(buf), "%s (%zu, max rel %.3g)", f.key.c_str(),
-                    f.events, f.max_rel);
+    line += (k == 0 ? ": " : ", ") + f.key + " (" + std::to_string(f.events);
+    if (f.non_numeric + f.only_a + f.only_b < f.events) {
+      std::snprintf(buf, sizeof(buf), ", max rel %.3g", f.max_rel);
+      line += buf;
     }
-    line += buf;
+    const auto kind = [&](std::size_t n, const char* what) {
+      if (n == 0) return;
+      line += std::string(", ") + what;
+      if (n < f.events) line += " " + std::to_string(n);
+    };
+    kind(f.non_numeric, "not numeric");
+    kind(f.only_a, "only in A");
+    kind(f.only_b, "only in B");
+    line += ")";
   }
   return line;
 }

@@ -167,8 +167,10 @@ struct FieldChangeSummary {
   // Largest |a - b| / max(|a|, |b|) over the pairs where both sides hold a
   // number (infinite when one of them is NaN).
   double max_rel = 0.0;
-  // Pairs where the field is a string that differs, or is on one side only.
+  // Pairs where the field is a string that differs.
   std::size_t non_numeric = 0;
+  // Pairs where the field is present on one side only.
+  std::size_t only_a = 0, only_b = 0;
 };
 
 struct TypeDiffSummary {
@@ -206,7 +208,10 @@ struct TraceDiff {
                                     const DiffOptions& options = {});
 
 // One line per event type: its counts on each side, its unpaired events, and
-// each changed field with its largest relative change.
+// each changed field with its largest relative change, the pairs where it is
+// a differing string ("not numeric") and the pairs where one side lacks it
+// ("only in A|B"); a kind that covers only some of the field's pairs carries
+// its count.
 [[nodiscard]] std::string format_type_summary(const TypeDiffSummary& summary);
 
 // ---- Chrome trace-event export ----------------------------------------

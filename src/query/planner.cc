@@ -267,9 +267,7 @@ std::optional<LogicalPlan> QueryPlanner::push_down_aggregation(
 
 std::vector<LogicalPlan> QueryPlanner::enumerate(
     const LogicalPlan& input) const {
-  LogicalPlan base =
-      options_.enable_filter_pushdown ? push_down_filters(input) : input;
-  if (!options_.enable_join_reordering) return {std::move(base)};
+  LogicalPlan base = push_down_filters(input);
 
   // The (rewritten) original is always candidate 0 -- reorder_joins emits
   // left-deep trees only, so a bushy input would otherwise be lost (and a
@@ -281,21 +279,18 @@ std::vector<LogicalPlan> QueryPlanner::enumerate(
   };
   const std::string base_sig = full_signature(base);
 
-  std::vector<LogicalPlan> reordered =
-      reorder_joins(base, options_.max_join_inputs);
+  std::vector<LogicalPlan> reordered = reorder_joins(base, kMaxJoinInputs);
   std::vector<LogicalPlan> plans;
   plans.push_back(std::move(base));
   for (auto& p : reordered) {
     if (full_signature(p) != base_sig) plans.push_back(std::move(p));
   }
-  if (options_.enable_aggregation_pushdown) {
-    // Aggregation-ordering variants of every plan gathered so far.
-    const std::size_t before = plans.size();
-    for (std::size_t i = 0; i < before; ++i) {
-      if (auto pushed = push_down_aggregation(plans[i])) {
-        if (full_signature(*pushed) != base_sig) {
-          plans.push_back(std::move(*pushed));
-        }
+  // Aggregation-ordering variants of every plan gathered so far.
+  const std::size_t before = plans.size();
+  for (std::size_t i = 0; i < before; ++i) {
+    if (auto pushed = push_down_aggregation(plans[i])) {
+      if (full_signature(*pushed) != base_sig) {
+        plans.push_back(std::move(*pushed));
       }
     }
   }

@@ -35,22 +35,13 @@ struct ReplanCandidate {
 
 class QueryPlanner {
  public:
-  struct Options {
-    bool enable_filter_pushdown = true;
-    bool enable_join_reordering = true;
-    // Distributive window aggregations directly downstream of a union can
-    // be split into per-branch partial aggregations plus a final merge --
-    // the "aggregation ordering" dimension of the paper's plan space.
-    bool enable_aggregation_pushdown = true;
-    // Join chains wider than this are not reordered (factorial blow-up).
-    std::size_t max_join_inputs = 6;
-  };
+  // Join chains wider than this are not reordered (factorial blow-up).
+  static constexpr std::size_t kMaxJoinInputs = 6;
 
-  QueryPlanner() = default;
-  explicit QueryPlanner(Options options) : options_(options) {}
-
-  // All candidate logical plans for `input`: the (rewritten) original first,
-  // then join-reordered variants. Every candidate passes validate().
+  // All candidate logical plans for `input`: the filter-pushed original
+  // first, then its join-reordered variants, then the aggregation-pushed
+  // variant of each (the "aggregation ordering" dimension of the paper's
+  // plan space). Every candidate passes validate().
   [[nodiscard]] std::vector<LogicalPlan> enumerate(
       const LogicalPlan& input) const;
 
@@ -84,7 +75,6 @@ class QueryPlanner {
       const LogicalPlan& plan);
 
  private:
-  Options options_{};
   // Re-plan candidates depend only on the logical plan, and the running plan
   // changes only when a re-plan is applied -- yet try_replan re-enumerates
   // every decision epoch a bottleneck persists. Memoized on an exact

@@ -217,9 +217,9 @@ void StandbyManager::launch_syncs(double now, const engine::Engine& engine,
       }
       if (already) continue;
 
-      // Ship the delta since the last completed sync (full state on the
-      // first round); tiered checkpoints keep this proportional to the
-      // change rate, not the total state.
+      // Ship the delta against the last completed sync's synced_state_mb
+      // (full state on the first round), so it tracks the change rate, not
+      // the total state.
       const double state_now = engine.state_mb(slot.op, primary);
       const double delta =
           std::abs(state_now -

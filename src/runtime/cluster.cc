@@ -45,7 +45,6 @@ WaspSystem& Cluster::submit(workload::QuerySpec spec,
   // reservations. The lambda walks the sibling list at call time, so
   // queries submitted later are counted too.
   const std::size_t my_index = systems_.size();
-  config.tick_sec = 1.0;  // the Cluster drives a shared 1 s global tick
   config.peer_slot_usage = [this, my_index] {
     std::vector<int> used(network_.topology().num_sites(), 0);
     for (std::size_t i = 0; i < systems_.size(); ++i) {
@@ -65,16 +64,16 @@ WaspSystem& Cluster::submit(workload::QuerySpec spec,
 
 void Cluster::step() {
   assert(!systems_.empty());
-  const double tick = 1.0;  // all queries share the global 1 s tick
-  now_ += tick;
-  network_.step(now_, tick);
+  // All queries share the global tick.
+  now_ += engine::kTickSec;
+  network_.step(now_, engine::kTickSec);
   for (auto& system : systems_) {
     system->step(/*drive_network=*/false);
   }
 }
 
 void Cluster::run_until(double t_end) {
-  while (now_ + 1.0 <= t_end + 1e-9) step();
+  while (now_ + engine::kTickSec <= t_end + 1e-9) step();
 }
 
 void Cluster::fail_site(SiteId site) {

@@ -24,7 +24,6 @@ void Recorder::record_tick(double t, double delay_sec, double ratio,
     m_generated_->inc(generated);
     m_processed_->inc(admitted);
     m_dropped_->inc(dropped);
-    if (admitted > 0.0) m_delay_hist_->add(delay_sec, admitted);
   }
 }
 
@@ -33,7 +32,6 @@ void Recorder::bind_metrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) {
     m_delay_ = m_ratio_ = m_parallelism_ = m_backlog_ = nullptr;
     m_generated_ = m_processed_ = m_dropped_ = nullptr;
-    m_delay_hist_ = nullptr;
     return;
   }
   m_delay_ = &registry->gauge("runtime.delay_sec");
@@ -43,7 +41,6 @@ void Recorder::bind_metrics(obs::MetricsRegistry* registry) {
   m_generated_ = &registry->counter("runtime.generated_events");
   m_processed_ = &registry->counter("runtime.processed_events");
   m_dropped_ = &registry->counter("runtime.dropped_events");
-  m_delay_hist_ = &registry->histogram("runtime.delay_sec");
 }
 
 double Recorder::processed_fraction() const {

@@ -78,9 +78,10 @@ class Recorder {
                    double parallelism_factor, double backlog_events,
                    double generated, double admitted, double dropped);
 
-  // Mirrors every recorded tick into `registry` (runtime.* gauges/counters
-  // and the runtime.delay_sec histogram), so external consumers read the
-  // recorder's data through the shared registry instead of duplicating it.
+  // Mirrors every recorded tick into `registry` (runtime.* gauges and
+  // counters), so external consumers read the recorder's data through the
+  // shared registry instead of duplicating it. The delay distribution stays
+  // here (delay_histogram()): its total weight is runtime.processed_events.
   // Non-owning; pass nullptr to detach. Handles are resolved once here (the
   // registry's nodes are address-stable) so record_tick does no name lookups.
   void bind_metrics(obs::MetricsRegistry* registry);
@@ -132,7 +133,6 @@ class Recorder {
   obs::Counter* m_generated_ = nullptr;
   obs::Counter* m_processed_ = nullptr;
   obs::Counter* m_dropped_ = nullptr;
-  WeightedHistogram* m_delay_hist_ = nullptr;
 };
 
 }  // namespace wasp::runtime

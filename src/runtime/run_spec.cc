@@ -419,7 +419,7 @@ std::optional<workload::QuerySpec> make_query(QueryKind query,
 }
 
 bool Run::tick_fits(double until) const {
-  return system_->now() + system_->tick_sec() <= until + 1e-9;
+  return system_->now() + engine::kTickSec <= until + 1e-9;
 }
 
 void Run::step() {
@@ -454,7 +454,7 @@ SystemConfig system_config(const RunSpec& spec, const RunSettings& settings) {
   config.standby_replicas = spec.standby_replicas;
   // Planet-scale runs re-plan a localized failure per failure domain
   // (DESIGN.md §14) instead of re-solving the whole placement.
-  config.policy.region_decomposition =
+  config.region_decomposition =
       spec.topology.kind == net::TopologySpec::Kind::kEdgeHierarchy;
   config.threads = std::max(1, settings.threads);
   config.profile = settings.profile;

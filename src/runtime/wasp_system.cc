@@ -108,7 +108,7 @@ WaspSystem::WaspSystem(net::Network& network, workload::QuerySpec spec,
       backoff_rng_(config.seed ^ 0xB0FF) {
   recovery_abandoned_.assign(network_.topology().num_sites(), false);
   // Map the adaptation mode onto the policy switches (§8.5 baselines).
-  adapt::AdaptationPolicy::Config pc = config_.policy;
+  adapt::AdaptationPolicy::Config pc;
   switch (config_.mode) {
     case AdaptationMode::kNoAdapt:
     case AdaptationMode::kDegrade:
@@ -129,12 +129,11 @@ WaspSystem::WaspSystem(net::Network& network, workload::QuerySpec spec,
       pc.allow_scale = false;
       break;
   }
-  // Region decomposition (DESIGN.md §14) reads per-site failure-domain
-  // labels; default them from the topology unless the caller overrode them.
-  if (pc.site_domains.empty()) {
-    for (const net::Site& s : network_.topology().sites()) {
-      pc.site_domains.push_back(s.domain);
-    }
+  // Region decomposition (DESIGN.md §14) reads the topology's per-site
+  // failure-domain labels.
+  pc.region_decomposition = config_.region_decomposition;
+  for (const net::Site& s : network_.topology().sites()) {
+    pc.site_domains.push_back(s.domain);
   }
   policy_ = std::make_unique<adapt::AdaptationPolicy>(
       pc, scheduler_, planner_,
@@ -296,7 +295,6 @@ void WaspSystem::deploy(workload::QuerySpec spec) {
   engine_ = std::make_unique<engine::Engine>(
       std::move(*best_logical), std::move(best_placed->plan), network_,
       engine::EngineConfig{
-          .tick_sec = config_.tick_sec,
           .degrade = config_.mode == AdaptationMode::kDegrade ||
                      config_.mode == AdaptationMode::kHybrid,
           .slo_sec = config_.slo_sec,
@@ -325,13 +323,13 @@ void WaspSystem::step(bool drive_network) {
   // profiler touches nothing but its own accumulators.
   obs::Profiler::Scope profile_step(&profiler_, obs::Phase::kStep);
   obs::Profiler::Chain profile(&profiler_);
-  now_ += config_.tick_sec;
+  now_ += engine::kTickSec;
   trace_.set_now(now_);
   profile.next(obs::Phase::kWorkload);
   apply_workload();
   wan_monitor_.tick(now_);
   profile.next(obs::Phase::kWaterfill);
-  if (drive_network) network_.step(now_, config_.tick_sec);
+  if (drive_network) network_.step(now_, engine::kTickSec);
   profile.close();  // the engine opens its own inclusive "engine" frame
   engine_->tick(now_);
   profile.next(obs::Phase::kMonitorExtract);
@@ -409,7 +407,7 @@ void WaspSystem::step(bool drive_network) {
       // A boundary-aligned re-plan waits for the orphaned window's state to
       // re-initialize (§4.3).
       const double w = pending_boundary_->boundary_window_sec;
-      if (std::fmod(now_, w) < config_.tick_sec) {
+      if (std::fmod(now_, w) < engine::kTickSec) {
         std::vector<adapt::AdaptationAction> actions;
         actions.push_back(std::move(*pending_boundary_));
         pending_boundary_.reset();
@@ -429,8 +427,8 @@ void WaspSystem::step(bool drive_network) {
       initial_tasks_ > 0
           ? static_cast<double>(engine_->total_parallelism()) / initial_tasks_
           : 1.0,
-      engine_->source_backlog_events(), m.generated_eps * config_.tick_sec,
-      m.admitted_eps * config_.tick_sec, m.dropped_eps * config_.tick_sec);
+      engine_->source_backlog_events(), m.generated_eps * engine::kTickSec,
+      m.admitted_eps * engine::kTickSec, m.dropped_eps * engine::kTickSec);
   if (slo_watchdog_.has_value()) slo_watchdog_->tick(now_, recorder_);
   profile.close();
 
@@ -443,7 +441,7 @@ void WaspSystem::step(bool drive_network) {
 }
 
 void WaspSystem::run_until(double t_end) {
-  while (now_ + config_.tick_sec <= t_end + 1e-9) step();
+  while (now_ + engine::kTickSec <= t_end + 1e-9) step();
 }
 
 void WaspSystem::maybe_adapt() {
@@ -1010,7 +1008,7 @@ void WaspSystem::watch_stabilization() {
   // delay is back in the neighbourhood of its pre-transition level.
   const double backlog = engine_->source_backlog_events();
   const double per_tick =
-      engine_->last_tick().generated_eps * config_.tick_sec;
+      engine_->last_tick().generated_eps * engine::kTickSec;
   const double delay_target =
       std::max(1.0, 2.0 * pre_transition_delay_);
   if (backlog <= std::max(per_tick, 1.0) &&

@@ -88,13 +88,15 @@ enum class AdaptationMode {
 
 struct SystemConfig {
   AdaptationMode mode = AdaptationMode::kWasp;
-  double tick_sec = 1.0;
   double slo_sec = 10.0;  // Degrade's SLO
   // §6.2 long-term dynamics: re-evaluate the query plan in the background
   // every this many seconds, even without a diagnosed bottleneck (for
   // predictable shifts like diurnal workloads). 0 disables.
   double background_replan_interval_sec = 0.0;
-  adapt::AdaptationPolicy::Config policy;
+  // Region decomposition for failure recovery (DESIGN.md §14): a failure
+  // confined to one failure domain re-plans only that region. build_run
+  // turns it on for edge-hierarchy (planet-scale) topologies.
+  bool region_decomposition = false;
   physical::Scheduler::Config scheduler;
   // Transactional migrations: an in-flight transition whose bulk-transfer
   // endpoint fails (or whose link partitions) is aborted and retried with
@@ -172,7 +174,6 @@ class WaspSystem {
   void run_until(double t_end);
 
   [[nodiscard]] double now() const { return now_; }
-  [[nodiscard]] double tick_sec() const { return config_.tick_sec; }
   [[nodiscard]] const engine::Engine& engine() const { return *engine_; }
   [[nodiscard]] engine::Engine& mutable_engine() { return *engine_; }
   [[nodiscard]] const Recorder& recorder() const { return recorder_; }
@@ -203,7 +204,7 @@ class WaspSystem {
   // the MetricsRegistry (profiler.* / pool.* entries). Deliberately NOT done
   // during the run: the registry's content must be bit-identical with
   // profiling on or off until the caller explicitly asks for the export
-  // (wasp_sim does, right before --metrics-out). No-op when profiling is
+  // (wasp_sim does, right before writing --metrics). No-op when profiling is
   // disabled.
   void export_profiler_metrics();
 

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -597,9 +598,13 @@ TEST(TraceIntegrationTest, AdaptationEventsMatchRecorderOneToOne) {
   const Counter* ticks = metrics.find_counter("engine.ticks");
   ASSERT_NE(ticks, nullptr);
   EXPECT_GT(ticks->value(), 0.0);
-  const WeightedHistogram* delays = metrics.find_histogram("runtime.delay_sec");
-  ASSERT_NE(delays, nullptr);
-  EXPECT_GT(delays->total_weight(), 0.0);
+  // The delay distribution stays in the recorder: its total weight is the
+  // registry's processed-events count.
+  const Counter* processed = metrics.find_counter("runtime.processed_events");
+  ASSERT_NE(processed, nullptr);
+  EXPECT_GT(processed->value(), 0.0);
+  EXPECT_EQ(system.recorder().delay_histogram().total_weight(),
+            processed->value());
 
   // Per-tick engine events are present and well-formed.
   EXPECT_FALSE(sink->of_type("tick").empty());
@@ -794,6 +799,56 @@ TEST(SpanIntegrationTest, MidMigrationAbortAndRetryStayBalanced) {
     }
   }
   EXPECT_TRUE(saw_suspicion);
+}
+
+TEST(TraceIntegrationTest, MetricsSnapshotNamesEachMetricOnce) {
+  // --metrics writes the snapshot as one JSON object, so a name held by two
+  // metrics (a gauge and a histogram, say) is a repeated key whose first
+  // value a JSON reader drops. The run registers every kind: it crashes a
+  // task-hosting site with a standby ready (failover and recovery
+  // histograms), watches an SLO and exports the profiler's totals.
+  Testbed bed;
+  auto spec = workload::make_topk_topics(bed.east, bed.west, bed.sink);
+  workload::SteppedWorkload pattern;
+  for (OperatorId src : spec.sources) {
+    for (SiteId s : spec.plan.op(src).pinned_sites) {
+      pattern.set_base_rate(src, s, 10'000.0);
+    }
+  }
+  runtime::SystemConfig config;
+  config.mode = runtime::AdaptationMode::kWasp;
+  config.standby_replicas = 1;
+  config.profile = true;
+  runtime::SloSpec slo;
+  slo.delay_p99_sec = 5.0;
+  config.slo = slo;
+  runtime::WaspSystem system(bed.network, std::move(spec), pattern, config);
+  system.run_until(100.0);
+  const auto used = system.engine().slots_in_use();
+  SiteId victim;
+  for (const auto& site : bed.topology.sites()) {
+    if (site.type == net::SiteType::kDataCenter && site.id != bed.sink &&
+        site.id != system.detector().coordinator() &&
+        used[static_cast<std::size_t>(site.id.value())] > 0) {
+      victim = site.id;
+      break;
+    }
+  }
+  ASSERT_TRUE(victim.valid());
+  system.fail_sites({victim});
+  system.run_until(400.0);
+  system.export_profiler_metrics();
+
+  const MetricsRegistry& metrics = system.metrics();
+  EXPECT_NE(metrics.find_histogram("failover.staleness_sec"), nullptr);
+  EXPECT_NE(metrics.find_histogram("recovery.time_to_stabilize_sec"), nullptr);
+  EXPECT_NE(metrics.find_counter("slo.violations"), nullptr);
+  std::map<std::string, int> seen;
+  for (const auto& [name, value] : metrics.snapshot()) ++seen[name];
+  ASSERT_GT(seen.size(), 20u);
+  for (const auto& [name, count] : seen) {
+    EXPECT_EQ(count, 1) << name;
+  }
 }
 
 TEST(TraceIntegrationTest, UntracedRunEmitsNothing) {

@@ -411,12 +411,5 @@ TEST(AggregationPushdownTest, NoUnionAggPairMeansNullopt) {
       QueryPlanner::push_down_aggregation(join_plan(false)).has_value());
 }
 
-TEST(QueryPlannerTest, EnumerationRespectsDisabledRewrites) {
-  QueryPlanner::Options options;
-  options.enable_join_reordering = false;
-  QueryPlanner planner(options);
-  EXPECT_EQ(planner.enumerate(join_plan(false)).size(), 1u);
-}
-
 }  // namespace
 }  // namespace wasp::query

@@ -559,9 +559,6 @@ TEST(WaspSystemTest, BackgroundReplanFollowsWorkloadShift) {
   SystemConfig config;
   config.mode = AdaptationMode::kWasp;
   config.background_replan_interval_sec = 120.0;
-  // A meaningful improvement bar so the background re-plan only fires on a
-  // real shift.
-  config.policy.replan_improvement = 0.8;
   WaspSystem system(bed.network, std::move(spec), pattern, config);
   system.run_until(1200.0);
   // The run must stay healthy regardless of whether a background re-plan

@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.h"
@@ -419,6 +420,53 @@ TEST(DiffTracesTest, SummarizesEachChangedFieldByItsLargestRelativeChange) {
   EXPECT_EQ(ignored.differing_events, 2u);
   EXPECT_EQ(ignored.types[1].changed, 0u);
   EXPECT_EQ(ignored.types[1].only_a, 1u);
+}
+
+TEST(DiffTracesTest, SummarizesAFieldOnOneSideOnlyAsSuch) {
+  const auto parse = [](std::vector<std::string_view> lines) {
+    std::vector<TraceEvent> events;
+    for (const std::string_view line : lines) {
+      int schema = 0;
+      std::string error;
+      EXPECT_TRUE(parse_trace_line(line, &events.emplace_back(), &schema,
+                                   &error))
+          << error;
+    }
+    return events;
+  };
+  const auto with = parse(
+      {R"({"schema":2,"seq":0,"t":1,"type":"profile","name":"x","tasks":5})"});
+  const auto without =
+      parse({R"({"schema":2,"seq":0,"t":1,"type":"profile","name":"x"})"});
+
+  const TraceDiff dropped = diff_traces(with, without);
+  ASSERT_EQ(dropped.reports.size(), 1u);
+  EXPECT_NE(dropped.reports[0].find("field 'tasks' only in A"),
+            std::string::npos)
+      << dropped.reports[0];
+  ASSERT_EQ(dropped.types.size(), 1u);
+  EXPECT_EQ(format_type_summary(dropped.types[0]),
+            "profile: A 1, B 1; only in A 0, only in B 0; changed 1: "
+            "tasks (1, only in A)");
+  const TraceDiff added = diff_traces(without, with);
+  ASSERT_EQ(added.types.size(), 1u);
+  EXPECT_EQ(format_type_summary(added.types[0]),
+            "profile: A 1, B 1; only in A 0, only in B 0; changed 1: "
+            "tasks (1, only in B)");
+
+  // A field that changes in one pair and is dropped in another carries the
+  // count of each kind that covers only some of its pairs.
+  const auto a = parse(
+      {R"({"schema":2,"seq":0,"t":1,"type":"profile","name":"x","tasks":5})",
+       R"({"schema":2,"seq":1,"t":2,"type":"profile","name":"x","tasks":4})"});
+  const auto b = parse(
+      {R"({"schema":2,"seq":0,"t":1,"type":"profile","name":"y","tasks":10})",
+       R"({"schema":2,"seq":1,"t":2,"type":"profile","name":"x"})"});
+  const TraceDiff mixed = diff_traces(a, b);
+  ASSERT_EQ(mixed.types.size(), 1u);
+  EXPECT_EQ(format_type_summary(mixed.types[0]),
+            "profile: A 2, B 2; only in A 0, only in B 0; changed 2: "
+            "name (1, not numeric), tasks (2, max rel 0.5, only in A 1)");
 }
 
 // ---------------------------------------------------------------------------
