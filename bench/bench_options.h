@@ -187,12 +187,13 @@ struct BenchOptions {
       std::string_view label,
       const std::vector<std::pair<std::string, double>>& snapshot) const {
     if (metrics_out.empty()) return;
+    std::string line = "{\"run\":";
+    obs::append_json_string(line, label);
+    if (!snapshot.empty()) line.push_back(',');
+    obs::append_json_members(line, snapshot, ",");
+    line += "}\n";
     std::ofstream out(metrics_out, std::ios::app);
-    out << "{\"run\":\"" << label << '"';
-    for (const auto& [name, value] : snapshot) {
-      out << ",\"" << name << "\":" << value;
-    }
-    out << "}\n";
+    out << line;
     out.close();
     if (!out) {
       std::cerr << "cannot write metrics output '" << metrics_out << "'\n";

@@ -151,13 +151,10 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open metrics output '" << opts.metrics_out << "'\n";
       return 1;
     }
-    metrics << "{\n";
-    const auto snap = system.metrics().snapshot();
-    for (std::size_t i = 0; i < snap.size(); ++i) {
-      metrics << "  \"" << snap[i].first << "\": " << snap[i].second
-              << (i + 1 < snap.size() ? ",\n" : "\n");
-    }
-    metrics << "}\n";
+    std::string text = "{\n  ";
+    obs::append_json_members(text, system.metrics().snapshot(), ",\n  ");
+    text += "\n}\n";
+    metrics << text;
     metrics.close();
     if (!metrics) {
       std::cerr << "cannot write metrics output '" << opts.metrics_out

@@ -1,7 +1,6 @@
 #include "common/histogram.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace wasp {
 
@@ -29,53 +28,6 @@ double WeightedHistogram::percentile(double pct) const {
     if (cum >= target) return value;
   }
   return samples_.back().first;
-}
-
-double WeightedHistogram::cdf_at(double x) const {
-  if (samples_.empty() || total_weight_ <= 0.0) return 0.0;
-  sort_if_needed();
-  double cum = 0.0;
-  for (const auto& [value, weight] : samples_) {
-    if (value > x) break;
-    cum += weight;
-  }
-  return cum / total_weight_;
-}
-
-std::vector<std::pair<double, double>> WeightedHistogram::cdf_points(
-    std::size_t points) const {
-  std::vector<std::pair<double, double>> out;
-  if (samples_.empty() || points == 0 || total_weight_ <= 0.0) return out;
-  sort_if_needed();
-  out.reserve(points);
-  // One cumulative pass: quantile targets are visited in increasing order, so
-  // the sample cursor only ever advances — O(n + points) instead of the old
-  // O(points * n) percentile re-scan per point.
-  std::size_t i = 0;
-  double cum = samples_.front().second;
-  for (std::size_t k = 1; k <= points; ++k) {
-    const double q = static_cast<double>(k) / static_cast<double>(points);
-    const double target = q * total_weight_;
-    while (cum < target && i + 1 < samples_.size()) {
-      ++i;
-      cum += samples_[i].second;
-    }
-    out.emplace_back(samples_[i].first, q);
-  }
-  return out;
-}
-
-double WeightedHistogram::weighted_mean() const {
-  if (total_weight_ <= 0.0) return 0.0;
-  double sum = 0.0;
-  for (const auto& [value, weight] : samples_) sum += value * weight;
-  return sum / total_weight_;
-}
-
-void WeightedHistogram::clear() {
-  samples_.clear();
-  total_weight_ = 0.0;
-  sorted_ = true;
 }
 
 }  // namespace wasp

@@ -1,12 +1,12 @@
-// Weighted sample accumulator with percentile/CDF queries.
+// Weighted sample accumulator with percentile queries.
 //
 // The paper reports delay *distributions* (CDFs, 95th/99th percentiles) where
 // each simulated tick contributes a delay value weighted by the number of
 // events emitted during that tick. This class stores (value, weight) samples
-// and answers percentile and CDF queries over the weighted distribution.
+// and answers percentile queries over the weighted distribution; the figure
+// drivers print their CDFs as percentiles.
 #pragma once
 
-#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -21,19 +21,8 @@ class WeightedHistogram {
   // Weighted percentile in [0, 100]. Returns 0 for an empty histogram.
   [[nodiscard]] double percentile(double pct) const;
 
-  // Fraction of total weight with value <= x.
-  [[nodiscard]] double cdf_at(double x) const;
-
-  // Evenly-spaced CDF points (value, cumulative fraction) suitable for
-  // plotting; `points` values are taken at quantiles 1/points .. 1.
-  [[nodiscard]] std::vector<std::pair<double, double>> cdf_points(
-      std::size_t points) const;
-
   [[nodiscard]] double total_weight() const { return total_weight_; }
-  [[nodiscard]] double weighted_mean() const;
   [[nodiscard]] bool empty() const { return samples_.empty(); }
-
-  void clear();
 
  private:
   void sort_if_needed() const;

@@ -29,6 +29,12 @@ const char* to_string(SiteHealth health) {
   return "?";
 }
 
+const char* change_kind(SiteHealth to) {
+  return to == SiteHealth::kTrusted     ? "trust"
+         : to == SiteHealth::kSuspected ? "suspect"
+                                        : "confirm_failure";
+}
+
 FailureDetector::FailureDetector(const net::Network& network)
     : network_(network) {
   const std::size_t n = network_.topology().num_sites();
@@ -130,11 +136,8 @@ void FailureDetector::transition(double t, SiteId site, SiteHealth to) {
           .num("site", static_cast<double>(site.value()));
       suspicion_since_[i] = t;
     }
-    const char* type = to == SiteHealth::kTrusted          ? "trust"
-                       : to == SiteHealth::kSuspected      ? "suspect"
-                                                           : "confirm_failure";
     obs::TraceEmitter::ParentScope in_episode(trace_, suspicion_span_[i]);
-    trace_->event_at(t, type)
+    trace_->event_at(t, change_kind(to))
         .num("site", static_cast<double>(site.value()))
         .num("gap_sec", t - last_heartbeat_[i])
         .str("from_state", to_string(from));

@@ -38,6 +38,9 @@ enum class SiteHealth {
 };
 
 [[nodiscard]] const char* to_string(SiteHealth health);
+// A change into `to` as the detector's trace event type and the recovery
+// log's kind: "trust", "suspect" or "confirm_failure".
+[[nodiscard]] const char* change_kind(SiteHealth to);
 
 // One detector state change, drained via take_transitions() so the runtime
 // can mirror detector activity into its recorder.

@@ -41,10 +41,6 @@ const Counter* MetricsRegistry::find_counter(std::string_view name) const {
   return find_in(counters_, name);
 }
 
-const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
-  return find_in(gauges_, name);
-}
-
 const WeightedHistogram* MetricsRegistry::find_histogram(
     std::string_view name) const {
   return find_in(histograms_, name);

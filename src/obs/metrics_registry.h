@@ -5,7 +5,7 @@
 // node-stable storage, so hot-path updates are a single add or store with no
 // locking and no lookup. Snapshots walk the registry for reporting; the
 // naming convention is dotted lower-case paths such as
-// `engine.ticks`, `runtime.delay_sec`, `policy.actions.scale_out`
+// `engine.ticks`, `runtime.adaptations`, `policy.actions.scale_out`
 // (see DESIGN.md §6).
 //
 // Thread safety: none, by design -- the no-locking hot path is the point.
@@ -32,7 +32,6 @@ class Counter {
  public:
   void inc(double delta = 1.0) { value_ += delta; }
   [[nodiscard]] double value() const { return value_; }
-  void reset() { value_ = 0.0; }
 
  private:
   double value_ = 0.0;
@@ -57,7 +56,6 @@ class MetricsRegistry {
   WeightedHistogram& histogram(std::string_view name);
 
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;
-  [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
   [[nodiscard]] const WeightedHistogram* find_histogram(
       std::string_view name) const;
 

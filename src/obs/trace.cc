@@ -316,6 +316,18 @@ void append_json_number(std::string& out, double value) {
   out.append(buf, write_json_number(buf, value));
 }
 
+void append_json_members(
+    std::string& out,
+    const std::vector<std::pair<std::string, double>>& members,
+    std::string_view separator) {
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (i > 0) out.append(separator);
+    append_json_string(out, members[i].first);
+    out.push_back(':');
+    append_json_number(out, members[i].second);
+  }
+}
+
 double TraceEvent::num(std::string_view key, double fallback) const {
   for (const auto& [k, v] : nums) {
     if (k == key) return v;
@@ -414,14 +426,6 @@ TraceEmitter::Event::~Event() {
   if (emitter_ != nullptr) emitter_->commit(event_);
 }
 
-std::uint64_t TraceEmitter::begin_span(std::string_view name,
-                                       std::uint64_t parent) {
-  std::uint64_t id = kNoSpan;
-  // No extra fields: the discarded builder commits the event right here.
-  static_cast<void>(begin_span_event(name, &id, parent));
-  return id;
-}
-
 TraceEmitter::Event TraceEmitter::begin_span_event(std::string_view name,
                                                    std::uint64_t* id_out,
                                                    std::uint64_t parent) {
@@ -463,7 +467,8 @@ TraceEmitter::SpanScope::SpanScope(TraceEmitter* emitter,
                                    std::string_view name) {
   if (emitter == nullptr || !emitter->enabled()) return;
   emitter_ = emitter;
-  id_ = emitter_->begin_span(name);
+  // No extra fields: the discarded builder commits the event right here.
+  static_cast<void>(emitter_->begin_span_event(name, &id_));
   emitter_->ambient_.push_back(id_);
   start_ = std::chrono::steady_clock::now();
 }

@@ -90,6 +90,12 @@ void append_json_line(std::string& out, const TraceEvent& event);
 void append_json_number(std::string& out, double value);
 // A quoted JSON string, escaped and repaired as to_json_line describes.
 void append_json_string(std::string& out, std::string_view text);
+// A metrics snapshot's (name, value) pairs as `"name":value` object
+// members, written by the two writers above and joined by `separator`.
+void append_json_members(
+    std::string& out,
+    const std::vector<std::pair<std::string, double>>& members,
+    std::string_view separator);
 
 class TraceSink {
  public:
@@ -215,13 +221,11 @@ class TraceEmitter {
   // pushed by SpanScope/ParentScope, or no parent if the stack is empty).
   static constexpr std::uint64_t kAmbientParent = ~std::uint64_t{0};
 
-  // Opens a span: emits a "span_begin" event carrying name/span_id/parent_id
-  // and returns the fresh id (kNoSpan when disabled). The span stays open
-  // until end_span(id) -- spans are not required to close in LIFO order.
-  std::uint64_t begin_span(std::string_view name,
-                           std::uint64_t parent = kAmbientParent);
-  // Same, but returns the builder so the caller can attach extra begin-time
-  // fields; *id_out receives the new id before the builder commits.
+  // Opens a span: returns the builder of a "span_begin" event carrying
+  // name/span_id/parent_id, to which the caller can attach extra begin-time
+  // fields; *id_out receives the fresh id (kNoSpan when disabled) before the
+  // builder commits. The span stays open until end_span(id) -- spans are
+  // not required to close in LIFO order.
   [[nodiscard]] Event begin_span_event(std::string_view name,
                                        std::uint64_t* id_out,
                                        std::uint64_t parent = kAmbientParent);
@@ -236,7 +240,7 @@ class TraceEmitter {
   Event end_span(std::uint64_t span_id);
   Event end_span_at(double t, std::uint64_t span_id);
 
-  // Number of begin_span calls without a matching end_span yet.
+  // Number of spans begun without a matching end_span yet.
   [[nodiscard]] std::uint64_t open_spans() const { return open_spans_; }
 
   // RAII span covering a synchronous scope: the constructor emits span_begin

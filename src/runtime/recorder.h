@@ -2,11 +2,17 @@
 //
 // Collects, per tick, the series the paper's figures plot -- delay,
 // processing ratio, parallelism -- plus the event-weighted delay histogram
-// (for CDFs / percentiles), cumulative event accounting (processed-events
-// percentages, Fig. 12a), and a log of adaptation events with measured
-// transition and stabilization times (the §8.7 overhead breakdown).
+// (for percentiles), cumulative event accounting (processed-events
+// percentages, Fig. 12a), a log of adaptation events with measured
+// transition and stabilization times (the §8.7 overhead breakdown), and the
+// failure-recovery log (§8.6).
+//
+// The recorder is the one writer of both logs and of what restates them:
+// each log call appends or completes an entry, emits the trace event built
+// from that entry, and bumps the counter that counts it (DESIGN.md §6).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -19,6 +25,7 @@ namespace wasp::obs {
 class Counter;
 class Gauge;
 class MetricsRegistry;
+class TraceEmitter;
 }  // namespace wasp::obs
 
 namespace wasp::runtime {
@@ -35,7 +42,7 @@ struct AdaptationEvent {
   // Transactional-migration outcome: set when the transition was aborted
   // mid-transfer (endpoint failed or its link partitioned).
   double aborted_at = -1.0;
-  std::string abort_reason;
+  std::string abort_reason{};
   int attempt = 0;  // 0 = first try; >0 = backoff retry number
 
   [[nodiscard]] bool aborted() const { return aborted_at >= 0.0; }
@@ -52,10 +59,11 @@ struct AdaptationEvent {
 
 // One entry in the failure-recovery log: the detector's state changes
 // ("suspect", "confirm_failure", "trust"), the transition life-cycle under
-// faults ("transition_abort", "retry", "abandon"), the recovery re-plan
-// ("replan", "stabilized"), and the degrade fallback ("degrade_on",
-// "degrade_off"). Together they give the `suspect -> confirm_failure ->
-// replan -> stabilized` chain the chaos acceptance test asserts on.
+// faults ("transition_abort", "retry", "abandon"), the recovery re-plan or
+// standby promotion ("replan", "failover", "stabilized"), and the degrade
+// fallback ("degrade_on", "degrade_off"). Together they give the `suspect ->
+// confirm_failure -> replan -> stabilized` chain the chaos acceptance test
+// asserts on.
 struct RecoveryEvent {
   double t = 0.0;
   std::string kind;
@@ -68,23 +76,19 @@ struct RecoveryEvent {
 
 class Recorder {
  public:
-  Recorder()
-      : delay_("delay_s"),
-        ratio_("processing_ratio"),
-        parallelism_("parallelism_x"),
-        backlog_("backlog_events") {}
+  // Registers in `metrics` what only the recorder knows, each tick's
+  // runtime.parallelism_factor, runtime.generated_events and
+  // runtime.processed_events (the engine's gauges hold the tick's delay,
+  // ratio, backlog and drops), and the log counters below on first use.
+  // The delay distribution stays here: its total weight is
+  // runtime.processed_events. The log calls write their events to `trace`.
+  // Both non-owning; a null one records nothing there.
+  explicit Recorder(obs::MetricsRegistry* metrics = nullptr,
+                    obs::TraceEmitter* trace = nullptr);
 
   void record_tick(double t, double delay_sec, double ratio,
                    double parallelism_factor, double backlog_events,
                    double generated, double admitted, double dropped);
-
-  // Mirrors every recorded tick into `registry` (runtime.* gauges and
-  // counters), so external consumers read the recorder's data through the
-  // shared registry instead of duplicating it. The delay distribution stays
-  // here (delay_histogram()): its total weight is runtime.processed_events.
-  // Non-owning; pass nullptr to detach. Handles are resolved once here (the
-  // registry's nodes are address-stable) so record_tick does no name lookups.
-  void bind_metrics(obs::MetricsRegistry* registry);
 
   [[nodiscard]] const TimeSeries& delay() const { return delay_; }
   [[nodiscard]] const TimeSeries& ratio() const { return ratio_; }
@@ -100,19 +104,44 @@ class Recorder {
   // Fraction of generated events the query actually processed (Fig. 12a).
   [[nodiscard]] double processed_fraction() const;
 
-  std::vector<AdaptationEvent>& events() { return events_; }
+  // ---- The adaptation log ---------------------------------------------
+  // An adaptation opened: appends `event` with an "adaptation" trace event
+  // and counts it in runtime.adaptations. Returns the entry's index.
+  std::size_t open_adaptation(AdaptationEvent event);
+  // The transition of entries `indices` resumed at `t`: one
+  // "transition_end" each.
+  void end_transition(const std::vector<std::size_t>& indices, double t);
+  // It aborted at `t` for `why`: one "transition_abort" each, one
+  // runtime.transition_aborts, and the "transition_abort" recovery step.
+  void abort_transition(const std::vector<std::size_t>& indices, double t,
+                        const std::string& why);
+  // Entry `index`'s deployment settled at `t`: "stabilized", and the
+  // "stabilized" recovery step when it settled a failure `recovery`.
+  void stabilize(std::size_t index, double t, bool recovery);
+  // A hot standby at `standby_site` took over `op` from failed `site` at
+  // `t`: a finished "failover" entry and the "failover" recovery step. Its
+  // trace record is the caller's "failover" event (mode=standby), which
+  // holds the promotion's numbers; runtime.failovers counts it, not
+  // runtime.adaptations. Returns the entry's index.
+  std::size_t record_failover(double t, std::int64_t op, std::int64_t site,
+                              std::int64_t standby_site);
   [[nodiscard]] const std::vector<AdaptationEvent>& events() const {
     return events_;
   }
 
-  void record_recovery(RecoveryEvent event) {
-    recovery_events_.push_back(std::move(event));
-  }
+  // ---- The recovery log (each entry counts in runtime.recovery_events) --
+  // A recovery step: appends `event` with a "recovery" trace event.
+  void record_recovery(RecoveryEvent event);
+  // A detector health change: untraced, since the detector traces it.
+  void record_health_change(RecoveryEvent event);
   [[nodiscard]] const std::vector<RecoveryEvent>& recovery_events() const {
     return recovery_events_;
   }
 
  private:
+  [[nodiscard]] bool traced() const;
+  void count(const char* name);
+
   TimeSeries delay_;
   TimeSeries ratio_;
   TimeSeries parallelism_;
@@ -123,16 +152,12 @@ class Recorder {
   double total_dropped_ = 0.0;
   std::vector<AdaptationEvent> events_;
   std::vector<RecoveryEvent> recovery_events_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  // Cached registry handles (resolved in bind_metrics; nullptr when
-  // detached).
-  obs::Gauge* m_delay_ = nullptr;
-  obs::Gauge* m_ratio_ = nullptr;
+  obs::MetricsRegistry* metrics_;
+  obs::TraceEmitter* trace_;
+  // Registry handles (resolved once, in the constructor).
   obs::Gauge* m_parallelism_ = nullptr;
-  obs::Gauge* m_backlog_ = nullptr;
   obs::Counter* m_generated_ = nullptr;
   obs::Counter* m_processed_ = nullptr;
-  obs::Counter* m_dropped_ = nullptr;
 };
 
 }  // namespace wasp::runtime

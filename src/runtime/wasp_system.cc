@@ -105,6 +105,7 @@ WaspSystem::WaspSystem(net::Network& network, workload::QuerySpec spec,
       detector_(network),
       scheduler_(config.scheduler),
       planner_(),
+      recorder_(&metrics_, &trace_),
       backoff_rng_(config.seed ^ 0xB0FF) {
   recovery_abandoned_.assign(network_.topology().num_sites(), false);
   // Map the adaptation mode onto the policy switches (§8.5 baselines).
@@ -141,8 +142,8 @@ WaspSystem::WaspSystem(net::Network& network, workload::QuerySpec spec,
                               rng_.fork()));
 
   // Observability wiring: one emitter over the configured sink, shared (as a
-  // raw pointer) by every layer. Recorder data flows through the registry
-  // rather than being duplicated.
+  // raw pointer) by every layer. The recorder writes its logs' trace events
+  // and counters itself.
   if (config_.trace_sink != nullptr) {
     trace_ = obs::TraceEmitter(config_.trace_sink);
     network_.set_trace(&trace_);
@@ -155,7 +156,6 @@ WaspSystem::WaspSystem(net::Network& network, workload::QuerySpec spec,
   profiler_.set_enabled(config_.profile);
   scheduler_.set_profiler(&profiler_);
   policy_->set_profiler(&profiler_);
-  recorder_.bind_metrics(&metrics_);
   if (config_.slo.has_value() && config_.slo->any()) {
     slo_watchdog_.emplace(*config_.slo, &trace_, &metrics_);
   }
@@ -346,13 +346,10 @@ void WaspSystem::step(bool drive_network) {
     }
     detector_.tick(now_, site_alive_);
     for (const faults::HealthTransition& ht : detector_.take_transitions()) {
-      const char* kind = ht.to == faults::SiteHealth::kTrusted
-                             ? "trust"
-                             : ht.to == faults::SiteHealth::kSuspected
-                                   ? "suspect"
-                                   : "confirm_failure";
-      record_recovery(kind, ht.site.value(), /*op=*/-1, /*attempt=*/0,
-                      /*backoff_sec=*/0.0, to_string(ht.from));
+      recorder_.record_health_change({.t = now_,
+                                      .kind = faults::change_kind(ht.to),
+                                      .site = ht.site.value(),
+                                      .detail = to_string(ht.from)});
       if (ht.to == faults::SiteHealth::kConfirmedFailed) {
         // Anchor for the recovery time-to-stabilize metric: measured from
         // the *last* confirmation of the episode to stabilization.
@@ -372,8 +369,9 @@ void WaspSystem::step(bool drive_network) {
               config_.mode != AdaptationMode::kHybrid) {
             engine_->set_degrade(false);
           }
-          record_recovery("degrade_off", ht.site.value(), -1, 0, 0.0,
-                          "all abandoned sites re-trusted");
+          recorder_.record_recovery(
+              {.t = now_, .kind = "degrade_off", .site = ht.site.value(),
+               .detail = "all abandoned sites re-trusted"});
         }
       }
     }
@@ -530,30 +528,19 @@ void WaspSystem::begin_transition(std::vector<adapt::AdaptationAction> actions,
   obs::TraceEmitter::ParentScope in_episode(&trace_, transition.root_span);
 
   for (adapt::AdaptationAction& action : actions) {
-    AdaptationEvent event;
-    event.decided_at = now_;
-    event.kind = to_string(action.kind);
-    event.reason = action.reason;
-    event.op = action.op.valid() ? action.op.value() : -1;
-    event.estimated_transition_sec = action.estimated_transition_sec;
-    event.attempt = retry_.attempts;
+    const std::int64_t op = action.op.valid() ? action.op.value() : -1;
+    double migrated_mb = 0.0;
     for (const auto& move : action.migration.moves) {
-      event.migrated_mb += move.size_mb;
+      migrated_mb += move.size_mb;
     }
-    recorder_.events().push_back(event);
-    transition.event_indices.push_back(recorder_.events().size() - 1);
-
-    // The canonical adaptation record: one trace event per recorder event,
-    // same kind/op/timestamp (tests assert the one-to-one match).
-    if (trace_.enabled()) {
-      trace_.event("adaptation")
-          .str("kind", event.kind)
-          .num("op", static_cast<double>(event.op))
-          .str("reason", event.reason)
-          .num("estimated_transition_sec", event.estimated_transition_sec)
-          .num("migrated_mb", event.migrated_mb);
-    }
-    metrics_.counter("runtime.adaptations").inc();
+    transition.event_indices.push_back(recorder_.open_adaptation(
+        {.decided_at = now_,
+         .kind = to_string(action.kind),
+         .reason = action.reason,
+         .op = op,
+         .estimated_transition_sec = action.estimated_transition_sec,
+         .migrated_mb = migrated_mb,
+         .attempt = retry_.attempts}));
 
     // Halt the affected execution (§4.1 step 1) and launch the state
     // transfers as bulk flows that share the WAN with the data plane.
@@ -569,7 +556,7 @@ void WaspSystem::begin_transition(std::vector<adapt::AdaptationAction> actions,
       std::uint64_t span = obs::kNoSpan;
       if (trace_.enabled()) {
         trace_.begin_span_event("transfer", &span)
-            .num("op", static_cast<double>(event.op))
+            .num("op", static_cast<double>(op))
             .num("from", static_cast<double>(move.from.value()))
             .num("to", static_cast<double>(move.to.value()))
             .num("size_mb", move.size_mb)
@@ -609,17 +596,7 @@ void WaspSystem::finalize_transition() {
     }
   }
 
-  for (std::size_t index : transition_->event_indices) {
-    recorder_.events()[index].transition_end = now_;
-    if (trace_.enabled()) {
-      const AdaptationEvent& event = recorder_.events()[index];
-      trace_.event("transition_end")
-          .str("kind", event.kind)
-          .num("op", static_cast<double>(event.op))
-          .num("decided_at", event.decided_at)
-          .num("transition_sec", event.transition_sec());
-    }
-  }
+  recorder_.end_transition(transition_->event_indices, now_);
   settle(transition_->root_span, transition_->event_indices.front(),
          transition_->recovery);
   // A completed recovery / retried transition closes the retry episode.
@@ -701,30 +678,14 @@ void WaspSystem::abort_transition(const std::string& why) {
   for (FlowId f : transition_->bulk_flows) {
     if (network_.has_flow(f)) network_.remove_flow(f);
   }
-  std::int64_t first_op = -1;
   for (const adapt::AdaptationAction& action : transition_->actions) {
     if (action.kind == adapt::ActionKind::kReplan) {
       engine_->resume_all();
     } else {
       engine_->resume_stage(action.op);
-      if (first_op < 0) first_op = action.op.value();
     }
   }
-  for (std::size_t index : transition_->event_indices) {
-    AdaptationEvent& event = recorder_.events()[index];
-    event.aborted_at = now_;
-    event.abort_reason = why;
-    if (trace_.enabled()) {
-      trace_.event("transition_abort")
-          .str("kind", event.kind)
-          .num("op", static_cast<double>(event.op))
-          .str("reason", why)
-          .num("attempt", static_cast<double>(event.attempt));
-    }
-  }
-  metrics_.counter("runtime.transition_aborts").inc();
-  record_recovery("transition_abort", /*site=*/-1, first_op,
-                  transition_->attempt, 0.0, why);
+  recorder_.abort_transition(transition_->event_indices, now_, why);
   trace_.end_span(transition_->root_span)
       .str("status", "aborted")
       .str("reason", why)
@@ -746,13 +707,17 @@ void WaspSystem::schedule_retry(const std::string& why) {
       const SiteId site(static_cast<std::int64_t>(s));
       if (detector_.confirmed_failed(site) && !recovery_abandoned_[s]) {
         recovery_abandoned_[s] = true;
-        record_recovery("abandon", site.value(), -1, retry_.attempts - 1, 0.0,
-                        why);
+        recorder_.record_recovery({.t = now_, .kind = "abandon",
+                                   .site = site.value(),
+                                   .attempt = retry_.attempts - 1,
+                                   .detail = why});
         flagged = true;
       }
     }
     if (!flagged) {
-      record_recovery("abandon", -1, -1, retry_.attempts - 1, 0.0, why);
+      recorder_.record_recovery({.t = now_, .kind = "abandon",
+                                 .attempt = retry_.attempts - 1,
+                                 .detail = why});
     }
     log(LogLevel::kWarn, "t=", now_, " recovery abandoned after ",
         retry_.attempts - 1, " retries (", why, ")");
@@ -761,8 +726,9 @@ void WaspSystem::schedule_retry(const std::string& why) {
     if (config_.shed_on_recovery_stall && !engine_->degrade_enabled()) {
       engine_->set_degrade(true);
       recovery_degrade_active_ = true;
-      record_recovery("degrade_on", -1, -1, 0, 0.0,
-                      "shedding past the SLO while recovery is stalled");
+      recorder_.record_recovery(
+          {.t = now_, .kind = "degrade_on",
+           .detail = "shedding past the SLO while recovery is stalled"});
     }
     return;
   }
@@ -777,7 +743,9 @@ void WaspSystem::schedule_retry(const std::string& why) {
       retry_.backoff_sec, kTransitionBackoffJitterFrac, backoff_rng_);
   retry_.next_attempt_at = now_ + wait;
   retry_.pending = true;
-  record_recovery("retry", -1, -1, retry_.attempts, wait, why);
+  recorder_.record_recovery({.t = now_, .kind = "retry",
+                             .attempt = retry_.attempts, .backoff_sec = wait,
+                             .detail = why});
   metrics_.counter("runtime.transition_retries").inc();
 }
 
@@ -860,8 +828,9 @@ void WaspSystem::maybe_recover() {
         .num("dead_sites", static_cast<double>(dead.size()));
   }
   for (SiteId s : dead) {
-    record_recovery("replan", s.value(), -1, retry_.attempts, 0.0,
-                    actions.front().reason);
+    recorder_.record_recovery({.t = now_, .kind = "replan", .site = s.value(),
+                               .attempt = retry_.attempts,
+                               .detail = actions.front().reason});
   }
   log(LogLevel::kInfo, "t=", now_, " failure recovery: re-placing ",
       actions.size(), " stage(s) off ", dead.size(), " dead site(s)");
@@ -918,18 +887,6 @@ void WaspSystem::promote_standbys(std::vector<SiteId>& dead) {
     standby_->consume(c.op, c.promo.standby_site);
     if (result.moved_tasks == 0) continue;
 
-    AdaptationEvent event;
-    event.decided_at = now_;
-    event.transition_end = now_;  // promotion is a pointer swap: no transfer
-    event.kind = "failover";
-    event.reason = "standby promotion off failed site " +
-                   std::to_string(c.failed.value());
-    event.op = c.op.value();
-    recorder_.events().push_back(event);
-    if (!first_event.has_value()) {
-      first_event = recorder_.events().size() - 1;
-    }
-
     if (trace_.enabled()) {
       trace_.event("failover")
           .str("mode", "standby")
@@ -941,10 +898,9 @@ void WaspSystem::promote_standbys(std::vector<SiteId>& dead) {
           .num("installed_window_events", result.installed_window_events)
           .num("replayed_source_units", result.replayed_source_units);
     }
-    record_recovery("failover", c.failed.value(), c.op.value(), /*attempt=*/0,
-                    /*backoff_sec=*/0.0,
-                    "promoted standby at site " +
-                        std::to_string(c.promo.standby_site.value()));
+    const std::size_t event = recorder_.record_failover(
+        now_, c.op.value(), c.failed.value(), c.promo.standby_site.value());
+    if (!first_event.has_value()) first_event = event;
     log(LogLevel::kInfo, "t=", now_, " failover: promoted standby of op ",
         c.op.value(), " at site ", c.promo.standby_site.value(),
         " (staleness ", c.promo.staleness_sec, "s, replay ",
@@ -973,34 +929,6 @@ void WaspSystem::promote_standbys(std::vector<SiteId>& dead) {
   dead.swap(remaining);
 }
 
-void WaspSystem::record_recovery(const std::string& kind, std::int64_t site,
-                                 std::int64_t op, int attempt,
-                                 double backoff_sec,
-                                 const std::string& detail) {
-  RecoveryEvent event;
-  event.t = now_;
-  event.kind = kind;
-  event.site = site;
-  event.op = op;
-  event.attempt = attempt;
-  event.backoff_sec = backoff_sec;
-  event.detail = detail;
-  recorder_.record_recovery(std::move(event));
-  metrics_.counter("runtime.recovery_events").inc();
-  // Detector state changes already carry their own trace events; everything
-  // else gets a "recovery" event so the trace holds the full chain too.
-  if (trace_.enabled() && kind != "suspect" && kind != "confirm_failure" &&
-      kind != "trust") {
-    trace_.event("recovery")
-        .str("kind", kind)
-        .num("site", static_cast<double>(site))
-        .num("op", static_cast<double>(op))
-        .num("attempt", static_cast<double>(attempt))
-        .num("backoff_sec", backoff_sec)
-        .str("detail", detail);
-  }
-}
-
 void WaspSystem::watch_stabilization() {
   if (!stabilizing_event_.has_value()) return;
   // Stable when (a) the events queued during the transition have been
@@ -1013,18 +941,9 @@ void WaspSystem::watch_stabilization() {
       std::max(1.0, 2.0 * pre_transition_delay_);
   if (backlog <= std::max(per_tick, 1.0) &&
       engine_->last_tick().delay_sec <= delay_target) {
-    AdaptationEvent& event = recorder_.events()[*stabilizing_event_];
-    event.stabilized_at = now_;
-    if (trace_.enabled()) {
-      trace_.event("stabilized")
-          .str("kind", event.kind)
-          .num("op", static_cast<double>(event.op))
-          .num("decided_at", event.decided_at)
-          .num("stabilize_sec", event.stabilize_sec());
-    }
+    recorder_.stabilize(*stabilizing_event_, now_, stabilizing_recovery_);
+    const AdaptationEvent& event = recorder_.events()[*stabilizing_event_];
     if (stabilizing_recovery_) {
-      record_recovery("stabilized", -1, event.op, event.attempt, 0.0,
-                      event.reason);
       // Time-to-stabilize: last failure confirmation -> settled. The CI
       // chaos matrix compares this across --standby-replicas settings.
       if (last_confirm_at_ >= 0.0) {

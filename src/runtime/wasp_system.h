@@ -127,9 +127,9 @@ struct SystemConfig {
   // scheduler subtracts them from availability. Wired by runtime::Cluster.
   std::function<std::vector<int>()> peer_slot_usage;
   // Observability: when set, the system wires a TraceEmitter over this sink
-  // through every layer (engine, network, policy, migration planner) and
-  // emits its own "adaptation"/"transition_end"/"stabilized" events. Null
-  // (the default) disables tracing entirely. See DESIGN.md §6.
+  // through every layer (engine, network, policy, migration planner,
+  // recorder). Null (the default) disables tracing entirely. See DESIGN.md
+  // §6.
   std::shared_ptr<obs::TraceSink> trace_sink;
   // Declarative SLO watchdog (wasp_sim --slo): evaluated over the recorder's
   // series each tick; violation episodes become "slo_violation" spans and
@@ -288,9 +288,6 @@ class WaspSystem {
   // on `dead` sites (no ILP in the hot path). Sites fully recovered this way
   // are removed from `dead`; the remainder falls through to the re-plan path.
   void promote_standbys(std::vector<SiteId>& dead);
-  void record_recovery(const std::string& kind, std::int64_t site,
-                       std::int64_t op, int attempt, double backoff_sec,
-                       const std::string& detail);
   void watch_stabilization();
   // Emits cumulative "profile" events (one per active phase, plus one pool
   // line) into the trace. Called every profile_every ticks and once from the

@@ -196,17 +196,6 @@ TEST(HistogramTest, WeightsShiftPercentiles) {
   EXPECT_DOUBLE_EQ(h.percentile(95), 10.0);
 }
 
-TEST(HistogramTest, CdfAt) {
-  WeightedHistogram h;
-  h.add(1.0);
-  h.add(2.0);
-  h.add(3.0);
-  h.add(4.0);
-  EXPECT_DOUBLE_EQ(h.cdf_at(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.cdf_at(2.0), 0.5);
-  EXPECT_DOUBLE_EQ(h.cdf_at(10.0), 1.0);
-}
-
 TEST(HistogramTest, IgnoresNonPositiveWeights) {
   WeightedHistogram h;
   h.add(5.0, 0.0);
@@ -214,69 +203,21 @@ TEST(HistogramTest, IgnoresNonPositiveWeights) {
   EXPECT_TRUE(h.empty());
 }
 
-TEST(HistogramTest, WeightedMean) {
-  WeightedHistogram h;
-  h.add(2.0, 1.0);
-  h.add(4.0, 3.0);
-  EXPECT_DOUBLE_EQ(h.weighted_mean(), 3.5);
-}
-
-TEST(HistogramTest, CdfPointsAreMonotonic) {
-  WeightedHistogram h;
-  Rng rng(3);
-  for (int i = 0; i < 500; ++i) h.add(rng.uniform(), rng.uniform(0.1, 2.0));
-  const auto points = h.cdf_points(20);
-  ASSERT_EQ(points.size(), 20u);
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GE(points[i].first, points[i - 1].first);
-    EXPECT_GE(points[i].second, points[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(points.back().second, 1.0);
-}
-
-TEST(HistogramTest, CdfPointsMatchPercentileScan) {
-  // Regression: cdf_points used to re-scan the sample vector per requested
-  // point (O(points * n)); the single-cumulative-pass rewrite must return
-  // exactly the values the per-quantile percentile() scan produces.
-  WeightedHistogram h;
-  Rng rng(11);
-  for (int i = 0; i < 1000; ++i) {
-    h.add(rng.uniform(0.0, 100.0), rng.uniform(0.1, 3.0));
-  }
-  const std::size_t kPoints = 64;
-  const auto points = h.cdf_points(kPoints);
-  ASSERT_EQ(points.size(), kPoints);
-  for (std::size_t k = 1; k <= kPoints; ++k) {
-    const double q = 100.0 * static_cast<double>(k) /
-                     static_cast<double>(kPoints);
-    EXPECT_DOUBLE_EQ(points[k - 1].first, h.percentile(q))
-        << "quantile " << q;
-    EXPECT_DOUBLE_EQ(points[k - 1].second,
-                     static_cast<double>(k) / static_cast<double>(kPoints));
-  }
-}
-
 TEST(HistogramTest, ZeroTotalWeightIsHandledExplicitly) {
   // Regression: with no accepted samples (empty, or every add rejected for
-  // a non-positive weight) the total weight is 0; percentile/cdf_at/
-  // cdf_points must treat that case explicitly instead of dividing by it.
+  // a non-positive weight) the total weight is 0; percentile must treat
+  // that case explicitly instead of dividing by it.
   WeightedHistogram h;
   EXPECT_DOUBLE_EQ(h.percentile(50.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.cdf_at(1.0), 0.0);
-  EXPECT_TRUE(h.cdf_points(10).empty());
 
   h.add(5.0, 0.0);
   h.add(7.0, -2.0);
   EXPECT_DOUBLE_EQ(h.total_weight(), 0.0);
   EXPECT_DOUBLE_EQ(h.percentile(50.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.cdf_at(10.0), 0.0);
-  EXPECT_TRUE(h.cdf_points(10).empty());
 
   // One real sample flips it back to defined behaviour.
   h.add(3.0, 2.0);
   EXPECT_DOUBLE_EQ(h.percentile(50.0), 3.0);
-  EXPECT_DOUBLE_EQ(h.cdf_at(3.0), 1.0);
-  ASSERT_EQ(h.cdf_points(2).size(), 2u);
 }
 
 TEST(TimeSeriesTest, MeanOverWindow) {

@@ -1,11 +1,13 @@
 // Observability layer: metrics registry semantics, trace emitter/sink
-// behaviour and JSON encoding, and an end-to-end check that the trace
-// stream's adaptation events mirror the experiment recorder one-to-one.
+// behaviour and JSON encoding, and end-to-end checks that the trace
+// stream's adaptation and recovery events mirror the experiment recorder
+// one-to-one.
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "net/network.h"
 #include "net/topology.h"
 #include "obs/trace_analysis.h"
+#include "runtime/run_spec.h"
 #include "runtime/wasp_system.h"
 #include "workload/patterns.h"
 #include "workload/queries.h"
@@ -70,7 +74,6 @@ TEST(MetricsRegistryTest, FindReturnsNullForUnknownNames) {
   registry.counter("known.counter");
   EXPECT_NE(registry.find_counter("known.counter"), nullptr);
   EXPECT_EQ(registry.find_counter("unknown"), nullptr);
-  EXPECT_EQ(registry.find_gauge("known.counter"), nullptr);
   EXPECT_EQ(registry.find_histogram("known.counter"), nullptr);
 }
 
@@ -273,6 +276,22 @@ TEST(TraceJsonTest, NonFiniteNumbersSerializeAsNull) {
   const std::string line = to_json_line(event);
   EXPECT_NE(line.find("\"nan\":null"), std::string::npos) << line;
   EXPECT_NE(line.find("\"inf\":null"), std::string::npos) << line;
+}
+
+TEST(TraceJsonTest, MetricsMembersKeepTwelveDigitsAndEscapeNames) {
+  // The --metrics writers' form of a snapshot: a count past six digits
+  // stays whole, a sum prints at 12 significant digits, NaN is null, and a
+  // name holding a quote is escaped.
+  const std::vector<std::pair<std::string, double>> members = {
+      {"runtime.generated_events", 89310612.0},
+      {"sum", 0.1 + 0.2},
+      {"nan", std::numeric_limits<double>::quiet_NaN()},
+      {"a\"b", 1.0}};
+  std::string out;
+  append_json_members(out, members, ",");
+  EXPECT_EQ(out,
+            R"("runtime.generated_events":89310612,"sum":0.3,"nan":null,)"
+            R"("a\"b":1)");
 }
 
 // printf's %.12g, the bytes the encoder has always written for a number.
@@ -589,7 +608,7 @@ TEST(TraceIntegrationTest, AdaptationEventsMatchRecorderOneToOne) {
     EXPECT_LE(all[i - 1].t, all[i].t);
   }
 
-  // The registry mirrors the recorder through bind_metrics().
+  // The recorder counts its own log entries in the registry.
   const auto& metrics = system.metrics();
   const Counter* adaptations = metrics.find_counter("runtime.adaptations");
   ASSERT_NE(adaptations, nullptr);
@@ -849,6 +868,135 @@ TEST(TraceIntegrationTest, MetricsSnapshotNamesEachMetricOnce) {
   for (const auto& [name, count] : seen) {
     EXPECT_EQ(count, 1) << name;
   }
+}
+
+// The domain_down_standby golden scenario: a re-plan aborts when domain 3
+// dies under it and is retried, the stateful stage fails over to its hot
+// standby, and the deployment stabilizes. Each log entry is written once,
+// by the recorder, with the trace event and counter that restate it.
+TEST(TraceIntegrationTest, StandbyRunKeepsTheOneToOneRecord) {
+  runtime::RunSpec spec;
+  spec.seed = 7;
+  spec.duration_sec = 600.0;
+  spec.standby_replicas = 1;
+  spec.fault_schedule = WASP_SOURCE_DIR "/examples/domain_down.fsched";
+  auto sink = std::make_shared<MemorySink>(1 << 20);
+  runtime::RunSettings settings;
+  settings.trace_sink = sink;
+  runtime::BuildError error;
+  const auto run = runtime::build_run(spec, settings, &error);
+  ASSERT_NE(run, nullptr) << error.message;
+  run->run_until(spec.duration_sec);
+  ASSERT_EQ(sink->dropped(), 0u);
+
+  const runtime::Recorder& rec = run->system().recorder();
+  const auto& log = rec.events();
+  const auto& steps = rec.recovery_events();
+  const auto has = [](const auto& entries, auto pred) {
+    return std::any_of(entries.begin(), entries.end(), pred);
+  };
+  ASSERT_TRUE(has(log, [](const auto& e) { return e.aborted(); }));
+  ASSERT_TRUE(has(log, [](const auto& e) { return e.kind == "failover"; }));
+  ASSERT_TRUE(has(log, [](const auto& e) { return e.stabilized_at >= 0.0; }));
+  ASSERT_TRUE(has(steps, [](const auto& e) { return e.kind == "retry"; }));
+
+  // Each log entry, in order, is one "adaptation" event, or for a standby
+  // failover the promotion's "failover" event with mode=standby.
+  std::vector<TraceEvent> opened;
+  for (const TraceEvent& e : sink->events()) {
+    if (e.type == "adaptation" ||
+        (e.type == "failover" && e.str("mode") == "standby")) {
+      opened.push_back(e);
+    }
+  }
+  ASSERT_EQ(opened.size(), log.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const bool failover = log[i].kind == "failover";
+    EXPECT_EQ(opened[i].type, failover ? "failover" : "adaptation") << i;
+    if (!failover) {
+      EXPECT_EQ(opened[i].str("kind"), log[i].kind) << i;
+    }
+    EXPECT_EQ(opened[i].num("op"), static_cast<double>(log[i].op)) << i;
+    EXPECT_EQ(opened[i].t, log[i].decided_at) << i;
+  }
+
+  // Each completion event restates the log field it marks, in log order.
+  const auto entries_where = [&log](auto pred) {
+    std::vector<const runtime::AdaptationEvent*> out;
+    for (const auto& e : log) {
+      if (pred(e)) out.push_back(&e);
+    }
+    return out;
+  };
+  const auto ended = entries_where([](const auto& e) {
+    return e.kind != "failover" && e.transition_end >= 0.0;
+  });
+  const auto ends = sink->of_type("transition_end");
+  ASSERT_EQ(ends.size(), ended.size());
+  for (std::size_t i = 0; i < ends.size(); ++i) {
+    EXPECT_EQ(ends[i].str("kind"), ended[i]->kind);
+    EXPECT_EQ(ends[i].num("op"), static_cast<double>(ended[i]->op));
+    EXPECT_EQ(ends[i].t, ended[i]->transition_end);
+    EXPECT_EQ(ends[i].num("decided_at"), ended[i]->decided_at);
+    EXPECT_EQ(ends[i].num("transition_sec"), ended[i]->transition_sec());
+  }
+  const auto aborted =
+      entries_where([](const auto& e) { return e.aborted(); });
+  const auto aborts = sink->of_type("transition_abort");
+  ASSERT_EQ(aborts.size(), aborted.size());
+  for (std::size_t i = 0; i < aborts.size(); ++i) {
+    EXPECT_EQ(aborts[i].str("kind"), aborted[i]->kind);
+    EXPECT_EQ(aborts[i].num("op"), static_cast<double>(aborted[i]->op));
+    EXPECT_EQ(aborts[i].t, aborted[i]->aborted_at);
+    EXPECT_EQ(aborts[i].str("reason"), aborted[i]->abort_reason);
+    EXPECT_EQ(aborts[i].num("attempt"),
+              static_cast<double>(aborted[i]->attempt));
+  }
+  const auto stable =
+      entries_where([](const auto& e) { return e.stabilized_at >= 0.0; });
+  const auto stabilized = sink->of_type("stabilized");
+  ASSERT_EQ(stabilized.size(), stable.size());
+  for (std::size_t i = 0; i < stabilized.size(); ++i) {
+    EXPECT_EQ(stabilized[i].str("kind"), stable[i]->kind);
+    EXPECT_EQ(stabilized[i].num("op"), static_cast<double>(stable[i]->op));
+    EXPECT_EQ(stabilized[i].t, stable[i]->stabilized_at);
+    EXPECT_EQ(stabilized[i].num("decided_at"), stable[i]->decided_at);
+    EXPECT_EQ(stabilized[i].num("stabilize_sec"), stable[i]->stabilize_sec());
+  }
+
+  // Each recovery step but the detector's own health changes, in order, is
+  // one "recovery" event.
+  std::vector<const runtime::RecoveryEvent*> traced_steps;
+  for (const auto& e : steps) {
+    if (e.kind != "suspect" && e.kind != "confirm_failure" &&
+        e.kind != "trust") {
+      traced_steps.push_back(&e);
+    }
+  }
+  const auto recoveries = sink->of_type("recovery");
+  ASSERT_EQ(recoveries.size(), traced_steps.size());
+  for (std::size_t i = 0; i < recoveries.size(); ++i) {
+    const runtime::RecoveryEvent& step = *traced_steps[i];
+    EXPECT_EQ(recoveries[i].t, step.t) << i;
+    EXPECT_EQ(recoveries[i].str("kind"), step.kind) << i;
+    EXPECT_EQ(recoveries[i].num("site"), static_cast<double>(step.site)) << i;
+    EXPECT_EQ(recoveries[i].num("op"), static_cast<double>(step.op)) << i;
+    EXPECT_EQ(recoveries[i].num("attempt"), static_cast<double>(step.attempt))
+        << i;
+    EXPECT_EQ(recoveries[i].num("backoff_sec"), step.backoff_sec) << i;
+    EXPECT_EQ(recoveries[i].str("detail"), step.detail) << i;
+  }
+
+  // The counters count the logs.
+  const MetricsRegistry& metrics = run->system().metrics();
+  const auto counted = [&metrics](std::string_view name) {
+    const Counter* counter = metrics.find_counter(name);
+    return counter == nullptr ? 0.0 : counter->value();
+  };
+  EXPECT_EQ(counted("runtime.adaptations") + counted("runtime.failovers"),
+            static_cast<double>(log.size()));
+  EXPECT_EQ(counted("runtime.recovery_events"),
+            static_cast<double>(steps.size()));
 }
 
 TEST(TraceIntegrationTest, UntracedRunEmitsNothing) {

@@ -171,10 +171,12 @@ TEST(SpanIndexTest, FlagsUnclosedAndOrphanEnds) {
 TEST(SpanIndexTest, RejectsParentClosedBeforeChildBegins) {
   auto sink = std::make_shared<MemorySink>();
   TraceEmitter emitter(sink);
-  const std::uint64_t parent = emitter.begin_span("p", kNoSpan);
+  std::uint64_t parent = kNoSpan;
+  { auto e = emitter.begin_span_event("p", &parent, kNoSpan); }
   { auto e = emitter.end_span(parent); }
   // Explicit parent id pointing at an already-closed span.
-  const std::uint64_t child = emitter.begin_span("c", parent);
+  std::uint64_t child = kNoSpan;
+  { auto e = emitter.begin_span_event("c", &child, parent); }
   { auto e = emitter.end_span(child); }
 
   std::vector<TraceEvent> events(sink->events().begin(),
