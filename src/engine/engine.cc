@@ -68,6 +68,10 @@ Engine::Engine(query::LogicalPlan logical, physical::PhysicalPlan physical,
   straggler_factor_.assign(network_.topology().num_sites(), 1.0);
   build_runtime();
   refresh_source_runtime();
+  if (tracing()) {
+    tick_memo_.emplace();
+    stage_memos_.resize(num_stages_);
+  }
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *config_.metrics;
     mh_.ticks = &reg.counter("engine.ticks");
@@ -260,6 +264,7 @@ void Engine::rebuild_channel_indexes() {
   d_wlat_.assign(n, 0.0);
   d_linkeps_.assign(n, 0.0);
   c_latency_ms_.resize(n);
+  if (tracing() && chan_memos_.size() < n) chan_memos_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     c_to_stage_[i] = chan_[i].to_stage;
     c_flow_[i] = chan_[i].flow.valid() ? &network_.flow(chan_[i].flow)
@@ -780,10 +785,11 @@ void Engine::tick(double t) {
 
   // Tick-phase accounting (DESIGN.md §13): one inclusive "engine" frame,
   // then a chain of sibling segments -- each boundary costs one clock read,
-  // and a null/disabled profiler reduces every line to a predictable branch.
+  // the first and last shared with the frame's own, and a null/disabled
+  // profiler reduces every line to a predictable branch.
   obs::Profiler::Scope profile_tick(config_.profiler, obs::Phase::kEngine);
   obs::Profiler::Chain profile(config_.profiler);
-  profile.next(obs::Phase::kEngineReset);
+  profile.next_at_last_read(obs::Phase::kEngineReset);
 
   // delivered_prev is the channel's last *live* drain rate: while the
   // receiver is suspended (mid-transition), delivery skips it and
@@ -917,6 +923,7 @@ void Engine::tick(double t) {
 
   profile.next(obs::Phase::kEngineEmit);
   emit_tick_trace(t);
+  profile.close_at_next_read();  // ends with the engine frame
 }
 
 void Engine::emit_tick_trace(double t) {
@@ -938,10 +945,12 @@ void Engine::emit_tick_trace(double t) {
     }
   }
 
-  if (config_.trace == nullptr || !config_.trace->enabled()) return;
+  if (!tracing()) return;
   obs::TraceEmitter& trace = *config_.trace;
 
-  trace.event_at(t, "tick")
+  // Each entity's event goes through its memo: most repeat the previous
+  // tick's fields bit for bit and reuse their encoded bytes.
+  trace.event_at(t, "tick", &*tick_memo_)
       .num("delay_sec", last_.delay_sec)
       .num("generated_eps", last_.generated_eps)
       .num("admitted_eps", last_.admitted_eps)
@@ -961,7 +970,7 @@ void Engine::emit_tick_trace(double t) {
         stage_suspended_[i] == 0) {
       continue;
     }
-    trace.event_at(t, "op_tick")
+    trace.event_at(t, "op_tick", obs::memo_at(stage_memos_, i))
         .num("op", static_cast<double>(i))
         .str("name", logical_.op(OperatorId(static_cast<std::int64_t>(i))).name)
         .num("processed_eps", stage_processed_[i])
@@ -979,7 +988,8 @@ void Engine::emit_tick_trace(double t) {
       continue;
     }
     const ChannelDesc& c = chan_[ci];
-    auto event = trace.event_at(t, "channel_tick");
+    auto event =
+        trace.event_at(t, "channel_tick", obs::memo_at(chan_memos_, ci));
     event.num("from_op", static_cast<double>(c.from_stage))
         .num("to_op", static_cast<double>(c.to_stage))
         .num("from_site", static_cast<double>(c.from_site))

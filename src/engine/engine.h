@@ -48,6 +48,7 @@
 #include "engine/delay_tracker.h"
 #include "engine/metrics.h"
 #include "net/network.h"
+#include "obs/trace.h"
 #include "physical/physical_plan.h"
 #include "query/logical_plan.h"
 
@@ -56,7 +57,6 @@ class Counter;
 class Gauge;
 class MetricsRegistry;
 class Profiler;
-class TraceEmitter;
 }  // namespace wasp::obs
 
 namespace wasp::exec {
@@ -359,6 +359,9 @@ class Engine {
   // queued events per logical edge.
   void rebuild_adjacent_channels(std::size_t stage_idx);
   void apply_degrade_drops(double t);
+  [[nodiscard]] bool tracing() const {
+    return config_.trace != nullptr && config_.trace->enabled();
+  }
   void emit_tick_trace(double t);
   // Re-injects `units` source-time events at the replayable sources
   // (rate-proportional shares across sources, equal split across each
@@ -444,6 +447,13 @@ class Engine {
   // network owns its topology and exposes it only const, so it is exact.
   std::vector<double> c_latency_ms_;
   std::vector<std::int32_t> c_to_stage_;  // mirror for the reset kernel
+
+  // Trace memos (DESIGN.md §6.2), made only with tracing on: one for the
+  // tick event, one per stage's op_tick and one per channel's channel_tick
+  // (grown, never shrunk, with the channel set).
+  std::optional<obs::TraceMemo> tick_memo_;
+  std::vector<obs::TraceMemo> stage_memos_;
+  std::vector<obs::TraceMemo> chan_memos_;
 
   // Hosting sites per stage (ascending site index), rebuilt with every
   // placement change. Loops guarded by "tasks > 0" iterate these instead of

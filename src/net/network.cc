@@ -140,6 +140,10 @@ void Network::rebuild_link_groups() {
   for (const LinkGroup& g : link_groups_) {
     links_[link_key(g.from, g.to)].allocated_mbps = allocated_sum(g);
   }
+  if (trace_ != nullptr && trace_->enabled() &&
+      link_memos_.size() < link_groups_.size()) {
+    link_memos_.resize(link_groups_.size());
+  }
   link_groups_dirty_ = false;
 }
 
@@ -280,7 +284,8 @@ void Network::step(double t, double dt) {
 
   const bool tracing = trace_ != nullptr && trace_->enabled();
   if (tracing) {
-    for (const LinkGroup& g : link_groups_) {
+    for (std::size_t gi = 0; gi < n_groups; ++gi) {
+      const LinkGroup& g = link_groups_[gi];
       if (g.from == g.to || g.live == 0) continue;
       const LinkRecord& link = links_[link_key(g.from, g.to)];
       // Finished bulk flows hold exactly 0, so summing the whole group
@@ -290,7 +295,8 @@ void Network::step(double t, double dt) {
         (f->kind == FlowKind::kStream ? stream_mbps : bulk_mbps) +=
             f->allocated_mbps;
       }
-      trace_->event_at(t, "link_alloc")
+      // Through the group's memo: a link's split mostly repeats tick to tick.
+      trace_->event_at(t, "link_alloc", obs::memo_at(link_memos_, gi))
           .num("from_site", static_cast<double>(g.from.value()))
           .num("to_site", static_cast<double>(g.to.value()))
           .num("capacity_mbps", link.capacity_mbps)

@@ -19,10 +19,7 @@
 #include "common/ids.h"
 #include "net/bandwidth_model.h"
 #include "net/topology.h"
-
-namespace wasp::obs {
-class TraceEmitter;
-}  // namespace wasp::obs
+#include "obs/trace.h"
 
 namespace wasp::exec {
 class ThreadPool;
@@ -232,6 +229,9 @@ class Network {
   exec::ThreadPool* pool_ = nullptr;
   bool link_groups_dirty_ = true;
   obs::TraceEmitter* trace_ = nullptr;
+  // One trace memo per link group (DESIGN.md §6.2), made by the rebuilds
+  // that run with tracing on and grown, never shrunk, with the groups.
+  std::vector<obs::TraceMemo> link_memos_;
 };
 
 }  // namespace wasp::net

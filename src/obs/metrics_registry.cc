@@ -56,7 +56,7 @@ std::vector<std::pair<std::string, double>> MetricsRegistry::snapshot() const {
     out.emplace_back(name, metric.value());
   }
   for (const auto& [name, metric] : histograms_) {
-    out.emplace_back(name, metric.total_weight());
+    out.emplace_back(name + ".count", metric.total_weight());
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -59,8 +59,10 @@ class MetricsRegistry {
   [[nodiscard]] const WeightedHistogram* find_histogram(
       std::string_view name) const;
 
-  // Sorted (name, value) pairs for every counter and gauge. Histograms are
-  // reported as (name, total_weight) so a snapshot shows they are populated.
+  // Sorted (name, value) pairs for every counter and gauge. A histogram is
+  // reported as (<name>.count, total weight): its weighted sample count,
+  // which is the number of samples for the runtime's histograms (they add
+  // each sample at weight 1).
   [[nodiscard]] std::vector<std::pair<std::string, double>> snapshot() const;
 
   [[nodiscard]] std::size_t size() const {

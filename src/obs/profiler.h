@@ -12,6 +12,12 @@
 //    *single* clock read. Use on the per-tick hot path: the engine tick's
 //    six phases cost six clock reads, not twelve.
 //
+// Where frames of both kinds meet at one instant (a Scope opening with its
+// first segment, a segment ending where a callee's Scope begins), the meeting
+// boundaries share one read: Chain::next_at_last_read opens a segment at the
+// profiler's last read, and Chain::close_at_next_read ends one at the next.
+// A whole tick reads the clock 12 times, 14 with standbys.
+//
 // Both nest arbitrarily through one frame stack, so a phase's `self_ns` is
 // its elapsed time minus the time attributed to phases opened inside it,
 // and `total_ns` is the full inclusive time. The stack lives on the
@@ -100,10 +106,10 @@ class Profiler {
     Scope(Profiler* profiler, Phase phase)
         : profiler_(profiler != nullptr && profiler->enabled() ? profiler
                                                                : nullptr) {
-      if (profiler_ != nullptr) profiler_->push(phase, profiler_->clock_());
+      if (profiler_ != nullptr) profiler_->push(phase, profiler_->read());
     }
     ~Scope() {
-      if (profiler_ != nullptr) profiler_->pop(profiler_->clock_());
+      if (profiler_ != nullptr) profiler_->pop(profiler_->read());
     }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
@@ -126,19 +132,40 @@ class Profiler {
 
     void next(Phase phase) {
       if (profiler_ == nullptr) return;
-      const std::uint64_t now = profiler_->clock_();
+      open_at(phase, profiler_->read());
+    }
+
+    void close() {
+      if (profiler_ == nullptr || !open_) return;
+      profiler_->pop(profiler_->read());
+      open_ = false;
+    }
+
+    // next() at the profiler's last clock read, for a boundary that follows
+    // another at once: the first segment inside a Scope that just opened,
+    // or the segment after a callee whose Scope just closed.
+    void next_at_last_read(Phase phase) {
+      if (profiler_ == nullptr) return;
+      profiler_->end_deferred(profiler_->last_ns_);
+      open_at(phase, profiler_->last_ns_);
+    }
+
+    // close() at the profiler's next clock read, for a boundary that
+    // another follows at once: the last segment before its parent Scope
+    // closes, or the segment before a callee's Scope opens.
+    void close_at_next_read() {
+      if (profiler_ == nullptr || !open_) return;
+      ++profiler_->deferred_pops_;
+      open_ = false;
+    }
+
+   private:
+    void open_at(Phase phase, std::uint64_t now) {
       if (open_) profiler_->pop(now);
       profiler_->push(phase, now);
       open_ = true;
     }
 
-    void close() {
-      if (profiler_ == nullptr || !open_) return;
-      profiler_->pop(profiler_->clock_());
-      open_ = false;
-    }
-
-   private:
     Profiler* profiler_;
     bool open_ = false;
   };
@@ -157,11 +184,23 @@ class Profiler {
 
   static std::uint64_t steady_now_ns();
 
+  // Reads the clock, ends the segments close_at_next_read() left open at
+  // that time and keeps it for next_at_last_read().
+  std::uint64_t read() {
+    last_ns_ = clock_();
+    end_deferred(last_ns_);
+    return last_ns_;
+  }
+  void end_deferred(std::uint64_t now) {
+    for (; deferred_pops_ > 0; --deferred_pops_) pop(now);
+  }
   void push(Phase phase, std::uint64_t now);
   void pop(std::uint64_t now);
 
   bool enabled_ = false;
   ClockFn clock_ = &steady_now_ns;
+  std::uint64_t last_ns_ = 0;
+  std::size_t deferred_pops_ = 0;  // segments to end at the next read
   std::size_t depth_ = 0;
   std::size_t overflow_ = 0;  // pushes skipped past kMaxDepth
   std::array<Frame, kMaxDepth> stack_{};

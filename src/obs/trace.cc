@@ -267,6 +267,47 @@ void append_str_field(std::string& out, std::string_view key,
   append_json_string(out, value);
 }
 
+// Writes `{"schema":2,"seq":N,"t":T,"type":"..."`, the part of a line
+// before its fields.
+void append_header(std::string& out, std::uint64_t seq, double t,
+                   std::string_view type) {
+  static_assert(kTraceSchemaVersion == 2, "the header below spells it");
+  static constexpr std::string_view kHeader = R"({"schema":2,"seq":)";
+  static constexpr std::string_view kT = R"(,"t":)";
+  static constexpr std::string_view kType = R"(,"type":)";
+  char buf[kHeader.size() + kT.size() + kType.size() + 2 * kNumberChars +
+           kStackChars + 2];
+  char* p = std::copy(kHeader.begin(), kHeader.end(), buf);
+  p = write_json_number(p, static_cast<double>(seq));
+  p = std::copy(kT.begin(), kT.end(), p);
+  p = write_json_number(p, t);
+  p = std::copy(kType.begin(), kType.end(), p);
+  if (char* end = write_plain_string(p, type); end != nullptr) {
+    out.append(buf, end);
+  } else {
+    out.append(buf, p);
+    append_json_string(out, type);
+  }
+}
+
+// The fixed capacity of a TraceMemo: every per-tick event the engine and
+// the network emit fits it (an op_tick with a 30-byte operator name holds
+// 134 bytes of keys and strings in 9 fields and encodes to 197 bytes).
+constexpr std::size_t kMemoNums = 8;
+constexpr std::size_t kMemoStrs = 4;
+constexpr std::size_t kMemoBytes = 192;
+constexpr std::size_t kMemoJson = 320;
+
+// True when the two tables hold the same bytes. Num and Str have no padding,
+// so this compares keys' offsets and lengths and each value's bits.
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  static_assert(sizeof(T) == 16, "no padding between the members");
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
 }  // namespace
 
 // Repairing bad UTF-8 keeps every line valid JSON even when a free-text
@@ -344,23 +385,7 @@ std::string_view TraceEvent::str(std::string_view key,
 }
 
 void append_json_line(std::string& out, const TraceEvent& event) {
-  static_assert(kTraceSchemaVersion == 2, "the header below spells it");
-  static constexpr std::string_view kHeader = R"({"schema":2,"seq":)";
-  static constexpr std::string_view kT = R"(,"t":)";
-  static constexpr std::string_view kType = R"(,"type":)";
-  char buf[kHeader.size() + kT.size() + kType.size() + 2 * kNumberChars +
-           kStackChars + 2];
-  char* p = std::copy(kHeader.begin(), kHeader.end(), buf);
-  p = write_json_number(p, static_cast<double>(event.seq));
-  p = std::copy(kT.begin(), kT.end(), p);
-  p = write_json_number(p, event.t);
-  p = std::copy(kType.begin(), kType.end(), p);
-  if (char* end = write_plain_string(p, event.type); end != nullptr) {
-    out.append(buf, end);
-  } else {
-    out.append(buf, p);
-    append_json_string(out, event.type);
-  }
+  append_header(out, event.seq, event.t, event.type);
   for (const auto& [key, value] : event.strs) {
     append_str_field(out, key, value);
   }
@@ -376,12 +401,81 @@ std::string to_json_line(const TraceEvent& event) {
   return out;
 }
 
-void MemorySink::write(const TraceEvent& event) {
+std::uint32_t TraceFields::append_bytes(std::string_view text) {
+  const auto at = static_cast<std::uint32_t>(bytes_.size());
+  bytes_.append(text);
+  return at;
+}
+
+void TraceFields::add_num(std::string_view key, double value) {
+  const std::uint32_t key_at = append_bytes(key);
+  nums_.push_back({key_at, static_cast<std::uint32_t>(key.size()), value});
+}
+
+void TraceFields::add_str(std::string_view key, std::string_view value) {
+  const std::uint32_t key_at = append_bytes(key);
+  const std::uint32_t value_at = append_bytes(value);
+  strs_.push_back({key_at, static_cast<std::uint32_t>(key.size()), value_at,
+                   static_cast<std::uint32_t>(value.size())});
+}
+
+void TraceFields::clear() {
+  bytes_.clear();
+  nums_.clear();
+  strs_.clear();
+}
+
+void TraceFields::append_json(std::string& out) const {
+  for (std::size_t i = 0; i < strs_.size(); ++i) {
+    append_str_field(out, str_key(i), str_value(i));
+  }
+  for (std::size_t i = 0; i < nums_.size(); ++i) {
+    append_num_field(out, num_key(i), nums_[i].value);
+  }
+}
+
+bool operator==(const TraceFields& a, const TraceFields& b) {
+  return a.bytes_ == b.bytes_ && same_bytes(a.nums_, b.nums_) &&
+         same_bytes(a.strs_, b.strs_);
+}
+
+TraceMemo::TraceMemo() {
+  fields_.bytes_.reserve(kMemoBytes);
+  fields_.nums_.reserve(kMemoNums);
+  fields_.strs_.reserve(kMemoStrs);
+  json_.reserve(kMemoJson);
+}
+
+void TraceMemo::keep(const TraceFields& fields, std::string_view json) {
+  if (fields.bytes_.size() > fields_.bytes_.capacity() ||
+      fields.nums_.size() > fields_.nums_.capacity() ||
+      fields.strs_.size() > fields_.strs_.capacity() ||
+      json.size() > json_.capacity()) {
+    return;
+  }
+  // Within capacity, none of these assignments reallocates.
+  fields_.bytes_.assign(fields.bytes_);
+  fields_.nums_.assign(fields.nums_.begin(), fields.nums_.end());
+  fields_.strs_.assign(fields.strs_.begin(), fields.strs_.end());
+  json_.assign(json);
+}
+
+void MemorySink::write(const TraceEventView& view) {
   if (events_.size() >= capacity_) {
     events_.pop_front();
     ++dropped_;
   }
-  events_.push_back(event);
+  TraceEvent& event = events_.emplace_back();
+  event.seq = view.seq;
+  event.t = view.t;
+  event.type = view.type;
+  const TraceFields& fields = view.fields;
+  for (std::size_t i = 0; i < fields.num_count(); ++i) {
+    event.nums.emplace_back(fields.num_key(i), fields.num_value(i));
+  }
+  for (std::size_t i = 0; i < fields.str_count(); ++i) {
+    event.strs.emplace_back(fields.str_key(i), fields.str_value(i));
+  }
 }
 
 std::vector<TraceEvent> MemorySink::of_type(std::string_view type) const {
@@ -392,14 +486,15 @@ std::vector<TraceEvent> MemorySink::of_type(std::string_view type) const {
   return out;
 }
 
-void FileSink::write(const TraceEvent& event) {
-  // Serialize outside the lock into this thread's reused buffer; emit the
-  // complete line in one locked write so concurrent writers can interleave
-  // lines but never bytes.
+void FileSink::write(const TraceEventView& event) {
+  // Assemble the line outside the lock in this thread's reused buffer; emit
+  // the complete line in one locked write so concurrent writers can
+  // interleave lines but never bytes.
   thread_local std::string line;
   line.clear();
-  append_json_line(line, event);
-  line.push_back('\n');
+  append_header(line, event.seq, event.t, event.type);
+  line.append(event.fields_json);
+  line.append("}\n");
   std::lock_guard<std::mutex> lock(mu_);
   if (!out_.good()) return;
   out_.write(line.data(), static_cast<std::streamsize>(line.size()));
@@ -411,8 +506,8 @@ void FileSink::flush() {
 }
 
 TraceEmitter::Event::Event(TraceEmitter* emitter, double t,
-                           std::string_view type)
-    : emitter_(emitter) {
+                           std::string_view type, TraceMemo* memo)
+    : emitter_(emitter), memo_(memo) {
   if (emitter_ == nullptr) return;
   if (!emitter_->spare_.empty()) {
     event_ = std::move(emitter_->spare_.back());
@@ -423,7 +518,7 @@ TraceEmitter::Event::Event(TraceEmitter* emitter, double t,
 }
 
 TraceEmitter::Event::~Event() {
-  if (emitter_ != nullptr) emitter_->commit(event_);
+  if (emitter_ != nullptr) emitter_->commit(event_, memo_);
 }
 
 TraceEmitter::Event TraceEmitter::begin_span_event(std::string_view name,
@@ -483,20 +578,24 @@ TraceEmitter::SpanScope::~SpanScope() {
     emitter_->ambient_.pop_back();
   }
   Event ev = emitter_->end_span(id_);
-  for (const auto& [k, v] : end_strs_) ev.str(k, v);
-  for (const auto& [k, v] : end_nums_) ev.num(k, v);
+  for (std::size_t i = 0; i < end_fields_.str_count(); ++i) {
+    ev.str(end_fields_.str_key(i), end_fields_.str_value(i));
+  }
+  for (std::size_t i = 0; i < end_fields_.num_count(); ++i) {
+    ev.num(end_fields_.num_key(i), end_fields_.num_value(i));
+  }
   ev.num("wall_us", wall_us);
 }
 
 TraceEmitter::SpanScope& TraceEmitter::SpanScope::num(std::string_view key,
                                                       double value) {
-  if (emitter_ != nullptr) end_nums_.emplace_back(key, value);
+  if (emitter_ != nullptr) end_fields_.add_num(key, value);
   return *this;
 }
 
 TraceEmitter::SpanScope& TraceEmitter::SpanScope::str(std::string_view key,
                                                       std::string_view value) {
-  if (emitter_ != nullptr) end_strs_.emplace_back(key, value);
+  if (emitter_ != nullptr) end_fields_.add_str(key, value);
   return *this;
 }
 
@@ -513,13 +612,24 @@ TraceEmitter::ParentScope::~ParentScope() {
   }
 }
 
-void TraceEmitter::commit(TraceEvent& event) {
-  event.seq = next_seq_++;
-  sink_->write(event);
-  // Hand the event back, emptied but with its vectors' capacity, for the
-  // next builder to fill.
-  event.nums.clear();
-  event.strs.clear();
+void TraceEmitter::commit(PendingEvent& event, TraceMemo* memo) {
+  std::string_view fields_json;
+  if (memo != nullptr && memo->fields_ == event.fields) {
+    fields_json = memo->json_;
+  } else {
+    fields_json_.clear();
+    event.fields.append_json(fields_json_);
+    if (memo != nullptr) memo->keep(event.fields, fields_json_);
+    fields_json = fields_json_;
+  }
+  sink_->write({.seq = next_seq_++,
+                .t = event.t,
+                .type = event.type,
+                .fields = event.fields,
+                .fields_json = fields_json});
+  // Hand the event back, emptied but with its arena's and tables' capacity,
+  // for the next builder to fill.
+  event.fields.clear();
   spare_.push_back(std::move(event));
 }
 

@@ -25,14 +25,18 @@
 //
 // Producers hold a non-owning TraceEmitter* and guard hot paths with
 // `enabled()`; fields are attached through a small RAII builder that commits
-// the event when it goes out of scope.
+// the event when it goes out of scope. A producer that emits one event per
+// entity per tick (the engine's tick, op_tick and channel_tick events, the
+// network's link_alloc) passes that entity's TraceMemo, and an event whose
+// fields repeat the memo's reuses their encoded bytes (DESIGN.md §6.2).
 //
 // Threading model (audited for the parallel sweep harness, DESIGN.md §9):
 //   - TraceEmitter is NOT thread-safe: seq numbering, the span-id counter,
 //     open-span accounting, and the ambient-parent stack are plain state. One
 //     emitter belongs to one simulation run, and a run executes on exactly
 //     one thread (the sweep worker that owns it); never share an emitter
-//     across threads.
+//     across threads. A TraceMemo belongs to one producer, so to that
+//     emitter's thread too.
 //   - MemorySink is NOT thread-safe; it is confined to the run that owns its
 //     emitter (tests, embedding).
 //   - FileSink IS safe to share across runs: write()/flush() are serialized
@@ -76,10 +80,13 @@ struct TraceEvent {
                                      std::string_view fallback = {}) const;
 };
 
-// Serializes one event as a single JSON line (no trailing newline). Numbers
-// that JSON cannot represent (NaN, infinities) are emitted as null; string
-// fields are escaped per RFC 8259 (quotes, backslashes, control characters)
-// and invalid UTF-8 bytes are replaced with U+FFFD so the line always parses.
+// Serializes one event as a single JSON line (no trailing newline): the
+// header, then each string field, then each number field. Numbers that JSON
+// cannot represent (NaN, infinities) are emitted as null; string fields are
+// escaped per RFC 8259 (quotes, backslashes, control characters) and
+// invalid UTF-8 bytes are replaced with U+FFFD so the line always parses.
+// The emitter's own events take the same writers through TraceEventView; this
+// form serves events parsed back from a file and the sweep's records.
 [[nodiscard]] std::string to_json_line(const TraceEvent& event);
 // The same line appended to `out`, so a caller can reuse one buffer.
 void append_json_line(std::string& out, const TraceEvent& event);
@@ -97,10 +104,114 @@ void append_json_members(
     const std::vector<std::pair<std::string, double>>& members,
     std::string_view separator);
 
+// The fields of one built event, in the order the producer added them:
+// numbers as (key, double) and strings as (key, value), every key and
+// string copied into one byte arena, so adding a field allocates nothing
+// once the arena and the two tables have grown to the event's size.
+// Equality is bitwise: the same keys, the same bits in every number (-0.0
+// differs from 0.0, and each NaN payload from the others) and the same
+// bytes in every string, added in the same order.
+class TraceFields {
+ public:
+  void add_num(std::string_view key, double value);
+  void add_str(std::string_view key, std::string_view value);
+  void clear();
+
+  [[nodiscard]] std::size_t num_count() const { return nums_.size(); }
+  [[nodiscard]] std::string_view num_key(std::size_t i) const {
+    return view(nums_[i].key_at, nums_[i].key_len);
+  }
+  [[nodiscard]] double num_value(std::size_t i) const {
+    return nums_[i].value;
+  }
+  [[nodiscard]] std::size_t str_count() const { return strs_.size(); }
+  [[nodiscard]] std::string_view str_key(std::size_t i) const {
+    return view(strs_[i].key_at, strs_[i].key_len);
+  }
+  [[nodiscard]] std::string_view str_value(std::size_t i) const {
+    return view(strs_[i].value_at, strs_[i].value_len);
+  }
+
+  // Appends the fields' JSON bytes: `,"key":value` for each string field,
+  // then for each number field.
+  void append_json(std::string& out) const;
+
+  friend bool operator==(const TraceFields& a, const TraceFields& b);
+
+ private:
+  friend class TraceMemo;
+
+  struct Num {
+    std::uint32_t key_at = 0;
+    std::uint32_t key_len = 0;
+    double value = 0.0;
+  };
+  struct Str {
+    std::uint32_t key_at = 0;
+    std::uint32_t key_len = 0;
+    std::uint32_t value_at = 0;
+    std::uint32_t value_len = 0;
+  };
+
+  [[nodiscard]] std::string_view view(std::uint32_t at,
+                                      std::uint32_t len) const {
+    return std::string_view(bytes_.data() + at, len);
+  }
+  std::uint32_t append_bytes(std::string_view text);
+
+  std::string bytes_;
+  std::vector<Num> nums_;
+  std::vector<Str> strs_;
+};
+
+// What every sink receives for one committed event: its header, its typed
+// fields, and those fields' JSON bytes as TraceFields::append_json writes
+// them. The views last until write() returns.
+struct TraceEventView {
+  std::uint64_t seq = 0;
+  double t = 0.0;
+  std::string_view type;
+  const TraceFields& fields;
+  std::string_view fields_json;
+};
+
+// The last event one producer entity committed through it (a channel's
+// channel_tick, a stage's op_tick, a WAN link's link_alloc, the engine's
+// tick) and that event's encoded fields. When the next commit's fields
+// equal the memo's bit for bit, the emitter reuses the memo's bytes and
+// encodes only seq, t and type. Since the check compares every field, a
+// memo that a rebuild hands to another entity simply misses once: memos
+// need no invalidation.
+//
+// A memo takes its fixed capacity when it is constructed, so a producer
+// sizes its memos where it builds its entities (and only with tracing on);
+// an event too large for that capacity takes the plain encode and leaves
+// the memo as it was. Committing through a memo never allocates.
+class TraceMemo {
+ public:
+  TraceMemo();
+
+ private:
+  friend class TraceEmitter;
+
+  // Keeps `fields` and their bytes when both fit the fixed capacity.
+  void keep(const TraceFields& fields, std::string_view json);
+
+  TraceFields fields_;
+  std::string json_;
+};
+
+// The memo at `i`, or null when `memos` has none there (the producer sized
+// no memos because tracing was off when it built its entities).
+[[nodiscard]] inline TraceMemo* memo_at(std::vector<TraceMemo>& memos,
+                                        std::size_t i) {
+  return i < memos.size() ? &memos[i] : nullptr;
+}
+
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
-  virtual void write(const TraceEvent& event) = 0;
+  virtual void write(const TraceEventView& event) = 0;
   virtual void flush() {}
 };
 
@@ -117,7 +228,8 @@ class MemorySink final : public TraceSink {
   explicit MemorySink(std::size_t capacity = 1 << 16)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  void write(const TraceEvent& event) override;
+  // Keeps the event as a TraceEvent holding the exact field values.
+  void write(const TraceEventView& event) override;
 
   [[nodiscard]] const std::deque<TraceEvent>& events() const {
     return events_;
@@ -139,9 +251,10 @@ class MemorySink final : public TraceSink {
 // buffered, so a full disk may show only when they are flushed.
 //
 // Thread safety: write() and flush() serialize on an internal mutex, and a
-// line is fully serialized (into a buffer each thread reuses) before the lock
-// is taken, so each JSON line lands atomically even when several emitters
-// share one sink (e.g. the traced runs of a parallel bench driver). Note that
+// line is fully assembled (the header, then the event's field bytes, in a
+// buffer each thread reuses) before the lock is taken, so each JSON line
+// lands atomically even when several emitters share one sink (e.g. the
+// traced runs of a parallel bench driver). Note that
 // sharing a sink across concurrently running emitters interleaves *lines*
 // nondeterministically and mixes their independent `seq` streams --
 // deterministic sweeps give every run a private sink instead
@@ -152,7 +265,7 @@ class FileSink final : public TraceSink {
   explicit FileSink(const std::string& path) : out_(path) {}
 
   [[nodiscard]] bool ok() const { return out_.good(); }
-  void write(const TraceEvent& event) override;
+  void write(const TraceEventView& event) override;
   void flush() override;
 
  private:
@@ -161,6 +274,13 @@ class FileSink final : public TraceSink {
 };
 
 class TraceEmitter {
+  // An event a builder is filling: its timestamp, type and fields.
+  struct PendingEvent {
+    double t = 0.0;
+    std::string type;
+    TraceFields fields;
+  };
+
  public:
   TraceEmitter() = default;  // disabled: every event() is a no-op
   explicit TraceEmitter(std::shared_ptr<TraceSink> sink)
@@ -176,12 +296,14 @@ class TraceEmitter {
   [[nodiscard]] double now() const { return now_; }
 
   // RAII field builder: commits the event to the sink on destruction. Each
-  // builder fills its own event, so builders alive at the same time never
-  // share fields, and seq follows the order in which they commit.
+  // builder fills its own pooled event, so builders alive at the same time
+  // never share fields, and seq follows the order in which they commit.
   class Event {
    public:
     Event(Event&& other) noexcept
-        : emitter_(other.emitter_), event_(std::move(other.event_)) {
+        : emitter_(other.emitter_),
+          memo_(other.memo_),
+          event_(std::move(other.event_)) {
       other.emitter_ = nullptr;
     }
     Event(const Event&) = delete;
@@ -190,11 +312,11 @@ class TraceEmitter {
     ~Event();
 
     Event& num(std::string_view key, double value) {
-      if (emitter_ != nullptr) event_.nums.emplace_back(key, value);
+      if (emitter_ != nullptr) event_.fields.add_num(key, value);
       return *this;
     }
     Event& str(std::string_view key, std::string_view value) {
-      if (emitter_ != nullptr) event_.strs.emplace_back(key, value);
+      if (emitter_ != nullptr) event_.fields.add_str(key, value);
       return *this;
     }
     Event& flag(std::string_view key, bool value) {
@@ -203,17 +325,22 @@ class TraceEmitter {
 
    private:
     friend class TraceEmitter;
-    Event(TraceEmitter* emitter, double t, std::string_view type);
+    Event(TraceEmitter* emitter, double t, std::string_view type,
+          TraceMemo* memo = nullptr);
 
     TraceEmitter* emitter_;  // null when the emitter is disabled
-    TraceEvent event_;
+    TraceMemo* memo_;        // null: encode the fields afresh
+    PendingEvent event_;
   };
 
   [[nodiscard]] Event event(std::string_view type) {
     return Event(enabled() ? this : nullptr, now_, type);
   }
-  [[nodiscard]] Event event_at(double t, std::string_view type) {
-    return Event(enabled() ? this : nullptr, t, type);
+  // `memo`: the producer entity's memo for a per-tick event (null takes
+  // the plain encode).
+  [[nodiscard]] Event event_at(double t, std::string_view type,
+                               TraceMemo* memo = nullptr) {
+    return Event(enabled() ? this : nullptr, t, type, memo);
   }
 
   // ---- Spans (schema v2) ----------------------------------------------
@@ -268,8 +395,7 @@ class TraceEmitter {
     TraceEmitter* emitter_ = nullptr;
     std::uint64_t id_ = kNoSpan;
     std::chrono::steady_clock::time_point start_{};
-    std::vector<std::pair<std::string, double>> end_nums_;
-    std::vector<std::pair<std::string, std::string>> end_strs_;
+    TraceFields end_fields_;
   };
 
   // Makes an already-open span the ambient parent for the current scope
@@ -291,8 +417,9 @@ class TraceEmitter {
   }
 
  private:
-  // Stamps seq, writes the event to the sink and keeps it as a spare.
-  void commit(TraceEvent& event);
+  // Stamps seq, encodes the fields (or takes the memo's bytes when they
+  // repeat), writes the event to the sink and keeps it as a spare.
+  void commit(PendingEvent& event, TraceMemo* memo);
   [[nodiscard]] std::uint64_t resolve_parent(std::uint64_t parent) const {
     if (parent != kAmbientParent) return parent;
     return ambient_.empty() ? kNoSpan : ambient_.back();
@@ -304,11 +431,13 @@ class TraceEmitter {
   std::uint64_t next_span_id_ = 1;
   std::uint64_t open_spans_ = 0;
   std::vector<std::uint64_t> ambient_;
-  // Committed events, emptied, whose vectors keep their capacity: a builder
-  // takes one instead of allocating, so after warm-up an event allocates
-  // only for a key or string longer than std::string holds inline. Holds as
-  // many events as builders were ever alive at once.
-  std::vector<TraceEvent> spare_;
+  // Committed events, emptied, whose arenas and tables keep their capacity:
+  // a builder takes one instead of allocating, so after warm-up an event
+  // allocates nothing. Holds as many events as builders were ever alive at
+  // once.
+  std::vector<PendingEvent> spare_;
+  // The fields' JSON bytes of the event being committed.
+  std::string fields_json_;
 };
 
 }  // namespace wasp::obs

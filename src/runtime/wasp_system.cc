@@ -319,20 +319,23 @@ void WaspSystem::apply_workload() {
 
 void WaspSystem::step(bool drive_network) {
   // Tick-phase accounting (DESIGN.md §13): a root "step" frame plus a chain
-  // of top-level segments, one clock read per boundary. Pure observer: the
-  // profiler touches nothing but its own accumulators.
+  // of top-level segments, one clock read per boundary, shared where frames
+  // meet. Pure observer: the profiler touches nothing but its own
+  // accumulators.
   obs::Profiler::Scope profile_step(&profiler_, obs::Phase::kStep);
   obs::Profiler::Chain profile(&profiler_);
   now_ += engine::kTickSec;
   trace_.set_now(now_);
-  profile.next(obs::Phase::kWorkload);
+  profile.next_at_last_read(obs::Phase::kWorkload);
   apply_workload();
   wan_monitor_.tick(now_);
   profile.next(obs::Phase::kWaterfill);
   if (drive_network) network_.step(now_, engine::kTickSec);
-  profile.close();  // the engine opens its own inclusive "engine" frame
+  // The engine's own inclusive "engine" frame opens and closes with the
+  // reads that end waterfill and begin monitor.
+  profile.close_at_next_read();
   engine_->tick(now_);
-  profile.next(obs::Phase::kMonitorExtract);
+  profile.next_at_last_read(obs::Phase::kMonitorExtract);
   metric_monitor_.observe(*engine_, now_);
   profile.next(obs::Phase::kControl);
 
@@ -428,7 +431,7 @@ void WaspSystem::step(bool drive_network) {
       engine_->source_backlog_events(), m.generated_eps * engine::kTickSec,
       m.admitted_eps * engine::kTickSec, m.dropped_eps * engine::kTickSec);
   if (slo_watchdog_.has_value()) slo_watchdog_->tick(now_, recorder_);
-  profile.close();
+  profile.close_at_next_read();  // ends with the step frame
 
   ++tick_count_;
   if (profiler_.enabled() && trace_.enabled() && config_.profile_every > 0 &&

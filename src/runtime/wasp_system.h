@@ -198,6 +198,8 @@ class WaspSystem {
   }
   // The tick-phase profiler (disabled unless SystemConfig::profile).
   [[nodiscard]] const obs::Profiler& profiler() const { return profiler_; }
+  // Mutable, so a test can inject a counter clock (Profiler::set_clock).
+  [[nodiscard]] obs::Profiler& profiler() { return profiler_; }
   // The intra-run worker pool; null unless SystemConfig::threads > 1.
   [[nodiscard]] exec::ThreadPool* pool() { return pool_.get(); }
   // Copies the profiler's phase totals and the thread pool's counters into

@@ -87,8 +87,8 @@ TEST(MetricsRegistryTest, SnapshotIsSortedAndCoversAllKinds) {
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].first, "a.counter");
   EXPECT_DOUBLE_EQ(snap[0].second, 2.0);
-  EXPECT_EQ(snap[1].first, "m.hist");
-  EXPECT_DOUBLE_EQ(snap[1].second, 10.0);  // reported as total weight
+  EXPECT_EQ(snap[1].first, "m.hist.count");
+  EXPECT_DOUBLE_EQ(snap[1].second, 10.0);  // the weighted sample count
   EXPECT_EQ(snap[2].first, "z.gauge");
   EXPECT_DOUBLE_EQ(snap[2].second, 3.0);
 }
@@ -530,16 +530,227 @@ TEST(FileSinkTest, FourThreadsSharingOneSinkWriteWholeLinesInSeqOrder) {
   std::remove(path.c_str());
 }
 
+// The same event committed through a memo and without one writes the same
+// bytes. Four threads, each with its own emitter and memos, share the sink;
+// each emits every entity's event through its memo and then plainly, and
+// most rounds repeat the entity's previous fields.
+TEST(FileSinkTest, FourThreadsWithMemosSharingOneSinkWriteThePlainBytes) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kRounds = 1'000;
+  constexpr std::size_t kEntities = 8;
+  const std::string path = testing::TempDir() + "obs_test_memo_sink.jsonl";
+  {
+    auto sink = std::make_shared<FileSink>(path);
+    ASSERT_TRUE(sink->ok());
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kThreads; ++w) {
+      threads.emplace_back([sink, w] {
+        TraceEmitter emitter(sink);
+        std::vector<TraceMemo> memos(kEntities);
+        for (std::uint64_t r = 0; r < kRounds; ++r) {
+          for (std::size_t e = 0; e < kEntities; ++e) {
+            const double load =
+                static_cast<double>((r / 7) % 5) + 0.25 * static_cast<double>(e);
+            for (TraceMemo* memo : {&memos[e], static_cast<TraceMemo*>(nullptr)}) {
+              emitter.event_at(0.5 * static_cast<double>(r), "channel_tick", memo)
+                  .str("name", e % 3 == 0 ? "quote \" and \xff" : "plain")
+                  .num("emitter", w)
+                  .num("entity", static_cast<double>(e))
+                  .num("load", load)
+                  .num("input_queue_events", r % 11 == 0 ? -0.0 : 0.0);
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    sink->flush();
+  }
+
+  std::ifstream in(path);
+  std::vector<std::vector<std::string>> by_emitter(kThreads);
+  std::string line;
+  while (std::getline(in, line)) {
+    TraceEvent event;
+    std::string error;
+    ASSERT_TRUE(parse_trace_line(line, &event, nullptr, &error))
+        << error << ": " << line;
+    const auto w = static_cast<std::size_t>(event.num("emitter", -1.0));
+    ASSERT_LT(w, by_emitter.size()) << line;
+    ASSERT_EQ(event.seq, by_emitter[w].size()) << "emitter " << w << ": " << line;
+    by_emitter[w].push_back(line);
+  }
+  for (const std::vector<std::string>& lines : by_emitter) {
+    ASSERT_EQ(lines.size(), 2 * kRounds * kEntities);
+    for (std::size_t i = 0; i < lines.size(); i += 2) {
+      // Past the seq, the memoed line and the plain one are the same bytes.
+      const std::string_view memoed(lines[i]), plain(lines[i + 1]);
+      ASSERT_EQ(memoed.substr(memoed.find(",\"t\":")),
+                plain.substr(plain.find(",\"t\":")))
+          << "line " << i;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(FileSinkTest, AFullDiskShowsAtTheFlush) {
   // /dev/full opens like any file but fails every write with ENOSPC; the
   // sink buffers the line, so only the flush finds out.
-  FileSink sink("/dev/full");
-  ASSERT_TRUE(sink.ok());
+  auto sink = std::make_shared<FileSink>("/dev/full");
+  ASSERT_TRUE(sink->ok());
+  TraceEmitter emitter(sink);
+  static_cast<void>(emitter.event("tick"));  // commits at once
+  EXPECT_TRUE(sink->ok());
+  sink->flush();
+  EXPECT_FALSE(sink->ok());
+}
+
+// ---------------------------------------------------------------------------
+// TraceMemo: a commit whose fields repeat the memo's reuses their bytes.
+
+// Commits `fields` (its type, t, strings and numbers) through `memo`, or
+// with the plain encode when `memo` is null.
+void commit(TraceEmitter& emitter, const TraceEvent& fields, TraceMemo* memo) {
+  auto event = emitter.event_at(fields.t, fields.type, memo);
+  for (const auto& [key, value] : fields.strs) event.str(key, value);
+  for (const auto& [key, value] : fields.nums) event.num(key, value);
+}
+
+// Writes each (event, memo) through one FileSink and checks every line
+// against to_json_line, the encoder of parsed events, for the same event.
+void expect_lines_as_encoded(
+    const std::vector<std::pair<TraceEvent, TraceMemo*>>& commits,
+    const std::string& name) {
+  const std::string path = testing::TempDir() + name + ".jsonl";
+  {
+    auto sink = std::make_shared<FileSink>(path);
+    ASSERT_TRUE(sink->ok());
+    TraceEmitter emitter(sink);
+    for (const auto& [fields, memo] : commits) commit(emitter, fields, memo);
+    sink->flush();
+  }
+  std::ifstream in(path);
+  std::string line;
+  std::size_t i = 0;
+  for (; std::getline(in, line); ++i) {
+    ASSERT_LT(i, commits.size());
+    TraceEvent want = commits[i].first;
+    want.seq = i;
+    EXPECT_EQ(line, to_json_line(want)) << name << ": commit " << i;
+  }
+  EXPECT_EQ(i, commits.size()) << name;
+  std::remove(path.c_str());
+}
+
+TraceEvent fields_of(std::string type,
+                     std::vector<std::pair<std::string, double>> nums,
+                     std::vector<std::pair<std::string, std::string>> strs = {}) {
   TraceEvent event;
-  event.type = "tick";
-  sink.write(event);
-  sink.flush();
-  EXPECT_FALSE(sink.ok());
+  event.t = 1.5;
+  event.type = std::move(type);
+  event.nums = std::move(nums);
+  event.strs = std::move(strs);
+  return event;
+}
+
+TEST(TraceMemoTest, AMemoHitWritesTheBytesOfAFreshEncode) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<TraceEvent> cases = {
+      fields_of("tick", {{"nan", nan}, {"inf", inf}, {"ninf", -inf}}),
+      fields_of("tick", {{"neg_zero", -0.0},
+                         {"zero", 0.0},
+                         {"subnormal", std::numeric_limits<double>::denorm_min()},
+                         {"big", 1e12},
+                         {"tenth", 0.1}}),
+      fields_of("op_tick", {{"input_queue_events", 7.0},
+                            {"processing_ratio", 0.999}},
+                {{"long", std::string(100, 'x')},
+                 {"escapes", "quote \" back \\ nl \n tab \t ctl \x01"},
+                 {"bad_utf8", "\xff\xfe ok \xc3\xa9"}}),
+      // Too large for a memo's fixed capacity: the plain encode each time.
+      fields_of("big", {{"a", 1.0}, {"b", 2.0}, {"c", 3.0}, {"d", 4.0},
+                        {"e", 5.0}, {"f", 6.0}, {"g", 7.0}, {"h", 8.0},
+                        {"i", 9.0}},
+                {{"s", std::string(400, 'y')}}),
+  };
+  TraceMemo memo;
+  std::vector<std::pair<TraceEvent, TraceMemo*>> commits;
+  for (const TraceEvent& fields : cases) {
+    // A miss, two hits, and the same event without the memo.
+    commits.emplace_back(fields, &memo);
+    commits.emplace_back(fields, &memo);
+    commits.emplace_back(fields, &memo);
+    commits.emplace_back(fields, nullptr);
+  }
+  expect_lines_as_encoded(commits, "memo_hits");
+}
+
+TEST(TraceMemoTest, ARunTimeKeyIsCopiedIntoTheEvent) {
+  // The engine's placement event builds its tasks_at_site_<n> keys at run
+  // time; the builder must hold their bytes, not a view of the caller's.
+  const std::string path = testing::TempDir() + "memo_run_time_key.jsonl";
+  {
+    auto sink = std::make_shared<FileSink>(path);
+    TraceEmitter emitter(sink);
+    TraceMemo memo;
+    for (int round = 0; round < 2; ++round) {  // a miss, then a hit
+      std::string key = "tasks_at_site_" + std::to_string(12);
+      auto event = emitter.event_at(2.0, "placement", &memo);
+      event.num(key, 3.0);
+      key.assign("overwritten_after_use");
+    }
+  }
+  std::ifstream in(path);
+  std::string line;
+  for (int seq = 0; seq < 2; ++seq) {
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, R"({"schema":2,"seq":)" + std::to_string(seq) +
+                        R"(,"t":2,"type":"placement","tasks_at_site_12":3})");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceMemoTest, AChangeToAnyOneFieldReencodes) {
+  const TraceEvent base = fields_of(
+      "channel_tick", {{"a", 2.0}, {"b", 0.0}, {"c", 3.0}}, {{"s", "abc"}});
+  TraceEvent sign = base;  // one value bit: the sign
+  sign.nums[0].second = -2.0;
+  TraceEvent neg_zero = base;
+  neg_zero.nums[1].second = -0.0;
+  TraceEvent last_bit = base;  // prints as 3 too, but is not 3
+  last_bit.nums[2].second = std::nextafter(3.0, 4.0);
+  TraceEvent key = base;  // a key of the same length
+  key.nums[0].first = "x";
+  TraceEvent str = base;  // a string of the same length
+  str.strs[0].second = "abd";
+  TraceMemo memo;
+  std::vector<std::pair<TraceEvent, TraceMemo*>> commits;
+  for (const TraceEvent& changed : {sign, neg_zero, last_bit, key, str}) {
+    commits.emplace_back(base, &memo);
+    commits.emplace_back(base, &memo);
+    commits.emplace_back(changed, &memo);
+    commits.emplace_back(changed, &memo);
+  }
+  commits.emplace_back(base, &memo);
+  expect_lines_as_encoded(commits, "memo_changes");
+}
+
+TEST(TraceMemoTest, AMemoReusedByAnotherEntityNeverWritesItsOldBytes) {
+  // A rebuild hands channel x's memo to channel y and grows the memo table,
+  // which moves every memo.
+  const TraceEvent x = fields_of(
+      "channel_tick", {{"from_site", 1.0}, {"to_site", 2.0}, {"queue", 5.0}});
+  const TraceEvent y = fields_of(
+      "channel_tick", {{"from_site", 3.0}, {"to_site", 4.0}, {"queue", 5.0}});
+  std::vector<TraceMemo> memos(2);
+  std::vector<std::pair<TraceEvent, TraceMemo*>> commits = {
+      {x, &memos[0]}, {y, &memos[1]}, {x, &memos[0]}, {y, &memos[1]},
+      {y, &memos[0]}, {x, &memos[1]}, {y, &memos[0]}, {x, &memos[1]}};
+  expect_lines_as_encoded(commits, "memo_reuse");
+  memos.resize(64);
+  expect_lines_as_encoded({{x, &memos[1]}, {y, &memos[0]}, {x, &memos[0]}},
+                          "memo_reuse_moved");
 }
 
 // ---------------------------------------------------------------------------

@@ -350,5 +350,107 @@ TEST(ProfilerTest, ProfiledRunRecordsTickPhases) {
   EXPECT_TRUE(saw_step);
 }
 
+// A clock that advances one tick per read, so a frame's total is the number
+// of reads it spans.
+std::uint64_t g_reads = 0;
+std::uint64_t counting_clock() { return ++g_reads; }
+
+// Where frames meet, they share one read: a tick reads the clock 12 times,
+// plus two for each control-plane Scope that ran (the standby sync runs
+// every tick, so 14 with standbys). The step and engine frames begin and end
+// with their first and last segments, so neither has self time.
+TEST(ProfilerTest, ATickReadsTheClockOncePerBoundary) {
+  for (const int standbys : {0, 1}) {
+    SCOPED_TRACE(standbys);
+    Testbed bed(7);
+    auto spec = workload::make_topk_topics(bed.east, bed.west, bed.sink);
+    workload::SteppedWorkload pattern;
+    for (OperatorId src : spec.sources) {
+      for (SiteId s : spec.plan.op(src).pinned_sites) {
+        pattern.set_base_rate(src, s, 10'000.0);
+      }
+    }
+    runtime::SystemConfig config;
+    config.seed = 7;
+    config.profile = true;
+    config.standby_replicas = standbys;
+    runtime::WaspSystem system(bed.network, std::move(spec), pattern, config);
+    system.run_until(20.0);
+
+    Profiler& profiler = system.profiler();
+    profiler.set_clock(&counting_clock);
+    profiler.reset();
+    g_reads = 0;
+    constexpr std::uint64_t kTicks = 200;
+    for (std::uint64_t i = 0; i < kTicks; ++i) system.step();
+
+    const auto& accums = profiler.accums();
+    auto of = [&](Phase phase) {
+      return accums[static_cast<std::size_t>(phase)];
+    };
+    std::uint64_t scope_calls = 0;
+    for (Phase phase : {Phase::kPolicyDecide, Phase::kSolverPlacement,
+                        Phase::kSolverMigration, Phase::kStandbySync}) {
+      scope_calls += of(phase).calls;
+    }
+    EXPECT_EQ(of(Phase::kStandbySync).calls,
+              standbys > 0 ? kTicks : std::uint64_t{0});
+    EXPECT_EQ(g_reads, 12 * kTicks + 2 * scope_calls);
+
+    EXPECT_EQ(of(Phase::kStep).calls, kTicks);
+    EXPECT_EQ(of(Phase::kStep).self_ns, 0u);
+    EXPECT_EQ(of(Phase::kStep).total_ns,
+              of(Phase::kWorkload).total_ns + of(Phase::kWaterfill).total_ns +
+                  of(Phase::kEngine).total_ns +
+                  of(Phase::kMonitorExtract).total_ns +
+                  of(Phase::kControl).total_ns + of(Phase::kRecord).total_ns);
+    EXPECT_EQ(of(Phase::kEngine).self_ns, 0u);
+    EXPECT_EQ(of(Phase::kEngine).total_ns,
+              of(Phase::kEngineReset).total_ns +
+                  of(Phase::kEngineStage).total_ns +
+                  of(Phase::kEngineChannel).total_ns +
+                  of(Phase::kEngineCheckpoint).total_ns +
+                  of(Phase::kEngineDelay).total_ns +
+                  of(Phase::kEngineEmit).total_ns);
+    // Between ticks nothing reads the clock: the 200 steps span every read.
+    EXPECT_EQ(of(Phase::kStep).total_ns + kTicks, g_reads);
+  }
+}
+
+TEST(ProfilerTest, SharedReadsKeepSegmentsExact) {
+  Profiler profiler(true);
+  profiler.set_clock(&fake_clock);
+  g_fake_now = 0;
+  {
+    Profiler::Scope step(&profiler, Phase::kStep);  // opens at 0
+    Profiler::Chain chain(&profiler);
+    chain.next_at_last_read(Phase::kWorkload);  // opens at 0 too
+    g_fake_now = 10;
+    chain.close_at_next_read();  // ends where engine begins
+    g_fake_now = 15;
+    {
+      Profiler::Scope engine(&profiler, Phase::kEngine);  // reads 15
+      g_fake_now = 40;
+    }  // reads 40
+    g_fake_now = 90;
+    chain.next_at_last_read(Phase::kRecord);  // opens at 40
+    g_fake_now = 100;
+    chain.close_at_next_read();
+  }  // reads 100: ends record and step
+  const auto& workload = accum_of(profiler, Phase::kWorkload);
+  EXPECT_EQ(workload.calls, 1u);
+  EXPECT_EQ(workload.total_ns, 15u);
+  const auto& engine = accum_of(profiler, Phase::kEngine);
+  EXPECT_EQ(engine.total_ns, 25u);
+  EXPECT_EQ(engine.self_ns, 25u);
+  const auto& record = accum_of(profiler, Phase::kRecord);
+  EXPECT_EQ(record.calls, 1u);
+  EXPECT_EQ(record.total_ns, 60u);
+  const auto& step = accum_of(profiler, Phase::kStep);
+  EXPECT_EQ(step.calls, 1u);
+  EXPECT_EQ(step.total_ns, 100u);
+  EXPECT_EQ(step.self_ns, 0u);
+}
+
 }  // namespace
 }  // namespace wasp::obs
